@@ -115,7 +115,7 @@ def scene_features_of(samples) -> SceneFeatureSet:
     # Scene features are L2-normalized temporal-median backgrounds; this
     # replaces a pretrained scene-classification network at desk scale.
     bank = build_background_bank(samples)
-    return SceneFeatureSet.from_vectors(bank.backgrounds.astype(np.float64))
+    return SceneFeatureSet.from_vectors(bank.astype(np.float64))
 
 
 def cmd_gap(args) -> int:

@@ -3,23 +3,11 @@ background-mixup augmentation."""
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .synthdata import VideoSample
-
-
-@dataclass
-class BackgroundBank:
-    backgrounds: np.ndarray  # (n, D), values in [0, 1]
-    source_video_ids: list
-
-    def __post_init__(self):
-        if self.backgrounds.shape[0] != len(self.source_video_ids):
-            raise ValueError("bank size != id count")
 
 
 @dataclass(frozen=True)
@@ -46,12 +34,11 @@ def extract_background_tmf(video: VideoSample) -> np.ndarray:
     return np.median(video.frames, axis=0)
 
 
-def build_background_bank(samples: list[VideoSample]) -> BackgroundBank:
+def build_background_bank(samples: list[VideoSample]) -> np.ndarray:
+    """(n, D) array of the samples' backgrounds, values in [0, 1]."""
     if not samples:
         raise ValueError("empty dataset")
-    backgrounds = np.stack([extract_background_tmf(s) for s in samples])
-    return BackgroundBank(backgrounds=backgrounds,
-                          source_video_ids=[s.video_id for s in samples])
+    return np.stack([extract_background_tmf(s) for s in samples])
 
 
 def mix_background(video: VideoSample, background: np.ndarray, lam: float) -> VideoSample:
@@ -67,42 +54,21 @@ def mix_background(video: VideoSample, background: np.ndarray, lam: float) -> Vi
                        video_id=video.video_id)
 
 
-def apply_augmentation_policy(batch: list[VideoSample], bank: BackgroundBank,
+def apply_augmentation_policy(batch: list[VideoSample], bank: np.ndarray,
                               policy: AugmentationPolicy,
                               rng: np.random.Generator) -> list[VideoSample]:
     """Independently mix each eligible sample with a uniformly chosen bank
     background with the configured probability. Labels, lengths, and domain
     tags are never altered."""
-    if bank.backgrounds.shape[0] == 0:
+    if bank.shape[0] == 0:
         raise ValueError("empty background bank")
     out = []
     for sample in batch:
         if sample.domain not in policy.domains or rng.uniform() >= policy.probability:
             out.append(sample)
             continue
-        bg = bank.backgrounds[int(rng.integers(0, bank.backgrounds.shape[0]))]
+        bg = bank[int(rng.integers(0, bank.shape[0]))]
         lam = policy.lambda_value if policy.lambda_mode == "fixed" else float(rng.uniform())
         out.append(mix_background(sample, bg, lam))
     return out
 
-
-def save_bank(bank: BackgroundBank, directory: str) -> None:
-    """Cache alongside a dataset directory: backgrounds.bin + backgrounds.json."""
-    os.makedirs(directory, exist_ok=True)
-    meta = {"count": int(bank.backgrounds.shape[0]),
-            "dim": int(bank.backgrounds.shape[1]),
-            "video_ids": bank.source_video_ids}
-    with open(os.path.join(directory, "backgrounds.json"), "w") as f:
-        json.dump(meta, f, indent=1)
-    with open(os.path.join(directory, "backgrounds.bin"), "wb") as f:
-        f.write(np.asarray(bank.backgrounds, dtype="<f4").tobytes())
-
-
-def load_bank(directory: str) -> BackgroundBank:
-    with open(os.path.join(directory, "backgrounds.json")) as f:
-        meta = json.load(f)
-    with open(os.path.join(directory, "backgrounds.bin"), "rb") as f:
-        raw = f.read()
-    arr = np.frombuffer(raw, dtype="<f4").reshape(meta["count"], meta["dim"])
-    return BackgroundBank(backgrounds=arr.astype(np.float32),
-                          source_video_ids=meta["video_ids"])

@@ -13,10 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_ACTIVATIONS = ("relu", "tanh")
-_OUTPUT_ACTIVATIONS = ("identity", "sigmoid")
-
-
 class ShapeError(ValueError):
     """Input or parameter shapes do not match the MLP spec."""
 
@@ -27,19 +23,14 @@ class NonFiniteGradientError(FloatingPointError):
 
 @dataclass(frozen=True)
 class MlpSpec:
+    """Dense layers with ReLU between them and a linear output layer."""
     layer_widths: tuple[int, ...]
-    hidden_activation: str = "relu"
-    output_activation: str = "identity"
 
     def __post_init__(self):
         if len(self.layer_widths) < 2:
             raise ValueError("need at least input and output widths")
         if any(w <= 0 for w in self.layer_widths):
             raise ValueError("layer widths must be positive")
-        if self.hidden_activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.hidden_activation!r}")
-        if self.output_activation not in _OUTPUT_ACTIVATIONS:
-            raise ValueError(f"unknown output activation {self.output_activation!r}")
 
     @property
     def n_layers(self) -> int:
@@ -68,40 +59,26 @@ def _check_params(spec: MlpSpec, params) -> None:
             raise ShapeError(f"layer {i}: bias shape {params[2 * i + 1].shape} != {(d_out,)}")
 
 
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
-    return z  # identity
-
-
 def mlp_forward(spec: MlpSpec, params, x: np.ndarray):
-    """Forward pass. Accepts a single vector or a (n, d_in) batch.
+    """Forward pass over a (n, d_in) batch.
 
     Returns (output, cache); the cache holds per-layer inputs and outputs
     for the backward pass.
     """
     _check_params(spec, params)
     x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
-    if x.shape[1] != spec.layer_widths[0]:
-        raise ShapeError(f"input width {x.shape[1]} != {spec.layer_widths[0]}")
+    if x.ndim != 2 or x.shape[1] != spec.layer_widths[0]:
+        raise ShapeError(f"input shape {x.shape} != (n, {spec.layer_widths[0]})")
     inputs = []
     outputs = []
     h = x
     for i in range(spec.n_layers):
         inputs.append(h)
-        z = h @ params[2 * i] + params[2 * i + 1]
-        act = spec.hidden_activation if i < spec.n_layers - 1 else spec.output_activation
-        h = _activate(act, z)
+        h = h @ params[2 * i] + params[2 * i + 1]
+        if i < spec.n_layers - 1:
+            h = np.maximum(h, 0.0)
         outputs.append(h)
-    cache = {"inputs": inputs, "outputs": outputs, "squeeze": squeeze}
-    return (h[0] if squeeze else h), cache
+    return h, {"inputs": inputs, "outputs": outputs}
 
 
 def mlp_apply(spec: MlpSpec, params, x: np.ndarray) -> np.ndarray:
@@ -113,32 +90,18 @@ def mlp_backward(spec: MlpSpec, params, cache, upstream: np.ndarray):
 
     Returns (param_grads, input_grad) with the same shapes as params/input.
     """
-    up = np.asarray(upstream, dtype=np.float64)
-    if cache["squeeze"]:
-        up = up[None, :]
-    if up.shape != cache["outputs"][-1].shape:
-        raise ShapeError(f"upstream shape {up.shape} != output {cache['outputs'][-1].shape}")
+    g = np.asarray(upstream, dtype=np.float64)
+    if g.shape != cache["outputs"][-1].shape:
+        raise ShapeError(f"upstream shape {g.shape} != output {cache['outputs'][-1].shape}")
     grads: list = [None] * (2 * spec.n_layers)
-    g = up
     for i in reversed(range(spec.n_layers)):
-        act = spec.hidden_activation if i < spec.n_layers - 1 else spec.output_activation
-        out = cache["outputs"][i]
-        if act == "relu":
-            g = g * (out > 0.0)
-        elif act == "tanh":
-            g = g * (1.0 - out * out)
-        elif act == "sigmoid":
-            g = g * out * (1.0 - out)
+        if i < spec.n_layers - 1:
+            g = g * (cache["outputs"][i] > 0.0)
         h = cache["inputs"][i]
         grads[2 * i] = h.T @ g
         grads[2 * i + 1] = g.sum(axis=0)
         g = g @ params[2 * i].T
-    return grads, (g[0] if cache["squeeze"] else g)
-
-
-def mlp_gradients(spec: MlpSpec, params, x: np.ndarray, upstream: np.ndarray):
-    _, cache = mlp_forward(spec, params, x)
-    return mlp_backward(spec, params, cache, upstream)
+    return grads, g
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
 """GLAD model: frame-MLP feature extractor with mean pooling, linear action
 head, three adversarial domain classifiers behind a gradient reversal layer,
-clip-order head, and consensus inference.
+clip-order head, and the deterministic inference clips.
 
 Parameters live in a dict of named groups; every loss function returns the
 scalar loss together with gradient contributions that the trainer
@@ -12,15 +12,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import diffnet
 from .diffnet import MlpSpec
-from .sampling import (ClipIndices, sample_global_clip, sample_local_clip,
-                       shuffle_clips)
-from .synthdata import VideoSample
+from .sampling import sample_global_clip, sample_local_clip
 
 MAX_ORDER_CLIPS = 4  # N! output width; larger N is rejected
 
@@ -46,21 +44,6 @@ class ModelConfig:
     def __post_init__(self):
         if self.tol_clips < 2 or self.tol_clips > MAX_ORDER_CLIPS:
             raise ValueError(f"tol_clips must be in [2, {MAX_ORDER_CLIPS}]")
-
-
-@dataclass
-class ClipFeature:
-    vector: np.ndarray
-    view: str
-    domain: str
-
-
-@dataclass
-class ViewFeature:
-    psi_global: np.ndarray | None
-    psi_local: np.ndarray | None
-    m_global: int
-    n_local: int
 
 
 @dataclass
@@ -136,29 +119,6 @@ def encode_clip_backward(model: GladModel, cache, dfeats: np.ndarray, grads: dic
     accumulate(grads, "enc", enc_grads)
 
 
-def gather_clip_frames(video: VideoSample, clips: list[ClipIndices]) -> np.ndarray:
-    return np.stack([video.frames[list(c.indices)] for c in clips]).astype(np.float64)
-
-
-def extract_clip_feature(model: GladModel, video: VideoSample,
-                         clip: ClipIndices) -> ClipFeature:
-    frames = gather_clip_frames(video, [clip])
-    feats, _ = encode_clip_batch(model, frames)
-    return ClipFeature(vector=feats[0], view=clip.view, domain=video.domain)
-
-
-def aggregate_views(global_feats, local_feats) -> ViewFeature:
-    """Arithmetic mean per view."""
-    m, n = len(global_feats), len(local_feats)
-    if m == 0 and n == 0:
-        raise ValueError("need at least one clip feature")
-    psi_g = np.mean([f.vector if isinstance(f, ClipFeature) else f
-                     for f in global_feats], axis=0) if m else None
-    psi_l = np.mean([f.vector if isinstance(f, ClipFeature) else f
-                     for f in local_feats], axis=0) if n else None
-    return ViewFeature(psi_global=psi_g, psi_local=psi_l, m_global=m, n_local=n)
-
-
 # ---------------------------------------------------------------------------
 # Losses
 
@@ -169,10 +129,10 @@ def domain_adv_loss(spec: MlpSpec, params, psi_batch: np.ndarray, grl_coeff: flo
 
     The classifier output F = sigmoid(z); -log F and -log(1 - F) are
     evaluated as softplus terms on the logit z so saturated samples keep
-    finite, exact gradients. Returns (loss, classifier_grads, dpsi) where
-    classifier_grads descend the loss (discriminator improves) and dpsi is
-    the gradient reaching the feature extractor after passing the reversal
-    layer.
+    finite, exact gradients. Returns (loss, classifier_grads, dpsi, z) where
+    classifier_grads descend the loss (discriminator improves), dpsi is the
+    gradient reaching the feature extractor after passing the reversal
+    layer, and z holds the 2B logits (positive means "source").
     """
     psi_batch = np.asarray(psi_batch, dtype=np.float64)
     two_b = psi_batch.shape[0]
@@ -188,7 +148,7 @@ def domain_adv_loss(spec: MlpSpec, params, psi_batch: np.ndarray, grl_coeff: flo
     dz[:b] = (sig[:b] - 1.0) / two_b
     dz[b:] = sig[b:] / two_b
     clf_grads, dpsi = diffnet.mlp_backward(spec, params, cache, dz[:, None])
-    return float(loss), clf_grads, diffnet.grl_backward(dpsi, grl_coeff)
+    return float(loss), clf_grads, diffnet.grl_backward(dpsi, grl_coeff), z
 
 
 def _unit_rows(x: np.ndarray):
@@ -201,6 +161,12 @@ def _unit_rows_backward(y: np.ndarray, norms: np.ndarray, dy: np.ndarray):
     return (dy - y * np.sum(y * dy, axis=1, keepdims=True)) / norms
 
 
+# view -> (classifier group, (source stream, target stream) sub-batches)
+GLA_VIEWS = {"gg": ("dg", (("g_src", "g_tgt"),)),
+              "ll": ("dl", (("l_src", "l_tgt"),)),
+              "cross": ("dx", (("g_src", "l_tgt"), ("l_src", "g_tgt")))}
+
+
 def gla_loss(model: GladModel, psi_g_src, psi_l_src, psi_g_tgt, psi_l_tgt,
              grl_coeff: float, views=("gg", "ll", "cross")):
     """Sum of the enabled per-view adversarial terms.
@@ -210,8 +176,9 @@ def gla_loss(model: GladModel, psi_g_src, psi_l_src, psi_g_tgt, psi_l_tgt,
     feature norms without limit). The cross term runs two sub-batches
     through the same classifier -- {source global vs target local} and
     {source local vs target global} -- and averages them. Returns
-    (loss, clf_grads_by_group, dpsi_by_stream) where dpsi gradients are
-    already reversal-scaled.
+    (loss, clf_grads_by_group, dpsi_by_stream, logits_by_view) where dpsi
+    gradients are already reversal-scaled and logits_by_view[v] is the
+    (sub-batches, 2B) array of the classifier's logits.
     """
     raw = {"g_src": psi_g_src, "l_src": psi_l_src,
            "g_tgt": psi_g_tgt, "l_tgt": psi_l_tgt}
@@ -219,55 +186,38 @@ def gla_loss(model: GladModel, psi_g_src, psi_l_src, psi_g_tgt, psi_l_tgt,
     norms = {}
     for k, v in raw.items():
         unit[k], norms[k] = _unit_rows(np.asarray(v, dtype=np.float64))
-    psi_g_src, psi_l_src = unit["g_src"], unit["l_src"]
-    psi_g_tgt, psi_l_tgt = unit["g_tgt"], unit["l_tgt"]
+    b = unit["g_src"].shape[0]
     total = 0.0
     clf = {}
-    dpsi = {"g_src": np.zeros_like(psi_g_src), "l_src": np.zeros_like(psi_l_src),
-            "g_tgt": np.zeros_like(psi_g_tgt), "l_tgt": np.zeros_like(psi_l_tgt)}
-    if "gg" in views:
-        batch = np.concatenate([psi_g_src, psi_g_tgt])
-        loss, grads, d = domain_adv_loss(model.specs["dg"], model.params["dg"], batch, grl_coeff)
-        total += loss
-        clf["dg"] = grads
-        b = psi_g_src.shape[0]
-        dpsi["g_src"] += d[:b]
-        dpsi["g_tgt"] += d[b:]
-    if "ll" in views:
-        batch = np.concatenate([psi_l_src, psi_l_tgt])
-        loss, grads, d = domain_adv_loss(model.specs["dl"], model.params["dl"], batch, grl_coeff)
-        total += loss
-        clf["dl"] = grads
-        b = psi_l_src.shape[0]
-        dpsi["l_src"] += d[:b]
-        dpsi["l_tgt"] += d[b:]
-    if "cross" in views:
-        b = psi_g_src.shape[0]
-        batch_a = np.concatenate([psi_g_src, psi_l_tgt])
-        batch_b = np.concatenate([psi_l_src, psi_g_tgt])
-        loss_a, grads_a, d_a = domain_adv_loss(model.specs["dx"], model.params["dx"], batch_a, grl_coeff)
-        loss_b, grads_b, d_b = domain_adv_loss(model.specs["dx"], model.params["dx"], batch_b, grl_coeff)
-        total += 0.5 * (loss_a + loss_b)
-        clf["dx"] = [0.5 * (ga + gb) for ga, gb in zip(grads_a, grads_b)]
-        dpsi["g_src"] += 0.5 * d_a[:b]
-        dpsi["l_tgt"] += 0.5 * d_a[b:]
-        dpsi["l_src"] += 0.5 * d_b[:b]
-        dpsi["g_tgt"] += 0.5 * d_b[b:]
+    logits = {}
+    dpsi = {k: np.zeros_like(u) for k, u in unit.items()}
+    for view, (group, pairs) in GLA_VIEWS.items():
+        if view not in views:
+            continue
+        w = 1.0 / len(pairs)
+        losses, grads, ds, zs = zip(*[
+            domain_adv_loss(model.specs[group], model.params[group],
+                            np.concatenate([unit[s], unit[t]]), grl_coeff)
+            for s, t in pairs])
+        total += w * sum(losses)
+        clf[group] = [w * sum(gs[1:], gs[0]) for gs in zip(*grads)]
+        for (s, t), d in zip(pairs, ds):
+            dpsi[s] += w * d[:b]
+            dpsi[t] += w * d[b:]
+        logits[view] = np.stack(zs)
     for k in dpsi:
         dpsi[k] = _unit_rows_backward(unit[k], norms[k], dpsi[k])
-    return total, clf, dpsi
+    return total, clf, dpsi, logits
 
 
 def tol_loss(model: GladModel, shuffled_concat: np.ndarray, perm_indices: np.ndarray):
     """Clip-order loss over 2B samples of concatenated shuffled features.
 
     L = -(1 / (2B * N!)) * sum_i log p_i[true_perm_i]; note the extra N!
-    normalization on top of the batch mean.
+    normalization on top of the batch mean. Returns (loss, head_grads,
+    dinput, logits).
     """
-    n = model.config.tol_clips
-    if n > MAX_ORDER_CLIPS:
-        raise ValueError("too many order clips")
-    n_fact = math.factorial(n)
+    n_fact = math.factorial(model.config.tol_clips)
     two_b = shuffled_concat.shape[0]
     logits, cache = diffnet.mlp_forward(model.specs["tol"], model.params["tol"], shuffled_concat)
     losses, dlogits = diffnet.softmax_cross_entropy_batch(logits, perm_indices)
@@ -275,18 +225,12 @@ def tol_loss(model: GladModel, shuffled_concat: np.ndarray, perm_indices: np.nda
     loss = float(losses.sum() * scale)
     head_grads, dinput = diffnet.mlp_backward(
         model.specs["tol"], model.params["tol"], cache, dlogits * scale)
-    return loss, head_grads, dinput
+    return loss, head_grads, dinput, logits
 
 
-def tol_accuracy(model: GladModel, shuffled_concat: np.ndarray,
-                 perm_indices: np.ndarray) -> float:
-    logits = diffnet.mlp_apply(model.specs["tol"], model.params["tol"], shuffled_concat)
-    return float(np.mean(np.argmax(logits, axis=1) == perm_indices))
-
-
-def classify_action(model: GladModel, feature: np.ndarray) -> np.ndarray:
-    """Linear action head; accepts a single feature or a (B, F) batch."""
-    return diffnet.mlp_apply(model.specs["act"], model.params["act"], feature)
+def classify_action(model: GladModel, features: np.ndarray) -> np.ndarray:
+    """Linear action head over a (B, F) batch."""
+    return diffnet.mlp_apply(model.specs["act"], model.params["act"], features)
 
 
 def ce_loss(model: GladModel, features: np.ndarray, labels: np.ndarray):
@@ -302,21 +246,11 @@ def ce_loss(model: GladModel, features: np.ndarray, labels: np.ndarray):
 # ---------------------------------------------------------------------------
 # Inference
 
-def eval_clips(video_length: int, cfg: ModelConfig) -> list[ClipIndices]:
+def eval_clips(video_length: int, cfg: ModelConfig) -> list[tuple[int, ...]]:
     """Deterministic inference sampling: one global and two local clips."""
     g = sample_global_clip(video_length, cfg.n_frames, mode="eval")
     l = sample_local_clip(video_length, cfg.n_frames, cfg.local_stride, mode="eval")
     return [g, l, l]
-
-
-def consensus_inference(model: GladModel, video: VideoSample) -> int:
-    """Mean of the three deterministic clip features, then argmax of the
-    linear classifier. No auxiliary heads are involved."""
-    clips = eval_clips(video.length, model.config)
-    frames = gather_clip_frames(video, clips)
-    feats, _ = encode_clip_batch(model, frames)
-    consensus = feats.mean(axis=0)
-    return int(np.argmax(classify_action(model, consensus)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,18 +10,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class ClipIndices:
-    indices: tuple[int, ...]
-    view: str  # "global" or "local"
-
-    def __post_init__(self):
-        if any(i < 0 for i in self.indices):
-            raise ValueError("negative frame index")
-        if any(b < a for a, b in zip(self.indices, self.indices[1:])):
-            raise ValueError("indices must be non-decreasing")
-
-
-@dataclass(frozen=True)
 class PermutationLabel:
     n: int
     perm: tuple[int, ...]
@@ -29,7 +17,7 @@ class PermutationLabel:
 
 
 def sample_global_clip(T: int, n_frames: int, mode: str = "eval",
-                       rng: np.random.Generator | None = None) -> ClipIndices:
+                       rng: np.random.Generator | None = None) -> tuple[int, ...]:
     """One frame per equal-sized segment of [0, T). Train mode draws uniformly
     within each segment; eval mode takes segment centers. Short videos repeat
     indices via clamping."""
@@ -46,11 +34,11 @@ def sample_global_clip(T: int, n_frames: int, mode: str = "eval",
         else:
             i = (lo + hi - 1) // 2
         idx.append(min(i, T - 1))
-    return ClipIndices(tuple(idx), "global")
+    return tuple(idx)
 
 
 def sample_local_clip(T: int, n_frames: int, stride: int, mode: str = "eval",
-                      rng: np.random.Generator | None = None) -> ClipIndices:
+                      rng: np.random.Generator | None = None) -> tuple[int, ...]:
     """Consecutive strided frames from a start point (random in train mode,
     centered in eval mode); indices past the end clamp to T-1."""
     if T < 1 or n_frames < 1 or stride < 1:
@@ -65,8 +53,7 @@ def sample_local_clip(T: int, n_frames: int, stride: int, mode: str = "eval",
             start = max(0, (T - 1 - span) // 2)
     else:
         start = 0
-    idx = tuple(min(start + stride * k, T - 1) for k in range(n_frames))
-    return ClipIndices(idx, "local")
+    return tuple(min(start + stride * k, T - 1) for k in range(n_frames))
 
 
 def permutation_encode(perm) -> int:

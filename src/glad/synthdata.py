@@ -253,21 +253,23 @@ def read_dataset(directory: str):
     if len(entries) != spec.n_videos:
         raise ManifestMismatchError(
             f"manifest mismatch: {len(entries)} entries for n_videos={spec.n_videos}")
-    with open(os.path.join(directory, "frames.bin"), "rb") as f:
-        raw = f.read()
+    frames_path = os.path.join(directory, "frames.bin")
+    size = os.path.getsize(frames_path)
     d = spec.frame_dim
     expected = sum(e["length"] * d * 4 for e in entries)
-    if len(raw) < expected:
-        raise TruncatedDataError(f"truncated frame data: {len(raw)} < {expected} bytes")
-    if len(raw) > expected:
-        raise ManifestMismatchError(f"manifest mismatch: {len(raw)} > {expected} bytes")
+    if size < expected:
+        raise TruncatedDataError(f"truncated frame data: {size} < {expected} bytes")
+    if size > expected:
+        raise ManifestMismatchError(f"manifest mismatch: {size} > {expected} bytes")
+    # one read; every video is a view into the flat frame array
+    flat = np.fromfile(frames_path, dtype="<f4")
     samples = []
     for e in entries:
         start = e["offset"]
         n = e["length"] * d
-        if start + 4 * n > len(raw):
-            raise ManifestMismatchError(f"manifest mismatch: offset overrun for {e['video_id']}")
-        frames = np.frombuffer(raw, dtype="<f4", count=n, offset=start).reshape(e["length"], d)
-        samples.append(VideoSample(frames=frames.copy(), label=e["label"],
+        if start < 0 or start % 4 or start + 4 * n > size:
+            raise ManifestMismatchError(f"manifest mismatch: bad offset for {e['video_id']}")
+        frames = flat[start // 4:start // 4 + n].reshape(e["length"], d)
+        samples.append(VideoSample(frames=frames, label=e["label"],
                                    domain=spec.domain, video_id=e["video_id"]))
     return DomainManifest(spec=spec, entries=entries), samples

@@ -4,22 +4,20 @@ matrix."""
 
 from __future__ import annotations
 
-import copy
 import csv
-import dataclasses
 import json
 import math
 import os
 import statistics
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
 from . import diffnet, model as glad_model
 from .debias import (AugmentationPolicy, apply_augmentation_policy,
-                     build_background_bank, BackgroundBank)
+                     build_background_bank)
 from .gapmetrics import confusion_matrix, mean_class_accuracy
-from .model import GladModel, ModelConfig, init_glad_model
+from .model import GLA_VIEWS, GladModel, ModelConfig, init_glad_model
 from .sampling import sample_global_clip, sample_local_clip, shuffle_clips
 from .synthdata import VideoSample, strip_labels
 
@@ -41,7 +39,6 @@ class TrainConfig:
     grl_coeff: float = 0.5
     global_views: int = 1
     local_views: int = 2
-    tol_clips: int = 3
     aug_probability: float = 0.25
     aug_lambda_mode: str = "fixed"
     aug_lambda: float = 0.75
@@ -56,8 +53,16 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.global_views + self.local_views < 1:
-            raise ValueError("need at least one view per video")
+        if min(self.global_views, self.local_views) < 0 \
+                or self.global_views + self.local_views < 1:
+            raise ValueError("view counts must be >= 0 with at least one view per video")
+        if min(self.warmup_epochs, self.main_epochs) < 0:
+            raise ValueError("warmup_epochs and main_epochs must be >= 0")
+        if self.main_epochs == 0 and (self.warmup_epochs == 0 or not self.use_tol):
+            raise ValueError("config trains no epoch: main_epochs is 0 and there is no warm-up")
+        unknown = [v for v in self.gla_views if v not in GLA_VIEWS]
+        if unknown:
+            raise ValueError(f"unknown gla_views {unknown}; known: {list(GLA_VIEWS)}")
 
     def policy(self) -> AugmentationPolicy:
         return AugmentationPolicy(probability=self.aug_probability,
@@ -86,7 +91,7 @@ class TrainReport:
     def csv_rows(self):
         cols = ["phase", "epoch", "lr", "loss_ce", "loss_tol", "loss_gla",
                 "loss_total", "dom_acc_gg", "dom_acc_ll", "dom_acc_cross",
-                "target_mca"]
+                "tol_acc", "target_mca"]
         yield cols
         for e in self.epochs:
             yield [repr(e[c]) if isinstance(e[c], float) else str(e[c]) for c in cols]
@@ -118,42 +123,17 @@ def active_groups(config: TrainConfig, phase: str) -> list[str]:
         groups.append("tol")
     if config.use_gla:
         for v in config.enabled_gla_views():
-            groups.append({"gg": "dg", "ll": "dl", "cross": "dx"}[v])
+            groups.append(GLA_VIEWS[v][0])
     return groups
 
 
-def _sample_step_clips(videos, cfg: ModelConfig, tc: TrainConfig, rng,
-                       want_views: bool, want_tol: bool):
-    """Sample per-video clips and gather their frames into one (C, n_f, D)
-    stack. Returns (frames, layout) where layout maps videos to clip rows."""
-    clips_per_video = (tc.global_views + tc.local_views) * want_views \
-        + tc.tol_clips * want_tol
-    frames = []
-    layout = []
-    for v in videos:
-        rows = {"global": [], "local": [], "tol": []}
-        if want_views:
-            for _ in range(tc.global_views):
-                c = sample_global_clip(v.length, cfg.n_frames, "train", rng)
-                rows["global"].append(len(frames))
-                frames.append(v.frames[list(c.indices)])
-            for _ in range(tc.local_views):
-                c = sample_local_clip(v.length, cfg.n_frames, cfg.local_stride, "train", rng)
-                rows["local"].append(len(frames))
-                frames.append(v.frames[list(c.indices)])
-        if want_tol:
-            for _ in range(tc.tol_clips):
-                c = sample_local_clip(v.length, cfg.n_frames, cfg.local_stride, "train", rng)
-                rows["tol"].append(len(frames))
-                frames.append(v.frames[list(c.indices)])
-        layout.append(rows)
-    assert len(frames) == clips_per_video * len(videos)
-    return np.stack(frames).astype(np.float64), layout
+def _clip_stack(videos, clips_of) -> np.ndarray:
+    """Frames of each video's clips, video by video, in one (C, n_f, D) stack."""
+    return np.stack([v.frames[list(c)] for v in videos for c in clips_of(v)])
 
 
 def step_losses(mdl: GladModel, src_batch, tgt_batch, config: TrainConfig,
-                rng: np.random.Generator, phase: str,
-                bank: BackgroundBank | None):
+                rng: np.random.Generator, phase: str, bank: np.ndarray | None):
     """One optimization step's losses and gradients (no parameter update).
 
     Source labels are read here; target labels must already be stripped.
@@ -169,79 +149,66 @@ def step_losses(mdl: GladModel, src_batch, tgt_batch, config: TrainConfig,
         src_batch = apply_augmentation_policy(src_batch, bank, config.policy(), rng)
         tgt_batch = apply_augmentation_policy(tgt_batch, bank, config.policy(), rng)
 
-    want_views = phase == "main"
-    want_tol = config.use_tol or phase == "warmup"
-    videos = list(src_batch) + list(tgt_batch)
-    frames, layout = _sample_step_clips(videos, cfg, config, rng, want_views, want_tol)
+    # Every video gets the same K = mg + nl + n_tol clips, in this order:
+    # mg global views, nl local views, then n_tol clips for order learning.
+    mg, nl = (config.global_views, config.local_views) if phase == "main" else (0, 0)
+    n_tol = cfg.tol_clips if config.use_tol or phase == "warmup" else 0
+    n_views = mg + nl
+
+    def clips_of(v):
+        return ([sample_global_clip(v.length, cfg.n_frames, "train", rng) for _ in range(mg)]
+                + [sample_local_clip(v.length, cfg.n_frames, cfg.local_stride, "train", rng)
+                   for _ in range(nl + n_tol)])
+
+    frames = _clip_stack(list(src_batch) + list(tgt_batch), clips_of)
     feats, cache = glad_model.encode_clip_batch(mdl, frames)
     dfeats = np.zeros_like(feats)
+    f3 = feats.reshape(2 * b, n_views + n_tol, -1)
+    d3 = dfeats.reshape(f3.shape)
     grads = mdl.zero_grads()
     stats = {"loss_ce": 0.0, "loss_tol": 0.0, "loss_gla": 0.0,
              "dom_acc_gg": float("nan"), "dom_acc_ll": float("nan"),
              "dom_acc_cross": float("nan"), "tol_acc": float("nan")}
 
-    if want_tol:
-        n = config.tol_clips
-        concat = np.empty((2 * b, n * cfg.feat_dim))
-        perms = []
-        targets = np.empty(2 * b, dtype=np.int64)
-        for i, rows in enumerate(layout):
-            clip_feats = [feats[r] for r in rows["tol"]]
-            shuffled, label = shuffle_clips(clip_feats, rng)
-            concat[i] = np.concatenate(shuffled)
-            targets[i] = label.index
-            perms.append(label.perm)
-        loss_tol, head_grads, dconcat = glad_model.tol_loss(mdl, concat, targets)
+    if n_tol:
+        tol = f3[:, n_views:]
+        orders = [shuffle_clips(tol[i], rng)[1] for i in range(2 * b)]
+        rows = np.arange(2 * b)[:, None]
+        perms = np.array([o.perm for o in orders])
+        targets = np.array([o.index for o in orders], dtype=np.int64)
+        concat = tol[rows, perms].reshape(2 * b, -1)
+        loss_tol, head_grads, dconcat, logits = glad_model.tol_loss(mdl, concat, targets)
         stats["loss_tol"] = loss_tol
-        stats["tol_acc"] = glad_model.tol_accuracy(mdl, concat, targets)
+        stats["tol_acc"] = float(np.mean(np.argmax(logits, axis=1) == targets))
         glad_model.accumulate(grads, "tol", head_grads)
-        dconcat = dconcat.reshape(2 * b, n, cfg.feat_dim)
-        for i, rows in enumerate(layout):
-            for j, slot in enumerate(perms[i]):
-                dfeats[rows["tol"][slot]] += dconcat[i, j]
+        d3[:, n_views:][rows, perms] += dconcat.reshape(2 * b, n_tol, -1)
 
-    if want_views:
-        mg, nl = config.global_views, config.local_views
-        psi_g = np.zeros((2 * b, cfg.feat_dim))
-        psi_l = np.zeros((2 * b, cfg.feat_dim))
-        consensus = np.empty((2 * b, cfg.feat_dim))
-        for i, rows in enumerate(layout):
-            view_rows = rows["global"] + rows["local"]
-            consensus[i] = feats[view_rows].mean(axis=0)
-            if mg:
-                psi_g[i] = feats[rows["global"]].mean(axis=0)
-            if nl:
-                psi_l[i] = feats[rows["local"]].mean(axis=0)
-
+    if n_views:
+        consensus = f3[:b, :n_views].mean(axis=1)
         labels = np.array([v.label for v in src_batch], dtype=np.int64)
-        loss_ce, act_grads, dcons = glad_model.ce_loss(mdl, consensus[:b], labels)
+        loss_ce, act_grads, dcons = glad_model.ce_loss(mdl, consensus, labels)
         stats["loss_ce"] = loss_ce
         glad_model.accumulate(grads, "act", act_grads)
-        for i in range(b):
-            rows = layout[i]["global"] + layout[i]["local"]
-            for r in rows:
-                dfeats[r] += dcons[i] / len(rows)
+        d3[:b, :n_views] += (dcons / n_views)[:, None]
 
-        if config.use_gla:
-            views = config.enabled_gla_views()
-            if views:
-                loss_gla, clf, dpsi = glad_model.gla_loss(
-                    mdl, psi_g[:b], psi_l[:b], psi_g[b:], psi_l[b:],
-                    config.grl_coeff, views)
-                stats["loss_gla"] = loss_gla
-                for group, g in clf.items():
-                    glad_model.accumulate(grads, group, g)
-                for i, rows in enumerate(layout):
-                    tag = "src" if i < b else "tgt"
-                    k = i if i < b else i - b
-                    for r in rows["global"]:
-                        dfeats[r] += dpsi[f"g_{tag}"][k] / mg
-                    for r in rows["local"]:
-                        dfeats[r] += dpsi[f"l_{tag}"][k] / nl
-                for v, key in (("gg", "dg"), ("ll", "dl"), ("cross", "dx")):
-                    if v in views:
-                        stats[f"dom_acc_{v}"] = _domain_accuracy(
-                            mdl, key, v, psi_g, psi_l, b)
+        views = config.enabled_gla_views() if config.use_gla else ()
+        if views:
+            psi_g = f3[:, :mg].mean(axis=1) if mg else np.zeros((2 * b, cfg.feat_dim))
+            psi_l = f3[:, mg:n_views].mean(axis=1) if nl else np.zeros((2 * b, cfg.feat_dim))
+            loss_gla, clf, dpsi, logits = glad_model.gla_loss(
+                mdl, psi_g[:b], psi_l[:b], psi_g[b:], psi_l[b:],
+                config.grl_coeff, views)
+            stats["loss_gla"] = loss_gla
+            for group, g in clf.items():
+                glad_model.accumulate(grads, group, g)
+            if mg:
+                d3[:, :mg] += (np.concatenate([dpsi["g_src"], dpsi["g_tgt"]]) / mg)[:, None]
+            if nl:
+                d3[:, mg:n_views] += (np.concatenate([dpsi["l_src"], dpsi["l_tgt"]]) / nl)[:, None]
+            # the first B logits of each sub-batch score source videos
+            is_src = np.arange(2 * b) < b
+            for v, z in logits.items():
+                stats[f"dom_acc_{v}"] = float(np.mean((z > 0.0) == is_src))
 
     glad_model.encode_clip_backward(mdl, cache, dfeats, grads)
     total = stats["loss_ce"] + stats["loss_tol"] - stats["loss_gla"]
@@ -249,18 +216,6 @@ def step_losses(mdl: GladModel, src_batch, tgt_batch, config: TrainConfig,
         raise NumericError(f"non-finite loss: {stats}")
     stats["loss_total"] = total
     return stats, grads
-
-
-def _domain_accuracy(mdl, group, view, psi_g, psi_l, b) -> float:
-    if view == "gg":
-        batch = psi_g
-    elif view == "ll":
-        batch = psi_l
-    else:
-        batch = np.concatenate([psi_g[:b], psi_l[b:]])
-    z = diffnet.mlp_apply(mdl.specs[group], mdl.params[group], batch)[:, 0]
-    correct = np.concatenate([z[:b] > 0.0, z[b:] <= 0.0])
-    return float(np.mean(correct))
 
 
 def init_opt_states(mdl: GladModel, config: TrainConfig) -> dict:
@@ -303,14 +258,10 @@ def run_phase_epoch(mdl, src, tgt, config, states, rng, phase, lr, bank):
 
 def evaluate(mdl: GladModel, samples: list[VideoSample], n_classes: int):
     """Consensus inference per video; returns (confusion matrix, MCA)."""
-    cfg = mdl.config
-    frames = []
-    for v in samples:
-        if v.label is None:
-            raise ValueError("evaluate requires labeled samples")
-        for c in glad_model.eval_clips(v.length, cfg):
-            frames.append(v.frames[list(c.indices)])
-    feats, _ = glad_model.encode_clip_batch(mdl, np.stack(frames).astype(np.float64))
+    if any(v.label is None for v in samples):
+        raise ValueError("evaluate requires labeled samples")
+    frames = _clip_stack(samples, lambda v: glad_model.eval_clips(v.length, mdl.config))
+    feats, _ = glad_model.encode_clip_batch(mdl, frames)
     consensus = feats.reshape(len(samples), 3, -1).mean(axis=1)
     logits = glad_model.classify_action(mdl, consensus)
     preds = np.argmax(logits, axis=1)
@@ -320,13 +271,10 @@ def evaluate(mdl: GladModel, samples: list[VideoSample], n_classes: int):
 
 def train(config: TrainConfig, src_train: list[VideoSample],
           tgt_train: list[VideoSample], tgt_test: list[VideoSample] | None = None,
-          out_dir: str | None = None, checkpoint_every: int | None = None) -> tuple:
+          out_dir: str | None = None) -> tuple:
     """Full curriculum: TOL warm-up (when TOL is enabled) followed by the
     adversarial main phase. Target training labels are stripped before any
     step sees them."""
-    if config.model.tol_clips != config.tol_clips:
-        config = copy.deepcopy(config)
-        config.model = dataclasses.replace(config.model, tol_clips=config.tol_clips)
     mdl = init_glad_model(config.model, seed=config.seed)
     rng = np.random.default_rng((config.seed, 0x7A))
     tgt_unlabeled = strip_labels(tgt_train)
@@ -345,6 +293,7 @@ def train(config: TrainConfig, src_train: list[VideoSample],
                "dom_acc_gg": stats.get("dom_acc_gg", float("nan")),
                "dom_acc_ll": stats.get("dom_acc_ll", float("nan")),
                "dom_acc_cross": stats.get("dom_acc_cross", float("nan")),
+               "tol_acc": stats.get("tol_acc", float("nan")),
                "target_mca": float("nan")}
         if tgt_test is not None:
             row["target_mca"] = evaluate(mdl, tgt_test, config.model.n_classes)[1]
@@ -360,8 +309,6 @@ def train(config: TrainConfig, src_train: list[VideoSample],
         stats = run_phase_epoch(mdl, src_train, tgt_unlabeled, config, states,
                                 rng, "main", lr, bank)
         record("main", epoch, lr, stats)
-        if out_dir and checkpoint_every and (epoch + 1) % checkpoint_every == 0:
-            glad_model.save_model(mdl, os.path.join(out_dir, f"epoch_{epoch}"))
 
     if out_dir:
         final = os.path.join(out_dir, "final")
@@ -390,10 +337,7 @@ def run_config(name: str, overrides: dict, base: TrainConfig, src_train,
     """Train one ablation configuration and return the target-test MCA."""
     overrides = dict(overrides)
     supervised = overrides.pop("_supervised_target", False)
-    cfg = copy.deepcopy(base)
-    for k, v in overrides.items():
-        setattr(cfg, k, v)
-    cfg.seed = seed
+    cfg = replace(base, **overrides, seed=seed)
     if supervised:
         # Upper-bound baseline: the labeled "source" is the target train split.
         src_train = tgt_train

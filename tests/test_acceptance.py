@@ -226,21 +226,21 @@ def test_criterion_01_gradient_suite():
         def tol_fn(p):
             saved = mdl.params["tol"]
             mdl.params["tol"] = p
-            loss, _, _ = glad_model.tol_loss(mdl, concat, perm_idx)
+            loss, _, _, _ = glad_model.tol_loss(mdl, concat, perm_idx)
             mdl.params["tol"] = saved
             return loss
 
-        _, tol_grads, _ = glad_model.tol_loss(mdl, concat, perm_idx)
+        _, tol_grads, _, _ = glad_model.tol_loss(mdl, concat, perm_idx)
         worst = max(worst, fd_check_coords(tol_fn, mdl.params["tol"],
                                            tol_grads, eps=1e-5))
 
         psi = rng.normal(size=(2 * batch, cfg.feat_dim))
         for group in ("dg", "dl", "dx"):
             def adv_fn(p, group=group):
-                loss, _, _ = glad_model.domain_adv_loss(mdl.specs[group], p, psi, 1.0)
+                loss, _, _, _ = glad_model.domain_adv_loss(mdl.specs[group], p, psi, 1.0)
                 return loss
 
-            _, adv_grads, _ = glad_model.domain_adv_loss(
+            _, adv_grads, _, _ = glad_model.domain_adv_loss(
                 mdl.specs[group], mdl.params[group], psi, 1.0)
             worst = max(worst, fd_check_coords(adv_fn, mdl.params[group],
                                                adv_grads, eps=1e-5))
@@ -336,7 +336,7 @@ def test_criterion_06_permutation_machinery():
     mdl = init_glad_model(ModelConfig(frame_dim=8, feat_dim=4, tol_clips=3), seed=0)
     mdl.params["tol"] = [np.zeros_like(p) for p in mdl.params["tol"]]
     x = np.random.default_rng(6).normal(size=(4, 12))
-    loss, _, _ = glad_model.tol_loss(mdl, x, np.array([0, 1, 2, 3]))
+    loss, _, _, _ = glad_model.tol_loss(mdl, x, np.array([0, 1, 2, 3]))
     assert loss == pytest.approx(np.log(6) / 6, abs=1e-9)
 
 

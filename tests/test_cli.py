@@ -200,6 +200,20 @@ def test_train_bad_config_field_exit_1(tmp_path, capsys):
     assert "no_such_field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides,message", [
+    ({"gla_views": ["gg", "bogus"]}, "unknown gla_views"),
+    ({"warmup_epochs": -1}, "must be >= 0"),
+    ({"main_epochs": 0, "use_tol": False}, "trains no epoch"),
+], ids=["unknown_view", "negative_epochs", "no_report_row"])
+def test_train_invalid_config_value_exit_1(tmp_path, capsys, overrides, message):
+    cfg = train_config_doc(tmp_path, str(tmp_path / "data"), **overrides)
+    assert main(["train", "--config", cfg]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+
+
 def test_train_missing_paths_exit_1(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"train": {}}))

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glad.debias import (AugmentationPolicy, BackgroundBank,
-                         apply_augmentation_policy, build_background_bank,
-                         extract_background_tmf, load_bank, mix_background,
-                         save_bank)
+from glad.debias import (AugmentationPolicy, apply_augmentation_policy,
+                         build_background_bank, extract_background_tmf,
+                         mix_background)
 from glad.synthdata import (DomainSpec, VideoSample, checkerboard,
                             class_motion, generate_domain, render_video)
 
@@ -51,18 +50,14 @@ def test_build_bank_from_generated_domain():
     spec = DomainSpec(n_videos=10, length_range=(9, 15), noise_std=0.0, seed=5)
     _, samples = generate_domain(spec)
     bank = build_background_bank(samples)
-    assert bank.backgrounds.shape == (10, spec.frame_dim)
-    assert bank.source_video_ids == [s.video_id for s in samples]
+    assert bank.shape == (10, spec.frame_dim)
+    for bg, s in zip(bank, samples):
+        assert np.array_equal(bg, extract_background_tmf(s))
 
 
 def test_build_bank_rejects_empty():
     with pytest.raises(ValueError):
         build_background_bank([])
-
-
-def test_bank_size_id_mismatch_rejected():
-    with pytest.raises(ValueError):
-        BackgroundBank(backgrounds=np.zeros((2, 4)), source_video_ids=["a"])
 
 
 def test_mix_lambda_zero_is_identity():
@@ -120,7 +115,7 @@ def test_policy_validation():
 def test_policy_probability_zero_never_mixes():
     vids = [make_video(np.random.default_rng(i).uniform(size=(3, 4)), vid=f"v{i}")
             for i in range(5)]
-    bank = BackgroundBank(backgrounds=np.ones((2, 4)), source_video_ids=["a", "b"])
+    bank = np.ones((2, 4))
     policy = AugmentationPolicy(probability=0.0)
     out = apply_augmentation_policy(vids, bank, policy, np.random.default_rng(0))
     for a, b in zip(vids, out):
@@ -129,7 +124,7 @@ def test_policy_probability_zero_never_mixes():
 
 def test_policy_skips_other_domains():
     vids = [make_video(np.zeros((3, 4)), domain="target", vid=f"t{i}") for i in range(4)]
-    bank = BackgroundBank(backgrounds=np.ones((1, 4)), source_video_ids=["a"])
+    bank = np.ones((1, 4))
     policy = AugmentationPolicy(probability=1.0, domains=("source",))
     out = apply_augmentation_policy(vids, bank, policy, np.random.default_rng(0))
     for a, b in zip(vids, out):
@@ -138,7 +133,7 @@ def test_policy_skips_other_domains():
 
 def test_policy_probability_one_mixes_all_source():
     vids = [make_video(np.zeros((3, 4)), vid=f"s{i}") for i in range(4)]
-    bank = BackgroundBank(backgrounds=np.ones((1, 4)), source_video_ids=["a"])
+    bank = np.ones((1, 4))
     policy = AugmentationPolicy(probability=1.0, lambda_value=0.75)
     out = apply_augmentation_policy(vids, bank, policy, np.random.default_rng(0))
     for b in out:
@@ -147,7 +142,7 @@ def test_policy_probability_one_mixes_all_source():
 
 def test_policy_hit_rate_near_probability():
     vids = [make_video(np.zeros((2, 4)), vid=f"s{i}") for i in range(2000)]
-    bank = BackgroundBank(backgrounds=np.ones((1, 4)), source_video_ids=["a"])
+    bank = np.ones((1, 4))
     policy = AugmentationPolicy(probability=0.25)
     out = apply_augmentation_policy(vids, bank, policy, np.random.default_rng(3))
     mixed = sum(1 for b in out if b.frames.max() > 0)
@@ -156,17 +151,7 @@ def test_policy_hit_rate_near_probability():
 
 def test_policy_rejects_empty_bank():
     vids = [make_video(np.zeros((2, 4)))]
-    bank = BackgroundBank(backgrounds=np.zeros((0, 4)), source_video_ids=[])
+    bank = np.zeros((0, 4))
     with pytest.raises(ValueError):
         apply_augmentation_policy(vids, bank, AugmentationPolicy(), np.random.default_rng(0))
 
-
-def test_bank_save_load_roundtrip(tmp_path):
-    spec = DomainSpec(n_videos=6, length_range=(9, 9), noise_std=0.0, seed=8)
-    _, samples = generate_domain(spec)
-    bank = build_background_bank(samples)
-    save_bank(bank, str(tmp_path))
-    loaded = load_bank(str(tmp_path))
-    assert np.array_equal(loaded.backgrounds.astype(np.float32),
-                          bank.backgrounds.astype(np.float32))
-    assert loaded.source_video_ids == bank.source_video_ids

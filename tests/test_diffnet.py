@@ -6,29 +6,22 @@ from glad import diffnet
 from glad.diffnet import (MlpSpec, NonFiniteGradientError, ShapeError,
                           finite_difference_check, grl_backward, init_mlp,
                           init_sgd_state, mlp_apply, mlp_backward, mlp_forward,
-                          mlp_gradients, sgd_step, softmax_cross_entropy,
+                          sgd_step, softmax_cross_entropy,
                           softmax_cross_entropy_batch)
 
 
 def test_mlp_identity_case():
     spec = MlpSpec((2, 2))
     params = [np.eye(2), np.zeros(2)]
-    out = mlp_apply(spec, params, np.array([1.0, 2.0]))
-    assert np.allclose(out, [1.0, 2.0])
-
-
-def test_mlp_sigmoid_zero_params():
-    spec = MlpSpec((3, 1), output_activation="sigmoid")
-    params = [np.zeros((3, 1)), np.zeros(1)]
-    out = mlp_apply(spec, params, np.array([5.0, -1.0, 2.0]))
-    assert np.allclose(out, [0.5])
+    out = mlp_apply(spec, params, np.array([[1.0, 2.0]]))
+    assert np.allclose(out, [[1.0, 2.0]])
 
 
 def test_mlp_matches_matrix_oracle():
     rng = np.random.default_rng(3)
-    spec = MlpSpec((4, 6, 3), hidden_activation="relu")
+    spec = MlpSpec((4, 6, 3))
     params = init_mlp(spec, rng)
-    x = rng.normal(size=4)
+    x = rng.normal(size=(2, 4))
     # straight-line matrix arithmetic
     h = np.maximum(x @ params[0] + params[1], 0.0)
     expected = h @ params[2] + params[3]
@@ -39,7 +32,9 @@ def test_mlp_shape_mismatch_rejected():
     spec = MlpSpec((4, 3))
     params = init_mlp(spec, np.random.default_rng(0))
     with pytest.raises(ShapeError):
-        mlp_apply(spec, params, np.zeros(5))
+        mlp_apply(spec, params, np.zeros((1, 5)))
+    with pytest.raises(ShapeError):
+        mlp_apply(spec, params, np.zeros(4))  # inputs are (n, d_in) batches
     with pytest.raises(ShapeError):
         mlp_apply(MlpSpec((5, 3)), params, np.zeros(5))
 
@@ -48,27 +43,28 @@ def test_linear_layer_analytic_gradient():
     rng = np.random.default_rng(1)
     spec = MlpSpec((3, 2))
     params = init_mlp(spec, rng)
-    x = rng.normal(size=3)
-    g = rng.normal(size=2)
-    grads, dx = mlp_gradients(spec, params, x, g)
+    x = rng.normal(size=(1, 3))
+    g = rng.normal(size=(1, 2))
+    _, cache = mlp_forward(spec, params, x)
+    grads, dx = mlp_backward(spec, params, cache, g)
     assert np.allclose(grads[0], np.outer(x, g))
-    assert np.allclose(grads[1], g)
-    assert np.allclose(dx, params[0] @ g)
+    assert np.allclose(grads[1], g[0])
+    assert np.allclose(dx, g @ params[0].T)
 
 
 def test_zero_upstream_gives_zero_gradients():
     rng = np.random.default_rng(2)
-    spec = MlpSpec((3, 5, 2), output_activation="sigmoid")
+    spec = MlpSpec((3, 5, 2))
     params = init_mlp(spec, rng)
-    grads, dx = mlp_gradients(spec, params, rng.normal(size=3), np.zeros(2))
+    _, cache = mlp_forward(spec, params, rng.normal(size=(4, 3)))
+    grads, dx = mlp_backward(spec, params, cache, np.zeros((4, 2)))
     assert all(np.all(g == 0) for g in grads)
     assert np.all(dx == 0)
 
 
-@pytest.mark.parametrize("hidden,out", [("relu", "identity"), ("tanh", "sigmoid")])
-def test_mlp_gradients_match_finite_differences(hidden, out):
+def test_mlp_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
-    spec = MlpSpec((3, 4, 2), hidden_activation=hidden, output_activation=out)
+    spec = MlpSpec((3, 4, 2))
     params = init_mlp(spec, rng)
     x = rng.normal(size=(5, 3))
     w = rng.normal(size=(5, 2))  # fixed projection making the loss scalar

@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from glad import diffnet, model as glad_model
+from glad import diffnet, model as glad_model, trainer
 from glad.diffnet import finite_difference_check
-from glad.model import (ClipFeature, GladModel, ModelConfig, aggregate_views,
-                        ce_loss, classify_action, consensus_inference,
+from glad.model import (GladModel, ModelConfig, ce_loss, classify_action,
                         domain_adv_loss, encode_clip_backward,
-                        encode_clip_batch, eval_clips, extract_clip_feature,
-                        gather_clip_frames, gla_loss, init_glad_model,
-                        load_model, save_model, tol_accuracy, tol_loss)
-from glad.sampling import sample_global_clip
+                        encode_clip_batch, eval_clips, gla_loss,
+                        init_glad_model, load_model, save_model, tol_loss)
+from glad.sampling import sample_global_clip, sample_local_clip
 from glad.synthdata import VideoSample
+from glad.trainer import evaluate
 
 TINY = ModelConfig(frame_dim=6, enc_hidden=5, enc_out=4, feat_dim=4,
                    n_classes=3, n_frames=4, tol_clips=3, tol_hidden=5,
@@ -82,33 +81,10 @@ def test_encode_backward_matches_finite_differences():
 def test_gather_clip_frames_selects_indices():
     vid = make_video(t=12)
     clip = sample_global_clip(12, 4)
-    frames = gather_clip_frames(vid, [clip])
+    frames = trainer._clip_stack([vid], lambda v: [clip])
     assert frames.shape == (1, 4, 6)
-    for k, idx in enumerate(clip.indices):
+    for k, idx in enumerate(clip):
         assert np.allclose(frames[0, k], vid.frames[idx])
-
-
-def test_extract_clip_feature_tags_view_and_domain():
-    m = init_glad_model(TINY, seed=0)
-    vid = make_video(domain="target")
-    feat = extract_clip_feature(m, vid, sample_global_clip(10, 4))
-    assert feat.view == "global" and feat.domain == "target"
-    assert feat.vector.shape == (4,)
-
-
-def test_aggregate_views_means():
-    f = [ClipFeature(np.array([1.0, 3.0]), "global", "source")]
-    g = [ClipFeature(np.array([0.0, 2.0]), "local", "source"),
-         ClipFeature(np.array([2.0, 4.0]), "local", "source")]
-    view = aggregate_views(f, g)
-    assert np.allclose(view.psi_global, [1.0, 3.0])
-    assert np.allclose(view.psi_local, [1.0, 3.0])
-    assert view.m_global == 1 and view.n_local == 2
-
-
-def test_aggregate_views_empty_rejected():
-    with pytest.raises(ValueError):
-        aggregate_views([], [])
 
 
 def test_domain_adv_loss_symmetric_start():
@@ -116,9 +92,10 @@ def test_domain_adv_loss_symmetric_start():
     m = init_glad_model(TINY, seed=0)
     params = [np.zeros_like(p) for p in m.params["dg"]]
     psi = np.random.default_rng(0).normal(size=(6, 4))
-    loss, _, dpsi = domain_adv_loss(m.specs["dg"], params, psi, 1.0)
+    loss, _, dpsi, z = domain_adv_loss(m.specs["dg"], params, psi, 1.0)
     assert loss == pytest.approx(np.log(2), abs=1e-12)
     assert dpsi.shape == psi.shape
+    assert np.all(z == 0.0)
 
 
 def test_domain_adv_loss_rejects_odd_batch():
@@ -131,16 +108,16 @@ def test_domain_adv_loss_rejects_odd_batch():
 def test_domain_adv_grl_zero_blocks_feature_gradient():
     m = init_glad_model(TINY, seed=1)
     psi = np.random.default_rng(1).normal(size=(4, 4))
-    _, _, dpsi = domain_adv_loss(m.specs["dg"], m.params["dg"], psi, 0.0)
+    _, _, dpsi, _ = domain_adv_loss(m.specs["dg"], m.params["dg"], psi, 0.0)
     assert np.all(dpsi == 0.0)
 
 
 def test_domain_adv_classifier_grads_descend_loss():
     m = init_glad_model(TINY, seed=2)
     psi = np.random.default_rng(2).normal(size=(8, 4))
-    loss, grads, _ = domain_adv_loss(m.specs["dg"], m.params["dg"], psi, 1.0)
+    loss, grads, _, _ = domain_adv_loss(m.specs["dg"], m.params["dg"], psi, 1.0)
     stepped = [p - 1e-3 * g for p, g in zip(m.params["dg"], grads)]
-    loss2, _, _ = domain_adv_loss(m.specs["dg"], stepped, psi, 1.0)
+    loss2, _, _, _ = domain_adv_loss(m.specs["dg"], stepped, psi, 1.0)
     assert loss2 < loss
 
 
@@ -149,10 +126,10 @@ def test_domain_adv_classifier_grads_match_finite_differences():
     psi = np.random.default_rng(3).normal(size=(4, 4))
 
     def loss_fn(p):
-        l, _, _ = domain_adv_loss(m.specs["dg"], p, psi, 1.0)
+        l, _, _, _ = domain_adv_loss(m.specs["dg"], p, psi, 1.0)
         return l
 
-    _, grads, _ = domain_adv_loss(m.specs["dg"], m.params["dg"], psi, 1.0)
+    _, grads, _, _ = domain_adv_loss(m.specs["dg"], m.params["dg"], psi, 1.0)
     assert finite_difference_check(loss_fn, m.params["dg"], grads) < 1e-5
 
 
@@ -160,10 +137,13 @@ def test_gla_loss_view_subsets():
     m = init_glad_model(TINY, seed=4)
     rng = np.random.default_rng(4)
     streams = [rng.normal(size=(3, 4)) for _ in range(4)]
-    total_all, clf_all, _ = gla_loss(m, *streams, grl_coeff=1.0)
+    total_all, clf_all, _, logits_all = gla_loss(m, *streams, grl_coeff=1.0)
     assert set(clf_all) == {"dg", "dl", "dx"}
-    total_gg, clf_gg, dpsi_gg = gla_loss(m, *streams, grl_coeff=1.0, views=("gg",))
-    assert set(clf_gg) == {"dg"}
+    # one row of 2B logits per sub-batch; the cross view has two
+    assert {v: z.shape for v, z in logits_all.items()} == {
+        "gg": (1, 6), "ll": (1, 6), "cross": (2, 6)}
+    total_gg, clf_gg, dpsi_gg, logits_gg = gla_loss(m, *streams, grl_coeff=1.0, views=("gg",))
+    assert set(clf_gg) == {"dg"} and set(logits_gg) == {"gg"}
     assert total_gg < total_all
     # gg view leaves the local streams untouched
     assert np.all(dpsi_gg["l_src"] == 0.0) and np.all(dpsi_gg["l_tgt"] == 0.0)
@@ -177,10 +157,10 @@ def test_gla_loss_feature_gradients_match_finite_differences():
 
     # with coeff -1 the reversal layer is a pass-through of +1 gradients,
     # so dpsi should match d(total)/d(stream) directly
-    _, _, dpsi = gla_loss(m, *streams, grl_coeff=-1.0)
+    _, _, dpsi, _ = gla_loss(m, *streams, grl_coeff=-1.0)
 
     def loss_fn(ps):
-        total, _, _ = gla_loss(m, *ps, grl_coeff=1.0)
+        total, _, _, _ = gla_loss(m, *ps, grl_coeff=1.0)
         return total
 
     err = finite_difference_check(loss_fn, streams, [dpsi[k] for k in keys])
@@ -193,9 +173,10 @@ def test_tol_loss_uniform_predictions_value():
     m.params["tol"] = [np.zeros_like(p) for p in m.params["tol"]]
     x = np.random.default_rng(6).normal(size=(4, 12))
     labels = np.array([0, 1, 2, 3])
-    loss, _, dinput = tol_loss(m, x, labels)
+    loss, _, dinput, logits = tol_loss(m, x, labels)
     assert loss == pytest.approx(np.log(6) / 6, abs=1e-9)
     assert dinput.shape == x.shape
+    assert logits.shape == (4, 6) and np.all(logits == 0.0)
 
 
 def test_tol_loss_gradients_match_finite_differences():
@@ -206,20 +187,12 @@ def test_tol_loss_gradients_match_finite_differences():
     def loss_fn(p):
         saved = m.params["tol"]
         m.params["tol"] = p
-        l, _, _ = tol_loss(m, x, labels)
+        l, _, _, _ = tol_loss(m, x, labels)
         m.params["tol"] = saved
         return l
 
-    _, grads, _ = tol_loss(m, x, labels)
+    _, grads, _, _ = tol_loss(m, x, labels)
     assert finite_difference_check(loss_fn, m.params["tol"], grads) < 1e-5
-
-
-def test_tol_accuracy_bounds():
-    m = init_glad_model(TINY, seed=8)
-    x = np.random.default_rng(8).normal(size=(6, 12))
-    labels = np.random.default_rng(9).integers(0, 6, size=6)
-    acc = tol_accuracy(m, x, labels)
-    assert 0.0 <= acc <= 1.0
 
 
 def test_ce_loss_uniform_value_and_gradient():
@@ -250,28 +223,26 @@ def test_ce_loss_head_gradients_match_finite_differences():
 
 def test_eval_clips_one_global_two_local():
     clips = eval_clips(20, TINY)
-    assert [c.view for c in clips] == ["global", "local", "local"]
-    assert clips[1].indices == clips[2].indices  # deterministic center
+    assert clips[0] == sample_global_clip(20, TINY.n_frames)
+    assert clips[1] == sample_local_clip(20, TINY.n_frames, TINY.local_stride)
+    assert clips[1] == clips[2]  # deterministic center
 
 
 def test_classify_action_shapes():
     m = init_glad_model(TINY, seed=11)
-    single = classify_action(m, np.zeros(4))
-    batch = classify_action(m, np.zeros((7, 4)))
-    assert single.shape == (3,)
-    assert batch.shape == (7, 3)
+    assert classify_action(m, np.zeros((7, 4))).shape == (7, 3)
 
 
 def test_consensus_inference_returns_class():
     m = init_glad_model(TINY, seed=12)
-    pred = consensus_inference(m, make_video(t=15))
-    assert 0 <= pred < 3
+    cm, _ = evaluate(m, [make_video(t=15, seed=c, label=c) for c in range(3)], 3)
+    assert cm.shape == (3, 3) and cm.sum() == 3  # one class per video
 
 
 def test_consensus_inference_deterministic():
     m = init_glad_model(TINY, seed=13)
-    vid = make_video(t=9, seed=5)
-    assert consensus_inference(m, vid) == consensus_inference(m, vid)
+    vids = [make_video(t=9, seed=5 + c, label=c) for c in range(3)]
+    assert np.array_equal(evaluate(m, vids, 3)[0], evaluate(m, vids, 3)[0])
 
 
 def test_model_checkpoint_roundtrip(tmp_path):
@@ -282,6 +253,6 @@ def test_model_checkpoint_roundtrip(tmp_path):
     for group in m.param_groups():
         for pa, pb in zip(m.params[group], back.params[group]):
             assert np.allclose(pa, pb, atol=1e-7)
-    vid = make_video(t=11, seed=6)
-    # float32 storage must not flip the prediction on a generic input
-    assert consensus_inference(back, vid) == consensus_inference(m, vid)
+    vids = [make_video(t=11, seed=6 + c, label=c) for c in range(3)]
+    # float32 storage must not flip the predictions on generic inputs
+    assert np.array_equal(evaluate(back, vids, 3)[0], evaluate(m, vids, 3)[0])

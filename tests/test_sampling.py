@@ -5,29 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from glad.sampling import (ClipIndices, PermutationLabel, permutation_decode,
+from glad.sampling import (PermutationLabel, permutation_decode,
                            permutation_encode, sample_global_clip,
                            sample_local_clip, shuffle_clips)
 
 
-def test_clip_indices_rejects_decreasing():
-    with pytest.raises(ValueError):
-        ClipIndices((3, 1), "global")
-
-
-def test_clip_indices_rejects_negative():
-    with pytest.raises(ValueError):
-        ClipIndices((-1, 0), "local")
-
-
 def test_global_eval_t16_n8():
-    clip = sample_global_clip(16, 8)
-    assert clip.indices == (0, 2, 4, 6, 8, 10, 12, 14)
-    assert clip.view == "global"
+    assert sample_global_clip(16, 8) == (0, 2, 4, 6, 8, 10, 12, 14)
 
 
 def test_global_eval_t8_is_identity():
-    assert sample_global_clip(8, 8).indices == tuple(range(8))
+    assert sample_global_clip(8, 8) == tuple(range(8))
 
 
 def test_global_train_stays_in_segments():
@@ -35,7 +23,7 @@ def test_global_train_stays_in_segments():
     for _ in range(200):
         t = int(rng.integers(8, 100))
         clip = sample_global_clip(t, 8, mode="train", rng=rng)
-        for k, idx in enumerate(clip.indices):
+        for k, idx in enumerate(clip):
             lo = (k * t) // 8
             hi = max(lo + 1, ((k + 1) * t) // 8)
             assert lo <= idx < hi
@@ -44,7 +32,7 @@ def test_global_train_stays_in_segments():
 @given(st.integers(8, 500))
 def test_global_eval_picks_segment_centers(t):
     clip = sample_global_clip(t, 8)
-    for k, idx in enumerate(clip.indices):
+    for k, idx in enumerate(clip):
         lo = (k * t) // 8
         hi = ((k + 1) * t) // 8
         assert idx == (lo + hi - 1) // 2
@@ -52,8 +40,9 @@ def test_global_eval_picks_segment_centers(t):
 
 def test_global_short_video_repeats_frames():
     clip = sample_global_clip(3, 8)
-    assert len(clip.indices) == 8
-    assert max(clip.indices) <= 2
+    assert len(clip) == 8
+    assert min(clip) >= 0 and max(clip) <= 2
+    assert list(clip) == sorted(clip)
 
 
 def test_global_train_requires_rng():
@@ -62,15 +51,12 @@ def test_global_train_requires_rng():
 
 
 def test_local_short_video_clamps():
-    clip = sample_local_clip(5, 8, stride=2)
-    assert clip.indices == (0, 2, 4, 4, 4, 4, 4, 4)
-    assert clip.view == "local"
+    assert sample_local_clip(5, 8, stride=2) == (0, 2, 4, 4, 4, 4, 4, 4)
 
 
 def test_local_eval_is_centered():
     # span = (8 - 1) * 2 = 14, start = (32 - 1 - 14) // 2 = 8
-    clip = sample_local_clip(32, 8, stride=2)
-    assert clip.indices == tuple(range(8, 24, 2))
+    assert sample_local_clip(32, 8, stride=2) == tuple(range(8, 24, 2))
 
 
 def test_local_train_within_bounds():
@@ -78,9 +64,9 @@ def test_local_train_within_bounds():
     for _ in range(200):
         t = int(rng.integers(8, 120))
         clip = sample_local_clip(t, 8, stride=2, mode="train", rng=rng)
-        assert len(clip.indices) == 8
-        assert all(0 <= i < t for i in clip.indices)
-        diffs = np.diff(clip.indices)
+        assert len(clip) == 8
+        assert all(0 <= i < t for i in clip)
+        diffs = np.diff(clip)
         # full stride until the clamp at T-1 kicks in
         assert np.all((diffs >= 0) & (diffs <= 2))
         if t >= 15:  # span fits, no clamping possible
@@ -90,8 +76,9 @@ def test_local_train_within_bounds():
 @given(st.integers(1, 200), st.integers(1, 8), st.integers(1, 4))
 def test_local_eval_indices_non_decreasing(t, n, stride):
     clip = sample_local_clip(t, n, stride=stride)
-    assert all(a <= b for a, b in zip(clip.indices, clip.indices[1:]))
-    assert clip.indices[-1] <= t - 1
+    assert clip[0] >= 0
+    assert all(a <= b for a, b in zip(clip, clip[1:]))
+    assert clip[-1] <= t - 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

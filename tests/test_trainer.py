@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glad import trainer
+from glad import model as glad_model, trainer
+from glad.diffnet import mlp_apply
 from glad.model import ModelConfig, init_glad_model
 from glad.synthdata import DomainSpec, generate_domain, strip_labels
 from glad.trainer import (TrainConfig, TrainReport, ablation_rows,
@@ -43,6 +44,12 @@ def test_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(global_views=0, local_views=0)
+    with pytest.raises(ValueError):
+        TrainConfig(gla_views=("gg", "bogus"))
+    with pytest.raises(ValueError):
+        TrainConfig(main_epochs=-1)
+    with pytest.raises(ValueError):
+        TrainConfig(main_epochs=0, use_tol=False)
 
 
 def test_lr_schedule_paper_values():
@@ -86,13 +93,19 @@ def test_enabled_gla_views_respect_view_counts():
     assert cfg.enabled_gla_views() == ("gg",)
 
 
-def test_step_losses_shapes_and_finiteness():
+@pytest.mark.parametrize("tol_clips", [2, 4])
+@pytest.mark.parametrize("mg,nl", [(1, 2), (0, 2), (2, 0)])
+def test_step_losses_shapes_and_finiteness(mg, nl, tol_clips):
     src, tgt = tiny_data()
-    cfg = tiny_config()
-    mdl = init_glad_model(TINY_MODEL, seed=0)
+    model = dataclasses.replace(TINY_MODEL, tol_clips=tol_clips)
+    cfg = tiny_config(global_views=mg, local_views=nl, model=model)
+    mdl = init_glad_model(model, seed=0)
     rng = np.random.default_rng(0)
     stats, grads = step_losses(mdl, src[:4], strip_labels(tgt[:4]), cfg, rng,
                                "main", None)
+    for v in ("gg", "ll", "cross"):
+        assert np.isfinite(stats[f"dom_acc_{v}"]) == (v in cfg.enabled_gla_views())
+    assert 0.0 <= stats["tol_acc"] <= 1.0
     assert np.isfinite(stats["loss_total"])
     assert stats["loss_total"] == pytest.approx(
         stats["loss_ce"] + stats["loss_tol"] - stats["loss_gla"])
@@ -114,6 +127,51 @@ def test_step_losses_warmup_touches_only_tol_path():
     for group in ("act", "dg", "dl", "dx"):
         assert all(np.all(g == 0) for g in grads[group])
     assert any(np.any(g != 0) for g in grads["tol"])
+
+
+def test_step_accuracies_score_the_heads_on_their_training_inputs(monkeypatch):
+    """dom_acc_* are the hit rates of the domain classifiers on the
+    unit-normalized view features they train on, over both cross
+    sub-batches; tol_acc is the order head's hit rate."""
+    src, tgt = tiny_data()
+    mdl = init_glad_model(TINY_MODEL, seed=3)
+    rng = np.random.default_rng(1)
+    for group in ("dg", "dl", "dx"):  # non-zero biases: scale matters
+        mdl.params[group] = [p + rng.normal(scale=0.5, size=p.shape)
+                             for p in mdl.params[group]]
+    seen = {}
+    real_gla, real_tol = glad_model.gla_loss, glad_model.tol_loss
+
+    def spy_gla(m, g_src, l_src, g_tgt, l_tgt, *rest):
+        seen["gla"] = (g_src, l_src, g_tgt, l_tgt)
+        return real_gla(m, g_src, l_src, g_tgt, l_tgt, *rest)
+
+    def spy_tol(m, concat, targets):
+        seen["tol"] = (concat, targets)
+        return real_tol(m, concat, targets)
+
+    monkeypatch.setattr(glad_model, "gla_loss", spy_gla)
+    monkeypatch.setattr(glad_model, "tol_loss", spy_tol)
+    stats, _ = step_losses(mdl, src[:8], strip_labels(tgt[:8]), tiny_config(),
+                           np.random.default_rng(4), "main", None)
+
+    g_src, l_src, g_tgt, l_tgt = (x / np.linalg.norm(x, axis=1, keepdims=True)
+                                  for x in seen["gla"])
+
+    def hits(group, src_feats, tgt_feats):
+        spec, params = mdl.specs[group], mdl.params[group]
+        return (list(mlp_apply(spec, params, src_feats)[:, 0] > 0.0)
+                + list(mlp_apply(spec, params, tgt_feats)[:, 0] <= 0.0))
+
+    assert stats["dom_acc_gg"] == pytest.approx(np.mean(hits("dg", g_src, g_tgt)))
+    assert stats["dom_acc_ll"] == pytest.approx(np.mean(hits("dl", l_src, l_tgt)))
+    cross_a, cross_b = hits("dx", g_src, l_tgt), hits("dx", l_src, g_tgt)
+    assert np.mean(cross_a) != np.mean(cross_b)  # one sub-batch alone is not enough
+    cross = cross_a + cross_b
+    assert stats["dom_acc_cross"] == pytest.approx(np.mean(cross))
+    concat, targets = seen["tol"]
+    logits = mlp_apply(mdl.specs["tol"], mdl.params["tol"], concat)
+    assert stats["tol_acc"] == pytest.approx(np.mean(np.argmax(logits, axis=1) == targets))
 
 
 def test_step_losses_rejects_mismatched_batches():
@@ -146,7 +204,7 @@ def test_train_writes_report_and_checkpoint(tmp_path):
         rows = list(csv.reader(f))
     assert rows[0] == ["phase", "epoch", "lr", "loss_ce", "loss_tol",
                        "loss_gla", "loss_total", "dom_acc_gg", "dom_acc_ll",
-                       "dom_acc_cross", "target_mca"]
+                       "dom_acc_cross", "tol_acc", "target_mca"]
     assert len(rows) == 1 + len(report.epochs)
 
 
@@ -187,13 +245,6 @@ def test_disabled_paths_match_source_only_bitwise():
     for group in ("enc", "proj", "act"):
         for pa, pb in zip(mdl_a.params[group], mdl_b.params[group]):
             assert np.array_equal(pa, pb)
-
-
-def test_tol_clips_sync_into_model_config():
-    src, tgt = tiny_data()
-    cfg = tiny_config(tol_clips=2, warmup_epochs=1, main_epochs=0)
-    mdl, _ = train(cfg, src, tgt)
-    assert mdl.config.tol_clips == 2
 
 
 def test_evaluate_shapes_and_range():
@@ -254,7 +305,8 @@ def test_report_csv_floats_roundtrip():
                           "loss_ce": 1.2345678901234567, "loss_tol": 0.1,
                           "loss_gla": 0.2, "loss_total": 1.1345678901234567,
                           "dom_acc_gg": 0.5, "dom_acc_ll": float("nan"),
-                          "dom_acc_cross": 0.25, "target_mca": 10.0})
+                          "dom_acc_cross": 0.25, "tol_acc": 0.5,
+                          "target_mca": 10.0})
     rows = list(report.csv_rows())
     # repr round-trips the exact float
     assert float(rows[1][3]) == 1.2345678901234567
