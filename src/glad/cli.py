@@ -1,8 +1,6 @@
 """Command-line surface: synth, gap, train, eval, ablate.
 
 Exit codes: 0 success, 1 usage/config error, 2 I/O error, 3 numeric failure.
-Worker count may be set via the GLAD_WORKERS environment variable; all
-computation is deterministic regardless of its value.
 """
 
 from __future__ import annotations
@@ -11,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -19,11 +18,9 @@ from .debias import build_background_bank
 from .gapmetrics import (GapReport, SceneFeatureSet, accuracy_gap,
                          scene_distance, temporal_distance)
 from .synthdata import (DatasetError, DomainSpec, generate_domain,
-                        read_dataset, spec_from_dict, spec_to_dict,
-                        write_dataset)
-from .trainer import (NumericError, TrainConfig, config_from_dict,
-                      config_to_dict, evaluate, format_ablation_table,
-                      run_ablation_matrix, train)
+                        read_dataset, spec_from_dict, write_dataset)
+from .trainer import (NumericError, config_from_dict, evaluate,
+                      format_ablation_table, run_ablation_matrix, train)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,17 +67,6 @@ def resolve_split_dir(path: str) -> str:
     raise FileNotFoundError(f"no dataset found at {path}")
 
 
-def _workers() -> int:
-    raw = os.environ.get("GLAD_WORKERS", "1")
-    try:
-        n = int(raw)
-    except ValueError as e:
-        raise UsageError(f"GLAD_WORKERS must be an integer, got {raw!r}") from e
-    if n < 1:
-        raise UsageError("GLAD_WORKERS must be >= 1")
-    return n
-
-
 def cmd_synth(args) -> int:
     seed = args.seed if args.seed is not None else 0
     if args.spec:
@@ -91,7 +77,7 @@ def cmd_synth(args) -> int:
         specs = default_benchmark_specs(seed)
     if args.dry_run:
         for name, spec in specs.items():
-            print(f"{name}: {json.dumps(spec_to_dict(spec))}")
+            print(f"{name}: {json.dumps(asdict(spec))}")
         return EXIT_OK
     out = args.out or "datasets"
     layout = {"source_train": ("source", "train"), "source_test": ("source", "test"),
@@ -157,11 +143,21 @@ def load_experiment(path: str):
     return doc, tc
 
 
-def _load_splits(doc):
+def _read_split(directory: str, model_cfg) -> list:
+    """Samples of a split whose videos fit the model's input and classes."""
+    manifest, samples = read_dataset(directory)
+    for key in ("n_classes", "frame_dim"):
+        have, need = getattr(manifest.spec, key), getattr(model_cfg, key)
+        if have != need:
+            raise UsageError(f"{directory}: dataset {key}={have} but model {key}={need}")
+    return samples
+
+
+def _load_splits(doc, model_cfg):
     src_dir = resolve_split_dir(doc["source_dir"])
     tgt_dir = resolve_split_dir(doc["target_dir"])
-    _, src_train = read_dataset(src_dir)
-    _, tgt_train = read_dataset(tgt_dir)
+    src_train = _read_split(src_dir, model_cfg)
+    tgt_train = _read_split(tgt_dir, model_cfg)
     tgt_test = None
     test_dir = doc.get("test_dir")
     if test_dir is None:
@@ -169,14 +165,14 @@ def _load_splits(doc):
         if os.path.exists(os.path.join(candidate, "manifest.json")):
             test_dir = candidate
     if test_dir:
-        _, tgt_test = read_dataset(resolve_split_dir(test_dir))
+        tgt_test = _read_split(resolve_split_dir(test_dir), model_cfg)
     return src_train, tgt_train, tgt_test
 
 
 def _write_resolved_config(doc, tc, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     resolved = dict(doc)
-    resolved["train"] = config_to_dict(tc)
+    resolved["train"] = asdict(tc)
     with open(os.path.join(out_dir, "config.json"), "w") as f:
         json.dump(resolved, f, indent=1)
 
@@ -187,7 +183,7 @@ def cmd_train(args) -> int:
         tc.seed = args.seed
     out = args.out or doc.get("out_dir") or "train_out"
     _write_resolved_config(doc, tc, out)
-    src_train, tgt_train, tgt_test = _load_splits(doc)
+    src_train, tgt_train, tgt_test = _load_splits(doc, tc.model)
     _, report = train(tc, src_train, tgt_train, tgt_test, out_dir=out)
     last = report.epochs[-1]
     print(f"final: loss_total={last['loss_total']:.4f} "
@@ -197,7 +193,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     mdl = glad_model.load_model(args.checkpoint)
-    _, samples = read_dataset(resolve_split_dir(args.data))
+    samples = _read_split(resolve_split_dir(args.data), mdl.config)
     cm, mca = evaluate(mdl, samples, mdl.config.n_classes)
     print(f"MCA: {mca:.2f}")
     if args.out:
@@ -212,7 +208,7 @@ def cmd_ablate(args) -> int:
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [0, 1, 2]
     out = args.out or doc.get("out_dir") or "ablate_out"
     _write_resolved_config(doc, tc, out)
-    src_train, tgt_train, tgt_test = _load_splits(doc)
+    src_train, tgt_train, tgt_test = _load_splits(doc, tc.model)
     if tgt_test is None:
         raise UsageError("ablation needs a labeled target test split")
     table = run_ablation_matrix(tc, src_train, tgt_train, tgt_test, seeds)
@@ -264,7 +260,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _workers()
         return args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -7,9 +7,7 @@ as a flat list [W0, b0, W1, b1, ...] with W of shape (d_in, d_out).
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,45 +146,24 @@ def grl_backward(upstream: np.ndarray, coefficient: float) -> np.ndarray:
     return -coefficient * np.asarray(upstream)
 
 
-@dataclass
-class SgdState:
-    velocity: list
-    momentum: float
-    weight_decay: float
-    learning_rate: float
-    decay_flags: list = field(default_factory=list)
+def sgd_step(params, grads, velocity, lr: float, momentum: float,
+             weight_decay: float):
+    """Heavy-ball update: v' = mu*v + (g + wd*p); p' = p - lr*v'.
 
-    def __post_init__(self):
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-
-
-def init_sgd_state(params, learning_rate: float, momentum: float = 0.9,
-                   weight_decay: float = 0.0) -> SgdState:
-    # Weight decay is applied to weight matrices only, never to biases.
-    return SgdState(
-        velocity=[np.zeros_like(p) for p in params],
-        momentum=momentum,
-        weight_decay=weight_decay,
-        learning_rate=learning_rate,
-        decay_flags=[p.ndim > 1 for p in params],
-    )
-
-
-def sgd_step(params, grads, state: SgdState):
-    """Heavy-ball update: v' = mu*v + (g + wd*p); p' = p - lr*v'."""
-    if len(params) != len(grads) or len(params) != len(state.velocity):
+    Weight decay applies to weight matrices only, never to biases. The
+    velocity list is updated in place; returns the new parameter list.
+    """
+    if len(params) != len(grads) or len(params) != len(velocity):
         raise ShapeError("params/grads/velocity length mismatch")
     for i, g in enumerate(grads):
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradientError(f"non-finite gradient in tensor {i}")
     new_params = []
-    for i, (p, g, v) in enumerate(zip(params, grads, state.velocity)):
-        eff = g + state.weight_decay * p if state.decay_flags[i] else g
-        v_new = state.momentum * v + eff
-        state.velocity[i] = v_new
-        new_params.append(p - state.learning_rate * v_new)
-    return new_params, state
+    for i, (p, g, v) in enumerate(zip(params, grads, velocity)):
+        eff = g + weight_decay * p if p.ndim > 1 else g
+        velocity[i] = momentum * v + eff
+        new_params.append(p - lr * velocity[i])
+    return new_params
 
 
 def finite_difference_check(loss_fn, params, grads, eps: float = 1e-5) -> float:
@@ -210,34 +187,3 @@ def finite_difference_check(loss_fn, params, grads, eps: float = 1e-5) -> float:
             err = abs(gflat[j] - numeric) / max(1.0, abs(gflat[j]))
             worst = max(worst, err)
     return worst
-
-
-def save_params(directory: str, named_params) -> None:
-    """Checkpoint: params.json (ordered names/shapes) + params.bin (LE f32)."""
-    os.makedirs(directory, exist_ok=True)
-    meta = [{"name": name, "shape": list(np.asarray(p).shape)} for name, p in named_params]
-    with open(os.path.join(directory, "params.json"), "w") as f:
-        json.dump(meta, f, indent=1)
-    with open(os.path.join(directory, "params.bin"), "wb") as f:
-        for _, p in named_params:
-            f.write(np.asarray(p, dtype="<f4").tobytes())
-
-
-def load_params(directory: str):
-    """Inverse of save_params; returns a list of (name, float64 array)."""
-    with open(os.path.join(directory, "params.json")) as f:
-        meta = json.load(f)
-    out = []
-    with open(os.path.join(directory, "params.bin"), "rb") as f:
-        raw = f.read()
-    offset = 0
-    for entry in meta:
-        shape = tuple(entry["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        chunk = raw[offset:offset + 4 * n]
-        if len(chunk) < 4 * n:
-            raise IOError("truncated params.bin")
-        arr = np.frombuffer(chunk, dtype="<f4").reshape(shape).astype(np.float64)
-        out.append((entry["name"], arr))
-        offset += 4 * n
-    return out

@@ -55,9 +55,6 @@ class GladModel:
     def zero_grads(self) -> dict:
         return {k: [np.zeros_like(p) for p in v] for k, v in self.params.items()}
 
-    def param_groups(self):
-        return list(self.params.keys())
-
 
 def _specs(cfg: ModelConfig) -> dict:
     dh = cfg.domain_hidden
@@ -161,32 +158,34 @@ def _unit_rows_backward(y: np.ndarray, norms: np.ndarray, dy: np.ndarray):
     return (dy - y * np.sum(y * dy, axis=1, keepdims=True)) / norms
 
 
-# view -> (classifier group, (source stream, target stream) sub-batches)
-GLA_VIEWS = {"gg": ("dg", (("g_src", "g_tgt"),)),
-              "ll": ("dl", (("l_src", "l_tgt"),)),
-              "cross": ("dx", (("g_src", "l_tgt"), ("l_src", "g_tgt")))}
+# view -> (classifier group, sub-batches); each sub-batch names the stream
+# that gives its source rows, then the stream that gives its target rows
+GLA_VIEWS = {"gg": ("dg", (("g", "g"),)),
+             "ll": ("dl", (("l", "l"),)),
+             "cross": ("dx", (("g", "l"), ("l", "g")))}
 
 
-def gla_loss(model: GladModel, psi_g_src, psi_l_src, psi_g_tgt, psi_l_tgt,
-             grl_coeff: float, views=("gg", "ll", "cross")):
+def gla_loss(model: GladModel, psi_g, psi_l, grl_coeff: float,
+             views=("gg", "ll", "cross")):
     """Sum of the enabled per-view adversarial terms.
 
-    View features are L2-normalized before the domain classifiers, which
-    keeps the min-max game bounded (the reversal layer otherwise inflates
-    feature norms without limit). The cross term runs two sub-batches
-    through the same classifier -- {source global vs target local} and
-    {source local vs target global} -- and averages them. Returns
-    (loss, clf_grads_by_group, dpsi_by_stream, logits_by_view) where dpsi
-    gradients are already reversal-scaled and logits_by_view[v] is the
-    (sub-batches, 2B) array of the classifier's logits.
+    psi_g and psi_l are the (2B, F) global and local view features, source
+    rows first; a stream that no enabled view uses may be None. View
+    features are L2-normalized before the domain classifiers, which keeps
+    the min-max game bounded (the reversal layer otherwise inflates feature
+    norms without limit). The cross term runs two sub-batches through the
+    same classifier -- {source global vs target local} and {source local vs
+    target global} -- and averages them. Returns (loss, clf_grads_by_group,
+    dpsi_by_stream, logits_by_view) where dpsi["g"]/dpsi["l"] are the
+    (2B, F) reversal-scaled gradients of the given streams and
+    logits_by_view[v] is the (sub-batches, 2B) array of the classifier's
+    logits.
     """
-    raw = {"g_src": psi_g_src, "l_src": psi_l_src,
-           "g_tgt": psi_g_tgt, "l_tgt": psi_l_tgt}
-    unit = {}
-    norms = {}
-    for k, v in raw.items():
-        unit[k], norms[k] = _unit_rows(np.asarray(v, dtype=np.float64))
-    b = unit["g_src"].shape[0]
+    unit, norms = {}, {}
+    for k, psi in (("g", psi_g), ("l", psi_l)):
+        if psi is not None:
+            unit[k], norms[k] = _unit_rows(np.asarray(psi, dtype=np.float64))
+    b = len(next(iter(unit.values()))) // 2
     total = 0.0
     clf = {}
     logits = {}
@@ -197,13 +196,13 @@ def gla_loss(model: GladModel, psi_g_src, psi_l_src, psi_g_tgt, psi_l_tgt,
         w = 1.0 / len(pairs)
         losses, grads, ds, zs = zip(*[
             domain_adv_loss(model.specs[group], model.params[group],
-                            np.concatenate([unit[s], unit[t]]), grl_coeff)
+                            np.concatenate([unit[s][:b], unit[t][b:]]), grl_coeff)
             for s, t in pairs])
         total += w * sum(losses)
         clf[group] = [w * sum(gs[1:], gs[0]) for gs in zip(*grads)]
         for (s, t), d in zip(pairs, ds):
-            dpsi[s] += w * d[:b]
-            dpsi[t] += w * d[b:]
+            dpsi[s][:b] += w * d[:b]
+            dpsi[t][b:] += w * d[b:]
         logits[view] = np.stack(zs)
     for k in dpsi:
         dpsi[k] = _unit_rows_backward(unit[k], norms[k], dpsi[k])
@@ -256,31 +255,46 @@ def eval_clips(video_length: int, cfg: ModelConfig) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # Checkpointing
 
-def named_params(model: GladModel):
-    out = []
-    for group in model.param_groups():
-        for i, p in enumerate(model.params[group]):
-            out.append((f"{group}.{i}", p))
-    return out
+def _params_meta(model: GladModel) -> list:
+    return [{"name": f"{group}.{i}", "shape": list(p.shape)}
+            for group, ps in model.params.items() for i, p in enumerate(ps)]
 
 
 def save_model(model: GladModel, directory: str) -> None:
+    """model.json (the config), params.json (ordered names and shapes) and
+    params.bin (the tensors in that order, little-endian float32)."""
     os.makedirs(directory, exist_ok=True)
-    cfg = asdict(model.config)
-    cfg["domain_hidden"] = list(model.config.domain_hidden)
     with open(os.path.join(directory, "model.json"), "w") as f:
-        json.dump(cfg, f, indent=1)
-    diffnet.save_params(directory, named_params(model))
+        json.dump(asdict(model.config), f, indent=1)
+    with open(os.path.join(directory, "params.json"), "w") as f:
+        json.dump(_params_meta(model), f, indent=1)
+    with open(os.path.join(directory, "params.bin"), "wb") as f:
+        for ps in model.params.values():
+            for p in ps:
+                f.write(np.asarray(p, dtype="<f4").tobytes())
 
 
 def load_model(directory: str) -> GladModel:
+    """Inverse of save_model. Raises OSError unless params.json lists exactly
+    the tensors and shapes of the model in model.json and params.bin holds
+    exactly their bytes."""
     with open(os.path.join(directory, "model.json")) as f:
         cfg_dict = json.load(f)
-    cfg_dict["domain_hidden"] = tuple(cfg_dict["domain_hidden"])
-    cfg = ModelConfig(**cfg_dict)
-    model = init_glad_model(cfg, seed=0)
-    loaded = dict(diffnet.load_params(directory))
-    for group in model.param_groups():
-        for i in range(len(model.params[group])):
-            model.params[group][i] = loaded[f"{group}.{i}"]
+    if "domain_hidden" in cfg_dict:
+        cfg_dict["domain_hidden"] = tuple(cfg_dict["domain_hidden"])
+    model = init_glad_model(ModelConfig(**cfg_dict), seed=0)
+    with open(os.path.join(directory, "params.json")) as f:
+        if json.load(f) != _params_meta(model):
+            raise OSError(f"{directory}: params.json does not list the tensors "
+                          f"and shapes of the model in model.json")
+    path = os.path.join(directory, "params.bin")
+    expected = 4 * sum(p.size for ps in model.params.values() for p in ps)
+    if os.path.getsize(path) != expected:
+        raise OSError(f"{path}: {os.path.getsize(path)} bytes, the model needs {expected}")
+    raw = np.fromfile(path, dtype="<f4")
+    offset = 0
+    for ps in model.params.values():
+        for i, p in enumerate(ps):
+            ps[i] = raw[offset:offset + p.size].reshape(p.shape).astype(np.float64)
+            offset += p.size
     return model

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -205,17 +205,11 @@ def strip_labels(samples: list[VideoSample]) -> list[VideoSample]:
             for s in samples]
 
 
-def spec_to_dict(spec: DomainSpec) -> dict:
-    d = asdict(spec)
-    d["length_range"] = list(spec.length_range)
-    d["blob_speed_range"] = list(spec.blob_speed_range)
-    return d
-
-
 def spec_from_dict(d: dict) -> DomainSpec:
     d = dict(d)
-    d["length_range"] = tuple(d["length_range"])
-    d["blob_speed_range"] = tuple(d["blob_speed_range"])
+    for k in ("length_range", "blob_speed_range"):
+        if k in d:
+            d[k] = tuple(d[k])
     return DomainSpec(**d)
 
 
@@ -225,7 +219,7 @@ def write_dataset(manifest: DomainManifest, samples: list[VideoSample], director
     os.makedirs(directory, exist_ok=True)
     doc = {
         "format": MAGIC,
-        "spec": spec_to_dict(manifest.spec),
+        "spec": asdict(manifest.spec),
         "entries": manifest.entries,
     }
     with open(os.path.join(directory, "manifest.json"), "w") as f:
@@ -248,8 +242,14 @@ def read_dataset(directory: str):
         raise CorruptHeaderError(f"unreadable manifest: {e}") from e
     if not isinstance(doc, dict) or doc.get("format") != MAGIC:
         raise CorruptHeaderError(f"bad or missing format header in {path}")
+    if "spec" not in doc or "entries" not in doc:
+        raise CorruptHeaderError(f"{path} lacks spec or entries")
     spec = spec_from_dict(doc["spec"])
     entries = doc["entries"]
+    for e in entries:
+        missing = [k for k in ("video_id", "label", "length", "offset") if k not in e]
+        if missing:
+            raise ManifestMismatchError(f"manifest mismatch: an entry lacks {missing}")
     if len(entries) != spec.n_videos:
         raise ManifestMismatchError(
             f"manifest mismatch: {len(entries)} entries for n_videos={spec.n_videos}")

@@ -9,7 +9,7 @@ import json
 import math
 import os
 import statistics
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class TrainConfig:
     aug_domains: tuple[str, ...] = ("source",)
     use_bg_aug: bool = True
     use_tol: bool = True
-    use_gla: bool = True
     gla_views: tuple[str, ...] = ("gg", "ll", "cross")
     seed: int = 0
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -53,6 +52,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must be in [0, 1)")
         if min(self.global_views, self.local_views) < 0 \
                 or self.global_views + self.local_views < 1:
             raise ValueError("view counts must be >= 0 with at least one view per video")
@@ -121,9 +122,8 @@ def active_groups(config: TrainConfig, phase: str) -> list[str]:
     groups = ["enc", "proj", "act"]
     if config.use_tol:
         groups.append("tol")
-    if config.use_gla:
-        for v in config.enabled_gla_views():
-            groups.append(GLA_VIEWS[v][0])
+    for v in config.enabled_gla_views():
+        groups.append(GLA_VIEWS[v][0])
     return groups
 
 
@@ -191,20 +191,19 @@ def step_losses(mdl: GladModel, src_batch, tgt_batch, config: TrainConfig,
         glad_model.accumulate(grads, "act", act_grads)
         d3[:b, :n_views] += (dcons / n_views)[:, None]
 
-        views = config.enabled_gla_views() if config.use_gla else ()
+        views = config.enabled_gla_views()
         if views:
-            psi_g = f3[:, :mg].mean(axis=1) if mg else np.zeros((2 * b, cfg.feat_dim))
-            psi_l = f3[:, mg:n_views].mean(axis=1) if nl else np.zeros((2 * b, cfg.feat_dim))
             loss_gla, clf, dpsi, logits = glad_model.gla_loss(
-                mdl, psi_g[:b], psi_l[:b], psi_g[b:], psi_l[b:],
+                mdl, f3[:, :mg].mean(axis=1) if mg else None,
+                f3[:, mg:n_views].mean(axis=1) if nl else None,
                 config.grl_coeff, views)
             stats["loss_gla"] = loss_gla
             for group, g in clf.items():
                 glad_model.accumulate(grads, group, g)
             if mg:
-                d3[:, :mg] += (np.concatenate([dpsi["g_src"], dpsi["g_tgt"]]) / mg)[:, None]
+                d3[:, :mg] += (dpsi["g"] / mg)[:, None]
             if nl:
-                d3[:, mg:n_views] += (np.concatenate([dpsi["l_src"], dpsi["l_tgt"]]) / nl)[:, None]
+                d3[:, mg:n_views] += (dpsi["l"] / nl)[:, None]
             # the first B logits of each sub-batch score source videos
             is_src = np.arange(2 * b) < b
             for v, z in logits.items():
@@ -218,16 +217,13 @@ def step_losses(mdl: GladModel, src_batch, tgt_batch, config: TrainConfig,
     return stats, grads
 
 
-def init_opt_states(mdl: GladModel, config: TrainConfig) -> dict:
-    return {g: diffnet.init_sgd_state(mdl.params[g], config.lr, config.momentum,
-                                      config.weight_decay)
-            for g in mdl.param_groups()}
-
-
-def apply_grads(mdl: GladModel, grads: dict, states: dict, groups, lr: float) -> None:
+def apply_grads(mdl: GladModel, grads: dict, velocity: dict, groups, lr: float,
+                config: TrainConfig) -> None:
+    """One SGD step on the given groups; velocity (shaped like
+    mdl.zero_grads()) is the optimizer's only state."""
     for g in groups:
-        states[g].learning_rate = lr
-        mdl.params[g], states[g] = diffnet.sgd_step(mdl.params[g], grads[g], states[g])
+        mdl.params[g] = diffnet.sgd_step(mdl.params[g], grads[g], velocity[g], lr,
+                                         config.momentum, config.weight_decay)
 
 
 def _epoch_batches(n_src: int, n_tgt: int, batch: int, rng: np.random.Generator):
@@ -242,13 +238,13 @@ def _epoch_batches(n_src: int, n_tgt: int, batch: int, rng: np.random.Generator)
         yield src_idx, tgt_idx
 
 
-def run_phase_epoch(mdl, src, tgt, config, states, rng, phase, lr, bank):
+def run_phase_epoch(mdl, src, tgt, config, velocity, rng, phase, lr, bank):
     sums: dict = {}
     counts: dict = {}
     for src_idx, tgt_idx in _epoch_batches(len(src), len(tgt), config.batch_size, rng):
         stats, grads = step_losses(mdl, [src[i] for i in src_idx],
                                    [tgt[i] for i in tgt_idx], config, rng, phase, bank)
-        apply_grads(mdl, grads, states, active_groups(config, phase), lr)
+        apply_grads(mdl, grads, velocity, active_groups(config, phase), lr, config)
         for k, v in stats.items():
             if isinstance(v, float) and not np.isnan(v):
                 sums[k] = sums.get(k, 0.0) + v
@@ -281,7 +277,7 @@ def train(config: TrainConfig, src_train: list[VideoSample],
     bank = None
     if config.use_bg_aug:
         bank = build_background_bank(list(src_train) + tgt_unlabeled)
-    states = init_opt_states(mdl, config)
+    velocity = mdl.zero_grads()
     report = TrainReport()
 
     def record(phase, epoch, lr, stats):
@@ -301,12 +297,12 @@ def train(config: TrainConfig, src_train: list[VideoSample],
 
     warmup_epochs = config.warmup_epochs if config.use_tol else 0
     for epoch in range(warmup_epochs):
-        stats = run_phase_epoch(mdl, src_train, tgt_unlabeled, config, states,
+        stats = run_phase_epoch(mdl, src_train, tgt_unlabeled, config, velocity,
                                 rng, "warmup", config.lr, bank)
         record("warmup", epoch, config.lr, stats)
     for epoch in range(config.main_epochs):
         lr = lr_at(epoch, config)
-        stats = run_phase_epoch(mdl, src_train, tgt_unlabeled, config, states,
+        stats = run_phase_epoch(mdl, src_train, tgt_unlabeled, config, velocity,
                                 rng, "main", lr, bank)
         record("main", epoch, lr, stats)
 
@@ -321,24 +317,20 @@ def train(config: TrainConfig, src_train: list[VideoSample],
 def ablation_rows() -> dict:
     """Toggle sets for the standard ablation matrix."""
     return {
-        "source_only": {"use_bg_aug": False, "use_tol": False, "use_gla": False},
-        "gla_only": {"use_bg_aug": False, "use_tol": False, "use_gla": True},
-        "debias_only": {"use_bg_aug": True, "use_tol": True, "use_gla": False},
-        "full_glad": {"use_bg_aug": True, "use_tol": True, "use_gla": True},
-        "supervised_target": {"use_bg_aug": False, "use_tol": False,
-                              "use_gla": False, "_supervised_target": True},
-        "dann": {"use_bg_aug": False, "use_tol": False, "use_gla": True,
-                 "gla_views": ("gg",)},
+        "source_only": {"use_bg_aug": False, "use_tol": False, "gla_views": ()},
+        "gla_only": {"use_bg_aug": False, "use_tol": False},
+        "debias_only": {"use_bg_aug": True, "use_tol": True, "gla_views": ()},
+        "full_glad": {"use_bg_aug": True, "use_tol": True},
+        "supervised_target": {"use_bg_aug": False, "use_tol": False, "gla_views": ()},
+        "dann": {"use_bg_aug": False, "use_tol": False, "gla_views": ("gg",)},
     }
 
 
 def run_config(name: str, overrides: dict, base: TrainConfig, src_train,
                tgt_train, tgt_test, seed: int) -> float:
     """Train one ablation configuration and return the target-test MCA."""
-    overrides = dict(overrides)
-    supervised = overrides.pop("_supervised_target", False)
     cfg = replace(base, **overrides, seed=seed)
-    if supervised:
+    if name == "supervised_target":
         # Upper-bound baseline: the labeled "source" is the target train split.
         src_train = tgt_train
     _, report = train(cfg, src_train, tgt_train, tgt_test)
@@ -367,14 +359,6 @@ def format_ablation_table(table: dict) -> str:
     for name, row in table.items():
         lines.append(f"{name:<20} {row['mean']:>9.2f} {row['std']:>21.2f}")
     return "\n".join(lines)
-
-
-def config_to_dict(config: TrainConfig) -> dict:
-    d = asdict(config)
-    for k in ("lr_drop_epochs", "aug_domains", "gla_views"):
-        d[k] = list(d[k])
-    d["model"]["domain_hidden"] = list(config.model.domain_hidden)
-    return d
 
 
 def config_from_dict(d: dict) -> TrainConfig:

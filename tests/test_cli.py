@@ -1,15 +1,19 @@
 import dataclasses
 import json
 import os
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glad import cli
 from glad.cli import (EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                       default_benchmark_specs, main, resolve_split_dir)
+from glad.model import ModelConfig, init_glad_model, save_model
 from glad.synthdata import (DomainSpec, generate_domain, read_dataset,
-                            spec_to_dict, write_dataset)
+                            write_dataset)
 
 
 def small_specs(seed=0):
@@ -28,7 +32,7 @@ def small_specs(seed=0):
 
 def write_spec_file(tmp_path, specs):
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps({k: spec_to_dict(v) for k, v in specs.items()}))
+    path.write_text(json.dumps({k: dataclasses.asdict(v) for k, v in specs.items()}))
     return str(path)
 
 
@@ -241,15 +245,6 @@ def test_eval_missing_checkpoint_exit_2(tmp_path):
                  "--data", os.path.join(data, "target", "test")]) == EXIT_IO
 
 
-def test_workers_env_validation(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("GLAD_WORKERS", "zero")
-    assert main(["synth", "--dry-run"]) == EXIT_USAGE
-    monkeypatch.setenv("GLAD_WORKERS", "0")
-    assert main(["synth", "--dry-run"]) == EXIT_USAGE
-    monkeypatch.setenv("GLAD_WORKERS", "2")
-    assert main(["synth", "--dry-run"]) == EXIT_OK
-
-
 def test_ablate_writes_table(tmp_path, capsys):
     data = synth_small(tmp_path)
     cfg = train_config_doc(tmp_path, data, warmup_epochs=0, main_epochs=1,
@@ -263,3 +258,142 @@ def test_ablate_writes_table(tmp_path, capsys):
         assert len(row["values"]) == 1
     text = open(os.path.join(out, "ablation.txt")).read()
     assert "full_glad" in text
+
+
+# ---------------------------------------------------------------------------
+# Damaged and mismatched input files
+
+EVAL_MODEL = ModelConfig(enc_hidden=8, enc_out=6, feat_dim=6, n_classes=4,
+                         n_frames=4, tol_hidden=8, domain_hidden=(8, 6, 4))
+
+
+@pytest.fixture(scope="module")
+def eval_inputs(tmp_path_factory):
+    """A 4-video target split and an untrained checkpoint that fits it."""
+    root = tmp_path_factory.mktemp("eval_inputs")
+    spec = DomainSpec(n_classes=4, n_videos=4, length_range=(8, 10),
+                      background_mode="fixed_checkerboard", domain="target")
+    write_dataset(*generate_domain(spec), str(root / "split"))
+    save_model(init_glad_model(EVAL_MODEL, seed=0), str(root / "ckpt"))
+    assert main(["eval", "--checkpoint", str(root / "ckpt"),
+                 "--data", str(root / "split")]) == EXIT_OK
+    return root
+
+
+def copy_inputs(eval_inputs, directory):
+    shutil.copytree(eval_inputs, directory, dirs_exist_ok=True)
+    return os.path.join(directory, "ckpt"), os.path.join(directory, "split")
+
+
+def edit_json(path, edit):
+    with open(path) as f:
+        doc = json.load(f)
+    edit(doc)
+    with open(path, "w") as f:
+        json.dump(doc, f)
+
+
+def append_float(path):
+    with open(path, "ab") as f:
+        f.write(b"\0" * 4)
+
+
+@pytest.mark.parametrize("damage", [
+    lambda ckpt: edit_json(os.path.join(ckpt, "params.json"), lambda d: d.pop(7)),
+    lambda ckpt: edit_json(os.path.join(ckpt, "params.json"),
+                           lambda d: d[0].update(shape=d[0]["shape"][::-1])),
+    lambda ckpt: edit_json(os.path.join(ckpt, "params.json"), lambda d: d[3].pop("name")),
+    lambda ckpt: append_float(os.path.join(ckpt, "params.bin")),
+], ids=["missing_entry", "wrong_shape", "entry_without_name", "extra_bytes"])
+def test_eval_bad_checkpoint_exit_2(eval_inputs, tmp_path, capsys, damage):
+    ckpt, split = copy_inputs(eval_inputs, tmp_path)
+    damage(ckpt)
+    assert main(["eval", "--checkpoint", ckpt, "--data", split]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.pop("spec"),
+    lambda d: d.pop("entries"),
+    lambda d: d["entries"][1].pop("video_id"),
+    lambda d: d["entries"][1].pop("label"),
+    lambda d: d["entries"][1].pop("length"),
+    lambda d: d["entries"][1].pop("offset"),
+], ids=["no_spec", "no_entries", "no_video_id", "no_label", "no_length", "no_offset"])
+def test_eval_malformed_manifest_exit_2(eval_inputs, tmp_path, capsys, edit):
+    ckpt, split = copy_inputs(eval_inputs, tmp_path)
+    edit_json(os.path.join(split, "manifest.json"), edit)
+    assert main(["eval", "--checkpoint", ckpt, "--data", split]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error:") and err.count("\n") == 1
+
+
+def test_synth_spec_may_omit_ranges(tmp_path):
+    spec = dataclasses.asdict(DomainSpec(n_videos=2, n_classes=2))
+    del spec["length_range"], spec["blob_speed_range"]
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"source_train": spec}))
+    out = str(tmp_path / "data")
+    assert main(["synth", "--spec", str(spec_file), "--out", out]) == EXIT_OK
+    manifest, _ = read_dataset(os.path.join(out, "source", "train"))
+    assert manifest.spec == DomainSpec(n_videos=2, n_classes=2)
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "eval"])
+def test_dataset_and_model_classes_must_agree_exit_1(tmp_path, capsys, command):
+    data = synth_small(tmp_path)  # 4 classes
+    model = {**dataclasses.asdict(EVAL_MODEL), "n_classes": 3}
+    if command == "eval":
+        ckpt = str(tmp_path / "ckpt")
+        save_model(init_glad_model(ModelConfig(**model), seed=0), ckpt)
+        argv = ["eval", "--checkpoint", ckpt, "--data", os.path.join(data, "target", "test")]
+    else:
+        cfg = train_config_doc(tmp_path, data, model=model)
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "dataset n_classes=4" in err and "model n_classes=3" in err
+
+
+def json_key_paths(doc, path=()):
+    """The path of every dict key in a JSON document, at any depth."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield path + (key,)
+            yield from json_key_paths(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from json_key_paths(value, path + (i,))
+
+
+EVAL_FILES = ("split/manifest.json", "split/frames.bin",
+              "ckpt/model.json", "ckpt/params.json", "ckpt/params.bin")
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_eval_exit_code_on_damaged_files(eval_inputs, data):
+    """Deleting one JSON key anywhere, or truncating any input file, ends
+    glad eval with an exit code, never an exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt, split = copy_inputs(eval_inputs, tmp)
+        path = os.path.join(tmp, data.draw(st.sampled_from(EVAL_FILES)))
+        keys = []
+        if path.endswith(".json"):
+            with open(path) as f:
+                keys = list(json_key_paths(json.load(f)))
+        if keys and data.draw(st.booleans()):
+            *parents, key = data.draw(st.sampled_from(keys))
+
+            def delete(doc):
+                for p in parents:
+                    doc = doc[p]
+                del doc[key]
+            edit_json(path, delete)
+        else:
+            os.truncate(path, data.draw(st.integers(0, os.path.getsize(path) - 1)))
+        code = main(["eval", "--checkpoint", ckpt, "--data", split])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_NUMERIC)

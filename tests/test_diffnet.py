@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glad import diffnet
 from glad.diffnet import (MlpSpec, NonFiniteGradientError, ShapeError,
                           finite_difference_check, grl_backward, init_mlp,
-                          init_sgd_state, mlp_apply, mlp_backward, mlp_forward,
+                          mlp_apply, mlp_backward, mlp_forward,
                           sgd_step, softmax_cross_entropy,
                           softmax_cross_entropy_batch)
 
@@ -138,25 +137,24 @@ def test_grl_is_exactly_linear(vec, a, b, coeff):
 def test_sgd_plain_step():
     params = [np.array([1.0])]
     grads = [np.array([0.5])]
-    state = init_sgd_state(params, learning_rate=0.1, momentum=0.0, weight_decay=0.0)
-    new, _ = sgd_step(params, grads, state)
+    new = sgd_step(params, grads, [np.zeros(1)], lr=0.1, momentum=0.0, weight_decay=0.0)
     assert new[0][0] == pytest.approx(0.95)
 
 
 def test_sgd_momentum_first_step():
     params = [np.array([[1.0]])]
     grads = [np.array([[0.5]])]
-    state = init_sgd_state(params, learning_rate=0.1, momentum=0.9, weight_decay=0.0)
-    new, state = sgd_step(params, grads, state)
-    assert state.velocity[0][0, 0] == pytest.approx(0.5)
+    velocity = [np.zeros((1, 1))]
+    new = sgd_step(params, grads, velocity, lr=0.1, momentum=0.9, weight_decay=0.0)
+    assert velocity[0][0, 0] == pytest.approx(0.5)
     assert new[0][0, 0] == pytest.approx(0.95)
 
 
 def test_sgd_zero_grad_no_decay_keeps_params():
     params = [np.array([[2.0]]), np.array([3.0])]
     grads = [np.zeros((1, 1)), np.zeros(1)]
-    state = init_sgd_state(params, learning_rate=0.1, momentum=0.9, weight_decay=0.0)
-    new, _ = sgd_step(params, grads, state)
+    new = sgd_step(params, grads, [np.zeros((1, 1)), np.zeros(1)], lr=0.1,
+                   momentum=0.9, weight_decay=0.0)
     assert np.allclose(new[0], params[0]) and np.allclose(new[1], params[1])
 
 
@@ -164,25 +162,25 @@ def test_sgd_lr_zero_is_identity():
     rng = np.random.default_rng(4)
     params = [rng.normal(size=(3, 2)), rng.normal(size=2)]
     grads = [rng.normal(size=(3, 2)), rng.normal(size=2)]
-    state = init_sgd_state(params, learning_rate=0.0, momentum=0.5, weight_decay=0.1)
-    new, _ = sgd_step(params, grads, state)
+    velocity = [np.zeros_like(p) for p in params]
+    new = sgd_step(params, grads, velocity, lr=0.0, momentum=0.5, weight_decay=0.1)
     assert np.array_equal(new[0], params[0]) and np.array_equal(new[1], params[1])
 
 
 def test_sgd_weight_decay_skips_biases():
     params = [np.array([[1.0]]), np.array([1.0])]
     grads = [np.zeros((1, 1)), np.zeros(1)]
-    state = init_sgd_state(params, learning_rate=1.0, momentum=0.0, weight_decay=0.1)
-    new, _ = sgd_step(params, grads, state)
+    new = sgd_step(params, grads, [np.zeros((1, 1)), np.zeros(1)], lr=1.0,
+                   momentum=0.0, weight_decay=0.1)
     assert new[0][0, 0] == pytest.approx(0.9)
     assert new[1][0] == pytest.approx(1.0)
 
 
 def test_sgd_aborts_on_non_finite_gradient():
     params = [np.array([1.0])]
-    state = init_sgd_state(params, learning_rate=0.1)
     with pytest.raises(NonFiniteGradientError):
-        sgd_step(params, [np.array([np.nan])], state)
+        sgd_step(params, [np.array([np.nan])], [np.zeros(1)], lr=0.1,
+                 momentum=0.9, weight_decay=0.0)
 
 
 def test_finite_difference_quadratic():
@@ -202,11 +200,21 @@ def test_finite_difference_constant_loss():
 
 
 def test_checkpoint_roundtrip(tmp_path):
+    # the named-tensor checkpoint now lives in model.save_model/load_model:
+    # float32-representable parameters come back bit for bit, in order
+    from glad.model import ModelConfig, init_glad_model, load_model, save_model
+    cfg = ModelConfig(frame_dim=3, enc_hidden=2, enc_out=2, feat_dim=2,
+                      n_classes=2, n_frames=4, tol_clips=2, tol_hidden=2,
+                      domain_hidden=(2, 2, 2))
+    m = init_glad_model(cfg, seed=9)
     rng = np.random.default_rng(9)
-    named = [("a.0", rng.normal(size=(3, 2)).astype(np.float32).astype(np.float64)),
-             ("a.1", rng.normal(size=2).astype(np.float32).astype(np.float64))]
-    diffnet.save_params(str(tmp_path), named)
-    loaded = diffnet.load_params(str(tmp_path))
-    assert [n for n, _ in loaded] == ["a.0", "a.1"]
-    for (_, orig), (_, back) in zip(named, loaded):
-        assert np.array_equal(orig, back)
+    for ps in m.params.values():
+        for i, p in enumerate(ps):
+            ps[i] = rng.normal(size=p.shape).astype(np.float32).astype(np.float64)
+    save_model(m, str(tmp_path))
+    back = load_model(str(tmp_path))
+    names = [f"{g}.{i}" for g, ps in back.params.items() for i in range(len(ps))]
+    assert names == [f"{g}.{i}" for g, ps in m.params.items() for i in range(len(ps))]
+    for group in m.params:
+        for orig, loaded in zip(m.params[group], back.params[group]):
+            assert np.array_equal(orig, loaded)

@@ -34,7 +34,7 @@ def test_config_rejects_bad_tol_clips():
 def test_init_is_deterministic():
     a = init_glad_model(TINY, seed=3)
     b = init_glad_model(TINY, seed=3)
-    for group in a.param_groups():
+    for group in a.params:
         for pa, pb in zip(a.params[group], b.params[group]):
             assert np.array_equal(pa, pb)
     c = init_glad_model(TINY, seed=4)
@@ -136,24 +136,25 @@ def test_domain_adv_classifier_grads_match_finite_differences():
 def test_gla_loss_view_subsets():
     m = init_glad_model(TINY, seed=4)
     rng = np.random.default_rng(4)
-    streams = [rng.normal(size=(3, 4)) for _ in range(4)]
-    total_all, clf_all, _, logits_all = gla_loss(m, *streams, grl_coeff=1.0)
+    psi_g, psi_l = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
+    total_all, clf_all, dpsi_all, logits_all = gla_loss(m, psi_g, psi_l, grl_coeff=1.0)
     assert set(clf_all) == {"dg", "dl", "dx"}
+    assert {k: d.shape for k, d in dpsi_all.items()} == {"g": (6, 4), "l": (6, 4)}
     # one row of 2B logits per sub-batch; the cross view has two
     assert {v: z.shape for v, z in logits_all.items()} == {
         "gg": (1, 6), "ll": (1, 6), "cross": (2, 6)}
-    total_gg, clf_gg, dpsi_gg, logits_gg = gla_loss(m, *streams, grl_coeff=1.0, views=("gg",))
+    total_gg, clf_gg, dpsi_gg, logits_gg = gla_loss(m, psi_g, None, grl_coeff=1.0,
+                                                    views=("gg",))
     assert set(clf_gg) == {"dg"} and set(logits_gg) == {"gg"}
     assert total_gg < total_all
-    # gg view leaves the local streams untouched
-    assert np.all(dpsi_gg["l_src"] == 0.0) and np.all(dpsi_gg["l_tgt"] == 0.0)
+    # the gg view needs no local stream and returns no local gradient
+    assert set(dpsi_gg) == {"g"}
 
 
 def test_gla_loss_feature_gradients_match_finite_differences():
     m = init_glad_model(TINY, seed=5)
     rng = np.random.default_rng(5)
-    streams = [rng.normal(size=(2, 4)) for _ in range(4)]
-    keys = ["g_src", "l_src", "g_tgt", "l_tgt"]
+    streams = [rng.normal(size=(4, 4)) for _ in range(2)]
 
     # with coeff -1 the reversal layer is a pass-through of +1 gradients,
     # so dpsi should match d(total)/d(stream) directly
@@ -163,7 +164,7 @@ def test_gla_loss_feature_gradients_match_finite_differences():
         total, _, _, _ = gla_loss(m, *ps, grl_coeff=1.0)
         return total
 
-    err = finite_difference_check(loss_fn, streams, [dpsi[k] for k in keys])
+    err = finite_difference_check(loss_fn, streams, [dpsi["g"], dpsi["l"]])
     assert err < 1e-6
 
 
@@ -250,9 +251,13 @@ def test_model_checkpoint_roundtrip(tmp_path):
     save_model(m, str(tmp_path))
     back = load_model(str(tmp_path))
     assert back.config == m.config
-    for group in m.param_groups():
+    assert list(back.params) == list(m.params)
+    for group in m.params:
+        assert len(back.params[group]) == len(m.params[group])
         for pa, pb in zip(m.params[group], back.params[group]):
-            assert np.allclose(pa, pb, atol=1e-7)
+            # float32 storage: each tensor comes back as its rounded original
+            assert pb.dtype == np.float64
+            assert np.array_equal(pa.astype(np.float32).astype(np.float64), pb)
     vids = [make_video(t=11, seed=6 + c, label=c) for c in range(3)]
     # float32 storage must not flip the predictions on generic inputs
     assert np.array_equal(evaluate(back, vids, 3)[0], evaluate(m, vids, 3)[0])

@@ -1,6 +1,7 @@
 import copy
 import csv
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from glad.diffnet import mlp_apply
 from glad.model import ModelConfig, init_glad_model
 from glad.synthdata import DomainSpec, generate_domain, strip_labels
 from glad.trainer import (TrainConfig, TrainReport, ablation_rows,
-                          active_groups, config_from_dict, config_to_dict,
+                          active_groups, config_from_dict,
                           evaluate, format_ablation_table, lr_at,
                           run_ablation_matrix, step_losses, train)
 
@@ -50,6 +51,8 @@ def test_config_validation():
         TrainConfig(main_epochs=-1)
     with pytest.raises(ValueError):
         TrainConfig(main_epochs=0, use_tol=False)
+    with pytest.raises(ValueError):
+        TrainConfig(momentum=1.0)
 
 
 def test_lr_schedule_paper_values():
@@ -80,7 +83,7 @@ def test_active_groups_by_phase():
     assert active_groups(cfg, "warmup") == ["enc", "proj", "tol"]
     main = active_groups(cfg, "main")
     assert set(main) == {"enc", "proj", "act", "tol", "dg", "dl", "dx"}
-    src_only = tiny_config(use_tol=False, use_gla=False)
+    src_only = tiny_config(use_tol=False, gla_views=())
     assert active_groups(src_only, "main") == ["enc", "proj", "act"]
     dann = tiny_config(use_tol=False, gla_views=("gg",))
     assert active_groups(dann, "main") == ["enc", "proj", "act", "dg"]
@@ -109,7 +112,7 @@ def test_step_losses_shapes_and_finiteness(mg, nl, tol_clips):
     assert np.isfinite(stats["loss_total"])
     assert stats["loss_total"] == pytest.approx(
         stats["loss_ce"] + stats["loss_tol"] - stats["loss_gla"])
-    for group in mdl.param_groups():
+    for group in mdl.params:
         for g, p in zip(grads[group], mdl.params[group]):
             assert g.shape == p.shape
             assert np.all(np.isfinite(g))
@@ -142,9 +145,9 @@ def test_step_accuracies_score_the_heads_on_their_training_inputs(monkeypatch):
     seen = {}
     real_gla, real_tol = glad_model.gla_loss, glad_model.tol_loss
 
-    def spy_gla(m, g_src, l_src, g_tgt, l_tgt, *rest):
-        seen["gla"] = (g_src, l_src, g_tgt, l_tgt)
-        return real_gla(m, g_src, l_src, g_tgt, l_tgt, *rest)
+    def spy_gla(m, psi_g, psi_l, *rest):
+        seen["gla"] = (psi_g, psi_l)
+        return real_gla(m, psi_g, psi_l, *rest)
 
     def spy_tol(m, concat, targets):
         seen["tol"] = (concat, targets)
@@ -155,8 +158,8 @@ def test_step_accuracies_score_the_heads_on_their_training_inputs(monkeypatch):
     stats, _ = step_losses(mdl, src[:8], strip_labels(tgt[:8]), tiny_config(),
                            np.random.default_rng(4), "main", None)
 
-    g_src, l_src, g_tgt, l_tgt = (x / np.linalg.norm(x, axis=1, keepdims=True)
-                                  for x in seen["gla"])
+    g, l = (x / np.linalg.norm(x, axis=1, keepdims=True) for x in seen["gla"])
+    g_src, l_src, g_tgt, l_tgt = g[:8], l[:8], g[8:], l[8:]
 
     def hits(group, src_feats, tgt_feats):
         spec, params = mdl.specs[group], mdl.params[group]
@@ -236,7 +239,7 @@ def test_disabled_paths_match_source_only_bitwise():
     """grl_coeff 0 with every toggle off must equal plain source-only
     training: target data reaches no updated parameter."""
     src, tgt = tiny_data()
-    cfg_a = tiny_config(use_bg_aug=False, use_tol=False, use_gla=False,
+    cfg_a = tiny_config(use_bg_aug=False, use_tol=False, gla_views=(),
                         grl_coeff=0.0)
     mdl_a, _ = train(cfg_a, src, tgt)
     other_tgt = [dataclasses.replace(t, frames=np.flip(t.frames, axis=1).copy())
@@ -294,7 +297,7 @@ def test_ablation_matrix_rejects_empty_seeds():
 
 def test_config_dict_roundtrip():
     cfg = tiny_config(gla_views=("gg",), lr_drop_epochs=(3, 7))
-    back = config_from_dict(config_to_dict(cfg))
+    back = config_from_dict(json.loads(json.dumps(dataclasses.asdict(cfg))))
     assert back == cfg
     assert isinstance(back.model, ModelConfig)
 
