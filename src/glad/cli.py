@@ -1,6 +1,7 @@
 """Command-line surface: synth, gap, train, eval, ablate.
 
-Exit codes: 0 success, 1 usage/config error, 2 I/O error, 3 numeric failure.
+Exit codes: 0 success, 1 usage/config error, 2 I/O error, 3 numeric failure;
+a worker process of `glad ablate` that dies also ends with code 2.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 
 from . import model as glad_model
 from .debias import build_background_bank
+from .diffnet import NonFiniteGradientError
 from .gapmetrics import (GapReport, SceneFeatureSet, accuracy_gap,
                          scene_distance, temporal_distance)
 from .synthdata import (DatasetError, DomainSpec, generate_domain,
@@ -267,10 +269,13 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except ChildProcessError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_IO
     except (DatasetError, FileNotFoundError, OSError) as e:
         print(f"I/O error: {e}", file=sys.stderr)
         return EXIT_IO
-    except NumericError as e:
+    except (NumericError, NonFiniteGradientError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
 

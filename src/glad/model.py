@@ -274,19 +274,25 @@ def save_model(model: GladModel, directory: str) -> None:
                 f.write(np.asarray(p, dtype="<f4").tobytes())
 
 
+def _read_json(path: str):
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except json.JSONDecodeError as e:
+        raise OSError(f"{path}: invalid JSON ({e})") from e
+
+
 def load_model(directory: str) -> GladModel:
     """Inverse of save_model. Raises OSError unless params.json lists exactly
     the tensors and shapes of the model in model.json and params.bin holds
     exactly their bytes."""
-    with open(os.path.join(directory, "model.json")) as f:
-        cfg_dict = json.load(f)
+    cfg_dict = _read_json(os.path.join(directory, "model.json"))
     if "domain_hidden" in cfg_dict:
         cfg_dict["domain_hidden"] = tuple(cfg_dict["domain_hidden"])
     model = init_glad_model(ModelConfig(**cfg_dict), seed=0)
-    with open(os.path.join(directory, "params.json")) as f:
-        if json.load(f) != _params_meta(model):
-            raise OSError(f"{directory}: params.json does not list the tensors "
-                          f"and shapes of the model in model.json")
+    if _read_json(os.path.join(directory, "params.json")) != _params_meta(model):
+        raise OSError(f"{directory}: params.json does not list the tensors "
+                      f"and shapes of the model in model.json")
     path = os.path.join(directory, "params.bin")
     expected = 4 * sum(p.size for ps in model.params.values() for p in ps)
     if os.path.getsize(path) != expected:

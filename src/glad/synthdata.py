@@ -250,6 +250,10 @@ def read_dataset(directory: str):
         missing = [k for k in ("video_id", "label", "length", "offset") if k not in e]
         if missing:
             raise ManifestMismatchError(f"manifest mismatch: an entry lacks {missing}")
+        label = e["label"]
+        if type(label) is not int or not 0 <= label < spec.n_classes:
+            raise ManifestMismatchError(f"manifest mismatch: label {label!r} of "
+                                        f"{e['video_id']} is not in [0, {spec.n_classes})")
     if len(entries) != spec.n_videos:
         raise ManifestMismatchError(
             f"manifest mismatch: {len(entries)} entries for n_videos={spec.n_videos}")

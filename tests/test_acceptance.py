@@ -10,7 +10,10 @@ import dataclasses
 import itertools
 import json
 import math
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -43,24 +46,29 @@ def benchmark_data():
     return src, tgt, tgt_test
 
 
+def _timed_run(name, seed):
+    """One ablation run's MCA and its wall time inside a pool worker."""
+    t0 = time.monotonic()
+    mca = trainer._run_job(name, trainer.ablation_rows()[name], seed)
+    return mca, time.monotonic() - t0
+
+
 @pytest.fixture(scope="session")
 def ablation_means(benchmark_data):
     """Mean target-test MCA per ablation row over the acceptance seeds,
-    plus the worst single-run wall time."""
-    src, tgt, tgt_test = benchmark_data
-    base = TrainConfig()
-    rows = trainer.ablation_rows()
-    means = {}
-    worst = 0.0
-    for name in ("supervised_target", "source_only", "gla_only",
-                 "debias_only", "full_glad", "dann"):
-        values = []
-        for seed in SEEDS:
-            t0 = time.monotonic()
-            values.append(trainer.run_config(name, rows[name], base, src, tgt,
-                                             tgt_test, seed=seed))
-            worst = max(worst, time.monotonic() - t0)
-        means[name] = float(np.mean(values))
+    plus the worst single-run wall time. The runs are independent, so they
+    go to the workers `glad ablate` uses, one per available core."""
+    names = ("supervised_target", "source_only", "gla_only", "debias_only",
+             "full_glad", "dann")
+    jobs = [(name, seed) for name in names for seed in SEEDS]
+    workers = min(len(os.sched_getaffinity(0)), len(jobs))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=trainer._init_worker,
+                             initargs=(TrainConfig(), *benchmark_data)) as pool:
+        results = dict(zip(jobs, pool.map(_timed_run, *zip(*jobs))))
+    means = {name: float(np.mean([results[name, seed][0] for seed in SEEDS]))
+             for name in names}
+    worst = max(seconds for _, seconds in results.values())
     return means, worst
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import multiprocessing
 import os
 import shutil
 import tempfile
@@ -8,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glad import cli
+from glad import cli, diffnet, trainer
 from glad.cli import (EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                       default_benchmark_specs, main, resolve_split_dir)
+from glad.diffnet import NonFiniteGradientError
 from glad.model import ModelConfig, init_glad_model, save_model
 from glad.synthdata import (DomainSpec, generate_domain, read_dataset,
                             write_dataset)
@@ -260,6 +262,47 @@ def test_ablate_writes_table(tmp_path, capsys):
     assert "full_glad" in text
 
 
+def assert_one_line_and_no_worker_left(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
+
+def test_ablate_huge_lr_exit_3(tmp_path, capsys):
+    data = synth_small(tmp_path)
+    cfg = train_config_doc(tmp_path, data, lr=1e30)
+    capsys.readouterr()
+    assert main(["ablate", "--config", cfg, "--out", str(tmp_path / "abl"),
+                 "--seeds", "0,1"]) == EXIT_NUMERIC
+    assert_one_line_and_no_worker_left(capsys, "numeric failure:")
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_non_finite_gradient_exit_3(tmp_path, capsys, monkeypatch, command):
+    def non_finite(*args, **kwargs):
+        raise NonFiniteGradientError("non-finite gradient; step aborted")
+    monkeypatch.setattr(diffnet, "sgd_step", non_finite)
+    data = synth_small(tmp_path)
+    cfg = train_config_doc(tmp_path, data)
+    capsys.readouterr()
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+    if command == "ablate":
+        argv += ["--seeds", "0"]
+    assert main(argv) == EXIT_NUMERIC
+    assert_one_line_and_no_worker_left(capsys, "numeric failure: non-finite gradient")
+
+
+def test_ablate_worker_death_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(trainer, "run_config", lambda *args: os._exit(70))
+    data = synth_small(tmp_path)
+    cfg = train_config_doc(tmp_path, data)
+    capsys.readouterr()
+    assert main(["ablate", "--config", cfg, "--out", str(tmp_path / "abl"),
+                 "--seeds", "0"]) == EXIT_IO
+    assert_one_line_and_no_worker_left(capsys, "error: worker process died")
+
+
 # ---------------------------------------------------------------------------
 # Damaged and mismatched input files
 
@@ -313,6 +356,16 @@ def test_eval_bad_checkpoint_exit_2(eval_inputs, tmp_path, capsys, damage):
     assert err.startswith("I/O error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name", ["model.json", "params.json"])
+def test_eval_unparsable_checkpoint_json_exit_2(eval_inputs, tmp_path, capsys, name):
+    ckpt, split = copy_inputs(eval_inputs, tmp_path)
+    os.truncate(os.path.join(ckpt, name), 50)
+    assert main(["eval", "--checkpoint", ckpt, "--data", split]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error:") and err.count("\n") == 1
+    assert os.path.join(ckpt, name) in err
+
+
 @pytest.mark.parametrize("edit", [
     lambda d: d.pop("spec"),
     lambda d: d.pop("entries"),
@@ -320,7 +373,11 @@ def test_eval_bad_checkpoint_exit_2(eval_inputs, tmp_path, capsys, damage):
     lambda d: d["entries"][1].pop("label"),
     lambda d: d["entries"][1].pop("length"),
     lambda d: d["entries"][1].pop("offset"),
-], ids=["no_spec", "no_entries", "no_video_id", "no_label", "no_length", "no_offset"])
+    lambda d: d["entries"][1].update(label=40),
+    lambda d: d["entries"][1].update(label=-1),
+    lambda d: d["entries"][1].update(label="2"),
+], ids=["no_spec", "no_entries", "no_video_id", "no_label", "no_length", "no_offset",
+        "label_too_large", "label_negative", "label_not_int"])
 def test_eval_malformed_manifest_exit_2(eval_inputs, tmp_path, capsys, edit):
     ckpt, split = copy_inputs(eval_inputs, tmp_path)
     edit_json(os.path.join(split, "manifest.json"), edit)

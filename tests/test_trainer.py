@@ -3,6 +3,8 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import statistics
 
 import numpy as np
 import pytest
@@ -288,6 +290,29 @@ def test_ablation_matrix_and_table():
     text = format_ablation_table(table)
     assert "source_only" in text and "full_glad" in text
     assert "+/- std" in text
+
+
+def test_ablation_matrix_equals_direct_runs_on_any_core_count():
+    """The pooled table holds exactly the MCAs of in-process run_config
+    calls, with one worker and with one worker per available core."""
+    src, tgt = tiny_data(n=8)
+    base = tiny_config(warmup_epochs=1, main_epochs=1)
+    rows = ablation_rows()
+    seeds = [0, 1]
+    direct = {name: [trainer.run_config(name, overrides, base, src, tgt, tgt, seed)
+                     for seed in seeds] for name, overrides in rows.items()}
+    cores = os.sched_getaffinity(0)
+    try:
+        os.sched_setaffinity(0, {min(cores)})
+        one_worker = run_ablation_matrix(base, src, tgt, tgt, seeds)
+    finally:
+        os.sched_setaffinity(0, cores)
+    every_core = run_ablation_matrix(base, src, tgt, tgt, seeds)
+    for table in (one_worker, every_core):
+        assert list(table) == list(rows)
+        for name, values in direct.items():
+            assert table[name] == {"mean": statistics.fmean(values),
+                                   "std": statistics.pstdev(values), "values": values}
 
 
 def test_ablation_matrix_rejects_empty_seeds():
