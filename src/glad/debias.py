@@ -24,6 +24,9 @@ class AugmentationPolicy:
             raise ValueError(f"unknown lambda_mode {self.lambda_mode!r}")
         if not 0.0 <= self.lambda_value <= 1.0:
             raise ValueError("lambda must be in [0, 1]")
+        unknown = [d for d in self.domains if d not in ("source", "target")]
+        if unknown:
+            raise ValueError(f"unknown aug domains {unknown}; known: ['source', 'target']")
 
 
 def extract_background_tmf(video: VideoSample) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Minimal differentiable MLP core: dense layers, softmax losses, gradient
-reversal, and momentum SGD, all with hand-coded gradients.
+"""Minimal differentiable MLP core: dense layers, a batched softmax loss,
+gradient reversal, and momentum SGD, all with hand-coded gradients.
 
 Everything operates on plain numpy arrays. Parameters for an MLP are stored
 as a flat list [W0, b0, W1, b1, ...] with W of shape (d_in, d_out).
@@ -45,25 +45,12 @@ def init_mlp(spec: MlpSpec, rng: np.random.Generator, scale: float | None = None
     return params
 
 
-def _check_params(spec: MlpSpec, params) -> None:
-    if len(params) != 2 * spec.n_layers:
-        raise ShapeError(
-            f"expected {2 * spec.n_layers} parameter tensors, got {len(params)}"
-        )
-    for i, (d_in, d_out) in enumerate(zip(spec.layer_widths[:-1], spec.layer_widths[1:])):
-        if params[2 * i].shape != (d_in, d_out):
-            raise ShapeError(f"layer {i}: weight shape {params[2 * i].shape} != {(d_in, d_out)}")
-        if params[2 * i + 1].shape != (d_out,):
-            raise ShapeError(f"layer {i}: bias shape {params[2 * i + 1].shape} != {(d_out,)}")
-
-
 def mlp_forward(spec: MlpSpec, params, x: np.ndarray):
     """Forward pass over a (n, d_in) batch.
 
     Returns (output, cache); the cache holds per-layer inputs and outputs
     for the backward pass.
     """
-    _check_params(spec, params)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.layer_widths[0]:
         raise ShapeError(f"input shape {x.shape} != (n, {spec.layer_widths[0]})")
@@ -77,10 +64,6 @@ def mlp_forward(spec: MlpSpec, params, x: np.ndarray):
             h = np.maximum(h, 0.0)
         outputs.append(h)
     return h, {"inputs": inputs, "outputs": outputs}
-
-
-def mlp_apply(spec: MlpSpec, params, x: np.ndarray) -> np.ndarray:
-    return mlp_forward(spec, params, x)[0]
 
 
 def mlp_backward(spec: MlpSpec, params, cache, upstream: np.ndarray):
@@ -106,24 +89,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - np.max(logits, axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def softmax_cross_entropy(logits: np.ndarray, target: int):
-    """Loss and gradient w.r.t. the logits for a single class target.
-
-    grad = softmax(logits) - onehot(target), so its components sum to zero.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.size == 0:
-        raise ShapeError("empty logits")
-    if not 0 <= target < logits.shape[-1]:
-        raise IndexError(f"target {target} out of range for {logits.shape[-1]} classes")
-    p = softmax(logits)
-    z = logits - np.max(logits)
-    loss = float(np.log(np.exp(z).sum()) - z[target])
-    grad = p.copy()
-    grad[target] -= 1.0
-    return loss, grad
 
 
 def softmax_cross_entropy_batch(logits: np.ndarray, targets: np.ndarray):
@@ -164,26 +129,3 @@ def sgd_step(params, grads, velocity, lr: float, momentum: float,
         velocity[i] = momentum * v + eff
         new_params.append(p - lr * velocity[i])
     return new_params
-
-
-def finite_difference_check(loss_fn, params, grads, eps: float = 1e-5) -> float:
-    """Max relative error between analytic grads and central differences.
-
-    loss_fn(params) must be deterministic and scalar-valued; relative error
-    uses |analytic - numeric| / max(1, |analytic|) per scalar parameter.
-    """
-    worst = 0.0
-    for t, (p, g) in enumerate(zip(params, grads)):
-        flat = p.ravel()
-        gflat = np.asarray(g).ravel()
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + eps
-            lp = loss_fn(params)
-            flat[j] = orig - eps
-            lm = loss_fn(params)
-            flat[j] = orig
-            numeric = (lp - lm) / (2.0 * eps)
-            err = abs(gflat[j] - numeric) / max(1.0, abs(gflat[j]))
-            worst = max(worst, err)
-    return worst

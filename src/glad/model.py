@@ -9,8 +9,8 @@ accumulates before a single SGD step.
 
 from __future__ import annotations
 
+import itertools
 import json
-import math
 import os
 from dataclasses import dataclass, asdict
 
@@ -20,7 +20,9 @@ from . import diffnet
 from .diffnet import MlpSpec
 from .sampling import sample_global_clip, sample_local_clip
 
-MAX_ORDER_CLIPS = 4  # N! output width; larger N is rejected
+# The N! orders of N clips in lexicographic order, for each allowed N. The
+# TOL head has one output per row, and the label of an order is its row.
+TOL_ORDERS = {n: np.array(list(itertools.permutations(range(n)))) for n in (2, 3, 4)}
 
 
 @dataclass(frozen=True)
@@ -42,8 +44,8 @@ class ModelConfig:
     proj_init_scale: float = 1.0
 
     def __post_init__(self):
-        if self.tol_clips < 2 or self.tol_clips > MAX_ORDER_CLIPS:
-            raise ValueError(f"tol_clips must be in [2, {MAX_ORDER_CLIPS}]")
+        if self.tol_clips not in TOL_ORDERS:
+            raise ValueError(f"tol_clips must be one of {list(TOL_ORDERS)}")
 
 
 @dataclass
@@ -58,7 +60,7 @@ class GladModel:
 
 def _specs(cfg: ModelConfig) -> dict:
     dh = cfg.domain_hidden
-    n_perm = math.factorial(cfg.tol_clips)
+    n_perm = len(TOL_ORDERS[cfg.tol_clips])
     return {
         "enc": MlpSpec((cfg.frame_dim, cfg.enc_hidden, cfg.enc_out)),
         "proj": MlpSpec((cfg.enc_out, cfg.feat_dim)),
@@ -209,6 +211,11 @@ def gla_loss(model: GladModel, psi_g, psi_l, grl_coeff: float,
     return total, clf, dpsi, logits
 
 
+def tol_labels(orders: np.ndarray) -> np.ndarray:
+    """The label of each (N,) row of orders: its row in TOL_ORDERS[N]."""
+    return (orders[:, None] == TOL_ORDERS[orders.shape[1]]).all(axis=2).argmax(axis=1)
+
+
 def tol_loss(model: GladModel, shuffled_concat: np.ndarray, perm_indices: np.ndarray):
     """Clip-order loss over 2B samples of concatenated shuffled features.
 
@@ -216,7 +223,7 @@ def tol_loss(model: GladModel, shuffled_concat: np.ndarray, perm_indices: np.nda
     normalization on top of the batch mean. Returns (loss, head_grads,
     dinput, logits).
     """
-    n_fact = math.factorial(model.config.tol_clips)
+    n_fact = len(TOL_ORDERS[model.config.tol_clips])
     two_b = shuffled_concat.shape[0]
     logits, cache = diffnet.mlp_forward(model.specs["tol"], model.params["tol"], shuffled_concat)
     losses, dlogits = diffnet.softmax_cross_entropy_batch(logits, perm_indices)
@@ -229,7 +236,7 @@ def tol_loss(model: GladModel, shuffled_concat: np.ndarray, perm_indices: np.nda
 
 def classify_action(model: GladModel, features: np.ndarray) -> np.ndarray:
     """Linear action head over a (B, F) batch."""
-    return diffnet.mlp_apply(model.specs["act"], model.params["act"], features)
+    return diffnet.mlp_forward(model.specs["act"], model.params["act"], features)[0]
 
 
 def ce_loss(model: GladModel, features: np.ndarray, labels: np.ndarray):
@@ -247,8 +254,8 @@ def ce_loss(model: GladModel, features: np.ndarray, labels: np.ndarray):
 
 def eval_clips(video_length: int, cfg: ModelConfig) -> list[tuple[int, ...]]:
     """Deterministic inference sampling: one global and two local clips."""
-    g = sample_global_clip(video_length, cfg.n_frames, mode="eval")
-    l = sample_local_clip(video_length, cfg.n_frames, cfg.local_stride, mode="eval")
+    g = sample_global_clip(video_length, cfg.n_frames)
+    l = sample_local_clip(video_length, cfg.n_frames, cfg.local_stride)
     return [g, l, l]
 
 

@@ -19,12 +19,21 @@ from .debias import (AugmentationPolicy, apply_augmentation_policy,
                      build_background_bank)
 from .gapmetrics import confusion_matrix, mean_class_accuracy
 from .model import GLA_VIEWS, GladModel, ModelConfig, init_glad_model
-from .sampling import sample_global_clip, sample_local_clip, shuffle_clips
+from .sampling import sample_global_clip, sample_local_clip
 from .synthdata import VideoSample, strip_labels
 
 
 class NumericError(RuntimeError):
     """Training produced a non-finite loss or gradient."""
+
+
+# Per-step statistics, each with the value a step records when it computes
+# none; NaN marks an accuracy with nothing to score.
+STEP_STATS = {"loss_ce": 0.0, "loss_tol": 0.0, "loss_gla": 0.0, "loss_total": 0.0,
+              "dom_acc_gg": float("nan"), "dom_acc_ll": float("nan"),
+              "dom_acc_cross": float("nan"), "tol_acc": float("nan")}
+# report.csv columns; every report.json epoch holds these keys in this order
+REPORT_COLUMNS = ("phase", "epoch", "lr", *STEP_STATS, "target_mca")
 
 
 @dataclass
@@ -53,6 +62,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not (self.lr > 0.0 and self.lr_drop_factor > 0.0):
+            raise ValueError("lr and lr_drop_factor must be > 0")
+        if not self.weight_decay >= 0.0:
+            raise ValueError("weight_decay must be >= 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         if min(self.global_views, self.local_views) < 0 \
@@ -65,24 +78,17 @@ class TrainConfig:
         unknown = [v for v in self.gla_views if v not in GLA_VIEWS]
         if unknown:
             raise ValueError(f"unknown gla_views {unknown}; known: {list(GLA_VIEWS)}")
-
-    def policy(self) -> AugmentationPolicy:
-        return AugmentationPolicy(probability=self.aug_probability,
-                                  lambda_mode=self.aug_lambda_mode,
-                                  lambda_value=self.aug_lambda,
-                                  domains=self.aug_domains)
+        # built here, so its checks run even when use_bg_aug is off
+        self.policy = AugmentationPolicy(probability=self.aug_probability,
+                                         lambda_mode=self.aug_lambda_mode,
+                                         lambda_value=self.aug_lambda,
+                                         domains=self.aug_domains)
 
     def enabled_gla_views(self) -> tuple[str, ...]:
-        views = []
-        for v in self.gla_views:
-            if v == "gg" and self.global_views == 0:
-                continue
-            if v == "ll" and self.local_views == 0:
-                continue
-            if v == "cross" and (self.global_views == 0 or self.local_views == 0):
-                continue
-            views.append(v)
-        return tuple(views)
+        """The gla_views whose streams all get at least one clip per video."""
+        clips = {"g": self.global_views, "l": self.local_views}
+        return tuple(v for v in self.gla_views
+                     if all(clips[s] for pair in GLA_VIEWS[v][1] for s in pair))
 
 
 @dataclass
@@ -91,12 +97,10 @@ class TrainReport:
     checkpoint_dir: str | None = None
 
     def csv_rows(self):
-        cols = ["phase", "epoch", "lr", "loss_ce", "loss_tol", "loss_gla",
-                "loss_total", "dom_acc_gg", "dom_acc_ll", "dom_acc_cross",
-                "tol_acc", "target_mca"]
-        yield cols
+        yield list(REPORT_COLUMNS)
         for e in self.epochs:
-            yield [repr(e[c]) if isinstance(e[c], float) else str(e[c]) for c in cols]
+            yield [repr(e[c]) if isinstance(e[c], float) else str(e[c])
+                   for c in REPORT_COLUMNS]
 
     def write(self, out_dir: str) -> None:
         os.makedirs(out_dir, exist_ok=True)
@@ -147,8 +151,8 @@ def step_losses(mdl: GladModel, src_batch, tgt_batch, config: TrainConfig,
     if b == 0 or len(tgt_batch) != b:
         raise ValueError("need equal non-empty source and target batches")
     if config.use_bg_aug and bank is not None:
-        src_batch = apply_augmentation_policy(src_batch, bank, config.policy(), rng)
-        tgt_batch = apply_augmentation_policy(tgt_batch, bank, config.policy(), rng)
+        src_batch = apply_augmentation_policy(src_batch, bank, config.policy, rng)
+        tgt_batch = apply_augmentation_policy(tgt_batch, bank, config.policy, rng)
 
     # Every video gets the same K = mg + nl + n_tol clips, in this order:
     # mg global views, nl local views, then n_tol clips for order learning.
@@ -157,8 +161,8 @@ def step_losses(mdl: GladModel, src_batch, tgt_batch, config: TrainConfig,
     n_views = mg + nl
 
     def clips_of(v):
-        return ([sample_global_clip(v.length, cfg.n_frames, "train", rng) for _ in range(mg)]
-                + [sample_local_clip(v.length, cfg.n_frames, cfg.local_stride, "train", rng)
+        return ([sample_global_clip(v.length, cfg.n_frames, rng) for _ in range(mg)]
+                + [sample_local_clip(v.length, cfg.n_frames, cfg.local_stride, rng)
                    for _ in range(nl + n_tol)])
 
     frames = _clip_stack(list(src_batch) + list(tgt_batch), clips_of)
@@ -167,16 +171,14 @@ def step_losses(mdl: GladModel, src_batch, tgt_batch, config: TrainConfig,
     f3 = feats.reshape(2 * b, n_views + n_tol, -1)
     d3 = dfeats.reshape(f3.shape)
     grads = mdl.zero_grads()
-    stats = {"loss_ce": 0.0, "loss_tol": 0.0, "loss_gla": 0.0,
-             "dom_acc_gg": float("nan"), "dom_acc_ll": float("nan"),
-             "dom_acc_cross": float("nan"), "tol_acc": float("nan")}
+    stats = dict(STEP_STATS)
 
     if n_tol:
+        # slot j of video i's shuffled TOL input holds its clip perms[i, j]
         tol = f3[:, n_views:]
-        orders = [shuffle_clips(tol[i], rng)[1] for i in range(2 * b)]
         rows = np.arange(2 * b)[:, None]
-        perms = np.array([o.perm for o in orders])
-        targets = np.array([o.index for o in orders], dtype=np.int64)
+        perms = rng.permuted(np.tile(np.arange(n_tol), (2 * b, 1)), axis=1)
+        targets = glad_model.tol_labels(perms)
         concat = tol[rows, perms].reshape(2 * b, -1)
         loss_tol, head_grads, dconcat, logits = glad_model.tol_loss(mdl, concat, targets)
         stats["loss_tol"] = loss_tol
@@ -211,10 +213,9 @@ def step_losses(mdl: GladModel, src_batch, tgt_batch, config: TrainConfig,
                 stats[f"dom_acc_{v}"] = float(np.mean((z > 0.0) == is_src))
 
     glad_model.encode_clip_backward(mdl, cache, dfeats, grads)
-    total = stats["loss_ce"] + stats["loss_tol"] - stats["loss_gla"]
-    if not np.isfinite(total):
+    stats["loss_total"] = stats["loss_ce"] + stats["loss_tol"] - stats["loss_gla"]
+    if not np.isfinite(stats["loss_total"]):
         raise NumericError(f"non-finite loss: {stats}")
-    stats["loss_total"] = total
     return stats, grads
 
 
@@ -266,6 +267,9 @@ def evaluate(mdl: GladModel, samples: list[VideoSample], n_classes: int):
     return cm, mean_class_accuracy(cm)
 
 
+# Overflow and NaN in a diverging run end it with NumericError or
+# NonFiniteGradientError, not with numpy warnings.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(config: TrainConfig, src_train: list[VideoSample],
           tgt_train: list[VideoSample], tgt_test: list[VideoSample] | None = None,
           out_dir: str | None = None) -> tuple:
@@ -282,15 +286,7 @@ def train(config: TrainConfig, src_train: list[VideoSample],
     report = TrainReport()
 
     def record(phase, epoch, lr, stats):
-        row = {"phase": phase, "epoch": epoch, "lr": lr,
-               "loss_ce": stats.get("loss_ce", 0.0),
-               "loss_tol": stats.get("loss_tol", 0.0),
-               "loss_gla": stats.get("loss_gla", 0.0),
-               "loss_total": stats.get("loss_total", 0.0),
-               "dom_acc_gg": stats.get("dom_acc_gg", float("nan")),
-               "dom_acc_ll": stats.get("dom_acc_ll", float("nan")),
-               "dom_acc_cross": stats.get("dom_acc_cross", float("nan")),
-               "tol_acc": stats.get("tol_acc", float("nan")),
+        row = {"phase": phase, "epoch": epoch, "lr": lr, **STEP_STATS, **stats,
                "target_mca": float("nan")}
         if tgt_test is not None:
             row["target_mca"] = evaluate(mdl, tgt_test, config.model.n_classes)[1]

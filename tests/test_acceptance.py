@@ -21,11 +21,10 @@ import pytest
 from glad import diffnet, model as glad_model, trainer
 from glad.cli import EXIT_IO, EXIT_OK, default_benchmark_specs, main
 from glad.debias import extract_background_tmf
-from glad.diffnet import finite_difference_check, grl_backward
+from glad.diffnet import grl_backward
 from glad.gapmetrics import (SceneFeatureSet, accuracy_gap, scene_distance,
                              temporal_distance)
-from glad.model import ModelConfig, init_glad_model
-from glad.sampling import permutation_decode, permutation_encode
+from glad.model import TOL_ORDERS, ModelConfig, init_glad_model, tol_labels
 from glad.synthdata import (DomainSpec, checkerboard, class_motion,
                             generate_domain, read_dataset, render_video,
                             strip_labels, write_dataset)
@@ -333,13 +332,13 @@ def test_criterion_05_tmf_recovery():
 
 
 def test_criterion_06_permutation_machinery():
+    rng = np.random.default_rng(0)
     for n in (2, 3, 4):
-        codes = set()
-        for perm in itertools.permutations(range(n)):
-            code = permutation_encode(perm)
-            assert permutation_decode(code, n) == perm
-            codes.add(code)
-        assert codes == set(range(math.factorial(n)))
+        assert [tuple(row) for row in TOL_ORDERS[n]] == list(itertools.permutations(range(n)))
+        drawn = rng.permuted(np.tile(np.arange(n), (400, 1)), axis=1)
+        labels = tol_labels(drawn)
+        assert set(labels) == set(range(math.factorial(n)))
+        assert np.array_equal(TOL_ORDERS[n][labels], drawn)
     # uniform predictions with N = 3: loss = ln(6) / 6
     mdl = init_glad_model(ModelConfig(frame_dim=8, feat_dim=4, tol_clips=3), seed=0)
     mdl.params["tol"] = [np.zeros_like(p) for p in mdl.params["tol"]]

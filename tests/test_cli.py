@@ -210,7 +210,15 @@ def test_train_bad_config_field_exit_1(tmp_path, capsys):
     ({"gla_views": ["gg", "bogus"]}, "unknown gla_views"),
     ({"warmup_epochs": -1}, "must be >= 0"),
     ({"main_epochs": 0, "use_tol": False}, "trains no epoch"),
-], ids=["unknown_view", "negative_epochs", "no_report_row"])
+    ({"lr": -1.0}, "lr and lr_drop_factor must be > 0"),
+    ({"lr": 0.0}, "lr and lr_drop_factor must be > 0"),
+    ({"lr_drop_factor": 0}, "lr and lr_drop_factor must be > 0"),
+    ({"weight_decay": -1}, "weight_decay must be >= 0"),
+    ({"aug_domains": ["bogus"]}, "unknown aug domains"),
+    ({"use_bg_aug": False, "aug_probability": 2.0}, "probability must be in [0, 1]"),
+], ids=["unknown_view", "negative_epochs", "no_report_row", "negative_lr", "zero_lr",
+        "zero_lr_drop_factor", "negative_weight_decay", "unknown_aug_domain",
+        "aug_checked_when_off"])
 def test_train_invalid_config_value_exit_1(tmp_path, capsys, overrides, message):
     cfg = train_config_doc(tmp_path, str(tmp_path / "data"), **overrides)
     assert main(["train", "--config", cfg]) == EXIT_USAGE
@@ -262,20 +270,33 @@ def test_ablate_writes_table(tmp_path, capsys):
     assert "full_glad" in text
 
 
-def assert_one_line_and_no_worker_left(capsys, prefix):
-    err = capsys.readouterr().err
+def assert_one_line_and_no_worker_left(capture, prefix):
+    err = capture.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1
     assert "Traceback" not in err
     assert multiprocessing.active_children() == []
 
 
-def test_ablate_huge_lr_exit_3(tmp_path, capsys):
+# A diverging run ends on its numeric failure line alone. pytest would
+# record a RuntimeWarning that a command line user sees printed, so the
+# tests make any such warning an error; capfd also reads forked workers.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ablate_huge_lr_exit_3(tmp_path, capfd):
     data = synth_small(tmp_path)
     cfg = train_config_doc(tmp_path, data, lr=1e30)
-    capsys.readouterr()
+    capfd.readouterr()
     assert main(["ablate", "--config", cfg, "--out", str(tmp_path / "abl"),
                  "--seeds", "0,1"]) == EXIT_NUMERIC
-    assert_one_line_and_no_worker_left(capsys, "numeric failure:")
+    assert_one_line_and_no_worker_left(capfd, "numeric failure:")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_train_huge_lr_exit_3(tmp_path, capfd):
+    data = synth_small(tmp_path)
+    cfg = train_config_doc(tmp_path, data, lr=1e30)
+    capfd.readouterr()
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_NUMERIC
+    assert_one_line_and_no_worker_left(capfd, "numeric failure:")
 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])

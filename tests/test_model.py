@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from glad import diffnet, model as glad_model, trainer
-from glad.diffnet import finite_difference_check
 from glad.model import (GladModel, ModelConfig, ce_loss, classify_action,
                         domain_adv_loss, encode_clip_backward,
                         encode_clip_batch, eval_clips, gla_loss,
@@ -12,6 +11,7 @@ from glad.model import (GladModel, ModelConfig, ce_loss, classify_action,
 from glad.sampling import sample_global_clip, sample_local_clip
 from glad.synthdata import VideoSample
 from glad.trainer import evaluate
+from gradcheck import finite_difference_check
 
 TINY = ModelConfig(frame_dim=6, enc_hidden=5, enc_out=4, feat_dim=4,
                    n_classes=3, n_frames=4, tol_clips=3, tol_hidden=5,

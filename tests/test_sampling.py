@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from glad.sampling import (PermutationLabel, permutation_decode,
-                           permutation_encode, sample_global_clip,
-                           sample_local_clip, shuffle_clips)
+from glad import model as glad_model
+from glad.model import TOL_ORDERS, ModelConfig, init_glad_model, tol_labels
+from glad.sampling import sample_global_clip, sample_local_clip
+from glad.synthdata import VideoSample
+from glad.trainer import TrainConfig, step_losses
 
 
 def test_global_eval_t16_n8():
@@ -22,7 +24,7 @@ def test_global_train_stays_in_segments():
     rng = np.random.default_rng(0)
     for _ in range(200):
         t = int(rng.integers(8, 100))
-        clip = sample_global_clip(t, 8, mode="train", rng=rng)
+        clip = sample_global_clip(t, 8, rng=rng)
         for k, idx in enumerate(clip):
             lo = (k * t) // 8
             hi = max(lo + 1, ((k + 1) * t) // 8)
@@ -45,11 +47,6 @@ def test_global_short_video_repeats_frames():
     assert list(clip) == sorted(clip)
 
 
-def test_global_train_requires_rng():
-    with pytest.raises(ValueError):
-        sample_global_clip(16, 8, mode="train", rng=None)
-
-
 def test_local_short_video_clamps():
     assert sample_local_clip(5, 8, stride=2) == (0, 2, 4, 4, 4, 4, 4, 4)
 
@@ -63,7 +60,7 @@ def test_local_train_within_bounds():
     rng = np.random.default_rng(1)
     for _ in range(200):
         t = int(rng.integers(8, 120))
-        clip = sample_local_clip(t, 8, stride=2, mode="train", rng=rng)
+        clip = sample_local_clip(t, 8, stride=2, rng=rng)
         assert len(clip) == 8
         assert all(0 <= i < t for i in clip)
         diffs = np.diff(clip)
@@ -83,68 +80,88 @@ def test_local_eval_indices_non_decreasing(t, n, stride):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_permutation_encode_decode_bijective(n):
-    seen = set()
-    for perm in itertools.permutations(range(n)):
-        code = permutation_encode(perm)
-        assert 0 <= code < math.factorial(n)
-        assert permutation_decode(code, n) == perm
-        seen.add(code)
-    assert len(seen) == math.factorial(n)
+    """Row i of the TOL order table is the i-th order in lexicographic
+    order, and its label is i."""
+    assert [tuple(row) for row in TOL_ORDERS[n]] == list(itertools.permutations(range(n)))
+    assert np.array_equal(tol_labels(TOL_ORDERS[n]), np.arange(math.factorial(n)))
 
 
 def test_permutation_identity_is_zero():
-    assert permutation_encode((0, 1, 2)) == 0
-    assert permutation_decode(0, 4) == (0, 1, 2, 3)
+    assert tol_labels(np.array([[0, 1, 2], [0, 1, 2]])).tolist() == [0, 0]
+    assert tuple(TOL_ORDERS[4][0]) == (0, 1, 2, 3)
 
 
 def test_permutation_reversal_is_max():
-    assert permutation_encode((2, 1, 0)) == 5
-    assert permutation_encode((3, 2, 1, 0)) == 23
+    assert tol_labels(np.array([[2, 1, 0]])).tolist() == [5]
+    assert tol_labels(np.array([[3, 2, 1, 0]])).tolist() == [23]
 
 
-def test_permutation_rejects_non_permutation():
-    with pytest.raises(ValueError):
-        permutation_encode((0, 0, 1))
-    with pytest.raises(ValueError):
-        permutation_encode((1, 2, 3))
+# One training step of a tiny model, with order learning on 3 clips
+
+TINY = ModelConfig(frame_dim=6, enc_hidden=5, enc_out=4, feat_dim=4,
+                   n_classes=3, n_frames=4, tol_clips=3, tol_hidden=5,
+                   domain_hidden=(5, 4, 3))
 
 
-def test_permutation_decode_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        permutation_decode(6, 3)
-    with pytest.raises(ValueError):
-        permutation_decode(-1, 3)
+def tiny_batch(domain, seed, b=8):
+    rng = np.random.default_rng(seed)
+    return [VideoSample(frames=rng.uniform(size=(int(rng.integers(8, 20)), 6)),
+                        label=int(rng.integers(0, 3)) if domain == "source" else None,
+                        domain=domain, video_id=f"{domain}{i}")
+            for i in range(b)]
 
 
-def test_shuffle_clips_places_by_label():
-    clips = [np.full((2,), float(i)) for i in range(3)]
-    rng = np.random.default_rng(5)
-    shuffled, label = shuffle_clips(clips, rng)
-    assert isinstance(label, PermutationLabel)
-    assert label.index == permutation_encode(label.perm)
-    for j in range(3):
-        assert np.all(shuffled[j] == clips[label.perm[j]])
+def tol_step(monkeypatch, phase, tol_loss=None, b=8):
+    """Run one step on b + b videos; returns the features encode_clip_batch returned, the
+    inputs tol_loss got and the feature gradient encode_clip_backward got."""
+    seen = {}
+    real_encode, real_backward = glad_model.encode_clip_batch, glad_model.encode_clip_backward
+    tol_loss = tol_loss or glad_model.tol_loss
+
+    def spy_encode(m, clip_frames):
+        seen["feats"], cache = real_encode(m, clip_frames)
+        return seen["feats"], cache
+
+    def spy_tol(m, concat, targets):
+        seen["concat"], seen["targets"] = concat, targets
+        return tol_loss(m, concat, targets)
+
+    def spy_backward(m, cache, dfeats, grads):
+        seen["dfeats"] = dfeats.copy()
+        return real_backward(m, cache, dfeats, grads)
+
+    monkeypatch.setattr(glad_model, "encode_clip_batch", spy_encode)
+    monkeypatch.setattr(glad_model, "tol_loss", spy_tol)
+    monkeypatch.setattr(glad_model, "encode_clip_backward", spy_backward)
+    step_losses(init_glad_model(TINY, seed=0), tiny_batch("source", 0, b),
+                tiny_batch("target", 1, b), TrainConfig(model=TINY),
+                np.random.default_rng(0), phase, None)
+    return seen
 
 
-def test_shuffle_clips_roundtrip():
-    rng = np.random.default_rng(6)
-    clips = [np.arange(4) + 10 * i for i in range(3)]
-    for _ in range(50):
-        shuffled, label = shuffle_clips(clips, rng)
-        restored = [None] * 3
-        for j, src in enumerate(label.perm):
-            restored[src] = shuffled[j]
-        for orig, back in zip(clips, restored):
-            assert np.all(orig == back)
+def test_shuffle_clips_places_by_label(monkeypatch):
+    """Each TOL label names the order its video's clips were given in: the
+    video's row of the order head's input is its TOL clip features taken
+    in the table's order for that label."""
+    seen = tol_step(monkeypatch, "main")
+    tol = seen["feats"].reshape(16, -1, TINY.feat_dim)[:, -TINY.tol_clips:]
+    for i, target in enumerate(seen["targets"]):
+        expected = tol[i][TOL_ORDERS[TINY.tol_clips][target]].reshape(-1)
+        assert np.array_equal(seen["concat"][i], expected)
 
 
-def test_shuffle_clips_covers_all_orders():
-    rng = np.random.default_rng(7)
-    clips = [np.zeros(1) + i for i in range(3)]
-    codes = {shuffle_clips(clips, rng)[1].index for _ in range(400)}
-    assert codes == set(range(6))
+def test_shuffle_clips_roundtrip(monkeypatch):
+    """The gradient of each shuffled slot returns to the clip placed there:
+    with an order loss whose input gradient is its input, a warm-up step
+    (TOL clips only) hands the encoder back its own features."""
+    def echo(m, concat, targets):
+        head = [np.zeros_like(p) for p in m.params["tol"]]
+        return 0.0, head, concat.copy(), np.zeros((len(targets), 6))
+
+    seen = tol_step(monkeypatch, "warmup", tol_loss=echo)
+    assert np.array_equal(seen["dfeats"], seen["feats"])
 
 
-def test_shuffle_clips_rejects_single_clip():
-    with pytest.raises(ValueError):
-        shuffle_clips([np.zeros(2)], np.random.default_rng(0))
+def test_shuffle_clips_covers_all_orders(monkeypatch):
+    targets = tol_step(monkeypatch, "warmup", b=32)["targets"]
+    assert set(targets.tolist()) == set(range(6))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glad import model as glad_model, trainer
-from glad.diffnet import mlp_apply
+from glad.diffnet import mlp_forward
 from glad.model import ModelConfig, init_glad_model
 from glad.synthdata import DomainSpec, generate_domain, strip_labels
 from glad.trainer import (TrainConfig, TrainReport, ablation_rows,
@@ -165,8 +165,8 @@ def test_step_accuracies_score_the_heads_on_their_training_inputs(monkeypatch):
 
     def hits(group, src_feats, tgt_feats):
         spec, params = mdl.specs[group], mdl.params[group]
-        return (list(mlp_apply(spec, params, src_feats)[:, 0] > 0.0)
-                + list(mlp_apply(spec, params, tgt_feats)[:, 0] <= 0.0))
+        return (list(mlp_forward(spec, params, src_feats)[0][:, 0] > 0.0)
+                + list(mlp_forward(spec, params, tgt_feats)[0][:, 0] <= 0.0))
 
     assert stats["dom_acc_gg"] == pytest.approx(np.mean(hits("dg", g_src, g_tgt)))
     assert stats["dom_acc_ll"] == pytest.approx(np.mean(hits("dl", l_src, l_tgt)))
@@ -175,7 +175,7 @@ def test_step_accuracies_score_the_heads_on_their_training_inputs(monkeypatch):
     cross = cross_a + cross_b
     assert stats["dom_acc_cross"] == pytest.approx(np.mean(cross))
     concat, targets = seen["tol"]
-    logits = mlp_apply(mdl.specs["tol"], mdl.params["tol"], concat)
+    logits, _ = mlp_forward(mdl.specs["tol"], mdl.params["tol"], concat)
     assert stats["tol_acc"] == pytest.approx(np.mean(np.argmax(logits, axis=1) == targets))
 
 
