@@ -1,6 +1,6 @@
 """Command-line surface: synth, gap, train, eval, ablate.
 
-Exit codes: 0 success, 1 usage/config error, 2 I/O error, 3 numeric failure;
+Exit codes: 0 success, 1 usage/config error, 2 I/O or data error, 3 numeric failure;
 a worker process of `glad ablate` that dies also ends with code 2.
 """
 
@@ -17,8 +17,8 @@ import numpy as np
 from . import model as glad_model
 from .debias import build_background_bank
 from .diffnet import NonFiniteGradientError
-from .gapmetrics import (GapReport, SceneFeatureSet, accuracy_gap,
-                         scene_distance, temporal_distance)
+from .gapmetrics import (EmptyClassError, GapReport, SceneFeatureSet,
+                         accuracy_gap, scene_distance, temporal_distance)
 from .synthdata import (DatasetError, DomainSpec, generate_domain,
                         read_dataset, spec_from_dict, write_dataset)
 from .trainer import (NumericError, config_from_dict, evaluate,
@@ -155,11 +155,16 @@ def _read_split(directory: str, model_cfg) -> list:
     return samples
 
 
-def _load_splits(doc, model_cfg):
+def _load_splits(doc, tc):
     src_dir = resolve_split_dir(doc["source_dir"])
     tgt_dir = resolve_split_dir(doc["target_dir"])
-    src_train = _read_split(src_dir, model_cfg)
-    tgt_train = _read_split(tgt_dir, model_cfg)
+    src_train = _read_split(src_dir, tc.model)
+    tgt_train = _read_split(tgt_dir, tc.model)
+    # the labelled side of supervised_target, the target split, is in the min
+    smaller = min(len(src_train), len(tgt_train))
+    if tc.batch_size > smaller:
+        raise UsageError(f"batch_size {tc.batch_size} is larger than the smaller "
+                         f"training split ({smaller} videos)")
     tgt_test = None
     test_dir = doc.get("test_dir")
     if test_dir is None:
@@ -167,7 +172,7 @@ def _load_splits(doc, model_cfg):
         if os.path.exists(os.path.join(candidate, "manifest.json")):
             test_dir = candidate
     if test_dir:
-        tgt_test = _read_split(resolve_split_dir(test_dir), model_cfg)
+        tgt_test = _read_split(resolve_split_dir(test_dir), tc.model)
     return src_train, tgt_train, tgt_test
 
 
@@ -185,7 +190,7 @@ def cmd_train(args) -> int:
         tc.seed = args.seed
     out = args.out or doc.get("out_dir") or "train_out"
     _write_resolved_config(doc, tc, out)
-    src_train, tgt_train, tgt_test = _load_splits(doc, tc.model)
+    src_train, tgt_train, tgt_test = _load_splits(doc, tc)
     _, report = train(tc, src_train, tgt_train, tgt_test, out_dir=out)
     last = report.epochs[-1]
     print(f"final: loss_total={last['loss_total']:.4f} "
@@ -210,7 +215,7 @@ def cmd_ablate(args) -> int:
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [0, 1, 2]
     out = args.out or doc.get("out_dir") or "ablate_out"
     _write_resolved_config(doc, tc, out)
-    src_train, tgt_train, tgt_test = _load_splits(doc, tc.model)
+    src_train, tgt_train, tgt_test = _load_splits(doc, tc)
     if tgt_test is None:
         raise UsageError("ablation needs a labeled target test split")
     table = run_ablation_matrix(tc, src_train, tgt_train, tgt_test, seeds)
@@ -263,18 +268,15 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, TypeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except ChildProcessError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
-    except (DatasetError, FileNotFoundError, OSError) as e:
+    except (DatasetError, EmptyClassError, OSError) as e:
         print(f"I/O error: {e}", file=sys.stderr)
         return EXIT_IO
+    except (UsageError, ValueError, TypeError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except (NumericError, NonFiniteGradientError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC

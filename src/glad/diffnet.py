@@ -59,36 +59,33 @@ def mlp_forward(spec: MlpSpec, params, x: np.ndarray):
     h = x
     for i in range(spec.n_layers):
         inputs.append(h)
-        h = h @ params[2 * i] + params[2 * i + 1]
+        h = h @ params[2 * i]
+        h += params[2 * i + 1]  # in place: a fresh array costs more than the addition
         if i < spec.n_layers - 1:
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
         outputs.append(h)
     return h, {"inputs": inputs, "outputs": outputs}
 
 
-def mlp_backward(spec: MlpSpec, params, cache, upstream: np.ndarray):
+def mlp_backward(spec: MlpSpec, params, cache, upstream: np.ndarray,
+                 input_grad: bool = True):
     """Backprop an upstream gradient through the cached forward pass.
 
-    Returns (param_grads, input_grad) with the same shapes as params/input.
+    Returns (param_grads, input_grad) with the same shapes as params/input;
+    the input gradient is None, and not computed, when input_grad is False.
     """
     g = np.asarray(upstream, dtype=np.float64)
     if g.shape != cache["outputs"][-1].shape:
         raise ShapeError(f"upstream shape {g.shape} != output {cache['outputs'][-1].shape}")
     grads: list = [None] * (2 * spec.n_layers)
     for i in reversed(range(spec.n_layers)):
-        if i < spec.n_layers - 1:
-            g = g * (cache["outputs"][i] > 0.0)
+        if i < spec.n_layers - 1:  # g is this pass's own array here
+            np.multiply(g, cache["outputs"][i] > 0.0, out=g)
         h = cache["inputs"][i]
         grads[2 * i] = h.T @ g
         grads[2 * i + 1] = g.sum(axis=0)
-        g = g @ params[2 * i].T
+        g = g @ params[2 * i].T if i or input_grad else None
     return grads, g
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_cross_entropy_batch(logits: np.ndarray, targets: np.ndarray):
@@ -96,10 +93,10 @@ def softmax_cross_entropy_batch(logits: np.ndarray, targets: np.ndarray):
     logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.int64)
     z = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
+    e = np.exp(z)
     rows = np.arange(logits.shape[0])
-    losses = lse - z[rows, targets]
-    grads = softmax(logits)
+    losses = np.log(e.sum(axis=1)) - z[rows, targets]
+    grads = e / e.sum(axis=1, keepdims=True)
     grads[rows, targets] -= 1.0
     return losses, grads
 

@@ -1,6 +1,6 @@
 """GLAD model: frame-MLP feature extractor with mean pooling, linear action
-head, three adversarial domain classifiers behind a gradient reversal layer,
-clip-order head, and the deterministic inference clips.
+head, three adversarial domain classifiers behind a gradient reversal layer
+and a clip-order head.
 
 Parameters live in a dict of named groups; every loss function returns the
 scalar loss together with gradient contributions that the trainer
@@ -18,7 +18,6 @@ import numpy as np
 
 from . import diffnet
 from .diffnet import MlpSpec
-from .sampling import sample_global_clip, sample_local_clip
 
 # The N! orders of N clips in lexicographic order, for each allowed N. The
 # TOL head has one output per row, and the label of an order is its row.
@@ -44,8 +43,12 @@ class ModelConfig:
     proj_init_scale: float = 1.0
 
     def __post_init__(self):
+        # JSON gives a list; a frozen config keeps (and hashes) a tuple
+        object.__setattr__(self, "domain_hidden", tuple(self.domain_hidden))
         if self.tol_clips not in TOL_ORDERS:
             raise ValueError(f"tol_clips must be one of {list(TOL_ORDERS)}")
+        if self.n_frames < 1 or self.local_stride < 1:
+            raise ValueError("n_frames and local_stride must be >= 1")
 
 
 @dataclass
@@ -90,31 +93,34 @@ def accumulate(grads: dict, group: str, contribution) -> None:
 # ---------------------------------------------------------------------------
 # Feature extraction
 
-def encode_clip_batch(model: GladModel, clip_frames: np.ndarray):
-    """Encode (C, n_f, D) clip frames into (C, F) features.
+def encode_clip_batch(model: GladModel, clips: np.ndarray, rows: np.ndarray):
+    """(C, F) features of C clips given as a (C, n_f) matrix of indices into
+    the (U, D) distinct frame rows, which are encoded once each; every row
+    belongs to some clip.
 
-    Per-frame encoder shared across frames, mean over the clip's frames,
-    then a linear projection.
+    Per-frame encoder, mean over the clip's frames, then a linear projection.
     """
     cfg = model.config
-    c, nf, d = clip_frames.shape
-    flat = clip_frames.reshape(c * nf, d).astype(np.float64)
-    flat = (flat - cfg.input_center) * cfg.input_gain
-    h, enc_cache = diffnet.mlp_forward(model.specs["enc"], model.params["enc"], flat)
-    pooled = h.reshape(c, nf, -1).mean(axis=1)
-    feats, proj_cache = diffnet.mlp_forward(model.specs["proj"], model.params["proj"], pooled)
-    cache = {"enc": enc_cache, "proj": proj_cache, "shape": (c, nf)}
-    return feats, cache
+    x = rows.astype(np.float64)
+    x -= cfg.input_center
+    x *= cfg.input_gain
+    h, enc_cache = diffnet.mlp_forward(model.specs["enc"], model.params["enc"], x)
+    feats, proj_cache = diffnet.mlp_forward(model.specs["proj"], model.params["proj"],
+                                            h[clips].mean(axis=1))
+    return feats, {"enc": enc_cache, "proj": proj_cache, "clips": clips}
 
 
 def encode_clip_backward(model: GladModel, cache, dfeats: np.ndarray, grads: dict) -> None:
-    c, nf = cache["shape"]
     proj_grads, dpooled = diffnet.mlp_backward(
         model.specs["proj"], model.params["proj"], cache["proj"], dfeats)
     accumulate(grads, "proj", proj_grads)
-    dflat = np.repeat(dpooled / nf, nf, axis=0)
+    # a row's gradient sums dpooled / n_f over the clip frames it fills
+    clips, nf = cache["clips"], cache["clips"].shape[1]
+    order = np.argsort(clips, axis=None, kind="stable")
+    runs = np.flatnonzero(np.diff(clips.ravel()[order], prepend=-1))
+    dh = np.add.reduceat((dpooled / nf)[order // nf], runs, axis=0)
     enc_grads, _ = diffnet.mlp_backward(
-        model.specs["enc"], model.params["enc"], cache["enc"], dflat)
+        model.specs["enc"], model.params["enc"], cache["enc"], dh, input_grad=False)
     accumulate(grads, "enc", enc_grads)
 
 
@@ -250,16 +256,6 @@ def ce_loss(model: GladModel, features: np.ndarray, labels: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Inference
-
-def eval_clips(video_length: int, cfg: ModelConfig) -> list[tuple[int, ...]]:
-    """Deterministic inference sampling: one global and two local clips."""
-    g = sample_global_clip(video_length, cfg.n_frames)
-    l = sample_local_clip(video_length, cfg.n_frames, cfg.local_stride)
-    return [g, l, l]
-
-
-# ---------------------------------------------------------------------------
 # Checkpointing
 
 def _params_meta(model: GladModel) -> list:
@@ -293,10 +289,8 @@ def load_model(directory: str) -> GladModel:
     """Inverse of save_model. Raises OSError unless params.json lists exactly
     the tensors and shapes of the model in model.json and params.bin holds
     exactly their bytes."""
-    cfg_dict = _read_json(os.path.join(directory, "model.json"))
-    if "domain_hidden" in cfg_dict:
-        cfg_dict["domain_hidden"] = tuple(cfg_dict["domain_hidden"])
-    model = init_glad_model(ModelConfig(**cfg_dict), seed=0)
+    cfg = ModelConfig(**_read_json(os.path.join(directory, "model.json")))
+    model = init_glad_model(cfg, seed=0)
     if _read_json(os.path.join(directory, "params.json")) != _params_meta(model):
         raise OSError(f"{directory}: params.json does not list the tensors "
                       f"and shapes of the model in model.json")

@@ -49,6 +49,37 @@ class VideoSample:
         return self.frames.shape[0]
 
 
+@dataclass
+class Packed:
+    """Videos end to end in one (sum T, D) frame array, the frames.bin
+    layout: video i is frames[starts[i]:starts[i] + lengths[i]]. A label
+    of -1 marks an unlabeled video."""
+    frames: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+    labels: np.ndarray
+    domains: list
+
+
+def pack(samples: list[VideoSample]) -> Packed:
+    """The samples packed in order. The videos of read_dataset are
+    consecutive rows of the one buffer it read; that buffer is used as is,
+    and any other list is copied into a new array."""
+    if not samples:
+        raise ValueError("no videos")
+    lengths = np.array([s.length for s in samples], dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    base, d = samples[0].frames.base, samples[0].frames.shape[1]
+    shared = (isinstance(base, np.ndarray) and base.dtype == samples[0].frames.dtype
+              and base.size == lengths.sum() * d
+              and all(s.frames.base is base and s.frames.flags.c_contiguous
+                      and s.frames.ctypes.data == base.ctypes.data + r * d * base.itemsize
+                      for s, r in zip(samples, starts)))
+    frames = base.reshape(-1, d) if shared else np.concatenate([s.frames for s in samples])
+    labels = np.array([-1 if s.label is None else s.label for s in samples], dtype=np.int64)
+    return Packed(frames, starts, lengths, labels, [s.domain for s in samples])
+
+
 @dataclass(frozen=True)
 class MotionParams:
     """Circular blob orbit: class-determined center, radius and linear speed;
@@ -254,6 +285,9 @@ def read_dataset(directory: str):
         if type(label) is not int or not 0 <= label < spec.n_classes:
             raise ManifestMismatchError(f"manifest mismatch: label {label!r} of "
                                         f"{e['video_id']} is not in [0, {spec.n_classes})")
+        if type(e["length"]) is not int or e["length"] < 1:
+            raise ManifestMismatchError(f"manifest mismatch: length {e['length']!r} of "
+                                        f"{e['video_id']} is not an int >= 1")
     if len(entries) != spec.n_videos:
         raise ManifestMismatchError(
             f"manifest mismatch: {len(entries)} entries for n_videos={spec.n_videos}")
@@ -271,7 +305,7 @@ def read_dataset(directory: str):
     for e in entries:
         start = e["offset"]
         n = e["length"] * d
-        if start < 0 or start % 4 or start + 4 * n > size:
+        if type(start) is not int or start < 0 or start % 4 or start + 4 * n > size:
             raise ManifestMismatchError(f"manifest mismatch: bad offset for {e['video_id']}")
         frames = flat[start // 4:start // 4 + n].reshape(e["length"], d)
         samples.append(VideoSample(frames=frames, label=e["label"],

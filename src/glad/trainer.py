@@ -15,12 +15,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import diffnet, model as glad_model
-from .debias import (AugmentationPolicy, apply_augmentation_policy,
-                     build_background_bank)
+from .debias import build_background_bank, draw_mixes, mix_background
 from .gapmetrics import confusion_matrix, mean_class_accuracy
 from .model import GLA_VIEWS, GladModel, ModelConfig, init_glad_model
-from .sampling import sample_global_clip, sample_local_clip
-from .synthdata import VideoSample, strip_labels
+from .sampling import clip_indices
+from .synthdata import Packed, VideoSample, pack, strip_labels
 
 
 class NumericError(RuntimeError):
@@ -66,6 +65,8 @@ class TrainConfig:
             raise ValueError("lr and lr_drop_factor must be > 0")
         if not self.weight_decay >= 0.0:
             raise ValueError("weight_decay must be >= 0")
+        if not math.isfinite(self.grl_coeff):
+            raise ValueError("grl_coeff must be finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         if min(self.global_views, self.local_views) < 0 \
@@ -75,14 +76,16 @@ class TrainConfig:
             raise ValueError("warmup_epochs and main_epochs must be >= 0")
         if self.main_epochs == 0 and (self.warmup_epochs == 0 or not self.use_tol):
             raise ValueError("config trains no epoch: main_epochs is 0 and there is no warm-up")
-        unknown = [v for v in self.gla_views if v not in GLA_VIEWS]
-        if unknown:
-            raise ValueError(f"unknown gla_views {unknown}; known: {list(GLA_VIEWS)}")
-        # built here, so its checks run even when use_bg_aug is off
-        self.policy = AugmentationPolicy(probability=self.aug_probability,
-                                         lambda_mode=self.aug_lambda_mode,
-                                         lambda_value=self.aug_lambda,
-                                         domains=self.aug_domains)
+        for key, known in (("gla_views", list(GLA_VIEWS)), ("aug_domains", ["source", "target"])):
+            unknown = [v for v in getattr(self, key) if v not in known]
+            if unknown:
+                raise ValueError(f"unknown {key} {unknown}; known: {known}")
+        # the augmentation keys are checked even when use_bg_aug is off
+        for key in ("aug_probability", "aug_lambda"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise ValueError(f"{key} must be in [0, 1]")
+        if self.aug_lambda_mode not in ("fixed", "uniform"):
+            raise ValueError(f"unknown aug_lambda_mode {self.aug_lambda_mode!r}")
 
     def enabled_gla_views(self) -> tuple[str, ...]:
         """The gla_views whose streams all get at least one clip per video."""
@@ -132,27 +135,48 @@ def active_groups(config: TrainConfig, phase: str) -> list[str]:
     return groups
 
 
-def _clip_stack(videos, clips_of) -> np.ndarray:
-    """Frames of each video's clips, video by video, in one (C, n_f, D) stack."""
-    return np.stack([v.frames[list(c)] for v in videos for c in clips_of(v)])
+def _clip_rows(parts, idx: np.ndarray):
+    """Distinct (slot, frame) rows of a batch's clips: parts gives the slots
+    as (packed videos, video indices) pairs, idx their (K, n_f) frame indices.
+    Returns the (U, D) rows in slot order, one gather per part; the row of
+    each clip frame, as (slots * K, n_f); and each slot's first row, then U.
+    A key holds the slot, so a video in two slots gets two sets of rows."""
+    n_slots, k, nf = idx.shape
+    span = int(idx.max()) + 1  # key = slot * span + frame
+    keys = idx + (np.arange(n_slots) * span)[:, None, None]
+    distinct, row_of_clip_frame = np.unique(keys, return_inverse=True)
+    slot, frame = np.divmod(distinct, span)
+    bounds = np.searchsorted(slot, np.arange(n_slots + 1))
+    frames = [videos.frames for videos, _ in parts]
+    rows = np.empty((len(slot), frames[0].shape[1]), np.result_type(*frames))
+    first = 0
+    for videos, vi in parts:
+        a, z = bounds[first], bounds[first + len(vi)]
+        np.take(videos.frames, videos.starts[vi[slot[a:z] - first]] + frame[a:z], axis=0,
+                out=rows[a:z])
+        first += len(vi)
+    return rows, row_of_clip_frame.reshape(n_slots * k, nf), bounds
 
 
-def step_losses(mdl: GladModel, src_batch, tgt_batch, config: TrainConfig,
+def step_losses(mdl: GladModel, src: Packed, tgt: Packed, batch, config: TrainConfig,
                 rng: np.random.Generator, phase: str, bank: np.ndarray | None):
     """One optimization step's losses and gradients (no parameter update).
 
-    Source labels are read here; target labels must already be stripped.
-    Returns (stats, grads) where grads realizes the saddle objective: the
-    domain classifiers descend their adversarial losses while the extractor
-    receives the reversal-scaled alignment gradient.
+    batch is the (source, target) pair of video index arrays. Source labels
+    are read here; target labels must already be stripped. Returns (stats,
+    grads) where grads realizes the saddle objective: the domain classifiers
+    descend their adversarial losses while the extractor receives the
+    reversal-scaled alignment gradient.
     """
     cfg = mdl.config
-    b = len(src_batch)
-    if b == 0 or len(tgt_batch) != b:
+    src_idx, tgt_idx = (np.asarray(i, dtype=np.int64) for i in batch)
+    b = len(src_idx)
+    if b == 0 or len(tgt_idx) != b:
         raise ValueError("need equal non-empty source and target batches")
+    mixes = []
     if config.use_bg_aug and bank is not None:
-        src_batch = apply_augmentation_policy(src_batch, bank, config.policy, rng)
-        tgt_batch = apply_augmentation_policy(tgt_batch, bank, config.policy, rng)
+        domains = [src.domains[i] for i in src_idx] + [tgt.domains[i] for i in tgt_idx]
+        mixes = draw_mixes(domains, len(bank), config, rng)
 
     # Every video gets the same K = mg + nl + n_tol clips, in this order:
     # mg global views, nl local views, then n_tol clips for order learning.
@@ -160,13 +184,13 @@ def step_losses(mdl: GladModel, src_batch, tgt_batch, config: TrainConfig,
     n_tol = cfg.tol_clips if config.use_tol or phase == "warmup" else 0
     n_views = mg + nl
 
-    def clips_of(v):
-        return ([sample_global_clip(v.length, cfg.n_frames, rng) for _ in range(mg)]
-                + [sample_local_clip(v.length, cfg.n_frames, cfg.local_stride, rng)
-                   for _ in range(nl + n_tol)])
-
-    frames = _clip_stack(list(src_batch) + list(tgt_batch), clips_of)
-    feats, cache = glad_model.encode_clip_batch(mdl, frames)
+    lengths = np.concatenate([src.lengths[src_idx], tgt.lengths[tgt_idx]])
+    idx = clip_indices(lengths, cfg.n_frames, cfg.local_stride, mg, nl + n_tol, rng)
+    frames, clips, bounds = _clip_rows([(src, src_idx), (tgt, tgt_idx)], idx)
+    for slot, bg, lam in mixes:
+        a, z = bounds[slot], bounds[slot + 1]
+        frames[a:z] = mix_background(frames[a:z], bank[bg], lam)
+    feats, cache = glad_model.encode_clip_batch(mdl, clips, frames)
     dfeats = np.zeros_like(feats)
     f3 = feats.reshape(2 * b, n_views + n_tol, -1)
     d3 = dfeats.reshape(f3.shape)
@@ -188,8 +212,7 @@ def step_losses(mdl: GladModel, src_batch, tgt_batch, config: TrainConfig,
 
     if n_views:
         consensus = f3[:b, :n_views].mean(axis=1)
-        labels = np.array([v.label for v in src_batch], dtype=np.int64)
-        loss_ce, act_grads, dcons = glad_model.ce_loss(mdl, consensus, labels)
+        loss_ce, act_grads, dcons = glad_model.ce_loss(mdl, consensus, src.labels[src_idx])
         stats["loss_ce"] = loss_ce
         glad_model.accumulate(grads, "act", act_grads)
         d3[:b, :n_views] += (dcons / n_views)[:, None]
@@ -230,22 +253,18 @@ def apply_grads(mdl: GladModel, grads: dict, velocity: dict, groups, lr: float,
 
 def _epoch_batches(n_src: int, n_tgt: int, batch: int, rng: np.random.Generator):
     """One pass over the smaller domain; the larger domain is cycled."""
-    n_small = min(n_src, n_tgt)
-    steps = math.ceil(n_small / batch)
     src_order = rng.permutation(n_src)
     tgt_order = rng.permutation(n_tgt)
-    for k in range(steps):
-        src_idx = [int(src_order[(k * batch + j) % n_src]) for j in range(batch)]
-        tgt_idx = [int(tgt_order[(k * batch + j) % n_tgt]) for j in range(batch)]
-        yield src_idx, tgt_idx
+    for k in range(math.ceil(min(n_src, n_tgt) / batch)):
+        slots = k * batch + np.arange(batch)
+        yield src_order[slots % n_src], tgt_order[slots % n_tgt]
 
 
 def run_phase_epoch(mdl, src, tgt, config, velocity, rng, phase, lr, bank):
     sums: dict = {}
     counts: dict = {}
-    for src_idx, tgt_idx in _epoch_batches(len(src), len(tgt), config.batch_size, rng):
-        stats, grads = step_losses(mdl, [src[i] for i in src_idx],
-                                   [tgt[i] for i in tgt_idx], config, rng, phase, bank)
+    for batch in _epoch_batches(len(src.lengths), len(tgt.lengths), config.batch_size, rng):
+        stats, grads = step_losses(mdl, src, tgt, batch, config, rng, phase, bank)
         apply_grads(mdl, grads, velocity, active_groups(config, phase), lr, config)
         for k, v in stats.items():
             if isinstance(v, float) and not np.isnan(v):
@@ -255,15 +274,20 @@ def run_phase_epoch(mdl, src, tgt, config, velocity, rng, phase, lr, bank):
 
 
 def evaluate(mdl: GladModel, samples: list[VideoSample], n_classes: int):
-    """Consensus inference per video; returns (confusion matrix, MCA)."""
-    if any(v.label is None for v in samples):
+    """Consensus inference per video over its centred global clip and its
+    centred local clip twice; returns (confusion matrix, MCA)."""
+    videos = pack(samples)
+    if (videos.labels < 0).any():
         raise ValueError("evaluate requires labeled samples")
-    frames = _clip_stack(samples, lambda v: glad_model.eval_clips(v.length, mdl.config))
-    feats, _ = glad_model.encode_clip_batch(mdl, frames)
-    consensus = feats.reshape(len(samples), 3, -1).mean(axis=1)
+    cfg = mdl.config
+    n = len(videos.lengths)
+    idx = clip_indices(videos.lengths, cfg.n_frames, cfg.local_stride, 1, 1)[:, [0, 1, 1]]
+    rows, clips, _ = _clip_rows([(videos, np.arange(n))], idx)
+    feats, _ = glad_model.encode_clip_batch(mdl, clips, rows)
+    consensus = feats.reshape(n, 3, -1).mean(axis=1)
     logits = glad_model.classify_action(mdl, consensus)
     preds = np.argmax(logits, axis=1)
-    cm = confusion_matrix([v.label for v in samples], preds, n_classes)
+    cm = confusion_matrix(videos.labels, preds, n_classes)
     return cm, mean_class_accuracy(cm)
 
 
@@ -282,6 +306,7 @@ def train(config: TrainConfig, src_train: list[VideoSample],
     bank = None
     if config.use_bg_aug:
         bank = build_background_bank(list(src_train) + tgt_unlabeled)
+    src, tgt = pack(src_train), pack(tgt_unlabeled)
     velocity = mdl.zero_grads()
     report = TrainReport()
 
@@ -294,13 +319,12 @@ def train(config: TrainConfig, src_train: list[VideoSample],
 
     warmup_epochs = config.warmup_epochs if config.use_tol else 0
     for epoch in range(warmup_epochs):
-        stats = run_phase_epoch(mdl, src_train, tgt_unlabeled, config, velocity,
-                                rng, "warmup", config.lr, bank)
+        stats = run_phase_epoch(mdl, src, tgt, config, velocity, rng, "warmup",
+                                config.lr, bank)
         record("warmup", epoch, config.lr, stats)
     for epoch in range(config.main_epochs):
         lr = lr_at(epoch, config)
-        stats = run_phase_epoch(mdl, src_train, tgt_unlabeled, config, velocity,
-                                rng, "main", lr, bank)
+        stats = run_phase_epoch(mdl, src, tgt, config, velocity, rng, "main", lr, bank)
         record("main", epoch, lr, stats)
 
     if out_dir:
@@ -441,8 +465,5 @@ def config_from_dict(d: dict) -> TrainConfig:
         if k in d:
             d[k] = tuple(d[k])
     if "model" in d:
-        m = dict(d["model"])
-        if "domain_hidden" in m:
-            m["domain_hidden"] = tuple(m["domain_hidden"])
-        d["model"] = ModelConfig(**m)
+        d["model"] = ModelConfig(**d["model"])
     return TrainConfig(**d)

@@ -28,7 +28,8 @@ from glad.model import TOL_ORDERS, ModelConfig, init_glad_model, tol_labels
 from glad.synthdata import (DomainSpec, checkerboard, class_motion,
                             generate_domain, read_dataset, render_video,
                             strip_labels, write_dataset)
-from glad.trainer import TrainConfig, step_losses
+from glad.trainer import TrainConfig
+from oracles import step_on_lists
 
 # ---------------------------------------------------------------------------
 # Shared benchmark fixtures (criteria 8 and 9)
@@ -165,9 +166,9 @@ def check_composed_step(mdl, cfg_model, seed, coord_rng):
         def run(params_by_group):
             saved = mdl.params
             mdl.params = params_by_group
-            stats, grads = step_losses(mdl, src, tgt, tc,
-                                       np.random.default_rng((seed, attempt, 99)),
-                                       "main", None)
+            stats, grads = step_on_lists(mdl, src, tgt, tc,
+                                         np.random.default_rng((seed, attempt, 99)),
+                                         "main")
             mdl.params = saved
             return stats, grads
 

@@ -214,18 +214,64 @@ def test_train_bad_config_field_exit_1(tmp_path, capsys):
     ({"lr": 0.0}, "lr and lr_drop_factor must be > 0"),
     ({"lr_drop_factor": 0}, "lr and lr_drop_factor must be > 0"),
     ({"weight_decay": -1}, "weight_decay must be >= 0"),
-    ({"aug_domains": ["bogus"]}, "unknown aug domains"),
-    ({"use_bg_aug": False, "aug_probability": 2.0}, "probability must be in [0, 1]"),
+    ({"aug_domains": ["bogus"]}, "unknown aug_domains"),
+    ({"use_bg_aug": False, "aug_probability": 2.0}, "aug_probability must be in [0, 1]"),
+    ({"aug_lambda": 1.5}, "aug_lambda must be in [0, 1]"),
+    ({"aug_lambda_mode": "beta"}, "unknown aug_lambda_mode"),
+    ({"grl_coeff": float("nan")}, "grl_coeff must be finite"),
+    ({"grl_coeff": float("inf")}, "grl_coeff must be finite"),
+    ({"model": {"local_stride": 0}}, "n_frames and local_stride must be >= 1"),
+    ({"model": {"local_stride": -1}}, "n_frames and local_stride must be >= 1"),
+    ({"model": {"n_frames": 0}}, "n_frames and local_stride must be >= 1"),
 ], ids=["unknown_view", "negative_epochs", "no_report_row", "negative_lr", "zero_lr",
         "zero_lr_drop_factor", "negative_weight_decay", "unknown_aug_domain",
-        "aug_checked_when_off"])
+        "aug_checked_when_off", "aug_lambda", "aug_lambda_mode", "grl_nan", "grl_1e400",
+        "zero_stride", "negative_stride", "zero_frames"])
 def test_train_invalid_config_value_exit_1(tmp_path, capsys, overrides, message):
+    """Each bad value exits 1 before any data is read (there is none)."""
     cfg = train_config_doc(tmp_path, str(tmp_path / "data"), **overrides)
+    # JSON has no infinity; write the number that overflows to it
+    with open(cfg) as f:
+        text = f.read().replace("Infinity", "1e400")
+    with open(cfg, "w") as f:
+        f.write(text)
     assert main(["train", "--config", cfg]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error:") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_batch_larger_than_smaller_split_exit_1(tmp_path, capsys, monkeypatch, command):
+    """A batch_size no split can fill is refused when the splits load, before
+    any training starts, instead of growing a batch until memory runs out."""
+    data = synth_small(tmp_path)  # 12 source and 12 target training videos
+    cfg = train_config_doc(tmp_path, data, batch_size=100000)
+
+    def never(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(cli, "train", never)
+    monkeypatch.setattr(cli, "run_ablation_matrix", never)
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "batch_size 100000" in err and "(12 videos)" in err
+
+
+def test_eval_split_missing_a_class_exit_2(tmp_path, capsys):
+    """A split with no video of some class is a data fault: exit 2."""
+    split = str(tmp_path / "split")
+    write_dataset(*generate_domain(DomainSpec(n_classes=4, n_videos=3, length_range=(8, 10),
+                                              background_mode="fixed_checkerboard",
+                                              domain="target")), split)
+    save_model(init_glad_model(EVAL_MODEL, seed=0), str(tmp_path / "ckpt"))
+    assert main(["eval", "--checkpoint", str(tmp_path / "ckpt"), "--data", split]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error:") and err.count("\n") == 1
+    assert "class 3 has no samples" in err
 
 
 def test_train_missing_paths_exit_1(tmp_path, capsys):
@@ -397,14 +443,31 @@ def test_eval_unparsable_checkpoint_json_exit_2(eval_inputs, tmp_path, capsys, n
     lambda d: d["entries"][1].update(label=40),
     lambda d: d["entries"][1].update(label=-1),
     lambda d: d["entries"][1].update(label="2"),
+    lambda d: d["entries"][1].update(length=str(d["entries"][1]["length"])),
+    lambda d: d["entries"][1].update(offset=float(d["entries"][1]["offset"])),
 ], ids=["no_spec", "no_entries", "no_video_id", "no_label", "no_length", "no_offset",
-        "label_too_large", "label_negative", "label_not_int"])
+        "label_too_large", "label_negative", "label_not_int", "length_not_int",
+        "offset_not_int"])
 def test_eval_malformed_manifest_exit_2(eval_inputs, tmp_path, capsys, edit):
     ckpt, split = copy_inputs(eval_inputs, tmp_path)
     edit_json(os.path.join(split, "manifest.json"), edit)
     assert main(["eval", "--checkpoint", ckpt, "--data", split]) == EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith("I/O error:") and err.count("\n") == 1
+
+
+def test_eval_zero_length_entry_exit_2(eval_inputs, tmp_path, capsys):
+    """A last entry of length 0, with frames.bin cut to match, is refused."""
+    ckpt, split = copy_inputs(eval_inputs, tmp_path)
+    path = os.path.join(split, "manifest.json")
+    edit_json(path, lambda d: d["entries"][-1].update(length=0))
+    with open(path) as f:
+        last = json.load(f)["entries"][-1]
+    os.truncate(os.path.join(split, "frames.bin"), last["offset"])
+    assert main(["eval", "--checkpoint", ckpt, "--data", split]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error:") and err.count("\n") == 1
+    assert "length 0" in err
 
 
 def test_synth_spec_may_omit_ranges(tmp_path):

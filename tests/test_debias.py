@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glad.debias import (AugmentationPolicy, apply_augmentation_policy,
-                         build_background_bank, extract_background_tmf,
-                         mix_background)
+from glad.debias import (build_background_bank, draw_mixes,
+                         extract_background_tmf, mix_background)
 from glad.synthdata import (DomainSpec, VideoSample, checkerboard,
                             class_motion, generate_domain, render_video)
+from glad.trainer import TrainConfig
 
 
 def make_video(frames, label=0, domain="source", vid="v0"):
@@ -61,97 +61,107 @@ def test_build_bank_rejects_empty():
 
 
 def test_mix_lambda_zero_is_identity():
-    vid = make_video(np.random.default_rng(0).uniform(size=(4, 6)))
-    out = mix_background(vid, np.zeros(6), 0.0)
-    assert np.array_equal(out.frames, vid.frames)
+    frames = np.random.default_rng(0).uniform(size=(4, 6)).astype(np.float32)
+    assert np.array_equal(mix_background(frames, np.zeros(6, np.float32), 0.0), frames)
 
 
 def test_mix_lambda_one_is_background():
-    vid = make_video(np.random.default_rng(1).uniform(size=(4, 6)))
+    frames = np.random.default_rng(1).uniform(size=(4, 6)).astype(np.float32)
     bg = np.full(6, 0.4, dtype=np.float32)
-    out = mix_background(vid, bg, 1.0)
+    out = mix_background(frames, bg, 1.0)
     for t in range(4):
-        assert np.allclose(out.frames[t], bg)
+        assert np.allclose(out[t], bg)
 
 
 def test_mix_hand_value():
-    vid = make_video([[0.2]])
-    out = mix_background(vid, np.array([1.0]), 0.75)
-    assert out.frames[0, 0] == pytest.approx(0.8, abs=1e-6)
+    out = mix_background(np.array([[0.2]], np.float32), np.array([1.0]), 0.75)
+    assert out[0, 0] == pytest.approx(0.8, abs=1e-6)
 
 
 def test_mix_preserves_metadata():
-    vid = make_video(np.zeros((3, 2)), label=7, domain="target", vid="x9")
-    out = mix_background(vid, np.ones(2), 0.5)
-    assert (out.label, out.domain, out.video_id) == (7, "target", "x9")
-    assert out.frames.shape == vid.frames.shape
+    """The mixed rows keep the shape and the dtype of the frames."""
+    for dtype in (np.float32, np.float64):
+        out = mix_background(np.zeros((3, 2), dtype), np.ones(2), 0.5)
+        assert out.shape == (3, 2) and out.dtype == dtype
 
 
 def test_mix_rejects_bad_lambda_and_shape():
-    vid = make_video(np.zeros((3, 2)))
+    frames = np.zeros((3, 2), np.float32)
     with pytest.raises(ValueError):
-        mix_background(vid, np.ones(2), 1.5)
+        mix_background(frames, np.ones(2), 1.5)
     with pytest.raises(ValueError):
-        mix_background(vid, np.ones(3), 0.5)
+        mix_background(frames, np.ones(3), 0.5)
 
 
 @given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
 @settings(max_examples=50)
 def test_mix_output_stays_in_unit_interval(pix, bgv, lam):
-    vid = make_video(np.full((2, 3), pix))
-    out = mix_background(vid, np.full(3, bgv), lam)
-    assert out.frames.min() >= -1e-6 and out.frames.max() <= 1.0 + 1e-6
+    out = mix_background(np.full((2, 3), pix, np.float32), np.full(3, bgv, np.float32), lam)
+    assert out.min() >= -1e-6 and out.max() <= 1.0 + 1e-6
+
+
+def test_mix_gathered_rows_equals_mix_then_gather():
+    """Mixing only the gathered rows of a video gives the bytes of mixing
+    the whole video and then gathering."""
+    spec = DomainSpec(n_videos=3, length_range=(20, 40), seed=2)
+    _, samples = generate_domain(spec)
+    bank = build_background_bank(samples)
+    rng = np.random.default_rng(3)
+    for v in samples:
+        rows = rng.integers(0, v.length, size=9)
+        for lam in (0.75, float(rng.uniform())):
+            whole = mix_background(v.frames, bank[2], lam)
+            assert whole[rows].tobytes() == mix_background(v.frames[rows], bank[2], lam).tobytes()
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError):
-        AugmentationPolicy(probability=1.2)
-    with pytest.raises(ValueError):
-        AugmentationPolicy(lambda_mode="beta")
-    with pytest.raises(ValueError):
-        AugmentationPolicy(lambda_value=-0.1)
+    """A bad value names the train config key it came from."""
+    for kwargs in ({"aug_probability": 1.2}, {"aug_lambda_mode": "beta"},
+                   {"aug_lambda": -0.1}, {"aug_domains": ("bogus",)}):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            TrainConfig(**kwargs)
 
 
 def test_policy_probability_zero_never_mixes():
-    vids = [make_video(np.random.default_rng(i).uniform(size=(3, 4)), vid=f"v{i}")
-            for i in range(5)]
-    bank = np.ones((2, 4))
-    policy = AugmentationPolicy(probability=0.0)
-    out = apply_augmentation_policy(vids, bank, policy, np.random.default_rng(0))
-    for a, b in zip(vids, out):
-        assert np.array_equal(a.frames, b.frames)
+    mixes = draw_mixes(["source"] * 5, 2, TrainConfig(aug_probability=0.0),
+                       np.random.default_rng(0))
+    assert mixes == []
 
 
 def test_policy_skips_other_domains():
-    vids = [make_video(np.zeros((3, 4)), domain="target", vid=f"t{i}") for i in range(4)]
-    bank = np.ones((1, 4))
-    policy = AugmentationPolicy(probability=1.0, domains=("source",))
-    out = apply_augmentation_policy(vids, bank, policy, np.random.default_rng(0))
-    for a, b in zip(vids, out):
-        assert np.array_equal(a.frames, b.frames)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    policy = TrainConfig(aug_probability=1.0, aug_domains=("source",))
+    assert draw_mixes(["target"] * 4, 1, policy, rng) == []
+    assert rng.bit_generator.state == state  # no draw for an ineligible video
 
 
 def test_policy_probability_one_mixes_all_source():
-    vids = [make_video(np.zeros((3, 4)), vid=f"s{i}") for i in range(4)]
-    bank = np.ones((1, 4))
-    policy = AugmentationPolicy(probability=1.0, lambda_value=0.75)
-    out = apply_augmentation_policy(vids, bank, policy, np.random.default_rng(0))
-    for b in out:
-        assert np.allclose(b.frames, 0.75, atol=1e-6)
+    policy = TrainConfig(aug_probability=1.0, aug_lambda=0.75)
+    mixes = draw_mixes(["source", "target", "source"], 1, policy, np.random.default_rng(0))
+    assert mixes == [(0, 0, 0.75), (2, 0, 0.75)]
+
+
+def test_policy_draws_in_slot_order():
+    """Video by video: the hit draw, then the background, then (uniform
+    mode) lambda."""
+    policy = TrainConfig(aug_probability=0.5, aug_lambda_mode="uniform")
+    rng, oracle = np.random.default_rng(5), np.random.default_rng(5)
+    mixes = draw_mixes(["source", "target"] * 20, 3, policy, rng)
+    expected = []
+    for slot, domain in enumerate(["source", "target"] * 20):
+        if domain == "source" and oracle.uniform() < 0.5:
+            expected.append((slot, int(oracle.integers(0, 3)), float(oracle.uniform())))
+    assert mixes == expected and mixes
+    assert rng.bit_generator.state == oracle.bit_generator.state
 
 
 def test_policy_hit_rate_near_probability():
-    vids = [make_video(np.zeros((2, 4)), vid=f"s{i}") for i in range(2000)]
-    bank = np.ones((1, 4))
-    policy = AugmentationPolicy(probability=0.25)
-    out = apply_augmentation_policy(vids, bank, policy, np.random.default_rng(3))
-    mixed = sum(1 for b in out if b.frames.max() > 0)
-    assert 0.18 < mixed / 2000 < 0.32
+    policy = TrainConfig(aug_probability=0.25)
+    mixes = draw_mixes(["source"] * 2000, 1, policy, np.random.default_rng(3))
+    assert 0.18 < len(mixes) / 2000 < 0.32
 
 
 def test_policy_rejects_empty_bank():
-    vids = [make_video(np.zeros((2, 4)))]
-    bank = np.zeros((0, 4))
     with pytest.raises(ValueError):
-        apply_augmentation_policy(vids, bank, AugmentationPolicy(), np.random.default_rng(0))
-
+        draw_mixes(["source"], 0, TrainConfig(), np.random.default_rng(0))

@@ -5,13 +5,15 @@ import pytest
 
 from glad import diffnet, model as glad_model, trainer
 from glad.model import (GladModel, ModelConfig, ce_loss, classify_action,
-                        domain_adv_loss, encode_clip_backward,
-                        encode_clip_batch, eval_clips, gla_loss,
-                        init_glad_model, load_model, save_model, tol_loss)
-from glad.sampling import sample_global_clip, sample_local_clip
-from glad.synthdata import VideoSample
+                        domain_adv_loss, encode_clip_backward, encode_clip_batch,
+                        gla_loss, init_glad_model, load_model, save_model,
+                        tol_loss)
+from glad.sampling import clip_indices
+from glad.synthdata import VideoSample, pack
 from glad.trainer import evaluate
 from gradcheck import finite_difference_check
+from oracles import (encode_clip_stack, encoder_grads_by_repeat,
+                     sample_global_clip, sample_local_clip)
 
 TINY = ModelConfig(frame_dim=6, enc_hidden=5, enc_out=4, feat_dim=4,
                    n_classes=3, n_frames=4, tol_clips=3, tol_hidden=5,
@@ -43,27 +45,38 @@ def test_init_is_deterministic():
 
 def test_encode_clip_batch_shapes():
     m = init_glad_model(TINY, seed=0)
-    feats, cache = encode_clip_batch(m, np.random.default_rng(0).uniform(size=(5, 4, 6)))
+    rows = np.random.default_rng(0).uniform(size=(7, 6))
+    clips = np.random.default_rng(1).integers(0, 7, size=(5, 4))
+    feats, cache = encode_clip_batch(m, clips, rows)
     assert feats.shape == (5, 4)
-    assert cache["shape"] == (5, 4)
+    assert cache["clips"] is clips
 
 
 def test_encode_constant_frames_pool_to_single_frame_feature():
-    """Mean pooling over identical frames equals the one-frame encoding."""
+    """Mean pooling over one row repeated equals the one-frame encoding."""
     m = init_glad_model(TINY, seed=1)
-    frame = np.random.default_rng(2).uniform(size=(1, 1, 6))
-    clip = np.repeat(frame, 4, axis=1)
-    f_one, _ = encode_clip_batch(m, frame)
-    f_clip, _ = encode_clip_batch(m, clip)
+    frame = np.random.default_rng(2).uniform(size=(1, 6))
+    f_one, _ = encode_clip_batch(m, np.zeros((1, 1), np.int64), frame)
+    f_clip, _ = encode_clip_batch(m, np.zeros((1, 4), np.int64), frame)
     assert np.allclose(f_one[0], f_clip[0], atol=1e-12)
 
 
+def shared_clips(seed, n_rows=7, n_clips=3, n_f=4):
+    """A clip matrix over n_rows rows in which every row appears and some
+    appear in several clips, or twice in one."""
+    rng = np.random.default_rng(seed)
+    clips = np.concatenate([rng.permutation(n_rows),
+                            rng.integers(0, n_rows, size=n_clips * n_f - n_rows)])
+    return rng.permutation(clips).reshape(n_clips, n_f)
+
+
 def test_encode_backward_matches_finite_differences():
+    """Rows shared between clips, and within one, sum their gradients."""
     m = init_glad_model(TINY, seed=2)
     rng = np.random.default_rng(3)
-    clips = rng.uniform(size=(3, 4, 6))
+    rows, clips = rng.uniform(size=(7, 6)), shared_clips(3)
     w = rng.normal(size=(3, 4))
-    feats, cache = encode_clip_batch(m, clips)
+    feats, cache = encode_clip_batch(m, clips, rows)
     grads = m.zero_grads()
     encode_clip_backward(m, cache, w, grads)
     flat_params = m.params["enc"] + m.params["proj"]
@@ -72,19 +85,54 @@ def test_encode_backward_matches_finite_differences():
     def loss_fn(p):
         m.params["enc"] = p[:len(m.params["enc"])]
         m.params["proj"] = p[len(m.params["enc"]):]
-        f, _ = encode_clip_batch(m, clips)
+        f, _ = encode_clip_batch(m, clips, rows)
         return float(np.sum(f * w))
 
     assert finite_difference_check(loss_fn, flat_params, flat_grads) < 1e-6
 
 
+@pytest.mark.parametrize("cfg", [TINY, ModelConfig()], ids=["tiny", "default"])
+def test_encode_clip_batch_bit_equal_to_per_clip_oracle(cfg):
+    """Encoding the distinct rows once gives the bits of encoding every
+    clip frame of a real step's clips."""
+    m = init_glad_model(cfg, seed=4)
+    rng = np.random.default_rng(5)
+    vids = [make_video(t=int(t), d=cfg.frame_dim, seed=i)
+            for i, t in enumerate(rng.integers(5, 60, size=12))]
+    videos = pack(vids)
+    idx = clip_indices(videos.lengths, cfg.n_frames, cfg.local_stride, 1, 5, rng)
+    rows, clips, _ = trainer._clip_rows([(videos, np.arange(12))], idx)
+    assert len(rows) < clips.size  # the clips share frames
+    stack = np.stack([v.frames[c] for v, cs in zip(vids, idx) for c in cs])
+    feats, _ = encode_clip_batch(m, clips, rows)
+    assert np.array_equal(feats, encode_clip_stack(m, stack))
+
+
+def test_encoder_grads_match_repeat_oracle():
+    """The encoder gradient summed over distinct rows equals the gradient
+    with every clip frame its own row, to 1e-12 relative."""
+    m = init_glad_model(ModelConfig(), seed=6)
+    rng = np.random.default_rng(7)
+    rows, clips = rng.uniform(size=(40, 64)), shared_clips(7, n_rows=40, n_clips=12, n_f=8)
+    dfeats = rng.normal(size=(12, m.config.feat_dim))
+    _, cache = encode_clip_batch(m, clips, rows)
+    grads = m.zero_grads()
+    encode_clip_backward(m, cache, dfeats, grads)
+    dpooled = diffnet.mlp_backward(m.specs["proj"], m.params["proj"], cache["proj"], dfeats)[1]
+    for g, want in zip(grads["enc"], encoder_grads_by_repeat(m, clips, rows, dpooled)):
+        assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_gather_clip_frames_selects_indices():
-    vid = make_video(t=12)
-    clip = sample_global_clip(12, 4)
-    frames = trainer._clip_stack([vid], lambda v: [clip])
-    assert frames.shape == (1, 4, 6)
-    for k, idx in enumerate(clip):
-        assert np.allclose(frames[0, k], vid.frames[idx])
+    """Each clip's rows are its video's frames, one set of rows per batch
+    slot even when two slots hold the same video."""
+    vids = [make_video(t=12, seed=0), make_video(t=9, seed=1)]
+    idx = np.array([[[0, 3, 6, 9]], [[1, 1, 2, 8]], [[0, 3, 3, 11]]])
+    rows, clips, bounds = trainer._clip_rows([(pack(vids), np.array([0, 1, 0]))], idx)
+    assert len(rows) == 4 + 3 + 3 and bounds.tolist() == [0, 4, 7, 10]
+    for slot, video in enumerate([0, 1, 0]):
+        assert np.array_equal(rows[clips[slot]], vids[video].frames[idx[slot, 0]])
+        assert set(clips[slot]) <= set(range(bounds[slot], bounds[slot + 1]))
 
 
 def test_domain_adv_loss_symmetric_start():
@@ -222,11 +270,33 @@ def test_ce_loss_head_gradients_match_finite_differences():
     assert finite_difference_check(loss_fn, m.params["act"], grads) < 1e-5
 
 
-def test_eval_clips_one_global_two_local():
-    clips = eval_clips(20, TINY)
-    assert clips[0] == sample_global_clip(20, TINY.n_frames)
-    assert clips[1] == sample_local_clip(20, TINY.n_frames, TINY.local_stride)
-    assert clips[1] == clips[2]  # deterministic center
+def test_eval_clips_one_global_two_local(monkeypatch):
+    """evaluate pools each video's centred global clip and its centred local
+    clip twice, and encodes the local clip once."""
+    vids = [make_video(t=t, seed=t, label=t % 3) for t in (3, 7, 20, 33)]
+    m = init_glad_model(TINY, seed=8)
+    seen = {}
+    real_encode = glad_model.encode_clip_batch
+
+    def spy(mdl, clips, rows):
+        seen["feats"], cache = real_encode(mdl, clips, rows)
+        seen["rows"], seen["clips"] = rows, clips
+        return seen["feats"], cache
+
+    monkeypatch.setattr(glad_model, "encode_clip_batch", spy)
+    cm, _ = evaluate(m, vids, 3)
+    clips, rows = seen["clips"], seen["rows"]
+    assert clips.shape == (3 * len(vids), TINY.n_frames)
+    assert len(rows) == len(np.unique(clips)) < clips.size
+    for i, v in enumerate(vids):
+        g = sample_global_clip(v.length, TINY.n_frames)
+        l = sample_local_clip(v.length, TINY.n_frames, TINY.local_stride)
+        assert np.array_equal(rows[clips[3 * i]], v.frames[list(g)])
+        assert np.array_equal(rows[clips[3 * i + 1]], v.frames[list(l)])
+        assert np.array_equal(clips[3 * i + 1], clips[3 * i + 2])  # the same rows
+    consensus = seen["feats"].reshape(len(vids), 3, -1).mean(axis=1)
+    assert np.array_equal(cm.sum(axis=0), np.bincount(
+        np.argmax(classify_action(m, consensus), axis=1), minlength=3))
 
 
 def test_classify_action_shapes():

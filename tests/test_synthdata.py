@@ -10,7 +10,7 @@ from glad import synthdata
 from glad.synthdata import (CorruptHeaderError, DomainSpec,
                             ManifestMismatchError, MotionParams,
                             TruncatedDataError, background_bank, checkerboard,
-                            class_motion, generate_domain, read_dataset,
+                            class_motion, generate_domain, pack, read_dataset,
                             render_video, strip_labels, write_dataset)
 
 SMALL = DomainSpec(n_videos=24, length_range=(8, 16), seed=3)
@@ -149,6 +149,27 @@ def test_roundtrip_lossless(tmp_path):
     for a, b in zip(samples, samples2):
         assert np.array_equal(a.frames, b.frames)
         assert a.label == b.label and a.video_id == b.video_id
+
+
+def test_pack_uses_the_buffer_read_dataset_read(tmp_path):
+    """read_dataset's videos pack into the one array it read, with no copy;
+    stripping the labels keeps that; other lists are copied in order."""
+    manifest, samples = generate_domain(SMALL)
+    write_dataset(manifest, samples, str(tmp_path))
+    _, read = read_dataset(str(tmp_path))
+    for videos in (read, strip_labels(read)):
+        packed = pack(videos)
+        assert packed.frames.base is read[0].frames.base
+        assert packed.frames.shape == (sum(manifest.lengths()), SMALL.frame_dim)
+    packed = pack(read)
+    assert packed.lengths.tolist() == manifest.lengths()
+    assert packed.labels.tolist() == [e["label"] for e in manifest.entries]
+    assert pack(strip_labels(read)).labels.tolist() == [-1] * len(read)
+    for subset in (samples, read[::-1], read[1:]):
+        copied = pack(subset)
+        assert not np.shares_memory(copied.frames, read[0].frames)
+        for v, start, length in zip(subset, copied.starts, copied.lengths):
+            assert np.array_equal(copied.frames[start:start + length], v.frames)
 
 
 @given(st.integers(0, 10_000))

@@ -13,11 +13,14 @@ from hypothesis import given, settings, strategies as st
 from glad import model as glad_model, trainer
 from glad.diffnet import mlp_forward
 from glad.model import ModelConfig, init_glad_model
-from glad.synthdata import DomainSpec, generate_domain, strip_labels
+from glad.debias import build_background_bank, mix_background
+from glad.synthdata import DomainSpec, generate_domain, pack, strip_labels
 from glad.trainer import (TrainConfig, TrainReport, ablation_rows,
                           active_groups, config_from_dict,
                           evaluate, format_ablation_table, lr_at,
-                          run_ablation_matrix, step_losses, train)
+                          run_ablation_matrix, train)
+from oracles import (encode_clip_stack, sample_global_clip, sample_local_clip,
+                     step_on_lists)
 
 TINY_MODEL = ModelConfig(frame_dim=64, enc_hidden=8, enc_out=6, feat_dim=6,
                          n_classes=4, n_frames=4, tol_clips=3, tol_hidden=8,
@@ -106,8 +109,7 @@ def test_step_losses_shapes_and_finiteness(mg, nl, tol_clips):
     cfg = tiny_config(global_views=mg, local_views=nl, model=model)
     mdl = init_glad_model(model, seed=0)
     rng = np.random.default_rng(0)
-    stats, grads = step_losses(mdl, src[:4], strip_labels(tgt[:4]), cfg, rng,
-                               "main", None)
+    stats, grads = step_on_lists(mdl, src[:4], strip_labels(tgt[:4]), cfg, rng, "main")
     for v in ("gg", "ll", "cross"):
         assert np.isfinite(stats[f"dom_acc_{v}"]) == (v in cfg.enabled_gla_views())
     assert 0.0 <= stats["tol_acc"] <= 1.0
@@ -125,8 +127,7 @@ def test_step_losses_warmup_touches_only_tol_path():
     cfg = tiny_config()
     mdl = init_glad_model(TINY_MODEL, seed=1)
     rng = np.random.default_rng(1)
-    stats, grads = step_losses(mdl, src[:4], strip_labels(tgt[:4]), cfg, rng,
-                               "warmup", None)
+    stats, grads = step_on_lists(mdl, src[:4], strip_labels(tgt[:4]), cfg, rng, "warmup")
     assert stats["loss_ce"] == 0.0 and stats["loss_gla"] == 0.0
     assert stats["loss_tol"] > 0.0
     for group in ("act", "dg", "dl", "dx"):
@@ -157,8 +158,8 @@ def test_step_accuracies_score_the_heads_on_their_training_inputs(monkeypatch):
 
     monkeypatch.setattr(glad_model, "gla_loss", spy_gla)
     monkeypatch.setattr(glad_model, "tol_loss", spy_tol)
-    stats, _ = step_losses(mdl, src[:8], strip_labels(tgt[:8]), tiny_config(),
-                           np.random.default_rng(4), "main", None)
+    stats, _ = step_on_lists(mdl, src[:8], strip_labels(tgt[:8]), tiny_config(),
+                             np.random.default_rng(4), "main")
 
     g, l = (x / np.linalg.norm(x, axis=1, keepdims=True) for x in seen["gla"])
     g_src, l_src, g_tgt, l_tgt = g[:8], l[:8], g[8:], l[8:]
@@ -183,8 +184,8 @@ def test_step_losses_rejects_mismatched_batches():
     src, tgt = tiny_data()
     mdl = init_glad_model(TINY_MODEL, seed=0)
     with pytest.raises(ValueError):
-        step_losses(mdl, src[:4], strip_labels(tgt[:3]), tiny_config(),
-                    np.random.default_rng(0), "main", None)
+        step_on_lists(mdl, src[:4], strip_labels(tgt[:3]), tiny_config(),
+                      np.random.default_rng(0), "main")
 
 
 def test_epoch_batches_cover_smaller_domain():
@@ -338,3 +339,45 @@ def test_report_csv_floats_roundtrip():
     rows = list(report.csv_rows())
     # repr round-trips the exact float
     assert float(rows[1][3]) == 1.2345678901234567
+
+
+def test_step_draws_and_encodes_like_the_per_video_path(monkeypatch):
+    """A step with mixing draws the mix choices, then one scalar sampler call
+    per clip, video by video, then the TOL orders, and encodes the frames a
+    whole-video mix followed by a per-clip gather gives, bit for bit."""
+    src, tgt = tiny_data()
+    tgt = strip_labels(tgt)
+    cfg = tiny_config(aug_probability=0.5, aug_lambda_mode="uniform",
+                      aug_domains=("source", "target"))
+    mdl = init_glad_model(TINY_MODEL, seed=2)
+    bank = build_background_bank(src + tgt)
+    batch = (np.array([3, 0, 3, 7]), np.array([1, 2, 5, 5]))
+    seen = {}
+    real_encode = glad_model.encode_clip_batch
+
+    def spy(m, clips, rows):
+        seen["feats"], cache = real_encode(m, clips, rows)
+        return seen["feats"], cache
+
+    monkeypatch.setattr(glad_model, "encode_clip_batch", spy)
+    rng = np.random.default_rng(9)
+    trainer.step_losses(mdl, pack(src), pack(tgt), batch, cfg, rng, "main", bank)
+
+    oracle = np.random.default_rng(9)
+    videos = [src[i] for i in batch[0]] + [tgt[i] for i in batch[1]]
+    mixed = []
+    for v in videos:
+        frames = v.frames
+        if oracle.uniform() < 0.5:
+            bg = bank[int(oracle.integers(0, len(bank)))]
+            frames = mix_background(frames, bg, float(oracle.uniform()))
+        mixed.append(frames)
+    assert 0 < sum(f is not v.frames for f, v in zip(mixed, videos)) < len(videos)
+    m = TINY_MODEL
+    clips = [frames[list(c)] for v, frames in zip(videos, mixed)
+             for c in [sample_global_clip(v.length, m.n_frames, oracle)]
+             + [sample_local_clip(v.length, m.n_frames, m.local_stride, oracle)
+                for _ in range(2 + m.tol_clips)]]
+    oracle.permuted(np.tile(np.arange(m.tol_clips), (8, 1)), axis=1)
+    assert rng.bit_generator.state == oracle.bit_generator.state
+    assert np.array_equal(seen["feats"], encode_clip_stack(mdl, np.stack(clips)))
