@@ -8,19 +8,31 @@ import numpy as np
 from .synthdata import VideoSample
 
 
-def extract_background_tmf(video: VideoSample) -> np.ndarray:
-    """Per-pixel median over the frames; even T averages the two middle
-    values (numpy's convention)."""
-    if video.frames.shape[0] < 1:
-        raise ValueError("empty video")
-    return np.median(video.frames, axis=0)
-
-
 def build_background_bank(samples: list[VideoSample]) -> np.ndarray:
-    """(n, D) array of the samples' backgrounds, values in [0, 1]."""
+    """(n, D) array of the samples' temporal-median backgrounds, values in
+    [0, 1]: the per-pixel median over each video's frames, the mean of the
+    two middle values for an even length and NaN where a pixel has a NaN,
+    as np.median gives them. The videos of one length are stacked as
+    (g, D, T) rows and sorted in place; a sorted row's middle values are
+    the ones np.median's partition selects, so the bank is bit for bit
+    that of one np.median call per video."""
     if not samples:
         raise ValueError("empty dataset")
-    return np.stack([extract_background_tmf(s) for s in samples])
+    lengths = np.array([s.frames.shape[0] for s in samples])
+    if lengths.min() < 1:
+        raise ValueError("empty video")
+    order = np.argsort(lengths, kind="stable")
+    medians = []
+    for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+        rows = np.stack([samples[i].frames.T for i in group])
+        rows.sort(axis=2)
+        t = rows.shape[2]
+        # the middle value of an odd length, the two middle ones of an even
+        mid = rows[:, :, (t - 1) // 2:t // 2 + 1].mean(axis=2)
+        medians.append(np.where(np.isnan(rows[:, :, -1]), np.nan, mid))
+    bank = np.empty((len(samples), medians[0].shape[1]), dtype=medians[0].dtype)
+    bank[order] = np.concatenate(medians)
+    return bank
 
 
 def mix_background(frames: np.ndarray, background: np.ndarray, lam: float) -> np.ndarray:

@@ -11,12 +11,16 @@ fixed checkerboard background for every video.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 GOLDEN = 0.6180339887498949
+
+BLOB_SIZE = 2
 
 MAGIC = "glad-dataset-v1"
 
@@ -89,7 +93,7 @@ class MotionParams:
     radius: float
     speed: float  # linear speed along the orbit, pixels per frame
     phase: float
-    blob_size: int = 2
+    blob_size: int = BLOB_SIZE
     amplitude: float = 0.9
 
 
@@ -109,10 +113,20 @@ class DomainSpec:
     domain: str = "source"
 
     def __post_init__(self):
+        for name in ("n_videos", "n_classes", "bank_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if min(self.height, self.width) <= BLOB_SIZE:
+            raise ValueError(f"height and width must be > the blob size {BLOB_SIZE}")
+        for name in ("length_range", "blob_speed_range"):
+            lo_hi = getattr(self, name)
+            if not (len(lo_hi) == 2 and all(isinstance(v, numbers.Real) and math.isfinite(v)
+                                            for v in lo_hi) and lo_hi[0] <= lo_hi[1]):
+                raise ValueError(f"{name} must be two finite numbers lo <= hi")
         if self.length_range[0] < 8:
             raise ValueError("minimum video length must be >= 8")
-        if self.length_range[1] < self.length_range[0]:
-            raise ValueError("invalid length range")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0.0):
+            raise ValueError("noise_std must be finite and >= 0")
         if not 0.0 <= self.bias_rho <= 1.0:
             raise ValueError("bias_rho must be in [0, 1]")
         if self.background_mode not in ("class_correlated", "fixed_checkerboard"):
@@ -171,31 +185,36 @@ def render_video(class_id: int, length: int, background: np.ndarray,
                  motion: MotionParams, rng: np.random.Generator,
                  spec: DomainSpec, domain: str | None = None,
                  video_id: str = "v") -> VideoSample:
-    """Frames = clip01(background + moving blob + gaussian noise)."""
+    """Frames = clip01(background + moving blob + gaussian noise), built
+    for all frames at once in float64, then cast to float32. In frame t the
+    blob's top-left cell is floor(center + radius * (sin, cos)(phase +
+    speed / radius * t)), and the blob covers blob_size x blob_size cells,
+    each wrapped onto the canvas. The only draw is one normal per pixel of
+    every frame, in frame order, so the frames and the rng's state are
+    those of a frame-by-frame loop."""
     if length < 1:
         raise ValueError("length must be >= 1")
     h, w = spec.height, spec.width
     if motion.blob_size >= min(h, w):
         raise ValueError("blob larger than canvas")
-    bg = np.asarray(background, dtype=np.float64).reshape(h, w)
+    bg = np.asarray(background, dtype=np.float64).reshape(h * w)
     if bg.min() < 0.0 or bg.max() > 1.0:
         raise ValueError("background values must be in [0, 1]")
-    omega = motion.speed / motion.radius
-    frames = np.empty((length, h, w), dtype=np.float64)
-    for t in range(length):
-        frame = bg.copy()
-        theta = motion.phase + omega * t
-        r0 = int(np.floor(motion.center_row + motion.radius * np.sin(theta))) % h
-        c0 = int(np.floor(motion.center_col + motion.radius * np.cos(theta))) % w
-        for dr in range(motion.blob_size):
-            for dc in range(motion.blob_size):
-                frame[(r0 + dr) % h, (c0 + dc) % w] += motion.amplitude
-        frames[t] = frame
+    t = np.arange(length)
+    theta = motion.phase + motion.speed / motion.radius * t
+    r0 = np.floor(motion.center_row + motion.radius * np.sin(theta)).astype(np.int64)
+    c0 = np.floor(motion.center_col + motion.radius * np.cos(theta)).astype(np.int64)
+    d = np.arange(motion.blob_size)
+    # (length, blob_size ** 2) flat cells: distinct within a frame, as the
+    # blob is smaller than the canvas, so the fancy add hits each once
+    cells = (((r0[:, None, None] + d[:, None]) % h) * w
+             + (c0[:, None, None] + d) % w).reshape(length, -1)
+    frames = np.repeat(bg[None, :], length, axis=0)
+    frames[t[:, None], cells] += motion.amplitude
     if spec.noise_std > 0.0:
         frames += rng.normal(0.0, spec.noise_std, size=frames.shape)
-    frames = np.clip(frames, 0.0, 1.0).astype(np.float32)
-    return VideoSample(frames=frames.reshape(length, h * w), label=class_id,
-                       domain=domain or spec.domain, video_id=video_id)
+    return VideoSample(frames=np.clip(frames, 0.0, 1.0, out=frames).astype(np.float32),
+                       label=class_id, domain=domain or spec.domain, video_id=video_id)
 
 
 def generate_domain(spec: DomainSpec):
@@ -254,7 +273,7 @@ def write_dataset(manifest: DomainManifest, samples: list[VideoSample], director
         "entries": manifest.entries,
     }
     with open(os.path.join(directory, "manifest.json"), "w") as f:
-        json.dump(doc, f, indent=1)
+        f.write(json.dumps(doc, indent=1))
     with open(os.path.join(directory, "frames.bin"), "wb") as f:
         for entry, sample in zip(manifest.entries, samples):
             if sample.frames.shape[0] != entry["length"]:
@@ -264,7 +283,8 @@ def write_dataset(manifest: DomainManifest, samples: list[VideoSample], director
 
 
 def read_dataset(directory: str):
-    """Inverse of write_dataset; validates header, offsets and payload size."""
+    """Inverse of write_dataset; validates the header, the spec, that the
+    entries tile frames.bin in order, and the payload size."""
     path = os.path.join(directory, "manifest.json")
     try:
         with open(path) as f:
@@ -275,8 +295,15 @@ def read_dataset(directory: str):
         raise CorruptHeaderError(f"bad or missing format header in {path}")
     if "spec" not in doc or "entries" not in doc:
         raise CorruptHeaderError(f"{path} lacks spec or entries")
-    spec = spec_from_dict(doc["spec"])
+    try:
+        spec = spec_from_dict(doc["spec"])
+    except (TypeError, ValueError) as e:
+        raise CorruptHeaderError(f"invalid spec in {path}: {e}") from e
     entries = doc["entries"]
+    if not isinstance(entries, list) or not entries:
+        raise CorruptHeaderError(f"{path} lists no videos")
+    d = spec.frame_dim
+    end = 0
     for e in entries:
         missing = [k for k in ("video_id", "label", "length", "offset") if k not in e]
         if missing:
@@ -288,26 +315,27 @@ def read_dataset(directory: str):
         if type(e["length"]) is not int or e["length"] < 1:
             raise ManifestMismatchError(f"manifest mismatch: length {e['length']!r} of "
                                         f"{e['video_id']} is not an int >= 1")
+        # each video starts where the one before it ends
+        if type(e["offset"]) is not int or e["offset"] != end:
+            raise ManifestMismatchError(f"manifest mismatch: offset {e['offset']!r} of "
+                                        f"{e['video_id']} is not {end}, the end of "
+                                        f"the entry before it")
+        end += e["length"] * d * 4
     if len(entries) != spec.n_videos:
         raise ManifestMismatchError(
             f"manifest mismatch: {len(entries)} entries for n_videos={spec.n_videos}")
     frames_path = os.path.join(directory, "frames.bin")
     size = os.path.getsize(frames_path)
-    d = spec.frame_dim
-    expected = sum(e["length"] * d * 4 for e in entries)
-    if size < expected:
-        raise TruncatedDataError(f"truncated frame data: {size} < {expected} bytes")
-    if size > expected:
-        raise ManifestMismatchError(f"manifest mismatch: {size} > {expected} bytes")
+    if size < end:
+        raise TruncatedDataError(f"truncated frame data: {size} < {end} bytes")
+    if size > end:
+        raise ManifestMismatchError(f"manifest mismatch: {size} > {end} bytes")
     # one read; every video is a view into the flat frame array
     flat = np.fromfile(frames_path, dtype="<f4")
     samples = []
     for e in entries:
-        start = e["offset"]
-        n = e["length"] * d
-        if type(start) is not int or start < 0 or start % 4 or start + 4 * n > size:
-            raise ManifestMismatchError(f"manifest mismatch: bad offset for {e['video_id']}")
-        frames = flat[start // 4:start // 4 + n].reshape(e["length"], d)
+        start = e["offset"] // 4
+        frames = flat[start:start + e["length"] * d].reshape(e["length"], d)
         samples.append(VideoSample(frames=frames, label=e["label"],
                                    domain=spec.domain, video_id=e["video_id"]))
     return DomainManifest(spec=spec, entries=entries), samples

@@ -1,11 +1,12 @@
 """Reference implementations that the array paths of src/glad/ are tested
-against: the one-clip-at-a-time samplers, the per-clip encoder and a step
-on plain lists of videos."""
+against: the one-clip-at-a-time samplers, the per-clip encoder, a step on
+plain lists of videos, the frame-by-frame renderer and the per-video
+background median."""
 
 import numpy as np
 
 from glad import diffnet
-from glad.synthdata import pack
+from glad.synthdata import VideoSample, pack
 from glad.trainer import step_losses
 
 
@@ -72,3 +73,40 @@ def step_on_lists(mdl, src_batch, tgt_batch, config, rng, phase, bank=None):
     return step_losses(mdl, pack(src_batch), pack(tgt_batch),
                        (np.arange(len(src_batch)), np.arange(len(tgt_batch))),
                        config, rng, phase, bank)
+
+
+def render_video_loop(class_id, length, background, motion, rng, spec,
+                      domain=None, video_id="v"):
+    """synthdata.render_video one frame and one blob cell at a time."""
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    h, w = spec.height, spec.width
+    if motion.blob_size >= min(h, w):
+        raise ValueError("blob larger than canvas")
+    bg = np.asarray(background, dtype=np.float64).reshape(h, w)
+    if bg.min() < 0.0 or bg.max() > 1.0:
+        raise ValueError("background values must be in [0, 1]")
+    omega = motion.speed / motion.radius
+    frames = np.empty((length, h, w), dtype=np.float64)
+    for t in range(length):
+        frame = bg.copy()
+        theta = motion.phase + omega * t
+        r0 = int(np.floor(motion.center_row + motion.radius * np.sin(theta))) % h
+        c0 = int(np.floor(motion.center_col + motion.radius * np.cos(theta))) % w
+        for dr in range(motion.blob_size):
+            for dc in range(motion.blob_size):
+                frame[(r0 + dr) % h, (c0 + dc) % w] += motion.amplitude
+        frames[t] = frame
+    if spec.noise_std > 0.0:
+        frames += rng.normal(0.0, spec.noise_std, size=frames.shape)
+    frames = np.clip(frames, 0.0, 1.0).astype(np.float32)
+    return VideoSample(frames=frames.reshape(length, h * w), label=class_id,
+                       domain=domain or spec.domain, video_id=video_id)
+
+
+def extract_background_tmf(video: VideoSample) -> np.ndarray:
+    """Per-pixel median over one video's frames; even T averages the two
+    middle values (numpy's convention)."""
+    if video.frames.shape[0] < 1:
+        raise ValueError("empty video")
+    return np.median(video.frames, axis=0)

@@ -20,7 +20,6 @@ import pytest
 
 from glad import diffnet, model as glad_model, trainer
 from glad.cli import EXIT_IO, EXIT_OK, default_benchmark_specs, main
-from glad.debias import extract_background_tmf
 from glad.diffnet import grl_backward
 from glad.gapmetrics import (SceneFeatureSet, accuracy_gap, scene_distance,
                              temporal_distance)
@@ -29,7 +28,7 @@ from glad.synthdata import (DomainSpec, checkerboard, class_motion,
                             generate_domain, read_dataset, render_video,
                             strip_labels, write_dataset)
 from glad.trainer import TrainConfig
-from oracles import step_on_lists
+from oracles import extract_background_tmf, step_on_lists
 
 # ---------------------------------------------------------------------------
 # Shared benchmark fixtures (criteria 8 and 9)

@@ -324,9 +324,9 @@ def assert_one_line_and_no_worker_left(capture, prefix):
 
 
 # A diverging run ends on its numeric failure line alone. pytest would
-# record a RuntimeWarning that a command line user sees printed, so the
-# tests make any such warning an error; capfd also reads forked workers.
-@pytest.mark.filterwarnings("error::RuntimeWarning")
+# record a RuntimeWarning that a command line user sees printed; the
+# pytest settings in pyproject.toml make any such warning an error, and
+# capfd also reads forked workers.
 def test_ablate_huge_lr_exit_3(tmp_path, capfd):
     data = synth_small(tmp_path)
     cfg = train_config_doc(tmp_path, data, lr=1e30)
@@ -336,7 +336,6 @@ def test_ablate_huge_lr_exit_3(tmp_path, capfd):
     assert_one_line_and_no_worker_left(capfd, "numeric failure:")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_huge_lr_exit_3(tmp_path, capfd):
     data = synth_small(tmp_path)
     cfg = train_config_doc(tmp_path, data, lr=1e30)
@@ -445,15 +444,42 @@ def test_eval_unparsable_checkpoint_json_exit_2(eval_inputs, tmp_path, capsys, n
     lambda d: d["entries"][1].update(label="2"),
     lambda d: d["entries"][1].update(length=str(d["entries"][1]["length"])),
     lambda d: d["entries"][1].update(offset=float(d["entries"][1]["offset"])),
+    lambda d: d["spec"].update(n_classes=0),
+    lambda d: d["spec"].update(height=0),
+    lambda d: d["spec"].update(noise_std=-1.0),
+    lambda d: d["spec"].update(length_range=[8]),
+    lambda d: d["spec"].update(no_such_field=1),
+    lambda d: d.update(spec=5),
+    lambda d: d.update(entries=[]),
+    lambda d: (d.update(entries=[]), d["spec"].update(n_videos=0)),
 ], ids=["no_spec", "no_entries", "no_video_id", "no_label", "no_length", "no_offset",
         "label_too_large", "label_negative", "label_not_int", "length_not_int",
-        "offset_not_int"])
+        "offset_not_int", "spec_zero_classes", "spec_zero_height", "spec_negative_noise",
+        "spec_one_length", "spec_unknown_field", "spec_not_a_dict", "zero_entries",
+        "empty_split"])
 def test_eval_malformed_manifest_exit_2(eval_inputs, tmp_path, capsys, edit):
     ckpt, split = copy_inputs(eval_inputs, tmp_path)
     edit_json(os.path.join(split, "manifest.json"), edit)
     assert main(["eval", "--checkpoint", ckpt, "--data", split]) == EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith("I/O error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("edit", [
+    lambda es: [e.update(offset=0) for e in es[1:] if e["length"] == es[0]["length"]]
+    or es[1].update(offset=0),
+    lambda es: es[1].update(offset=es[2]["offset"]) or es[2].update(offset=0),
+], ids=["entries_share_video_0", "out_of_order"])
+def test_eval_entries_must_tile_frames_exit_2(eval_inputs, tmp_path, capsys, edit):
+    """Entry k starts where entry k-1 ends: entries that re-read video 0's
+    bytes, or that list the videos out of order, are refused instead of
+    scoring other frames."""
+    ckpt, split = copy_inputs(eval_inputs, tmp_path)
+    edit_json(os.path.join(split, "manifest.json"), lambda d: edit(d["entries"]))
+    assert main(["eval", "--checkpoint", ckpt, "--data", split]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error:") and err.count("\n") == 1
+    assert "offset" in err
 
 
 def test_eval_zero_length_entry_exit_2(eval_inputs, tmp_path, capsys):
@@ -468,6 +494,41 @@ def test_eval_zero_length_entry_exit_2(eval_inputs, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("I/O error:") and err.count("\n") == 1
     assert "length 0" in err
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("n_videos", 0, "n_videos must be >= 1"),
+    ("n_videos", -3, "n_videos must be >= 1"),
+    ("n_classes", 0, "n_classes must be >= 1"),
+    ("bank_size", 0, "bank_size must be >= 1"),
+    ("height", 0, "height and width must be > the blob size 2"),
+    ("width", 2, "height and width must be > the blob size 2"),
+    ("length_range", [8], "length_range must be two finite numbers lo <= hi"),
+    ("length_range", [8, 12, 16], "length_range must be two finite numbers lo <= hi"),
+    ("length_range", [12, 8], "length_range must be two finite numbers lo <= hi"),
+    ("blob_speed_range", [2.0, 0.8], "blob_speed_range must be two finite numbers lo <= hi"),
+    ("blob_speed_range", [0.8, float("inf")],
+     "blob_speed_range must be two finite numbers lo <= hi"),
+    ("blob_speed_range", [float("nan"), 2.0],
+     "blob_speed_range must be two finite numbers lo <= hi"),
+    ("noise_std", -1.0, "noise_std must be finite and >= 0"),
+    ("noise_std", float("nan"), "noise_std must be finite and >= 0"),
+], ids=["zero_videos", "negative_videos", "zero_classes", "zero_bank", "zero_height",
+        "width_of_blob", "one_length", "three_lengths", "lengths_reversed",
+        "speeds_reversed", "speed_inf", "speed_nan", "negative_noise", "noise_nan"])
+def test_synth_invalid_spec_value_exit_1(tmp_path, capsys, field, value, message):
+    """Each bad spec value exits 1 with one line before anything is written."""
+    spec = {**dataclasses.asdict(DomainSpec(n_videos=2, n_classes=2)), field: value}
+    spec_file = tmp_path / "spec.json"
+    # json writes NaN and Infinity, which json.load reads back
+    spec_file.write_text(json.dumps({"source_train": spec}))
+    out = str(tmp_path / "data")
+    assert main(["synth", "--spec", str(spec_file), "--out", out]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+    assert not os.path.exists(out)
 
 
 def test_synth_spec_may_omit_ranges(tmp_path):

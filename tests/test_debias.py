@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glad.debias import (build_background_bank, draw_mixes,
-                         extract_background_tmf, mix_background)
+from glad.debias import build_background_bank, draw_mixes, mix_background
 from glad.synthdata import (DomainSpec, VideoSample, checkerboard,
                             class_motion, generate_domain, render_video)
 from glad.trainer import TrainConfig
+from oracles import extract_background_tmf
 
 
 def make_video(frames, label=0, domain="source", vid="v0"):
@@ -58,6 +58,30 @@ def test_build_bank_from_generated_domain():
 def test_build_bank_rejects_empty():
     with pytest.raises(ValueError):
         build_background_bank([])
+
+
+def test_build_bank_rejects_an_empty_video():
+    videos = [make_video(np.full((3, 4), 0.5)), make_video(np.empty((0, 4)))]
+    with pytest.raises(ValueError, match="empty video"):
+        build_background_bank(videos)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("seed", range(3))
+def test_build_bank_matches_per_video_median(seed, dtype):
+    """Mixed odd and even lengths, in no order, with ties (values on a grid
+    of 5) and one NaN pixel: the bank is bit for bit one np.median per
+    video."""
+    rng = np.random.default_rng(seed)
+    videos = [make_video(rng.integers(0, 5, size=(int(rng.integers(1, 12)), 6)) / 4)
+              for _ in range(40)]
+    videos = [VideoSample(v.frames.astype(dtype), 0, "source", "v") for v in videos]
+    videos[seed].frames[0, 1] = np.nan
+    bank = build_background_bank(videos)
+    want = np.stack([extract_background_tmf(v) for v in videos])
+    assert bank.dtype == want.dtype
+    assert bank.tobytes() == want.tobytes()
+    assert np.isnan(bank[seed, 1])
 
 
 def test_mix_lambda_zero_is_identity():

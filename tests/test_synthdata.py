@@ -12,11 +12,14 @@ from glad.synthdata import (CorruptHeaderError, DomainSpec,
                             TruncatedDataError, background_bank, checkerboard,
                             class_motion, generate_domain, pack, read_dataset,
                             render_video, strip_labels, write_dataset)
+from oracles import render_video_loop
 
 SMALL = DomainSpec(n_videos=24, length_range=(8, 16), seed=3)
 
 
 def test_spec_validation():
+    DomainSpec(height=3, width=3, n_videos=1, n_classes=1, bank_size=1, noise_std=0.0,
+               length_range=(8, 8), blob_speed_range=(1.0, 1.0))
     with pytest.raises(ValueError):
         DomainSpec(length_range=(4, 10))
     with pytest.raises(ValueError):
@@ -86,6 +89,66 @@ def test_render_video_rejects_bad_inputs():
         render_video(0, 0, checkerboard(SMALL), motion, rng, SMALL)
     with pytest.raises(ValueError):
         render_video(0, 4, checkerboard(SMALL) + 5.0, motion, rng, SMALL)
+    with pytest.raises(ValueError, match="blob larger than canvas"):
+        render_video(0, 4, checkerboard(SMALL), dataclasses.replace(motion, blob_size=8),
+                     rng, SMALL)
+
+
+def same_render(spec, length, background, motion, seed):
+    """render_video and the frame loop from one seed: the same bytes, and
+    the same draws left in the rng."""
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    a = render_video(5, length, background, motion, rng_a, spec, video_id="x")
+    b = render_video_loop(5, length, background, motion, rng_b, spec, video_id="x")
+    assert a.frames.dtype == b.frames.dtype and a.frames.shape == b.frames.shape
+    assert a.frames.tobytes() == b.frames.tobytes()
+    assert (a.label, a.domain, a.video_id) == (b.label, b.domain, b.video_id)
+    assert rng_a.random() == rng_b.random()
+    return a
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=st.integers(3, 9), w=st.integers(3, 9), length=st.integers(1, 30),
+       row=st.floats(-4.0, 12.0), col=st.floats(-4.0, 12.0),
+       radius=st.floats(0.5, 3.0), speed=st.floats(0.0, 3.0),
+       phase=st.floats(0.0, 6.3), noise=st.sampled_from([0.0, 0.05, 0.3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_render_video_matches_frame_loop(h, w, length, row, col, radius, speed, phase,
+                                         noise, seed):
+    """Any canvas, odd or even length, orbit centre (also off the canvas, so
+    the blob wraps) and noise level."""
+    spec = DomainSpec(height=h, width=w, noise_std=noise)
+    background = np.random.default_rng(seed).uniform(0.0, 1.0, h * w).astype(np.float32)
+    motion = MotionParams(center_row=row, center_col=col, radius=radius,
+                          speed=speed, phase=phase)
+    same_render(spec, length, background, motion, seed)
+
+
+def test_render_video_blob_wraps_across_both_edges():
+    spec = DomainSpec(height=5, width=7, noise_std=0.0)
+    board = checkerboard(spec)
+    # a still blob whose top-left cell is the bottom-right corner
+    motion = MotionParams(center_row=4.5, center_col=6.4, radius=0.1, speed=0.0, phase=0.0)
+    vid = same_render(spec, 3, board, motion, 0)
+    lit = np.flatnonzero(vid.frames[0] != board)
+    assert sorted(lit.tolist()) == [0, 6, 28, 34]  # (0,0) (0,6) (4,0) (4,6)
+    assert np.array_equal(vid.frames[0], vid.frames[2])
+
+
+@pytest.mark.parametrize("spec", [
+    DomainSpec(n_videos=12, length_range=(8, 13), seed=4),
+    DomainSpec(n_videos=12, length_range=(9, 9), height=6, width=10, seed=5),
+    DomainSpec(n_videos=12, length_range=(8, 12), noise_std=0.0, seed=6),
+    DomainSpec(n_videos=16, length_range=(8, 11), bias_rho=0.5, seed=7),
+    DomainSpec(n_videos=8, length_range=(10, 10), background_mode="fixed_checkerboard",
+               domain="target", seed=8),
+], ids=["odd_and_even_lengths", "non_square", "no_noise", "bias_rho_half", "checkerboard"])
+def test_generate_domain_matches_frame_loop(monkeypatch, spec):
+    manifest, samples = generate_domain(spec)
+    monkeypatch.setattr(synthdata, "render_video", render_video_loop)
+    manifest_b, samples_b = generate_domain(spec)
+    assert manifest.entries == manifest_b.entries
+    assert [s.frames.tobytes() for s in samples] == [s.frames.tobytes() for s in samples_b]
 
 
 def test_generate_domain_balanced_labels_and_lengths():
