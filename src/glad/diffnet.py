@@ -1,5 +1,5 @@
-"""Minimal differentiable MLP core: dense layers, a batched softmax loss,
-gradient reversal, and momentum SGD, all with hand-coded gradients.
+"""Minimal differentiable MLP core: dense layers, a batched softmax loss and
+gradient reversal, all with hand-coded gradients.
 
 Everything operates on plain numpy arrays. Parameters for an MLP are stored
 as a flat list [W0, b0, W1, b1, ...] with W of shape (d_in, d_out).
@@ -45,46 +45,53 @@ def init_mlp(spec: MlpSpec, rng: np.random.Generator, scale: float | None = None
     return params
 
 
-def mlp_forward(spec: MlpSpec, params, x: np.ndarray):
-    """Forward pass over a (n, d_in) batch.
+def mlp_forward(spec: MlpSpec, params, x: np.ndarray, out=None):
+    """Forward pass over a (n, d_in) batch, or over a (P, n, d_in) stack
+    through P MLPs at once: params then holds (P, d_in, d_out) weights and
+    (P, 1, d_out) biases. Layer i writes its output into out[i] when out is
+    given.
 
     Returns (output, cache); the cache holds per-layer inputs and outputs
     for the backward pass.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != spec.layer_widths[0]:
-        raise ShapeError(f"input shape {x.shape} != (n, {spec.layer_widths[0]})")
+    if x.ndim not in (2, 3) or x.shape[-1] != spec.layer_widths[0]:
+        raise ShapeError(f"input shape {x.shape} != ([P,] n, {spec.layer_widths[0]})")
     inputs = []
     outputs = []
     h = x
-    for i in range(spec.n_layers):
+    last = spec.n_layers - 1
+    for i in range(last + 1):
         inputs.append(h)
-        h = h @ params[2 * i]
+        h = np.matmul(h, params[2 * i], out=None if out is None else out[i])
         h += params[2 * i + 1]  # in place: a fresh array costs more than the addition
-        if i < spec.n_layers - 1:
+        if i < last:
             np.maximum(h, 0.0, out=h)
         outputs.append(h)
     return h, {"inputs": inputs, "outputs": outputs}
 
 
 def mlp_backward(spec: MlpSpec, params, cache, upstream: np.ndarray,
-                 input_grad: bool = True):
+                 input_grad: bool = True, out=None):
     """Backprop an upstream gradient through the cached forward pass.
 
     Returns (param_grads, input_grad) with the same shapes as params/input;
     the input gradient is None, and not computed, when input_grad is False.
+    The gradient at layer i's input is written into out[i] when out is
+    given and out[i] is not None.
     """
     g = np.asarray(upstream, dtype=np.float64)
     if g.shape != cache["outputs"][-1].shape:
         raise ShapeError(f"upstream shape {g.shape} != output {cache['outputs'][-1].shape}")
-    grads: list = [None] * (2 * spec.n_layers)
-    for i in reversed(range(spec.n_layers)):
-        if i < spec.n_layers - 1:  # g is this pass's own array here
+    last = spec.n_layers - 1
+    grads: list = [None] * (2 * last + 2)
+    for i in range(last, -1, -1):
+        if i < last:  # g is this pass's own array here
             np.multiply(g, cache["outputs"][i] > 0.0, out=g)
-        h = cache["inputs"][i]
-        grads[2 * i] = h.T @ g
-        grads[2 * i + 1] = g.sum(axis=0)
-        g = g @ params[2 * i].T if i or input_grad else None
+        grads[2 * i] = cache["inputs"][i].swapaxes(-1, -2) @ g
+        grads[2 * i + 1] = np.add.reduce(g, axis=-2).reshape(params[2 * i + 1].shape)
+        g = np.matmul(g, params[2 * i].swapaxes(-1, -2),
+                      out=None if out is None else out[i]) if i or input_grad else None
     return grads, g
 
 
@@ -106,23 +113,3 @@ def grl_backward(upstream: np.ndarray, coefficient: float) -> np.ndarray:
     if not np.isfinite(coefficient):
         raise ValueError("GRL coefficient must be finite")
     return -coefficient * np.asarray(upstream)
-
-
-def sgd_step(params, grads, velocity, lr: float, momentum: float,
-             weight_decay: float):
-    """Heavy-ball update: v' = mu*v + (g + wd*p); p' = p - lr*v'.
-
-    Weight decay applies to weight matrices only, never to biases. The
-    velocity list is updated in place; returns the new parameter list.
-    """
-    if len(params) != len(grads) or len(params) != len(velocity):
-        raise ShapeError("params/grads/velocity length mismatch")
-    for i, g in enumerate(grads):
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError(f"non-finite gradient in tensor {i}")
-    new_params = []
-    for i, (p, g, v) in enumerate(zip(params, grads, velocity)):
-        eff = g + weight_decay * p if p.ndim > 1 else g
-        velocity[i] = momentum * v + eff
-        new_params.append(p - lr * velocity[i])
-    return new_params

@@ -2,17 +2,18 @@
 head, three adversarial domain classifiers behind a gradient reversal layer
 and a clip-order head.
 
-Parameters live in a dict of named groups; every loss function returns the
-scalar loss together with gradient contributions that the trainer
-accumulates before a single SGD step.
+Parameters live in named groups of views into one flat vector; every loss
+function returns the scalar loss together with gradient contributions that
+the trainer accumulates before a single SGD step.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -51,14 +52,99 @@ class ModelConfig:
             raise ValueError("n_frames and local_stride must be >= 1")
 
 
+class FlatState(dict):
+    """Group name -> list of tensors, each a view into one float64 vector,
+    `flat`, laid out as GladModel.layout says."""
+
+    def __init__(self, layout: dict, flat: np.ndarray):
+        super().__init__((group, [flat[o:o + math.prod(shape)].reshape(shape)
+                                  for o, shape in tensors])
+                         for group, tensors in layout.items())
+        self.flat = flat
+
+
+def _flat_layout(specs: dict) -> dict:
+    """Group -> [(offset, shape)] of its tensors W0, b0, W1, b1, ... in one
+    vector that holds every group's weight matrices first, then every bias,
+    so that weight decay covers whole ranges."""
+    layers = {g: list(zip(s.layer_widths[:-1], s.layer_widths[1:])) for g, s in specs.items()}
+    at_w, at_b = 0, sum(d_in * d_out for ls in layers.values() for d_in, d_out in ls)
+    layout = {}
+    for g, ls in layers.items():
+        layout[g] = []
+        for d_in, d_out in ls:
+            layout[g] += [(at_w, (d_in, d_out)), (at_b, (d_out,))]
+            at_w += d_in * d_out
+            at_b += d_out
+    return layout
+
+
 @dataclass
 class GladModel:
+    """The model's configuration, layer specs and parameters.
+
+    Every parameter lives in one float64 vector, params.flat, and
+    params[g][i] is a view into it (see _flat_layout); gradients and the
+    optimizer's velocity use the same layout. params may be swapped for any
+    dict of lists of the same shapes, as the gradient checks do: the losses,
+    step_losses and zero_grads take one, and only trainer.apply_grads needs
+    the flat vector. The encoder writes its large per-step arrays into
+    buffers the model keeps (see scratch) instead of new ones each call.
+    """
     config: ModelConfig
     specs: dict
-    params: dict  # group name -> list of arrays
+    params: dict = field(init=False)
+    layout: dict = field(init=False, repr=False)
+    size: int = field(init=False, repr=False)  # parameters in the layout
+    _grads: FlatState = field(init=False, repr=False)
+    _spans: dict = field(init=False, default_factory=dict, repr=False)
+    _scratch: dict = field(init=False, default_factory=dict, repr=False)
 
-    def zero_grads(self) -> dict:
-        return {k: [np.zeros_like(p) for p in v] for k, v in self.params.items()}
+    def __post_init__(self):
+        self.layout = _flat_layout(self.specs)
+        self.size = sum(math.prod(shape) for ts in self.layout.values() for _, shape in ts)
+        self.params = self.zeros()
+        self._grads = self.zeros()
+
+    def zeros(self) -> FlatState:
+        """A new zeroed vector in the parameter layout."""
+        return FlatState(self.layout, np.zeros(self.size))
+
+    def zero_grads(self) -> FlatState:
+        """Zeroed gradients in the parameter layout. For the model's own
+        flat parameters this is one vector that the model keeps and zeroes
+        again on each call, so a step's gradients last until the next
+        step's zero_grads; with any other params dict swapped in, a new
+        one."""
+        if not isinstance(self.params, FlatState):
+            return self.zeros()
+        self._grads.flat.fill(0.0)
+        return self._grads
+
+    def scratch(self, key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        """An uninitialized array of the given shape in a buffer the model
+        keeps under key, grown when too small: the encoder writes its large
+        per-step arrays here instead of allocating them on every call."""
+        n = math.prod(shape)
+        buf = self._scratch.get(key)
+        if buf is None or buf.size < n:
+            buf = self._scratch[key] = np.empty(n, dtype)
+        return buf[:n].reshape(shape)
+
+    def flat_spans(self, groups: tuple) -> list:
+        """(start, stop, is_weight) ranges of the flat vector that hold the
+        given groups' tensors, weights first, adjacent groups merged."""
+        if groups not in self._spans:
+            spans = []
+            for is_weight, kind in ((True, 0), (False, 1)):
+                for g, tensors in self.layout.items():
+                    if g in groups:
+                        (a, _), (last, shape) = tensors[kind], tensors[kind - 2]
+                        if spans and spans[-1][1:] == (a, is_weight):
+                            a = spans.pop()[0]
+                        spans.append((a, last + math.prod(shape), is_weight))
+            self._spans[groups] = spans
+        return self._spans[groups]
 
 
 def _specs(cfg: ModelConfig) -> dict:
@@ -80,9 +166,13 @@ def _specs(cfg: ModelConfig) -> dict:
 def init_glad_model(cfg: ModelConfig, seed: int = 0) -> GladModel:
     rng = np.random.default_rng((seed, 0xD0))
     specs = _specs(cfg)
-    params = {name: diffnet.init_mlp(spec, rng) for name, spec in specs.items()}
-    params["proj"] = diffnet.init_mlp(specs["proj"], rng, scale=cfg.proj_init_scale)
-    return GladModel(config=cfg, specs=specs, params=params)
+    drawn = {name: diffnet.init_mlp(spec, rng) for name, spec in specs.items()}
+    drawn["proj"] = diffnet.init_mlp(specs["proj"], rng, scale=cfg.proj_init_scale)
+    model = GladModel(config=cfg, specs=specs)
+    for group, ps in drawn.items():
+        for p, value in zip(model.params[group], ps):
+            p[...] = value
+    return model
 
 
 def accumulate(grads: dict, group: str, contribution) -> None:
@@ -99,28 +189,55 @@ def encode_clip_batch(model: GladModel, clips: np.ndarray, rows: np.ndarray):
     belongs to some clip.
 
     Per-frame encoder, mean over the clip's frames, then a linear projection.
+    The normalized rows and the encoder's layer outputs go to the model's
+    scratch buffers, so the returned cache is only good until the next
+    encode_clip_batch call on the same model.
     """
     cfg = model.config
-    x = rows.astype(np.float64)
+    widths = model.specs["enc"].layer_widths
+    n = len(rows)
+    x = model.scratch("x", (n, widths[0]))
+    x[...] = rows
     x -= cfg.input_center
     x *= cfg.input_gain
-    h, enc_cache = diffnet.mlp_forward(model.specs["enc"], model.params["enc"], x)
-    feats, proj_cache = diffnet.mlp_forward(model.specs["proj"], model.params["proj"],
-                                            h[clips].mean(axis=1))
+    h, enc_cache = diffnet.mlp_forward(
+        model.specs["enc"], model.params["enc"], x,
+        out=[model.scratch(f"enc{i}", (n, w)) for i, w in enumerate(widths[1:])])
+    # the clip mean, one frame position at a time: the additions of
+    # h[clips].mean(axis=1) in its order, without the (C, n_f, F) gather
+    pooled = h[clips[:, 0]]
+    for j in range(1, clips.shape[1]):
+        pooled += h[clips[:, j]]
+    pooled /= clips.shape[1]
+    feats, proj_cache = diffnet.mlp_forward(model.specs["proj"], model.params["proj"], pooled)
     return feats, {"enc": enc_cache, "proj": proj_cache, "clips": clips}
 
 
 def encode_clip_backward(model: GladModel, cache, dfeats: np.ndarray, grads: dict) -> None:
+    """Accumulate into grads the projection's and the encoder's gradients
+    for the upstream (C, F) feature gradients, from encode_clip_batch's
+    cache.
+
+    A distinct row's gradient sums dpooled / n_f over the clip frames it
+    fills: one np.bincount over (row, column) keys adds them up, in clip
+    order.
+    """
     proj_grads, dpooled = diffnet.mlp_backward(
         model.specs["proj"], model.params["proj"], cache["proj"], dfeats)
     accumulate(grads, "proj", proj_grads)
-    # a row's gradient sums dpooled / n_f over the clip frames it fills
     clips, nf = cache["clips"], cache["clips"].shape[1]
-    order = np.argsort(clips, axis=None, kind="stable")
-    runs = np.flatnonzero(np.diff(clips.ravel()[order], prepend=-1))
-    dh = np.add.reduceat((dpooled / nf)[order // nf], runs, axis=0)
+    widths = model.specs["enc"].layer_widths
+    n_rows, width = len(cache["enc"]["inputs"][0]), widths[-1]
+    keys = model.scratch("keys", (*clips.shape, width), np.intp)
+    np.add((clips * width)[:, :, None], np.arange(width), out=keys)
+    weights = model.scratch("weights", keys.shape)
+    weights[...] = (dpooled / nf)[:, None]
+    dh = np.bincount(keys.ravel(), weights.ravel(),
+                     minlength=n_rows * width).reshape(n_rows, width)
     enc_grads, _ = diffnet.mlp_backward(
-        model.specs["enc"], model.params["enc"], cache["enc"], dh, input_grad=False)
+        model.specs["enc"], model.params["enc"], cache["enc"], dh, input_grad=False,
+        out=[None] + [model.scratch(f"enc_d{i}", (n_rows, w))
+                      for i, w in enumerate(widths[1:-1], 1)])
     accumulate(grads, "enc", enc_grads)
 
 
@@ -129,8 +246,11 @@ def encode_clip_backward(model: GladModel, cache, dfeats: np.ndarray, grads: dic
 
 
 def domain_adv_loss(spec: MlpSpec, params, psi_batch: np.ndarray, grl_coeff: float):
-    """Adversarial loss for one temporal view over a batch of 2B view
-    features (first B source, last B target).
+    """Adversarial loss of one domain classifier over a (2B, F) batch of
+    view features (first B source, last B target), or of P classifiers at
+    once over a (P, 2B, F) stack: then params holds (P, d_in, d_out)
+    weights and (P, 1, d_out) biases, and every result gains a leading P
+    axis.
 
     The classifier output F = sigmoid(z); -log F and -log(1 - F) are
     evaluated as softplus terms on the logit z so saturated samples keep
@@ -140,20 +260,21 @@ def domain_adv_loss(spec: MlpSpec, params, psi_batch: np.ndarray, grl_coeff: flo
     layer, and z holds the 2B logits (positive means "source").
     """
     psi_batch = np.asarray(psi_batch, dtype=np.float64)
-    two_b = psi_batch.shape[0]
+    two_b = psi_batch.shape[-2]
     if two_b == 0 or two_b % 2 != 0:
         raise ValueError("batch must hold B source then B target entries")
     b = two_b // 2
     z, cache = diffnet.mlp_forward(spec, params, psi_batch)
-    z = z[:, 0]
+    z = z[..., 0]
     # -log sigmoid(z) = softplus(-z); -log(1 - sigmoid(z)) = softplus(z)
-    loss = (np.logaddexp(0.0, -z[:b]).sum() + np.logaddexp(0.0, z[b:]).sum()) / two_b
+    loss = (np.logaddexp(0.0, -z[..., :b]).sum(axis=-1)
+            + np.logaddexp(0.0, z[..., b:]).sum(axis=-1)) / two_b
     sig = 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
-    dz = np.empty(two_b)
-    dz[:b] = (sig[:b] - 1.0) / two_b
-    dz[b:] = sig[b:] / two_b
-    clf_grads, dpsi = diffnet.mlp_backward(spec, params, cache, dz[:, None])
-    return float(loss), clf_grads, diffnet.grl_backward(dpsi, grl_coeff), z
+    dz = np.empty_like(z)
+    dz[..., :b] = (sig[..., :b] - 1.0) / two_b
+    dz[..., b:] = sig[..., b:] / two_b
+    clf_grads, dpsi = diffnet.mlp_backward(spec, params, cache, dz[..., None])
+    return loss, clf_grads, diffnet.grl_backward(dpsi, grl_coeff), z
 
 
 def _unit_rows(x: np.ndarray):
@@ -183,38 +304,51 @@ def gla_loss(model: GladModel, psi_g, psi_l, grl_coeff: float,
     the min-max game bounded (the reversal layer otherwise inflates feature
     norms without limit). The cross term runs two sub-batches through the
     same classifier -- {source global vs target local} and {source local vs
-    target global} -- and averages them. Returns (loss, clf_grads_by_group,
-    dpsi_by_stream, logits_by_view) where dpsi["g"]/dpsi["l"] are the
-    (2B, F) reversal-scaled gradients of the given streams and
-    logits_by_view[v] is the (sub-batches, 2B) array of the classifier's
-    logits.
+    target global} -- and averages them. All P sub-batches go through one
+    domain_adv_loss call over a (P, 2B, F) stack, each with its view's
+    classifier (dx's twice); the classifiers share one spec. Returns (loss,
+    clf_grads_by_group, dpsi_by_stream, logits_by_view) where
+    dpsi["g"]/dpsi["l"] are the (2B, F) reversal-scaled gradients of the
+    given streams and logits_by_view[v] is the (sub-batches, 2B) array of
+    the classifier's logits.
     """
     unit, norms = {}, {}
     for k, psi in (("g", psi_g), ("l", psi_l)):
         if psi is not None:
             unit[k], norms[k] = _unit_rows(np.asarray(psi, dtype=np.float64))
-    b = len(next(iter(unit.values()))) // 2
+    two_b, width = next(iter(unit.values())).shape
+    b = two_b // 2
+    enabled = [(view, group, pairs) for view, (group, pairs) in GLA_VIEWS.items()
+               if view in views]
+    subs = [(group, s, t) for _, group, pairs in enabled for s, t in pairs]
+    stack = np.empty((len(subs), two_b, width))
+    for k, (_, s, t) in enumerate(subs):
+        stack[k, :b] = unit[s][:b]
+        stack[k, b:] = unit[t][b:]
+    params = [np.array([model.params[group][i] for group, _, _ in subs])
+              for i in range(len(model.params[subs[0][0]]))]
+    params[1::2] = [p[:, None] for p in params[1::2]]  # (P, 1, d) biases
+    losses, grads, ds, zs = domain_adv_loss(model.specs[subs[0][0]], params, stack,
+                                            grl_coeff)
     total = 0.0
     clf = {}
     logits = {}
     dpsi = {k: np.zeros_like(u) for k, u in unit.items()}
-    for view, (group, pairs) in GLA_VIEWS.items():
-        if view not in views:
-            continue
+    at = 0
+    for view, group, pairs in enabled:
+        rows = slice(at, at + len(pairs))
+        at += len(pairs)
         w = 1.0 / len(pairs)
-        losses, grads, ds, zs = zip(*[
-            domain_adv_loss(model.specs[group], model.params[group],
-                            np.concatenate([unit[s][:b], unit[t][b:]]), grl_coeff)
-            for s, t in pairs])
-        total += w * sum(losses)
-        clf[group] = [w * sum(gs[1:], gs[0]) for gs in zip(*grads)]
-        for (s, t), d in zip(pairs, ds):
+        total += w * sum(losses[rows])
+        clf[group] = [w * np.add.reduce(g[rows]).reshape(p.shape)
+                      for g, p in zip(grads, model.params[group])]
+        for (s, t), d in zip(pairs, ds[rows]):
             dpsi[s][:b] += w * d[:b]
             dpsi[t][b:] += w * d[b:]
-        logits[view] = np.stack(zs)
+        logits[view] = zs[rows]
     for k in dpsi:
         dpsi[k] = _unit_rows_backward(unit[k], norms[k], dpsi[k])
-    return total, clf, dpsi, logits
+    return float(total), clf, dpsi, logits
 
 
 def tol_labels(orders: np.ndarray) -> np.ndarray:
@@ -301,7 +435,7 @@ def load_model(directory: str) -> GladModel:
     raw = np.fromfile(path, dtype="<f4")
     offset = 0
     for ps in model.params.values():
-        for i, p in enumerate(ps):
-            ps[i] = raw[offset:offset + p.size].reshape(p.shape).astype(np.float64)
+        for p in ps:
+            p[...] = raw[offset:offset + p.size].reshape(p.shape)
             offset += p.size
     return model

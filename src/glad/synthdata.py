@@ -284,7 +284,8 @@ def write_dataset(manifest: DomainManifest, samples: list[VideoSample], director
 
 def read_dataset(directory: str):
     """Inverse of write_dataset; validates the header, the spec, that the
-    entries tile frames.bin in order, and the payload size."""
+    entries tile frames.bin in order, the payload size, and that every frame
+    value is in [0, 1] (NaN is not)."""
     path = os.path.join(directory, "manifest.json")
     try:
         with open(path) as f:
@@ -332,6 +333,9 @@ def read_dataset(directory: str):
         raise ManifestMismatchError(f"manifest mismatch: {size} > {end} bytes")
     # one read; every video is a view into the flat frame array
     flat = np.fromfile(frames_path, dtype="<f4")
+    lo, hi = flat.min(), flat.max()  # a NaN anywhere makes both NaN
+    if not (lo >= 0.0 and hi <= 1.0):
+        raise DatasetError(f"{frames_path}: frame values span [{lo}, {hi}], not within [0, 1]")
     samples = []
     for e in entries:
         start = e["offset"] // 4

@@ -244,11 +244,35 @@ def step_losses(mdl: GladModel, src: Packed, tgt: Packed, batch, config: TrainCo
 
 def apply_grads(mdl: GladModel, grads: dict, velocity: dict, groups, lr: float,
                 config: TrainConfig) -> None:
-    """One SGD step on the given groups; velocity (shaped like
-    mdl.zero_grads()) is the optimizer's only state."""
-    for g in groups:
-        mdl.params[g] = diffnet.sgd_step(mdl.params[g], grads[g], velocity[g], lr,
-                                         config.momentum, config.weight_decay)
+    """One heavy-ball SGD step on the given groups, in place: per element
+    v = mu*v + (g + wd*p) and p -= lr*v, with weight decay on weight
+    matrices only (a bias gets exactly g).
+
+    mdl.params, grads (from mdl.zero_grads()) and velocity (from
+    mdl.zeros(), the optimizer's only state) share the model's flat layout,
+    and the update runs over the few ranges of it that the groups fill.
+    Every active gradient is checked first: a non-finite one raises
+    NonFiniteGradientError, naming its tensor, before anything moves.
+    Other groups are not touched.
+    """
+    p, g, v = mdl.params.flat, grads.flat, velocity.flat
+    spans = mdl.flat_spans(tuple(groups))
+    for a, z, _ in spans:
+        if not (np.isfinite(g[a:z].min()) and np.isfinite(g[a:z].max())):
+            bad = next(f"{group}.{i}" for group in groups
+                       for i, t in enumerate(grads[group]) if not np.isfinite(t).all())
+            raise diffnet.NonFiniteGradientError(f"non-finite gradient in tensor {bad}")
+    for a, z, is_weight in spans:
+        vs, tmp = v[a:z], mdl.scratch("sgd", (z - a,))
+        vs *= config.momentum
+        if is_weight:
+            np.multiply(p[a:z], config.weight_decay, out=tmp)
+            tmp += g[a:z]
+            vs += tmp
+        else:
+            vs += g[a:z]
+        np.multiply(vs, lr, out=tmp)
+        p[a:z] -= tmp
 
 
 def _epoch_batches(n_src: int, n_tgt: int, batch: int, rng: np.random.Generator):
@@ -273,22 +297,33 @@ def run_phase_epoch(mdl, src, tgt, config, velocity, rng, phase, lr, bank):
     return {k: sums[k] / counts[k] for k in sums}
 
 
-def evaluate(mdl: GladModel, samples: list[VideoSample], n_classes: int):
-    """Consensus inference per video over its centred global clip and its
-    centred local clip twice; returns (confusion matrix, MCA)."""
+def _eval_inputs(samples: list[VideoSample], cfg: ModelConfig):
+    """What evaluation needs of a labeled split, which depends on no
+    parameter: (labels, clips, rows) for encode_clip_batch, each video's
+    centred global clip and its centred local clip twice."""
     videos = pack(samples)
     if (videos.labels < 0).any():
         raise ValueError("evaluate requires labeled samples")
-    cfg = mdl.config
     n = len(videos.lengths)
     idx = clip_indices(videos.lengths, cfg.n_frames, cfg.local_stride, 1, 1)[:, [0, 1, 1]]
     rows, clips, _ = _clip_rows([(videos, np.arange(n))], idx)
+    return videos.labels, clips, rows
+
+
+def _score(mdl: GladModel, inputs, n_classes: int):
+    """(confusion matrix, MCA) of consensus inference on _eval_inputs."""
+    labels, clips, rows = inputs
     feats, _ = glad_model.encode_clip_batch(mdl, clips, rows)
-    consensus = feats.reshape(n, 3, -1).mean(axis=1)
-    logits = glad_model.classify_action(mdl, consensus)
-    preds = np.argmax(logits, axis=1)
-    cm = confusion_matrix(videos.labels, preds, n_classes)
+    consensus = feats.reshape(len(labels), 3, -1).mean(axis=1)
+    preds = np.argmax(glad_model.classify_action(mdl, consensus), axis=1)
+    cm = confusion_matrix(labels, preds, n_classes)
     return cm, mean_class_accuracy(cm)
+
+
+def evaluate(mdl: GladModel, samples: list[VideoSample], n_classes: int):
+    """Consensus inference per video over its centred global clip and its
+    centred local clip twice; returns (confusion matrix, MCA)."""
+    return _score(mdl, _eval_inputs(samples, mdl.config), n_classes)
 
 
 # Overflow and NaN in a diverging run end it with NumericError or
@@ -307,14 +342,16 @@ def train(config: TrainConfig, src_train: list[VideoSample],
     if config.use_bg_aug:
         bank = build_background_bank(list(src_train) + tgt_unlabeled)
     src, tgt = pack(src_train), pack(tgt_unlabeled)
-    velocity = mdl.zero_grads()
+    velocity = mdl.zeros()
     report = TrainReport()
+    # the test split's clips are fixed: prepare them once, score each epoch
+    test_inputs = _eval_inputs(tgt_test, config.model) if tgt_test is not None else None
 
     def record(phase, epoch, lr, stats):
         row = {"phase": phase, "epoch": epoch, "lr": lr, **STEP_STATS, **stats,
                "target_mca": float("nan")}
-        if tgt_test is not None:
-            row["target_mca"] = evaluate(mdl, tgt_test, config.model.n_classes)[1]
+        if test_inputs is not None:
+            row["target_mca"] = _score(mdl, test_inputs, config.model.n_classes)[1]
         report.epochs.append(row)
 
     warmup_epochs = config.warmup_epochs if config.use_tol else 0

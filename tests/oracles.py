@@ -1,11 +1,14 @@
 """Reference implementations that the array paths of src/glad/ are tested
 against: the one-clip-at-a-time samplers, the per-clip encoder, a step on
-plain lists of videos, the frame-by-frame renderer and the per-video
-background median."""
+plain lists of videos, the per-tensor SGD update, the alignment loss with
+one classifier pass per sub-batch, the frame-by-frame renderer and the
+per-video background median."""
 
 import numpy as np
 
 from glad import diffnet
+from glad.diffnet import NonFiniteGradientError, ShapeError
+from glad.model import GLA_VIEWS, _unit_rows, _unit_rows_backward, domain_adv_loss
 from glad.synthdata import VideoSample, pack
 from glad.trainer import step_losses
 
@@ -73,6 +76,59 @@ def step_on_lists(mdl, src_batch, tgt_batch, config, rng, phase, bank=None):
     return step_losses(mdl, pack(src_batch), pack(tgt_batch),
                        (np.arange(len(src_batch)), np.arange(len(tgt_batch))),
                        config, rng, phase, bank)
+
+
+def sgd_step(params, grads, velocity, lr: float, momentum: float,
+             weight_decay: float):
+    """Heavy-ball update of one group's tensors: v' = mu*v + (g + wd*p);
+    p' = p - lr*v'.
+
+    Weight decay applies to weight matrices only, never to biases. The
+    velocity list is updated in place; returns the new parameter list.
+    """
+    if len(params) != len(grads) or len(params) != len(velocity):
+        raise ShapeError("params/grads/velocity length mismatch")
+    for i, g in enumerate(grads):
+        if not np.all(np.isfinite(g)):
+            raise NonFiniteGradientError(f"non-finite gradient in tensor {i}")
+    new_params = []
+    for i, (p, g, v) in enumerate(zip(params, grads, velocity)):
+        eff = g + weight_decay * p if p.ndim > 1 else g
+        velocity[i] = momentum * v + eff
+        new_params.append(p - lr * velocity[i])
+    return new_params
+
+
+def gla_loss_per_subbatch(model, psi_g, psi_l, grl_coeff: float,
+                          views=("gg", "ll", "cross")):
+    """model.gla_loss with one domain_adv_loss call, and so one classifier
+    forward and backward pass, per sub-batch."""
+    unit, norms = {}, {}
+    for k, psi in (("g", psi_g), ("l", psi_l)):
+        if psi is not None:
+            unit[k], norms[k] = _unit_rows(np.asarray(psi, dtype=np.float64))
+    b = len(next(iter(unit.values()))) // 2
+    total = 0.0
+    clf = {}
+    logits = {}
+    dpsi = {k: np.zeros_like(u) for k, u in unit.items()}
+    for view, (group, pairs) in GLA_VIEWS.items():
+        if view not in views:
+            continue
+        w = 1.0 / len(pairs)
+        losses, grads, ds, zs = zip(*[
+            domain_adv_loss(model.specs[group], model.params[group],
+                            np.concatenate([unit[s][:b], unit[t][b:]]), grl_coeff)
+            for s, t in pairs])
+        total += w * sum(losses)
+        clf[group] = [w * sum(gs[1:], gs[0]) for gs in zip(*grads)]
+        for (s, t), d in zip(pairs, ds):
+            dpsi[s][:b] += w * d[:b]
+            dpsi[t][b:] += w * d[b:]
+        logits[view] = np.stack(zs)
+    for k in dpsi:
+        dpsi[k] = _unit_rows_backward(unit[k], norms[k], dpsi[k])
+    return total, clf, dpsi, logits
 
 
 def render_video_loop(class_id, length, background, motion, rng, spec,

@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glad import cli, diffnet, trainer
+from glad import cli, model as glad_model, trainer
 from glad.cli import (EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                       default_benchmark_specs, main, resolve_split_dir)
-from glad.diffnet import NonFiniteGradientError
 from glad.model import ModelConfig, init_glad_model, save_model
 from glad.synthdata import (DomainSpec, generate_domain, read_dataset,
                             write_dataset)
@@ -153,6 +152,40 @@ def test_gap_corrupt_header_exit_2(tmp_path):
     doc["format"] = "wrong"
     open(manifest, "w").write(json.dumps(doc))
     assert main(["gap", src, src]) == EXIT_IO
+
+
+def write_nan_frames(split_dir, n_frames=24):
+    """NaN over the first n_frames frames of a split's frames.bin."""
+    with open(os.path.join(split_dir, "manifest.json")) as f:
+        spec = json.load(f)["spec"]
+    with open(os.path.join(split_dir, "frames.bin"), "r+b") as f:
+        f.write(np.full(n_frames * spec["height"] * spec["width"], np.nan, "<f4").tobytes())
+
+
+@pytest.mark.parametrize("command", ["gap", "train", "eval"])
+def test_nan_frames_exit_2(tmp_path, capsys, command):
+    """Frame values outside [0, 1], NaN included, are refused on read,
+    before a command writes its results."""
+    data = synth_small(tmp_path)
+    write_nan_frames(os.path.join(data, "target", "train"))
+    out = tmp_path / "out"
+    results = {"gap": ["gap.json"], "train": ["final", "report.json"],
+               "eval": ["eval.json"]}[command]
+    if command == "gap":
+        argv = ["gap", os.path.join(data, "source"), os.path.join(data, "target")]
+    elif command == "train":
+        argv = ["train", "--config", train_config_doc(tmp_path, data)]
+    else:
+        ckpt = tmp_path / "ckpt"
+        save_model(init_glad_model(ModelConfig(n_classes=4), seed=0), str(ckpt))
+        argv = ["eval", "--checkpoint", str(ckpt),
+                "--data", os.path.join(data, "target", "train")]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error:") and err.count("\n") == 1
+    assert "not within [0, 1]" in err
+    assert not any((out / name).exists() for name in results)
 
 
 def test_train_eval_cycle(tmp_path, capsys):
@@ -346,17 +379,26 @@ def test_train_huge_lr_exit_3(tmp_path, capfd):
 
 @pytest.mark.parametrize("command", ["train", "ablate"])
 def test_non_finite_gradient_exit_3(tmp_path, capsys, monkeypatch, command):
-    def non_finite(*args, **kwargs):
-        raise NonFiniteGradientError("non-finite gradient; step aborted")
-    monkeypatch.setattr(diffnet, "sgd_step", non_finite)
+    """A NaN in one gradient tensor, with finite losses, is caught by the
+    SGD step's own check."""
+    real_ce_loss = glad_model.ce_loss
+
+    def nan_gradient(*args):
+        loss, head_grads, dfeat = real_ce_loss(*args)
+        head_grads[0][0, 0] = np.nan
+        return loss, head_grads, dfeat
+    monkeypatch.setattr(glad_model, "ce_loss", nan_gradient)
     data = synth_small(tmp_path)
     cfg = train_config_doc(tmp_path, data)
     capsys.readouterr()
-    argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+    out = tmp_path / "out"
+    argv = [command, "--config", cfg, "--out", str(out)]
     if command == "ablate":
         argv += ["--seeds", "0"]
     assert main(argv) == EXIT_NUMERIC
-    assert_one_line_and_no_worker_left(capsys, "numeric failure: non-finite gradient")
+    assert_one_line_and_no_worker_left(
+        capsys, "numeric failure: non-finite gradient in tensor act.0")
+    assert not (out / "final").exists()
 
 
 def test_ablate_worker_death_exit_2(tmp_path, capsys, monkeypatch):

@@ -4,7 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from glad.diffnet import (MlpSpec, NonFiniteGradientError, ShapeError,
                           grl_backward, init_mlp, mlp_backward, mlp_forward,
-                          sgd_step, softmax_cross_entropy_batch)
+                          softmax_cross_entropy_batch)
+from glad.model import ModelConfig, init_glad_model
+from glad.trainer import TrainConfig, apply_grads
 from gradcheck import finite_difference_check
 
 
@@ -140,53 +142,89 @@ def test_grl_is_exactly_linear(vec, a, b, coeff):
     assert np.allclose(left, right, rtol=1e-12, atol=1e-6)
 
 
+# The fused SGD update, trainer.apply_grads, on a micro model whose every
+# parameter, gradient and velocity entry starts from a given value.
+MICRO = ModelConfig(frame_dim=3, enc_hidden=2, enc_out=2, feat_dim=2, n_classes=2,
+                    n_frames=2, tol_clips=2, tol_hidden=2, domain_hidden=(2, 2, 2))
+
+
+def fused_step(p, g, lr, momentum, weight_decay, v=0.0, groups=("act",)):
+    """(model, velocity) after one apply_grads step on groups; p, g and v
+    are scalars or whole flat vectors."""
+    mdl = init_glad_model(MICRO)
+    mdl.params.flat[:] = p
+    grads = mdl.zero_grads()
+    grads.flat[:] = g
+    velocity = mdl.zeros()
+    velocity.flat[:] = v
+    apply_grads(mdl, grads, velocity, list(groups), lr,
+                TrainConfig(momentum=momentum, weight_decay=weight_decay, model=MICRO))
+    return mdl, velocity
+
+
 def test_sgd_plain_step():
-    params = [np.array([1.0])]
-    grads = [np.array([0.5])]
-    new = sgd_step(params, grads, [np.zeros(1)], lr=0.1, momentum=0.0, weight_decay=0.0)
-    assert new[0][0] == pytest.approx(0.95)
+    mdl, _ = fused_step(1.0, 0.5, lr=0.1, momentum=0.0, weight_decay=0.0)
+    for p in mdl.params["act"]:
+        assert np.all(p == pytest.approx(0.95))
 
 
 def test_sgd_momentum_first_step():
-    params = [np.array([[1.0]])]
-    grads = [np.array([[0.5]])]
-    velocity = [np.zeros((1, 1))]
-    new = sgd_step(params, grads, velocity, lr=0.1, momentum=0.9, weight_decay=0.0)
-    assert velocity[0][0, 0] == pytest.approx(0.5)
-    assert new[0][0, 0] == pytest.approx(0.95)
+    mdl, velocity = fused_step(1.0, 0.5, lr=0.1, momentum=0.9, weight_decay=0.0)
+    for p, v in zip(mdl.params["act"], velocity["act"]):
+        assert np.all(v == pytest.approx(0.5))
+        assert np.all(p == pytest.approx(0.95))
 
 
 def test_sgd_zero_grad_no_decay_keeps_params():
-    params = [np.array([[2.0]]), np.array([3.0])]
-    grads = [np.zeros((1, 1)), np.zeros(1)]
-    new = sgd_step(params, grads, [np.zeros((1, 1)), np.zeros(1)], lr=0.1,
-                   momentum=0.9, weight_decay=0.0)
-    assert np.allclose(new[0], params[0]) and np.allclose(new[1], params[1])
+    mdl, _ = fused_step(2.0, 0.0, lr=0.1, momentum=0.9, weight_decay=0.0)
+    assert np.all(mdl.params.flat == 2.0)
 
 
 def test_sgd_lr_zero_is_identity():
     rng = np.random.default_rng(4)
-    params = [rng.normal(size=(3, 2)), rng.normal(size=2)]
-    grads = [rng.normal(size=(3, 2)), rng.normal(size=2)]
-    velocity = [np.zeros_like(p) for p in params]
-    new = sgd_step(params, grads, velocity, lr=0.0, momentum=0.5, weight_decay=0.1)
-    assert np.array_equal(new[0], params[0]) and np.array_equal(new[1], params[1])
+    p = rng.normal(size=init_glad_model(MICRO).params.flat.size)
+    g = rng.normal(size=p.size)
+    mdl, _ = fused_step(p, g, lr=0.0, momentum=0.5, weight_decay=0.1,
+                        groups=("enc", "proj", "act", "tol", "dg", "dl", "dx"))
+    assert np.array_equal(mdl.params.flat, p)
 
 
 def test_sgd_weight_decay_skips_biases():
-    params = [np.array([[1.0]]), np.array([1.0])]
-    grads = [np.zeros((1, 1)), np.zeros(1)]
-    new = sgd_step(params, grads, [np.zeros((1, 1)), np.zeros(1)], lr=1.0,
-                   momentum=0.0, weight_decay=0.1)
-    assert new[0][0, 0] == pytest.approx(0.9)
-    assert new[1][0] == pytest.approx(1.0)
+    mdl, _ = fused_step(1.0, 0.0, lr=1.0, momentum=0.0, weight_decay=0.1)
+    w, b = mdl.params["act"]
+    assert np.all(w == pytest.approx(0.9))
+    assert np.all(b == 1.0)
 
 
 def test_sgd_aborts_on_non_finite_gradient():
-    params = [np.array([1.0])]
-    with pytest.raises(NonFiniteGradientError):
-        sgd_step(params, [np.array([np.nan])], [np.zeros(1)], lr=0.1,
-                 momentum=0.9, weight_decay=0.0)
+    mdl = init_glad_model(MICRO)
+    grads = mdl.zero_grads()
+    grads["act"][1][0] = np.nan
+    with pytest.raises(NonFiniteGradientError, match="act.1"):
+        apply_grads(mdl, grads, mdl.zeros(), ["act"], 0.1,
+                    TrainConfig(momentum=0.9, weight_decay=0.0, model=MICRO))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sgd_non_finite_gradient_moves_nothing(bad):
+    """A non-finite value in any active gradient tensor, the last one
+    checked included, raises before any parameter or velocity moves."""
+    groups = ["enc", "proj", "act", "dg", "dx"]
+    rng = np.random.default_rng(5)
+    mdl = init_glad_model(MICRO)
+    mdl.params.flat[:] = rng.normal(size=mdl.params.flat.size)
+    velocity = mdl.zeros()
+    velocity.flat[:] = rng.normal(size=velocity.flat.size)
+    before = (mdl.params.flat.tobytes(), velocity.flat.tobytes())
+    cfg = TrainConfig(momentum=0.9, weight_decay=0.1, model=MICRO)
+    for group in groups:
+        for i in range(len(mdl.params[group])):
+            grads = mdl.zero_grads()
+            grads.flat[:] = rng.normal(size=grads.flat.size)
+            grads[group][i].flat[-1] = bad
+            with pytest.raises(NonFiniteGradientError, match=f"tensor {group}.{i}$"):
+                apply_grads(mdl, grads, velocity, groups, 0.1, cfg)
+            assert (mdl.params.flat.tobytes(), velocity.flat.tobytes()) == before
 
 
 def test_finite_difference_quadratic():

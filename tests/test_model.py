@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from glad import diffnet, model as glad_model, trainer
-from glad.model import (GladModel, ModelConfig, ce_loss, classify_action,
+from glad.model import (GLA_VIEWS, GladModel, ModelConfig, ce_loss, classify_action,
                         domain_adv_loss, encode_clip_backward, encode_clip_batch,
                         gla_loss, init_glad_model, load_model, save_model,
                         tol_loss)
@@ -13,7 +14,7 @@ from glad.synthdata import VideoSample, pack
 from glad.trainer import evaluate
 from gradcheck import finite_difference_check
 from oracles import (encode_clip_stack, encoder_grads_by_repeat,
-                     sample_global_clip, sample_local_clip)
+                     gla_loss_per_subbatch, sample_global_clip, sample_local_clip)
 
 TINY = ModelConfig(frame_dim=6, enc_hidden=5, enc_out=4, feat_dim=4,
                    n_classes=3, n_frames=4, tol_clips=3, tol_hidden=5,
@@ -197,6 +198,30 @@ def test_gla_loss_view_subsets():
     assert total_gg < total_all
     # the gg view needs no local stream and returns no local gradient
     assert set(dpsi_gg) == {"g"}
+
+
+@pytest.mark.parametrize("views", [v for n in (1, 2, 3)
+                                   for v in itertools.combinations(GLA_VIEWS, n)],
+                         ids="-".join)
+@pytest.mark.parametrize("cfg", [TINY, ModelConfig()], ids=["tiny", "default"])
+def test_stacked_gla_loss_bit_equal_to_per_subbatch_oracle(cfg, views):
+    """One stacked classifier pass gives the loss, classifier gradients,
+    feature gradients and logits of one pass per sub-batch, bit for bit; a
+    stream that no enabled view uses is None, as in a step without it."""
+    m = init_glad_model(cfg, seed=9)
+    rng = np.random.default_rng(9)
+    used = {s for v in views for pair in GLA_VIEWS[v][1] for s in pair}
+    psi = {s: rng.normal(size=(16, cfg.feat_dim)) if s in used else None for s in "gl"}
+    got = gla_loss(m, psi["g"], psi["l"], 0.5, views)
+    want = gla_loss_per_subbatch(m, psi["g"], psi["l"], 0.5, views)
+    assert got[0] == want[0]
+    for got_d, want_d in zip(got[1:], want[1:]):
+        assert list(got_d) == list(want_d)
+        for k in want_d:
+            got_arrays = got_d[k] if isinstance(got_d[k], list) else [got_d[k]]
+            want_arrays = want_d[k] if isinstance(want_d[k], list) else [want_d[k]]
+            for a, b in zip(got_arrays, want_arrays, strict=True):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), k
 
 
 def test_gla_loss_feature_gradients_match_finite_differences():

@@ -16,11 +16,11 @@ from glad.model import ModelConfig, init_glad_model
 from glad.debias import build_background_bank, mix_background
 from glad.synthdata import DomainSpec, generate_domain, pack, strip_labels
 from glad.trainer import (TrainConfig, TrainReport, ablation_rows,
-                          active_groups, config_from_dict,
+                          active_groups, apply_grads, config_from_dict,
                           evaluate, format_ablation_table, lr_at,
                           run_ablation_matrix, train)
 from oracles import (encode_clip_stack, sample_global_clip, sample_local_clip,
-                     step_on_lists)
+                     sgd_step, step_on_lists)
 
 TINY_MODEL = ModelConfig(frame_dim=64, enc_hidden=8, enc_out=6, feat_dim=6,
                          n_classes=4, n_frames=4, tol_clips=3, tol_hidden=8,
@@ -92,6 +92,33 @@ def test_active_groups_by_phase():
     assert active_groups(src_only, "main") == ["enc", "proj", "act"]
     dann = tiny_config(use_tol=False, gla_views=("gg",))
     assert active_groups(dann, "main") == ["enc", "proj", "act", "dg"]
+
+
+@pytest.mark.parametrize("phase", ["warmup", "main"])
+@pytest.mark.parametrize("row", list(ablation_rows()))
+def test_fused_update_bit_equal_to_per_tensor_oracle(row, phase):
+    """apply_grads gives the parameter and velocity bytes of the per-tensor
+    update on every active group, signed zeros included, and leaves every
+    other group's bytes alone."""
+    cfg = tiny_config(**ablation_rows()[row], weight_decay=0.01)
+    groups = active_groups(cfg, phase)
+    rng = np.random.default_rng(7)
+    mdl = init_glad_model(TINY_MODEL, seed=0)
+    grads, velocity = mdl.zero_grads(), mdl.zeros()
+    for state in (mdl.params, grads, velocity):
+        state.flat[:] = rng.normal(size=state.flat.size)
+    # a bias must get exactly g: -0.0 + 0.0 * p would be +0.0
+    zeros = rng.choice(grads.flat.size, size=200, replace=False)
+    grads.flat[zeros] = velocity.flat[zeros] = -0.0
+    want_v = {g: [v.copy() for v in velocity[g]] for g in mdl.params}
+    want_p = {g: [p.copy() for p in mdl.params[g]] for g in mdl.params}
+    for g in groups:
+        want_p[g] = sgd_step(want_p[g], grads[g], want_v[g], 0.01, cfg.momentum,
+                             cfg.weight_decay)
+    apply_grads(mdl, grads, velocity, groups, 0.01, cfg)
+    for g in mdl.params:
+        for got, want in zip(mdl.params[g] + velocity[g], want_p[g] + want_v[g]):
+            assert got.tobytes() == want.tobytes(), g
 
 
 def test_enabled_gla_views_respect_view_counts():
@@ -260,6 +287,20 @@ def test_evaluate_shapes_and_range():
     assert cm.shape == (4, 4)
     assert cm.sum() == len(src)
     assert 0.0 <= mca <= 100.0
+
+
+def test_eval_inputs_prepared_once_score_like_evaluate():
+    """train prepares the test split's clips once per run and scores them
+    every epoch; that gives evaluate's confusion matrix for any parameters."""
+    src, tgt = tiny_data()
+    inputs = trainer._eval_inputs(src, TINY_MODEL)
+    for seed in range(3):
+        mdl = init_glad_model(TINY_MODEL, seed=seed)
+        cm, mca = trainer._score(mdl, inputs, 4)
+        want_cm, want_mca = evaluate(mdl, src, 4)
+        assert np.array_equal(cm, want_cm) and mca == want_mca
+    mdl, report = train(tiny_config(), src, tgt, tgt_test=src)
+    assert report.epochs[-1]["target_mca"] == evaluate(mdl, src, 4)[1]
 
 
 def test_evaluate_rejects_unlabeled():
