@@ -87,9 +87,9 @@ def cmd_synth(args) -> int:
     for name, spec in specs.items():
         domain, split = layout.get(name, (name, ""))
         directory = os.path.join(out, domain, split) if split else os.path.join(out, name)
-        manifest, samples = generate_domain(spec)
-        write_dataset(manifest, samples, directory)
-        print(f"wrote {len(samples)} videos to {directory}")
+        # no name holds a split's videos, so they go before the next renders
+        write_dataset(*generate_domain(spec), directory)
+        print(f"wrote {spec.n_videos} videos to {directory}")
     src = specs.get("source_train")
     tgt = specs.get("target_train")
     if src and tgt:
@@ -107,11 +107,14 @@ def scene_features_of(samples) -> SceneFeatureSet:
 
 
 def cmd_gap(args) -> int:
-    src_manifest, src_samples = read_dataset(resolve_split_dir(args.source))
-    tgt_manifest, tgt_samples = read_dataset(resolve_split_dir(args.target))
-    delta_bg = scene_distance(scene_features_of(src_samples),
-                              scene_features_of(tgt_samples))
-    delta_temp = temporal_distance(src_manifest.lengths(), tgt_manifest.lengths())
+    features, lengths = [], []
+    for path in (args.source, args.target):
+        manifest, samples = read_dataset(resolve_split_dir(path))
+        features.append(scene_features_of(samples))
+        lengths.append(manifest.lengths())
+        del samples  # one split's frames at a time
+    delta_bg = scene_distance(*features)
+    delta_temp = temporal_distance(*lengths)
     report = GapReport(delta_bg=delta_bg, delta_temp=delta_temp,
                        notes={"scene_feature": "normalized temporal-median background"})
     if args.mca_sup is not None and args.mca_src is not None:
@@ -189,8 +192,8 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         tc.seed = args.seed
     out = args.out or doc.get("out_dir") or "train_out"
-    _write_resolved_config(doc, tc, out)
     src_train, tgt_train, tgt_test = _load_splits(doc, tc)
+    _write_resolved_config(doc, tc, out)
     _, report = train(tc, src_train, tgt_train, tgt_test, out_dir=out)
     last = report.epochs[-1]
     print(f"final: loss_total={last['loss_total']:.4f} "
@@ -214,10 +217,10 @@ def cmd_ablate(args) -> int:
     doc, tc = load_experiment(args.config)
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [0, 1, 2]
     out = args.out or doc.get("out_dir") or "ablate_out"
-    _write_resolved_config(doc, tc, out)
     src_train, tgt_train, tgt_test = _load_splits(doc, tc)
     if tgt_test is None:
         raise UsageError("ablation needs a labeled target test split")
+    _write_resolved_config(doc, tc, out)
     table = run_ablation_matrix(tc, src_train, tgt_train, tgt_test, seeds)
     text = format_ablation_table(table)
     print(text)

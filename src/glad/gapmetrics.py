@@ -33,13 +33,37 @@ class SceneFeatureSet:
         return cls(arr / norms[:, None], normalized=True)
 
 
+# scene_distance's blocks hold about SCENE_BLOCK dot products (4 MB of
+# float64) as whole source rows, a multiple of SCENE_ROW_ALIGN of them; the
+# last block also takes the rest. BLAS kernels tile rows by 8 or 12 and use
+# other kernels for a few rows, so only so is each dot product the one-matrix
+# product's, bit for bit (under one BLAS thread, as more split rows by count).
+SCENE_BLOCK = 1 << 19
+SCENE_ROW_ALIGN = 48
+
+
+def _scene_rows(n_cols: int) -> int:
+    """Source rows per block of scene_distance against n_cols target rows."""
+    return max(SCENE_ROW_ALIGN, SCENE_BLOCK // n_cols // SCENE_ROW_ALIGN * SCENE_ROW_ALIGN)
+
+
 def scene_distance(u: SceneFeatureSet, v: SceneFeatureSet) -> float:
     """Symmetric average of per-item minimum cosine distances between the
-    two sets, d(u, v) = 1 - u.v on unit vectors."""
+    two sets, d(u, v) = 1 - u.v on unit vectors. Row maxima and running
+    column maxima of u.v are taken over blocks of source rows, so this
+    allocates one block, never the (L_S, L_T) matrix; min(1 - x) is
+    1 - max(x) exactly, as rounding is monotone."""
     us = u if u.normalized else SceneFeatureSet.from_vectors(u.vectors)
     vs = v if v.normalized else SceneFeatureSet.from_vectors(v.vectors)
-    d = 1.0 - us.vectors @ vs.vectors.T  # (L_S, L_T)
-    return 0.5 * (d.min(axis=1).mean() + d.min(axis=0).mean())
+    a, b = us.vectors, vs.vectors
+    step = _scene_rows(len(b))
+    row_max, col_max = np.empty(len(a)), np.full(len(b), -np.inf)
+    starts = [k * step for k in range(max(1, len(a) // step))]
+    for i, j in zip(starts, starts[1:] + [len(a)]):
+        dots = a[i:j] @ b.T
+        dots.max(axis=1, out=row_max[i:j])
+        np.maximum(col_max, dots.max(axis=0), out=col_max)
+    return 0.5 * ((1.0 - row_max).mean() + (1.0 - col_max).mean())
 
 
 def temporal_distance(lengths_p, lengths_q) -> float:

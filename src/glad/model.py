@@ -50,6 +50,9 @@ class ModelConfig:
             raise ValueError(f"tol_clips must be one of {list(TOL_ORDERS)}")
         if self.n_frames < 1 or self.local_stride < 1:
             raise ValueError("n_frames and local_stride must be >= 1")
+        for key in ("input_center", "input_gain", "proj_init_scale"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite")
 
 
 class FlatState(dict):

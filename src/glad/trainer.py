@@ -10,6 +10,7 @@ import json
 import math
 import os
 import statistics
+import typing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -297,32 +298,46 @@ def run_phase_epoch(mdl, src, tgt, config, velocity, rng, phase, lr, bank):
     return {k: sums[k] / counts[k] for k in sums}
 
 
+# Evaluation gathers and encodes this many videos at a time.
+EVAL_BLOCK = 256
+
+
 def _eval_inputs(samples: list[VideoSample], cfg: ModelConfig):
     """What evaluation needs of a labeled split, which depends on no
-    parameter: (labels, clips, rows) for encode_clip_batch, each video's
-    centred global clip and its centred local clip twice."""
+    parameter: (labels, packed frames, blocks). A block is (clips, rows) of
+    EVAL_BLOCK videos for encode_clip_batch over frames[rows]: each video's
+    centred global clip and its centred local clip twice, as indices into
+    the block's distinct packed-frame rows. Only these indices are new."""
     videos = pack(samples)
     if (videos.labels < 0).any():
         raise ValueError("evaluate requires labeled samples")
-    n = len(videos.lengths)
     idx = clip_indices(videos.lengths, cfg.n_frames, cfg.local_stride, 1, 1)[:, [0, 1, 1]]
-    rows, clips, _ = _clip_rows([(videos, np.arange(n))], idx)
-    return videos.labels, clips, rows
+    frame = videos.starts[:, None, None] + idx
+    blocks = []
+    for a in range(0, len(frame), EVAL_BLOCK):
+        rows, clips = np.unique(frame[a:a + EVAL_BLOCK], return_inverse=True)
+        blocks.append((clips.reshape(-1, cfg.n_frames), rows))
+    return videos.labels, videos.frames, blocks
 
 
 def _score(mdl: GladModel, inputs, n_classes: int):
-    """(confusion matrix, MCA) of consensus inference on _eval_inputs."""
-    labels, clips, rows = inputs
-    feats, _ = glad_model.encode_clip_batch(mdl, clips, rows)
-    consensus = feats.reshape(len(labels), 3, -1).mean(axis=1)
-    preds = np.argmax(glad_model.classify_action(mdl, consensus), axis=1)
-    cm = confusion_matrix(labels, preds, n_classes)
+    """(confusion matrix, MCA) of consensus inference on _eval_inputs, one
+    block at a time, so the gathered rows and the encoder's float64 scratch
+    are sized by a block, not by the split."""
+    labels, frames, blocks = inputs
+    preds = []
+    for clips, rows in blocks:
+        feats, _ = glad_model.encode_clip_batch(mdl, clips, frames[rows])
+        consensus = feats.reshape(len(clips) // 3, 3, -1).mean(axis=1)
+        preds.append(np.argmax(glad_model.classify_action(mdl, consensus), axis=1))
+    cm = confusion_matrix(labels, np.concatenate(preds), n_classes)
     return cm, mean_class_accuracy(cm)
 
 
 def evaluate(mdl: GladModel, samples: list[VideoSample], n_classes: int):
     """Consensus inference per video over its centred global clip and its
-    centred local clip twice; returns (confusion matrix, MCA)."""
+    centred local clip twice; returns (confusion matrix, MCA). The videos go
+    through the encoder EVAL_BLOCK at a time (see _score)."""
     return _score(mdl, _eval_inputs(samples, mdl.config), n_classes)
 
 
@@ -496,11 +511,39 @@ def format_ablation_table(table: dict) -> str:
     return "\n".join(lines)
 
 
+def _fits(hint, value) -> bool:
+    """Whether a JSON value has the type a config field is annotated with:
+    any number for a float, a list (of the tuple's length, if fixed) for a
+    tuple, and otherwise exactly the type, so a bool is not an int."""
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        return (isinstance(value, (list, tuple))
+                and (args[-1] is Ellipsis or len(value) == len(args))
+                and all(_fits(args[0], v) for v in value))
+    return type(value) in ((int, float) if hint is float else (hint,))
+
+
+def _check_types(cls, d: dict, prefix: str) -> None:
+    hints = typing.get_type_hints(cls)
+    for key, value in d.items():
+        # an unknown key is left to the constructor's TypeError
+        if key in hints and not _fits(hints[key], value):
+            hint = hints[key]
+            name = str(hint).replace("tuple", "list") if typing.get_origin(hint) else hint.__name__
+            raise TypeError(f"{prefix}{key}: expected {name}, got {value!r}")
+
+
 def config_from_dict(d: dict) -> TrainConfig:
+    """The TrainConfig of a JSON object. A value of the wrong type raises
+    TypeError, naming its key, before any config is built."""
     d = dict(d)
+    if "model" in d:
+        if not isinstance(d["model"], dict):
+            raise TypeError(f"model: expected an object, got {d['model']!r}")
+        _check_types(ModelConfig, d["model"], "model.")
+        d["model"] = ModelConfig(**d["model"])
+    _check_types(TrainConfig, d, "")
     for k in ("lr_drop_epochs", "aug_domains", "gla_views"):
         if k in d:
             d[k] = tuple(d[k])
-    if "model" in d:
-        d["model"] = ModelConfig(**d["model"])
     return TrainConfig(**d)

@@ -1,14 +1,17 @@
 """Reference implementations that the array paths of src/glad/ are tested
-against: the one-clip-at-a-time samplers, the per-clip encoder, a step on
-plain lists of videos, the per-tensor SGD update, the alignment loss with
-one classifier pass per sub-batch, the frame-by-frame renderer and the
-per-video background median."""
+against: the one-clip-at-a-time samplers, the per-clip encoder and
+evaluation, a step on plain lists of videos, the per-tensor SGD update, the
+alignment loss with one classifier pass per sub-batch, the frame-by-frame
+renderer, the per-video background median and the scene distance over one
+whole distance matrix."""
 
 import numpy as np
 
 from glad import diffnet
 from glad.diffnet import NonFiniteGradientError, ShapeError
-from glad.model import GLA_VIEWS, _unit_rows, _unit_rows_backward, domain_adv_loss
+from glad.gapmetrics import SceneFeatureSet, confusion_matrix, mean_class_accuracy
+from glad.model import (GLA_VIEWS, _unit_rows, _unit_rows_backward, classify_action,
+                        domain_adv_loss)
 from glad.synthdata import VideoSample, pack
 from glad.trainer import step_losses
 
@@ -57,6 +60,21 @@ def encode_clip_stack(model, clip_frames: np.ndarray) -> np.ndarray:
     h, _ = diffnet.mlp_forward(model.specs["enc"], model.params["enc"], flat)
     pooled = h.reshape(c, nf, -1).mean(axis=1)
     return diffnet.mlp_forward(model.specs["proj"], model.params["proj"], pooled)[0]
+
+
+def evaluate_per_clip(model, samples, n_classes: int):
+    """trainer.evaluate with each video's clips sampled one at a time and
+    every clip frame encoded: (confusion matrix, MCA)."""
+    cfg = model.config
+    stack = []
+    for v in samples:
+        g = list(sample_global_clip(v.length, cfg.n_frames))
+        loc = list(sample_local_clip(v.length, cfg.n_frames, cfg.local_stride))
+        stack += [v.frames[g], v.frames[loc], v.frames[loc]]
+    consensus = encode_clip_stack(model, np.array(stack)).reshape(len(samples), 3, -1).mean(axis=1)
+    cm = confusion_matrix([v.label for v in samples],
+                          np.argmax(classify_action(model, consensus), axis=1), n_classes)
+    return cm, mean_class_accuracy(cm)
 
 
 def encoder_grads_by_repeat(model, clips: np.ndarray, rows: np.ndarray,
@@ -166,3 +184,11 @@ def extract_background_tmf(video: VideoSample) -> np.ndarray:
     if video.frames.shape[0] < 1:
         raise ValueError("empty video")
     return np.median(video.frames, axis=0)
+
+
+def scene_distance_one_matrix(u: SceneFeatureSet, v: SceneFeatureSet) -> float:
+    """gapmetrics.scene_distance over the whole (L_S, L_T) distance matrix."""
+    us = u if u.normalized else SceneFeatureSet.from_vectors(u.vectors)
+    vs = v if v.normalized else SceneFeatureSet.from_vectors(v.vectors)
+    d = 1.0 - us.vectors @ vs.vectors.T  # (L_S, L_T)
+    return 0.5 * (d.min(axis=1).mean() + d.min(axis=0).mean())

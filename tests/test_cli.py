@@ -165,12 +165,10 @@ def write_nan_frames(split_dir, n_frames=24):
 @pytest.mark.parametrize("command", ["gap", "train", "eval"])
 def test_nan_frames_exit_2(tmp_path, capsys, command):
     """Frame values outside [0, 1], NaN included, are refused on read,
-    before a command writes its results."""
+    before a command creates its --out directory."""
     data = synth_small(tmp_path)
     write_nan_frames(os.path.join(data, "target", "train"))
     out = tmp_path / "out"
-    results = {"gap": ["gap.json"], "train": ["final", "report.json"],
-               "eval": ["eval.json"]}[command]
     if command == "gap":
         argv = ["gap", os.path.join(data, "source"), os.path.join(data, "target")]
     elif command == "train":
@@ -185,7 +183,26 @@ def test_nan_frames_exit_2(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("I/O error:") and err.count("\n") == 1
     assert "not within [0, 1]" in err
-    assert not any((out / name).exists() for name in results)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_missing_source_dir_exit_2_creates_no_out(tmp_path, capsys, command):
+    """The splits load before the resolved config is written, so a config
+    whose source_dir does not exist leaves no --out directory behind."""
+    data = synth_small(tmp_path)
+    cfg = train_config_doc(tmp_path, data)
+    doc = json.loads(open(cfg).read())
+    doc["source_dir"] = str(tmp_path / "no_such_source")
+    with open(cfg, "w") as f:
+        json.dump(doc, f)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error:") and err.count("\n") == 1
+    assert "no_such_source" in err
+    assert not out.exists()
 
 
 def test_train_eval_cycle(tmp_path, capsys):
@@ -256,23 +273,33 @@ def test_train_bad_config_field_exit_1(tmp_path, capsys):
     ({"model": {"local_stride": 0}}, "n_frames and local_stride must be >= 1"),
     ({"model": {"local_stride": -1}}, "n_frames and local_stride must be >= 1"),
     ({"model": {"n_frames": 0}}, "n_frames and local_stride must be >= 1"),
+    ({"model": {"domain_hidden": [64]}},
+     "train.model.domain_hidden: expected list[int, int, int], got [64]"),
+    ({"use_tol": "no"}, "train.use_tol: expected bool, got 'no'"),
+    ({"gla_views": "gg"}, "train.gla_views: expected list[str, ...], got 'gg'"),
+    ({"global_views": 1.5}, "train.global_views: expected int, got 1.5"),
+    ({"model": {"input_gain": float("nan")}}, "input_gain must be finite"),
 ], ids=["unknown_view", "negative_epochs", "no_report_row", "negative_lr", "zero_lr",
         "zero_lr_drop_factor", "negative_weight_decay", "unknown_aug_domain",
         "aug_checked_when_off", "aug_lambda", "aug_lambda_mode", "grl_nan", "grl_1e400",
-        "zero_stride", "negative_stride", "zero_frames"])
+        "zero_stride", "negative_stride", "zero_frames", "domain_hidden_length",
+        "bool_as_string", "views_as_string", "float_count", "input_gain_nan"])
 def test_train_invalid_config_value_exit_1(tmp_path, capsys, overrides, message):
-    """Each bad value exits 1 before any data is read (there is none)."""
+    """Each bad value exits 1, naming its key, before any data is read
+    (there is none) and before --out is created."""
     cfg = train_config_doc(tmp_path, str(tmp_path / "data"), **overrides)
     # JSON has no infinity; write the number that overflows to it
     with open(cfg) as f:
         text = f.read().replace("Infinity", "1e400")
     with open(cfg, "w") as f:
         f.write(text)
-    assert main(["train", "--config", cfg]) == EXIT_USAGE
+    out = tmp_path / "out"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error:") and err.count("\n") == 1
     assert message in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])

@@ -1,11 +1,17 @@
+import multiprocessing
+import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from glad import gapmetrics, trainer
 from glad.gapmetrics import (EmptyClassError, GapReport, SceneFeatureSet,
                              ZeroVectorError, accuracy_gap, confusion_matrix,
                              mean_class_accuracy, scene_distance,
                              temporal_distance)
+from oracles import scene_distance_one_matrix
 
 
 def sorted_pair_emd(p, q):
@@ -48,6 +54,53 @@ def test_scene_distance_matches_double_loop_oracle():
         got = scene_distance(u, v)
         assert got == pytest.approx(double_loop_scene_distance(a, b), abs=1e-9)
         assert scene_distance(v, u) == pytest.approx(got, abs=1e-12)
+
+
+def blocked_one_matrix_and_swapped(ls: int, lt: int, seed: int) -> tuple:
+    """Both distances of near-copies of 4 shared vectors: every minimum
+    distance is tiny, so a last-bit change in any maximum dot product shows
+    in the mean."""
+    rng = np.random.default_rng(seed)
+    centres = rng.normal(size=(4, 64))
+    u, v = (SceneFeatureSet.from_vectors(centres[np.arange(n) % 4]
+                                         + 1e-3 * rng.normal(size=(n, 64)))
+            for n in (ls, lt))
+    return scene_distance(u, v), scene_distance_one_matrix(u, v), scene_distance(v, u)
+
+
+B = gapmetrics._scene_rows(300)  # source rows per block against 300 target rows
+
+
+@pytest.mark.parametrize("ls,lt", [(ls, lt) for lt in (1, 300)
+                                   for ls in (1, B - 1, B, B + 1, 2 * B + 1, 3 * B + 7)]
+                         + [(4 * gapmetrics._scene_rows(2000) + 7, 2000)])
+def test_blocked_scene_distance_equals_one_matrix_bit_for_bit(ls, lt):
+    """Row blocks give the one-matrix distance exactly, and swapping the
+    sets gives the same distance. Both run under one BLAS thread, in a
+    forked worker: a threaded BLAS splits one product's rows at points set
+    by the thread count, which moves last bits of the one matrix as well."""
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"),
+                             initializer=trainer._one_blas_thread) as pool:
+        blocked, whole, swapped = pool.submit(blocked_one_matrix_and_swapped,
+                                              ls, lt, ls * 7919 + lt).result()
+    assert blocked == whole
+    assert swapped == pytest.approx(blocked, abs=1e-12)
+
+
+def test_scene_distance_memory_is_one_block():
+    """tracemalloc sees numpy's buffers: the distance between 4,000 and 2,000
+    scene features must not hold a split-sized matrix (one float64
+    (4000, 2000) matrix is 64 MB)."""
+    rng = np.random.default_rng(3)
+    u = SceneFeatureSet.from_vectors(rng.normal(size=(4000, 64)))
+    v = SceneFeatureSet.from_vectors(rng.normal(size=(2000, 64)))
+    tracemalloc.start()
+    try:
+        scene_distance(u, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_scene_distance_rejects_zero_vector():

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,13 +15,14 @@ from glad import model as glad_model, trainer
 from glad.diffnet import mlp_forward
 from glad.model import ModelConfig, init_glad_model
 from glad.debias import build_background_bank, mix_background
-from glad.synthdata import DomainSpec, generate_domain, pack, strip_labels
+from glad.synthdata import (DomainSpec, VideoSample, generate_domain, pack,
+                            strip_labels)
 from glad.trainer import (TrainConfig, TrainReport, ablation_rows,
                           active_groups, apply_grads, config_from_dict,
                           evaluate, format_ablation_table, lr_at,
                           run_ablation_matrix, train)
-from oracles import (encode_clip_stack, sample_global_clip, sample_local_clip,
-                     sgd_step, step_on_lists)
+from oracles import (encode_clip_stack, evaluate_per_clip, sample_global_clip,
+                     sample_local_clip, sgd_step, step_on_lists)
 
 TINY_MODEL = ModelConfig(frame_dim=64, enc_hidden=8, enc_out=6, feat_dim=6,
                          n_classes=4, n_frames=4, tol_clips=3, tol_hidden=8,
@@ -301,6 +303,47 @@ def test_eval_inputs_prepared_once_score_like_evaluate():
         assert np.array_equal(cm, want_cm) and mca == want_mca
     mdl, report = train(tiny_config(), src, tgt, tgt_test=src)
     assert report.epochs[-1]["target_mca"] == evaluate(mdl, src, 4)[1]
+
+
+def test_evaluate_in_blocks_equals_each_block_alone_and_per_clip_oracle():
+    """A split of two and a half blocks is scored a block at a time: its
+    confusion matrix is the sum of scoring each block's videos alone, and
+    the per-clip oracle's."""
+    block = trainer.EVAL_BLOCK
+    n = 2 * block + block // 2
+    _, videos = generate_domain(DomainSpec(n_classes=4, n_videos=n, length_range=(8, 40),
+                                           seed=5, domain="source"))
+    mdl = init_glad_model(TINY_MODEL, seed=1)
+    assert len(trainer._eval_inputs(videos, TINY_MODEL)[2]) == 3
+    cm, mca = evaluate(mdl, videos, 4)
+    alone = sum(evaluate(mdl, videos[a:a + block], 4)[0] for a in range(0, n, block))
+    assert np.array_equal(cm, alone)
+    want_cm, want_mca = evaluate_per_clip(mdl, videos, 4)
+    assert np.array_equal(cm, want_cm) and mca == want_mca
+
+
+def traced_peak_of_evaluate(n_videos: int) -> int:
+    """Peak bytes tracemalloc sees (numpy's buffers included) while a fresh
+    model evaluates n_videos 40-frame videos packed in one buffer, as
+    read_dataset gives them; the frames exist before tracing starts."""
+    frames = np.random.default_rng(0).random((n_videos * 40, 64), dtype=np.float32)
+    videos = [VideoSample(frames[40 * i:40 * (i + 1)], i % 4, "target", f"v{i}")
+              for i in range(n_videos)]
+    mdl = init_glad_model(TINY_MODEL, seed=0)
+    tracemalloc.start()
+    try:
+        evaluate(mdl, videos, 4)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluate_memory_is_bounded_by_a_block():
+    """Four blocks of videos peak below 1.5 times one block: the gathered
+    rows and the encoder's float64 scratch are sized by a block, and only
+    integer indices grow with the split."""
+    one = traced_peak_of_evaluate(trainer.EVAL_BLOCK)
+    assert traced_peak_of_evaluate(4 * trainer.EVAL_BLOCK) < 1.5 * one
 
 
 def test_evaluate_rejects_unlabeled():
