@@ -19,10 +19,11 @@ from .debias import build_background_bank
 from .diffnet import NonFiniteGradientError
 from .gapmetrics import (EmptyClassError, GapReport, SceneFeatureSet,
                          accuracy_gap, scene_distance, temporal_distance)
-from .synthdata import (DatasetError, DomainSpec, generate_domain,
-                        read_dataset, spec_from_dict, write_dataset)
-from .trainer import (NumericError, config_from_dict, evaluate,
-                      format_ablation_table, run_ablation_matrix, train)
+from .schema import from_json
+from .synthdata import (DatasetError, DomainSpec, read_dataset, spec_from_dict,
+                        write_dataset)
+from .trainer import (NumericError, TrainConfig, evaluate, format_ablation_table,
+                      run_ablation_matrix, train)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -74,7 +75,9 @@ def cmd_synth(args) -> int:
     if args.spec:
         with open(args.spec) as f:
             raw = json.load(f)
-        specs = {k: spec_from_dict(v) for k, v in raw.items()}
+        if not isinstance(raw, dict):
+            raise UsageError(f"{args.spec}: expected an object of named splits")
+        specs = {name: spec_from_dict(value, name) for name, value in raw.items()}
     else:
         specs = default_benchmark_specs(seed)
     if args.dry_run:
@@ -87,8 +90,7 @@ def cmd_synth(args) -> int:
     for name, spec in specs.items():
         domain, split = layout.get(name, (name, ""))
         directory = os.path.join(out, domain, split) if split else os.path.join(out, name)
-        # no name holds a split's videos, so they go before the next renders
-        write_dataset(*generate_domain(spec), directory)
+        write_dataset(spec, directory)
         print(f"wrote {spec.n_videos} videos to {directory}")
     src = specs.get("source_train")
     tgt = specs.get("target_train")
@@ -142,9 +144,9 @@ def load_experiment(path: str):
         if key not in doc:
             raise UsageError(f"config {path}: missing field {key!r}")
     try:
-        tc = config_from_dict(doc.get("train", {}))
+        tc = from_json(TrainConfig, doc.get("train", {}), "train")
     except TypeError as e:
-        raise UsageError(f"config {path}: train.{e}") from e
+        raise UsageError(f"config {path}: {e}") from e
     return doc, tc
 
 

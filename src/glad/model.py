@@ -19,6 +19,7 @@ import numpy as np
 
 from . import diffnet
 from .diffnet import MlpSpec
+from .schema import from_json
 
 # The N! orders of N clips in lexicographic order, for each allowed N. The
 # TOL head has one output per row, and the label of an order is its row.
@@ -44,8 +45,6 @@ class ModelConfig:
     proj_init_scale: float = 1.0
 
     def __post_init__(self):
-        # JSON gives a list; a frozen config keeps (and hashes) a tuple
-        object.__setattr__(self, "domain_hidden", tuple(self.domain_hidden))
         if self.tol_clips not in TOL_ORDERS:
             raise ValueError(f"tol_clips must be one of {list(TOL_ORDERS)}")
         if self.n_frames < 1 or self.local_stride < 1:
@@ -423,10 +422,14 @@ def _read_json(path: str):
 
 
 def load_model(directory: str) -> GladModel:
-    """Inverse of save_model. Raises OSError unless params.json lists exactly
-    the tensors and shapes of the model in model.json and params.bin holds
-    exactly their bytes."""
-    cfg = ModelConfig(**_read_json(os.path.join(directory, "model.json")))
+    """Inverse of save_model. Raises OSError unless model.json is a valid
+    config, params.json lists exactly the tensors and shapes of that model
+    and params.bin holds exactly their bytes."""
+    path = os.path.join(directory, "model.json")
+    try:
+        cfg = from_json(ModelConfig, _read_json(path))
+    except (TypeError, ValueError) as e:
+        raise OSError(f"{path}: {e}") from e
     model = init_glad_model(cfg, seed=0)
     if _read_json(os.path.join(directory, "params.json")) != _params_meta(model):
         raise OSError(f"{directory}: params.json does not list the tensors "

@@ -18,9 +18,14 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .schema import from_json
+
 GOLDEN = 0.6180339887498949
 
 BLOB_SIZE = 2
+BLOB_AMPLITUDE = 0.9
+
+SYNTH_BLOCK = 64  # videos rendered at a time: the work buffers hold one block
 
 MAGIC = "glad-dataset-v1"
 
@@ -66,9 +71,9 @@ class Packed:
 
 
 def pack(samples: list[VideoSample]) -> Packed:
-    """The samples packed in order. The videos of read_dataset are
-    consecutive rows of the one buffer it read; that buffer is used as is,
-    and any other list is copied into a new array."""
+    """The samples packed in order. The videos of read_dataset and of
+    generate_domain are consecutive rows of one buffer; that buffer is used
+    as is, and any other list is copied into a new array."""
     if not samples:
         raise ValueError("no videos")
     lengths = np.array([s.length for s in samples], dtype=np.int64)
@@ -93,8 +98,6 @@ class MotionParams:
     radius: float
     speed: float  # linear speed along the orbit, pixels per frame
     phase: float
-    blob_size: int = BLOB_SIZE
-    amplitude: float = 0.9
 
 
 @dataclass(frozen=True)
@@ -174,79 +177,111 @@ def class_motion(class_id: int, spec: DomainSpec, rng: np.random.Generator) -> M
     lo, hi = spec.blob_speed_range
     speed = lo + (hi - lo) * ((class_id // 2) / max(1, (k - 1) // 2))
     radius = 1.6 if class_id % 2 == 0 else 2.4
-    center_row = (class_id * GOLDEN * spec.height) % spec.height + rng.uniform(0.0, 0.5)
-    center_col = (class_id * (1.0 - GOLDEN) * spec.width * 3.0) % spec.width + rng.uniform(0.0, 0.5)
+    # one call for the draws of uniform(0, 0.5) twice and uniform(0, 2 pi)
+    u_row, u_col, u_phase = rng.random(3).tolist()
+    center_row = (class_id * GOLDEN * spec.height) % spec.height + 0.5 * u_row
+    center_col = (class_id * (1.0 - GOLDEN) * spec.width * 3.0) % spec.width + 0.5 * u_col
     return MotionParams(center_row=center_row, center_col=center_col,
-                        radius=radius, speed=min(speed, hi),
-                        phase=rng.uniform(0.0, 2.0 * np.pi))
+                        radius=radius, speed=min(speed, hi), phase=2.0 * np.pi * u_phase)
 
 
-def render_video(class_id: int, length: int, background: np.ndarray,
-                 motion: MotionParams, rng: np.random.Generator,
-                 spec: DomainSpec, domain: str | None = None,
-                 video_id: str = "v") -> VideoSample:
-    """Frames = clip01(background + moving blob + gaussian noise), built
-    for all frames at once in float64, then cast to float32. In frame t the
-    blob's top-left cell is floor(center + radius * (sin, cos)(phase +
-    speed / radius * t)), and the blob covers blob_size x blob_size cells,
-    each wrapped onto the canvas. The only draw is one normal per pixel of
-    every frame, in frame order, so the frames and the rng's state are
-    those of a frame-by-frame loop."""
-    if length < 1:
+def render_block(spec: DomainSpec, lengths, backgrounds, motions, rngs,
+                 work: list) -> np.ndarray:
+    """(sum lengths, D) float32 frames of videos end to end: clip01(background
+    + blob + noise_std * standard normals), in float64 and cast once. In frame
+    t the blob's top-left cell is floor(center + radius * (sin, cos)(phase +
+    speed / radius * t)); its BLOB_SIZE^2 cells wrap onto the canvas. A video
+    draws its normals in frame order from its own rng, as a per-video frame
+    loop does. The buffers in `work` grow to a block and are reused."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.min() < 1:
         raise ValueError("length must be >= 1")
     h, w = spec.height, spec.width
-    if motion.blob_size >= min(h, w):
-        raise ValueError("blob larger than canvas")
-    bg = np.asarray(background, dtype=np.float64).reshape(h * w)
+    d = h * w
+    bg = np.asarray(backgrounds, dtype=np.float64).reshape(len(lengths), d)
     if bg.min() < 0.0 or bg.max() > 1.0:
         raise ValueError("background values must be in [0, 1]")
-    t = np.arange(length)
-    theta = motion.phase + motion.speed / motion.radius * t
-    r0 = np.floor(motion.center_row + motion.radius * np.sin(theta)).astype(np.int64)
-    c0 = np.floor(motion.center_col + motion.radius * np.cos(theta)).astype(np.int64)
-    d = np.arange(motion.blob_size)
-    # (length, blob_size ** 2) flat cells: distinct within a frame, as the
-    # blob is smaller than the canvas, so the fancy add hits each once
-    cells = (((r0[:, None, None] + d[:, None]) % h) * w
-             + (c0[:, None, None] + d) % w).reshape(length, -1)
-    frames = np.repeat(bg[None, :], length, axis=0)
-    frames[t[:, None], cells] += motion.amplitude
-    if spec.noise_std > 0.0:
-        frames += rng.normal(0.0, spec.noise_std, size=frames.shape)
-    return VideoSample(frames=np.clip(frames, 0.0, 1.0, out=frames).astype(np.float32),
-                       label=class_id, domain=domain or spec.domain, video_id=video_id)
+    rows = int(lengths.sum())
+    if not work or work[0].size < rows * d:
+        work[:] = np.empty(rows * d), np.empty(rows * d, "<f4")
+    frames, out = (b[:rows * d].reshape(rows, d) for b in work)
+    video = np.repeat(np.arange(len(lengths)), lengths)
+    ends = np.cumsum(lengths)
+    t = np.arange(rows) - (ends - lengths)[video]
+    phase, omega, row, col, radius = np.array(
+        [(m.phase, m.speed / m.radius, m.center_row, m.center_col, m.radius)
+         for m in motions]).T[:, video]
+    theta = phase + omega * t
+    r0 = np.floor(row + radius * np.sin(theta)).astype(np.int64)
+    c0 = np.floor(col + radius * np.cos(theta)).astype(np.int64)
+    k = np.arange(BLOB_SIZE)
+    # (rows, BLOB_SIZE ** 2) cells of each frame's blob: distinct, as the
+    # spec keeps the blob smaller than the canvas
+    cells = (((r0[:, None, None] + k[:, None]) % h) * w
+             + (c0[:, None, None] + k) % w).reshape(rows, -1)
+    lit = bg[video[:, None], cells] + BLOB_AMPLITUDE
+    cells += np.arange(0, rows * d, d)[:, None]  # flat indices into frames
+    flat = frames.reshape(-1)
+    # a pixel is (background + blob) + noise, in that order: lit cells take
+    # their noise before the background goes under the rest
+    for rng, b, start, end in zip(rngs, bg, (ends - lengths).tolist(), ends.tolist()):
+        x = frames[start:end]
+        if spec.noise_std > 0.0:
+            rng.standard_normal(out=x)
+            x *= spec.noise_std
+            lit[start:end] += flat[cells[start:end]]
+            x += b
+        else:
+            x[...] = b
+    flat[cells] = lit
+    return np.clip(frames, 0.0, 1.0, out=out)
+
+
+def _blocks(spec: DomainSpec):
+    """(entries, frames) of each SYNTH_BLOCK videos, the frames a view the
+    next block overwrites. Labels are round-robin; video i draws all its
+    values from its own rng, seeded (seed, 1, i): no byte depends on blocks."""
+    bank = background_bank(spec)
+    checker = checkerboard(spec)
+    d = spec.frame_dim
+    work = []
+    offset = 0
+    for first in range(0, spec.n_videos, SYNTH_BLOCK):
+        entries, backgrounds, motions, rngs = [], [], [], []
+        for i in range(first, min(first + SYNTH_BLOCK, spec.n_videos)):
+            rng = np.random.default_rng((spec.seed, 1, i))
+            label = i % spec.n_classes
+            length = int(rng.integers(spec.length_range[0], spec.length_range[1] + 1))
+            if spec.background_mode == "fixed_checkerboard":
+                backgrounds.append(checker)
+            elif rng.uniform() < spec.bias_rho:
+                backgrounds.append(bank[label % spec.bank_size])
+            else:
+                backgrounds.append(bank[int(rng.integers(0, spec.bank_size))])
+            motions.append(class_motion(label, spec, rng))
+            rngs.append(rng)
+            entries.append({"video_id": f"{spec.domain}-{i:05d}", "label": label,
+                            "length": length, "offset": offset})
+            offset += length * d * 4
+        lengths = [e["length"] for e in entries]
+        yield entries, render_block(spec, lengths, backgrounds, motions, rngs, work)
+
+
+def _videos(spec: DomainSpec, entries: list, frames: np.ndarray) -> list[VideoSample]:
+    """The entries' videos as views of the split's (sum T, D) frames."""
+    rows = [e["offset"] // (4 * spec.frame_dim) for e in entries]
+    return [VideoSample(frames[r:r + e["length"]], e["label"], spec.domain, e["video_id"])
+            for r, e in zip(rows, entries)]
 
 
 def generate_domain(spec: DomainSpec):
-    """Deterministic function of the spec (including its seed).
-
-    Labels are assigned round-robin for class balance; per-video rng streams
-    are derived from (seed, index) so parallel and serial generation agree.
-    """
-    bank = background_bank(spec)
-    checker = checkerboard(spec)
-    samples = []
-    entries = []
-    offset = 0
-    for i in range(spec.n_videos):
-        rng = np.random.default_rng((spec.seed, 1, i))
-        label = i % spec.n_classes
-        length = int(rng.integers(spec.length_range[0], spec.length_range[1] + 1))
-        if spec.background_mode == "fixed_checkerboard":
-            bg = checker
-        else:
-            if rng.uniform() < spec.bias_rho:
-                bg_idx = label % spec.bank_size
-            else:
-                bg_idx = int(rng.integers(0, spec.bank_size))
-            bg = bank[bg_idx]
-        motion = class_motion(label, spec, rng)
-        vid = f"{spec.domain}-{i:05d}"
-        sample = render_video(label, length, bg, motion, rng, spec, video_id=vid)
-        samples.append(sample)
-        entries.append({"video_id": vid, "label": label, "length": length, "offset": offset})
-        offset += length * spec.frame_dim * 4
-    return DomainManifest(spec=spec, entries=entries), samples
+    """(manifest, videos) of the spec's split: the blocks write_dataset
+    writes, packed into one array that every video is a view of."""
+    entries, blocks = [], []
+    for block_entries, frames in _blocks(spec):
+        entries += block_entries
+        blocks.append(frames.copy())
+    return DomainManifest(spec=spec, entries=entries), _videos(spec, entries, np.concatenate(blocks))
 
 
 def strip_labels(samples: list[VideoSample]) -> list[VideoSample]:
@@ -255,31 +290,22 @@ def strip_labels(samples: list[VideoSample]) -> list[VideoSample]:
             for s in samples]
 
 
-def spec_from_dict(d: dict) -> DomainSpec:
-    d = dict(d)
-    for k in ("length_range", "blob_speed_range"):
-        if k in d:
-            d[k] = tuple(d[k])
-    return DomainSpec(**d)
+def spec_from_dict(d: dict, where: str = "") -> DomainSpec:
+    return from_json(DomainSpec, d, where)
 
 
-def write_dataset(manifest: DomainManifest, samples: list[VideoSample], directory: str) -> None:
-    if len(manifest.entries) != len(samples):
-        raise ManifestMismatchError("entry count != sample count")
+def write_dataset(spec: DomainSpec, directory: str) -> None:
+    """The spec's split, each block appended to frames.bin as soon as it is
+    rendered, then manifest.json."""
     os.makedirs(directory, exist_ok=True)
-    doc = {
-        "format": MAGIC,
-        "spec": asdict(manifest.spec),
-        "entries": manifest.entries,
-    }
-    with open(os.path.join(directory, "manifest.json"), "w") as f:
-        f.write(json.dumps(doc, indent=1))
+    entries = []
     with open(os.path.join(directory, "frames.bin"), "wb") as f:
-        for entry, sample in zip(manifest.entries, samples):
-            if sample.frames.shape[0] != entry["length"]:
-                raise ManifestMismatchError(
-                    f"{entry['video_id']}: length {entry['length']} != frames {sample.frames.shape[0]}")
-            f.write(np.asarray(sample.frames, dtype="<f4").tobytes())
+        for block_entries, frames in _blocks(spec):
+            frames.tofile(f)
+            entries += block_entries
+    with open(os.path.join(directory, "manifest.json"), "w") as f:
+        f.write(json.dumps({"format": MAGIC, "spec": asdict(spec), "entries": entries},
+                           indent=1))
 
 
 def read_dataset(directory: str):
@@ -336,10 +362,4 @@ def read_dataset(directory: str):
     lo, hi = flat.min(), flat.max()  # a NaN anywhere makes both NaN
     if not (lo >= 0.0 and hi <= 1.0):
         raise DatasetError(f"{frames_path}: frame values span [{lo}, {hi}], not within [0, 1]")
-    samples = []
-    for e in entries:
-        start = e["offset"] // 4
-        frames = flat[start:start + e["length"] * d].reshape(e["length"], d)
-        samples.append(VideoSample(frames=frames, label=e["label"],
-                                   domain=spec.domain, video_id=e["video_id"]))
-    return DomainManifest(spec=spec, entries=entries), samples
+    return DomainManifest(spec=spec, entries=entries), _videos(spec, entries, flat.reshape(-1, d))

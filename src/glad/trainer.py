@@ -10,7 +10,6 @@ import json
 import math
 import os
 import statistics
-import typing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -509,41 +508,3 @@ def format_ablation_table(table: dict) -> str:
     for name, row in table.items():
         lines.append(f"{name:<20} {row['mean']:>9.2f} {row['std']:>21.2f}")
     return "\n".join(lines)
-
-
-def _fits(hint, value) -> bool:
-    """Whether a JSON value has the type a config field is annotated with:
-    any number for a float, a list (of the tuple's length, if fixed) for a
-    tuple, and otherwise exactly the type, so a bool is not an int."""
-    if typing.get_origin(hint) is tuple:
-        args = typing.get_args(hint)
-        return (isinstance(value, (list, tuple))
-                and (args[-1] is Ellipsis or len(value) == len(args))
-                and all(_fits(args[0], v) for v in value))
-    return type(value) in ((int, float) if hint is float else (hint,))
-
-
-def _check_types(cls, d: dict, prefix: str) -> None:
-    hints = typing.get_type_hints(cls)
-    for key, value in d.items():
-        # an unknown key is left to the constructor's TypeError
-        if key in hints and not _fits(hints[key], value):
-            hint = hints[key]
-            name = str(hint).replace("tuple", "list") if typing.get_origin(hint) else hint.__name__
-            raise TypeError(f"{prefix}{key}: expected {name}, got {value!r}")
-
-
-def config_from_dict(d: dict) -> TrainConfig:
-    """The TrainConfig of a JSON object. A value of the wrong type raises
-    TypeError, naming its key, before any config is built."""
-    d = dict(d)
-    if "model" in d:
-        if not isinstance(d["model"], dict):
-            raise TypeError(f"model: expected an object, got {d['model']!r}")
-        _check_types(ModelConfig, d["model"], "model.")
-        d["model"] = ModelConfig(**d["model"])
-    _check_types(TrainConfig, d, "")
-    for k in ("lr_drop_epochs", "aug_domains", "gla_views"):
-        if k in d:
-            d[k] = tuple(d[k])
-    return TrainConfig(**d)

@@ -2,8 +2,8 @@
 against: the one-clip-at-a-time samplers, the per-clip encoder and
 evaluation, a step on plain lists of videos, the per-tensor SGD update, the
 alignment loss with one classifier pass per sub-batch, the frame-by-frame
-renderer, the per-video background median and the scene distance over one
-whole distance matrix."""
+renderer and a split rendered with it one video at a time, the per-video
+background median and the scene distance over one whole distance matrix."""
 
 import numpy as np
 
@@ -12,7 +12,8 @@ from glad.diffnet import NonFiniteGradientError, ShapeError
 from glad.gapmetrics import SceneFeatureSet, confusion_matrix, mean_class_accuracy
 from glad.model import (GLA_VIEWS, _unit_rows, _unit_rows_backward, classify_action,
                         domain_adv_loss)
-from glad.synthdata import VideoSample, pack
+from glad.synthdata import (BLOB_AMPLITUDE, BLOB_SIZE, VideoSample, background_bank,
+                            checkerboard, class_motion, pack)
 from glad.trainer import step_losses
 
 
@@ -151,12 +152,11 @@ def gla_loss_per_subbatch(model, psi_g, psi_l, grl_coeff: float,
 
 def render_video_loop(class_id, length, background, motion, rng, spec,
                       domain=None, video_id="v"):
-    """synthdata.render_video one frame and one blob cell at a time."""
+    """One video of synthdata.render_block, one frame and one blob cell at
+    a time, with the noise drawn by rng.normal."""
     if length < 1:
         raise ValueError("length must be >= 1")
     h, w = spec.height, spec.width
-    if motion.blob_size >= min(h, w):
-        raise ValueError("blob larger than canvas")
     bg = np.asarray(background, dtype=np.float64).reshape(h, w)
     if bg.min() < 0.0 or bg.max() > 1.0:
         raise ValueError("background values must be in [0, 1]")
@@ -167,15 +167,38 @@ def render_video_loop(class_id, length, background, motion, rng, spec,
         theta = motion.phase + omega * t
         r0 = int(np.floor(motion.center_row + motion.radius * np.sin(theta))) % h
         c0 = int(np.floor(motion.center_col + motion.radius * np.cos(theta))) % w
-        for dr in range(motion.blob_size):
-            for dc in range(motion.blob_size):
-                frame[(r0 + dr) % h, (c0 + dc) % w] += motion.amplitude
+        for dr in range(BLOB_SIZE):
+            for dc in range(BLOB_SIZE):
+                frame[(r0 + dr) % h, (c0 + dc) % w] += BLOB_AMPLITUDE
         frames[t] = frame
     if spec.noise_std > 0.0:
         frames += rng.normal(0.0, spec.noise_std, size=frames.shape)
     frames = np.clip(frames, 0.0, 1.0).astype(np.float32)
     return VideoSample(frames=frames.reshape(length, h * w), label=class_id,
                        domain=domain or spec.domain, video_id=video_id)
+
+
+def generate_domain_loop(spec):
+    """(manifest entries, videos) of synthdata.generate_domain, each video
+    drawn from its own rng and rendered alone by render_video_loop."""
+    bank, checker = background_bank(spec), checkerboard(spec)
+    entries, videos, offset = [], [], 0
+    for i in range(spec.n_videos):
+        rng = np.random.default_rng((spec.seed, 1, i))
+        label = i % spec.n_classes
+        length = int(rng.integers(spec.length_range[0], spec.length_range[1] + 1))
+        if spec.background_mode == "fixed_checkerboard":
+            bg = checker
+        elif rng.uniform() < spec.bias_rho:
+            bg = bank[label % spec.bank_size]
+        else:
+            bg = bank[int(rng.integers(0, spec.bank_size))]
+        motion = class_motion(label, spec, rng)
+        vid = f"{spec.domain}-{i:05d}"
+        videos.append(render_video_loop(label, length, bg, motion, rng, spec, video_id=vid))
+        entries.append({"video_id": vid, "label": label, "length": length, "offset": offset})
+        offset += length * spec.frame_dim * 4
+    return entries, videos
 
 
 def extract_background_tmf(video: VideoSample) -> np.ndarray:

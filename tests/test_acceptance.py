@@ -24,8 +24,8 @@ from glad.diffnet import grl_backward
 from glad.gapmetrics import (SceneFeatureSet, accuracy_gap, scene_distance,
                              temporal_distance)
 from glad.model import TOL_ORDERS, ModelConfig, init_glad_model, tol_labels
-from glad.synthdata import (DomainSpec, checkerboard, class_motion,
-                            generate_domain, read_dataset, render_video,
+from glad.synthdata import (DomainSpec, VideoSample, checkerboard, class_motion,
+                            generate_domain, read_dataset, render_block,
                             strip_labels, write_dataset)
 from glad.trainer import TrainConfig
 from oracles import extract_background_tmf, step_on_lists
@@ -323,7 +323,8 @@ def test_criterion_05_tmf_recovery():
         length = 9 + 2 * int(rng.integers(0, 6))  # odd lengths only
         board = checkerboard(spec)
         c = int(rng.integers(0, spec.n_classes))
-        vid = render_video(c, length, board, class_motion(c, spec, rng), rng, spec)
+        frames = render_block(spec, [length], [board], [class_motion(c, spec, rng)], [rng], [])
+        vid = VideoSample(frames, c, spec.domain, "v")
         occupancy = (vid.frames != board[None, :]).mean(axis=0)
         assert occupancy.max() < 0.5, "planted occupancy bound violated"
         assert np.array_equal(extract_background_tmf(vid), board)
@@ -406,7 +407,7 @@ def test_criterion_11_dataset_roundtrip(tmp_path):
         )
         manifest, samples = generate_domain(spec)
         out = str(tmp_path / f"d{i}")
-        write_dataset(manifest, samples, out)
+        write_dataset(spec, out)
         manifest2, samples2 = read_dataset(out)
         assert manifest2.spec == spec
         assert manifest2.entries == manifest.entries

@@ -90,6 +90,19 @@ def test_synth_is_reproducible(tmp_path):
         assert fa == fb
 
 
+def test_synth_files_equal_generate_domain(tmp_path):
+    """What glad synth streams to disk block by block is generate_domain's
+    split: the same entries, and its videos' bytes end to end."""
+    out = synth_small(tmp_path)
+    for name, spec in small_specs().items():
+        manifest, videos = generate_domain(spec)
+        split = os.path.join(out, *name.split("_"))
+        with open(os.path.join(split, "manifest.json")) as f:
+            assert json.load(f)["entries"] == manifest.entries
+        with open(os.path.join(split, "frames.bin"), "rb") as f:
+            assert f.read() == b"".join(v.frames.tobytes() for v in videos)
+
+
 def test_synth_dry_run_writes_nothing(tmp_path, capsys):
     spec_file = write_spec_file(tmp_path, small_specs())
     out = str(tmp_path / "nothing")
@@ -99,10 +112,8 @@ def test_synth_dry_run_writes_nothing(tmp_path, capsys):
 
 
 def test_resolve_split_dir(tmp_path):
-    spec = DomainSpec(n_videos=4, length_range=(8, 10), n_classes=4)
-    manifest, samples = generate_domain(spec)
     split = tmp_path / "domain" / "train"
-    write_dataset(manifest, samples, str(split))
+    write_dataset(DomainSpec(n_videos=4, length_range=(8, 10), n_classes=4), str(split))
     assert resolve_split_dir(str(split)) == str(split)
     assert resolve_split_dir(str(tmp_path / "domain")) == str(split)
     with pytest.raises(FileNotFoundError):
@@ -324,9 +335,8 @@ def test_batch_larger_than_smaller_split_exit_1(tmp_path, capsys, monkeypatch, c
 def test_eval_split_missing_a_class_exit_2(tmp_path, capsys):
     """A split with no video of some class is a data fault: exit 2."""
     split = str(tmp_path / "split")
-    write_dataset(*generate_domain(DomainSpec(n_classes=4, n_videos=3, length_range=(8, 10),
-                                              background_mode="fixed_checkerboard",
-                                              domain="target")), split)
+    write_dataset(DomainSpec(n_classes=4, n_videos=3, length_range=(8, 10),
+                             background_mode="fixed_checkerboard", domain="target"), split)
     save_model(init_glad_model(EVAL_MODEL, seed=0), str(tmp_path / "ckpt"))
     assert main(["eval", "--checkpoint", str(tmp_path / "ckpt"), "--data", split]) == EXIT_IO
     err = capsys.readouterr().err
@@ -451,7 +461,7 @@ def eval_inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("eval_inputs")
     spec = DomainSpec(n_classes=4, n_videos=4, length_range=(8, 10),
                       background_mode="fixed_checkerboard", domain="target")
-    write_dataset(*generate_domain(spec), str(root / "split"))
+    write_dataset(spec, str(root / "split"))
     save_model(init_glad_model(EVAL_MODEL, seed=0), str(root / "ckpt"))
     assert main(["eval", "--checkpoint", str(root / "ckpt"),
                  "--data", str(root / "split")]) == EXIT_OK
@@ -491,6 +501,31 @@ def test_eval_bad_checkpoint_exit_2(eval_inputs, tmp_path, capsys, damage):
     assert err.startswith("I/O error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: {**d, "domain_hidden": [64]},
+     "domain_hidden: expected list[int, int, int], got [64]"),
+    (lambda d: {**d, "n_frames": "8"}, "n_frames: expected int, got '8'"),
+    (lambda d: {**d, "use_tol": True}, "use_tol: unknown field"),
+    (lambda d: {**d, "tol_clips": 5}, "tol_clips must be one of"),
+    (lambda d: {**d, "input_gain": float("nan")}, "input_gain must be finite"),
+    (lambda d: [64, 32], "expected an object, got [64, 32]"),
+], ids=["short_domain_hidden", "string_count", "unknown_key", "bad_tol_clips", "nan_gain",
+        "json_list"])
+def test_eval_invalid_model_json_exit_2(eval_inputs, tmp_path, capsys, edit, message):
+    """A checkpoint's model.json gets the experiment config's checks: a bad
+    one is an I/O error naming the file and the key."""
+    ckpt, split = copy_inputs(eval_inputs, tmp_path)
+    path = os.path.join(ckpt, "model.json")
+    with open(path) as f:
+        doc = edit(json.load(f))
+    with open(path, "w") as f:
+        json.dump(doc, f)
+    assert main(["eval", "--checkpoint", ckpt, "--data", split]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"I/O error: {path}: ") and err.count("\n") == 1
+    assert message in err
+
+
 @pytest.mark.parametrize("name", ["model.json", "params.json"])
 def test_eval_unparsable_checkpoint_json_exit_2(eval_inputs, tmp_path, capsys, name):
     ckpt, split = copy_inputs(eval_inputs, tmp_path)
@@ -521,11 +556,14 @@ def test_eval_unparsable_checkpoint_json_exit_2(eval_inputs, tmp_path, capsys, n
     lambda d: d.update(spec=5),
     lambda d: d.update(entries=[]),
     lambda d: (d.update(entries=[]), d["spec"].update(n_videos=0)),
+    lambda d: d["spec"].update(n_videos=float(d["spec"]["n_videos"])),
+    lambda d: d["spec"].update(domain=3),
+    lambda d: d["spec"].update(length_range=[8, 10.5]),
 ], ids=["no_spec", "no_entries", "no_video_id", "no_label", "no_length", "no_offset",
         "label_too_large", "label_negative", "label_not_int", "length_not_int",
         "offset_not_int", "spec_zero_classes", "spec_zero_height", "spec_negative_noise",
         "spec_one_length", "spec_unknown_field", "spec_not_a_dict", "zero_entries",
-        "empty_split"])
+        "empty_split", "spec_float_videos", "spec_int_domain", "spec_float_length"])
 def test_eval_malformed_manifest_exit_2(eval_inputs, tmp_path, capsys, edit):
     ckpt, split = copy_inputs(eval_inputs, tmp_path)
     edit_json(os.path.join(split, "manifest.json"), edit)
@@ -572,21 +610,32 @@ def test_eval_zero_length_entry_exit_2(eval_inputs, tmp_path, capsys):
     ("bank_size", 0, "bank_size must be >= 1"),
     ("height", 0, "height and width must be > the blob size 2"),
     ("width", 2, "height and width must be > the blob size 2"),
-    ("length_range", [8], "length_range must be two finite numbers lo <= hi"),
-    ("length_range", [8, 12, 16], "length_range must be two finite numbers lo <= hi"),
+    ("length_range", [8], "source_train.length_range: expected list[int, int], got [8]"),
+    ("length_range", [8, 12, 16],
+     "source_train.length_range: expected list[int, int], got [8, 12, 16]"),
     ("length_range", [12, 8], "length_range must be two finite numbers lo <= hi"),
     ("blob_speed_range", [2.0, 0.8], "blob_speed_range must be two finite numbers lo <= hi"),
     ("blob_speed_range", [0.8, float("inf")],
      "blob_speed_range must be two finite numbers lo <= hi"),
     ("blob_speed_range", [float("nan"), 2.0],
      "blob_speed_range must be two finite numbers lo <= hi"),
-    ("noise_std", -1.0, "noise_std must be finite and >= 0"),
-    ("noise_std", float("nan"), "noise_std must be finite and >= 0"),
+    ("noise_std", -1.0, "source_train: noise_std must be finite and >= 0"),
+    ("noise_std", float("nan"), "source_train: noise_std must be finite and >= 0"),
+    ("n_classes", True, "source_train.n_classes: expected int, got True"),
+    ("domain", 3, "source_train.domain: expected str, got 3"),
+    ("length_range", [8, 9.5], "source_train.length_range: expected list[int, int], got [8, 9.5]"),
+    ("n_videos", 2.0, "source_train.n_videos: expected int, got 2.0"),
+    ("height", 8.5, "source_train.height: expected int, got 8.5"),
+    ("bank_size", 1.5, "source_train.bank_size: expected int, got 1.5"),
+    ("no_such_field", 1, "source_train.no_such_field: unknown field"),
 ], ids=["zero_videos", "negative_videos", "zero_classes", "zero_bank", "zero_height",
         "width_of_blob", "one_length", "three_lengths", "lengths_reversed",
-        "speeds_reversed", "speed_inf", "speed_nan", "negative_noise", "noise_nan"])
+        "speeds_reversed", "speed_inf", "speed_nan", "negative_noise", "noise_nan",
+        "bool_classes", "int_domain", "float_length", "float_videos", "float_height",
+        "float_bank", "unknown_field"])
 def test_synth_invalid_spec_value_exit_1(tmp_path, capsys, field, value, message):
-    """Each bad spec value exits 1 with one line before anything is written."""
+    """Each bad spec value exits 1 with one line, naming the split and the
+    check or key, before anything is written."""
     spec = {**dataclasses.asdict(DomainSpec(n_videos=2, n_classes=2)), field: value}
     spec_file = tmp_path / "spec.json"
     # json writes NaN and Infinity, which json.load reads back
@@ -598,6 +647,25 @@ def test_synth_invalid_spec_value_exit_1(tmp_path, capsys, field, value, message
     assert err.startswith("error:") and err.count("\n") == 1
     assert message in err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([{"n_videos": 2}], "expected an object of named splits"),
+    ({"source_train": 5}, "source_train: expected an object, got 5"),
+    ({"source_train": {"n_videos": 2, "n_classes": 2}, "target_train": {"seed": "1"}},
+     "target_train.seed: expected int, got '1'"),
+], ids=["top_level_list", "split_not_an_object", "second_split_bad"])
+def test_synth_malformed_spec_file_exit_1(tmp_path, capsys, doc, message):
+    """A spec file that is not an object of split objects exits 1 with one
+    line and writes nothing, even when an earlier split is valid."""
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(doc))
+    out = tmp_path / "data"
+    assert main(["synth", "--spec", str(spec_file), "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
 
 
 def test_synth_spec_may_omit_ranges(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from glad.debias import build_background_bank, draw_mixes, mix_background
 from glad.synthdata import (DomainSpec, VideoSample, checkerboard,
-                            class_motion, generate_domain, render_video)
+                            class_motion, generate_domain, render_block)
 from glad.trainer import TrainConfig
 from oracles import extract_background_tmf
 
@@ -40,7 +40,8 @@ def test_tmf_recovers_planted_background_bitwise():
     board = checkerboard(spec)
     for c in range(12):
         rng = np.random.default_rng(c)
-        vid = render_video(c, 9, board, class_motion(c, spec, rng), rng, spec)
+        frames = render_block(spec, [9], [board], [class_motion(c, spec, rng)], [rng], [])
+        vid = VideoSample(frames, c, spec.domain, "v")
         occupancy = (vid.frames != board[None, :]).mean(axis=0)
         assert occupancy.max() < 0.5
         assert np.array_equal(extract_background_tmf(vid), board)

@@ -1,12 +1,15 @@
-"""Layout guards: src/glad/ holds only code that src/glad/ itself uses, and
+"""Layout guards: src/glad/ holds only code that src/glad/ itself or the
+benchmark uses, every name the benchmark imports from glad exists, and
 tests/oracles.py only references that some test uses."""
 
 import ast
+import importlib
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "glad"
 TESTS = ROOT / "tests"
+BENCH = ROOT / "perfbench"
 
 
 def public_definitions(path: pathlib.Path) -> set:
@@ -30,14 +33,22 @@ def names_used(paths) -> set:
     return used
 
 
+def glad_imports(paths) -> list:
+    """(module, name) of every `from glad... import name` in the files."""
+    return [(node.module, alias.name) for path in paths
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "glad"
+            for alias in node.names]
+
+
 def test_every_public_name_is_used_in_src():
     """Each public module-level function or class of src/glad/ is named
-    somewhere in src/glad/ besides its own definition; code only tests call
-    belongs in tests/."""
+    somewhere in src/glad/ besides its own definition, or imported by the
+    benchmark under perfbench/; code only tests call belongs in tests/."""
     paths = sorted(SRC.glob("*.py"))
     defined = {name: path.name for path in paths for name in public_definitions(path)}
     assert defined, f"no modules found in {SRC}"
-    used = names_used(paths)
+    used = names_used(paths) | {name for _, name in glad_imports(BENCH.glob("*.py"))}
     unused = sorted(f"{module}:{name}" for name, module in defined.items()
                     if name not in used)
     assert unused == []
@@ -49,3 +60,14 @@ def test_every_oracle_is_used_by_a_test():
     defined = public_definitions(TESTS / "oracles.py")
     assert defined
     assert sorted(defined - names_used(TESTS.glob("test_*.py"))) == []
+
+
+def test_every_name_the_benchmark_imports_exists():
+    """Each `from glad... import name` in perfbench/*.py names something
+    src/glad/ still has, so a refactor cannot quietly break the benchmark's
+    checks; the benchmark imports more than one such name."""
+    imports = glad_imports(sorted(BENCH.glob("*.py")))
+    assert len(imports) > 1
+    missing = [f"{module}:{name}" for module, name in imports
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []

@@ -1,18 +1,21 @@
 import dataclasses
 import json
 import os
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from glad import synthdata
-from glad.synthdata import (CorruptHeaderError, DomainSpec,
+from glad.synthdata import (BLOB_SIZE, SYNTH_BLOCK, CorruptHeaderError, DomainSpec,
                             ManifestMismatchError, MotionParams,
                             TruncatedDataError, background_bank, checkerboard,
                             class_motion, generate_domain, pack, read_dataset,
-                            render_video, strip_labels, write_dataset)
-from oracles import render_video_loop
+                            render_block, spec_from_dict, strip_labels,
+                            write_dataset)
+from oracles import generate_domain_loop, render_video_loop
 
 SMALL = DomainSpec(n_videos=24, length_range=(8, 16), seed=3)
 
@@ -28,6 +31,26 @@ def test_spec_validation():
         DomainSpec(bias_rho=1.5)
     with pytest.raises(ValueError):
         DomainSpec(background_mode="plasma")
+    with pytest.raises(ValueError, match="blob size"):
+        DomainSpec(height=BLOB_SIZE)
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"n_classes": True}, "n_classes: expected int, got True"),
+    ({"domain": 3}, "domain: expected str, got 3"),
+    ({"length_range": [8, 9.5]}, "length_range: expected list[int, int], got [8, 9.5]"),
+    ({"n_videos": 2.0}, "n_videos: expected int, got 2.0"),
+    ({"no_such_field": 1}, "no_such_field: unknown field"),
+    (5, "expected an object, got 5"),
+], ids=["bool_count", "int_domain", "float_length", "float_count", "unknown", "not_an_object"])
+def test_spec_from_dict_checks_json_types(doc, message):
+    with pytest.raises(TypeError, match=re.escape(message)):
+        spec_from_dict(doc)
+
+
+def test_spec_from_dict_makes_tuples():
+    spec = spec_from_dict({"length_range": [8, 9], "blob_speed_range": [1, 2.5], "bias_rho": 1})
+    assert spec == DomainSpec(length_range=(8, 9), blob_speed_range=(1.0, 2.5), bias_rho=1.0)
 
 
 def test_background_bank_shape_and_range():
@@ -61,67 +84,85 @@ def test_class_motion_distinct_and_deterministic():
     assert params[5] == again
 
 
+def test_class_motion_draws_three_uniforms():
+    """class_motion's one draw of three doubles gives the values, and leaves
+    the rng, as uniform(0, 0.5) twice and uniform(0, 2 pi) once would."""
+    for c in range(12):
+        rng, ref = np.random.default_rng(c), np.random.default_rng(c)
+        motion = class_motion(c, SMALL, rng)
+        row = (c * synthdata.GOLDEN * 8) % 8 + ref.uniform(0.0, 0.5)
+        col = (c * (1.0 - synthdata.GOLDEN) * 8 * 3.0) % 8 + ref.uniform(0.0, 0.5)
+        assert (motion.center_row, motion.center_col) == (row, col)
+        assert motion.phase == ref.uniform(0.0, 2.0 * np.pi)
+        assert rng.random() == ref.random()
+
+
+def render_one(spec, class_id, length, background, rng, motion=None):
+    """One video rendered alone as a block."""
+    motion = motion or class_motion(class_id, spec, rng)
+    return render_block(spec, [length], [background], [motion], [rng], [])
+
+
 def test_render_video_shapes_and_range():
-    rng = np.random.default_rng(1)
-    motion = class_motion(0, SMALL, rng)
-    vid = render_video(0, 10, checkerboard(SMALL), motion, rng, SMALL)
-    assert vid.frames.shape == (10, 64)
-    assert vid.frames.dtype == np.float32
-    assert vid.frames.min() >= 0.0 and vid.frames.max() <= 1.0
-    assert vid.length == 10
+    frames = render_one(SMALL, 0, 10, checkerboard(SMALL), np.random.default_rng(1))
+    assert frames.shape == (10, 64)
+    assert frames.dtype == np.float32
+    assert frames.min() >= 0.0 and frames.max() <= 1.0
 
 
 def test_render_video_blob_brightens_frames():
     spec = dataclasses.replace(SMALL, noise_std=0.0)
-    rng = np.random.default_rng(2)
-    motion = class_motion(3, spec, rng)
     bg = checkerboard(spec)
-    vid = render_video(3, 12, bg, motion, rng, spec)
+    frames = render_one(spec, 3, 12, bg, np.random.default_rng(2))
     for t in range(12):
-        diff = vid.frames[t] - bg
-        assert (diff > 0.1).sum() >= motion.blob_size ** 2
+        assert ((frames[t] - bg) > 0.1).sum() >= BLOB_SIZE ** 2
 
 
 def test_render_video_rejects_bad_inputs():
+    """A length below 1 or a background outside [0, 1] anywhere in the
+    block; a blob as large as the canvas is refused by the spec."""
     rng = np.random.default_rng(3)
+    board = checkerboard(SMALL)
     motion = class_motion(0, SMALL, rng)
-    with pytest.raises(ValueError):
-        render_video(0, 0, checkerboard(SMALL), motion, rng, SMALL)
-    with pytest.raises(ValueError):
-        render_video(0, 4, checkerboard(SMALL) + 5.0, motion, rng, SMALL)
-    with pytest.raises(ValueError, match="blob larger than canvas"):
-        render_video(0, 4, checkerboard(SMALL), dataclasses.replace(motion, blob_size=8),
-                     rng, SMALL)
+    with pytest.raises(ValueError, match="length"):
+        render_block(SMALL, [4, 0], [board, board], [motion] * 2, [rng] * 2, [])
+    with pytest.raises(ValueError, match="background"):
+        render_block(SMALL, [4, 4], [board, board + 5.0], [motion] * 2, [rng] * 2, [])
 
 
-def same_render(spec, length, background, motion, seed):
-    """render_video and the frame loop from one seed: the same bytes, and
-    the same draws left in the rng."""
-    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-    a = render_video(5, length, background, motion, rng_a, spec, video_id="x")
-    b = render_video_loop(5, length, background, motion, rng_b, spec, video_id="x")
-    assert a.frames.dtype == b.frames.dtype and a.frames.shape == b.frames.shape
-    assert a.frames.tobytes() == b.frames.tobytes()
-    assert (a.label, a.domain, a.video_id) == (b.label, b.domain, b.video_id)
-    assert rng_a.random() == rng_b.random()
-    return a
+def same_render(spec, lengths, backgrounds, motions, seed):
+    """render_block on one block and the frame loop on each video alone,
+    every video with its own rng from the seed: the same bytes, and the
+    same draws left in each rng."""
+    rngs = [np.random.default_rng((seed, k)) for k in range(len(lengths))]
+    block = render_block(spec, lengths, backgrounds, motions, rngs, [])
+    assert block.dtype == np.float32 and block.shape == (sum(lengths), spec.frame_dim)
+    start = 0
+    for k, (length, bg, motion) in enumerate(zip(lengths, backgrounds, motions)):
+        rng = np.random.default_rng((seed, k))
+        want = render_video_loop(5, length, bg, motion, rng, spec).frames
+        assert block[start:start + length].tobytes() == want.tobytes()
+        assert rngs[k].random() == rng.random()
+        start += length
+    return block
+
+
+motion_params = st.builds(MotionParams, center_row=st.floats(-4.0, 12.0),
+                          center_col=st.floats(-4.0, 12.0), radius=st.floats(0.5, 3.0),
+                          speed=st.floats(0.0, 3.0), phase=st.floats(0.0, 6.3))
 
 
 @settings(max_examples=40, deadline=None)
-@given(h=st.integers(3, 9), w=st.integers(3, 9), length=st.integers(1, 30),
-       row=st.floats(-4.0, 12.0), col=st.floats(-4.0, 12.0),
-       radius=st.floats(0.5, 3.0), speed=st.floats(0.0, 3.0),
-       phase=st.floats(0.0, 6.3), noise=st.sampled_from([0.0, 0.05, 0.3]),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_render_video_matches_frame_loop(h, w, length, row, col, radius, speed, phase,
-                                         noise, seed):
-    """Any canvas, odd or even length, orbit centre (also off the canvas, so
-    the blob wraps) and noise level."""
+@given(h=st.integers(3, 9), w=st.integers(3, 9),
+       videos=st.lists(st.tuples(st.integers(1, 30), motion_params), min_size=1, max_size=4),
+       noise=st.sampled_from([0.0, 0.05, 0.3]), seed=st.integers(0, 2 ** 32 - 1))
+def test_render_video_matches_frame_loop(h, w, videos, noise, seed):
+    """Blocks of 1-4 videos on any canvas, with odd or even lengths, any
+    orbit centre (also off the canvas, so the blob wraps) and noise level."""
     spec = DomainSpec(height=h, width=w, noise_std=noise)
-    background = np.random.default_rng(seed).uniform(0.0, 1.0, h * w).astype(np.float32)
-    motion = MotionParams(center_row=row, center_col=col, radius=radius,
-                          speed=speed, phase=phase)
-    same_render(spec, length, background, motion, seed)
+    backgrounds = np.random.default_rng(seed).uniform(0.0, 1.0, (len(videos), h * w))
+    lengths, motions = zip(*videos)
+    same_render(spec, list(lengths), list(backgrounds.astype(np.float32)), list(motions), seed)
 
 
 def test_render_video_blob_wraps_across_both_edges():
@@ -129,10 +170,10 @@ def test_render_video_blob_wraps_across_both_edges():
     board = checkerboard(spec)
     # a still blob whose top-left cell is the bottom-right corner
     motion = MotionParams(center_row=4.5, center_col=6.4, radius=0.1, speed=0.0, phase=0.0)
-    vid = same_render(spec, 3, board, motion, 0)
-    lit = np.flatnonzero(vid.frames[0] != board)
+    frames = same_render(spec, [3], [board], [motion], 0)
+    lit = np.flatnonzero(frames[0] != board)
     assert sorted(lit.tolist()) == [0, 6, 28, 34]  # (0,0) (0,6) (4,0) (4,6)
-    assert np.array_equal(vid.frames[0], vid.frames[2])
+    assert np.array_equal(frames[0], frames[2])
 
 
 @pytest.mark.parametrize("spec", [
@@ -142,13 +183,62 @@ def test_render_video_blob_wraps_across_both_edges():
     DomainSpec(n_videos=16, length_range=(8, 11), bias_rho=0.5, seed=7),
     DomainSpec(n_videos=8, length_range=(10, 10), background_mode="fixed_checkerboard",
                domain="target", seed=8),
-], ids=["odd_and_even_lengths", "non_square", "no_noise", "bias_rho_half", "checkerboard"])
-def test_generate_domain_matches_frame_loop(monkeypatch, spec):
-    manifest, samples = generate_domain(spec)
-    monkeypatch.setattr(synthdata, "render_video", render_video_loop)
-    manifest_b, samples_b = generate_domain(spec)
-    assert manifest.entries == manifest_b.entries
-    assert [s.frames.tobytes() for s in samples] == [s.frames.tobytes() for s in samples_b]
+    DomainSpec(n_videos=SYNTH_BLOCK - 1, length_range=(8, 20), seed=9),
+    DomainSpec(n_videos=SYNTH_BLOCK, length_range=(8, 20), bias_rho=0.5, seed=10),
+    DomainSpec(n_videos=2 * SYNTH_BLOCK + 5, length_range=(8, 30), bias_rho=0.5,
+               noise_std=0.05, seed=11),
+], ids=["odd_and_even_lengths", "non_square", "no_noise", "bias_rho_half", "checkerboard",
+        "below_one_block", "one_block", "not_a_block_multiple"])
+def test_generate_domain_matches_frame_loop(spec):
+    """Every video of the split, as the frame loop renders it alone."""
+    manifest, videos = generate_domain(spec)
+    entries, want = generate_domain_loop(spec)
+    assert manifest.entries == entries
+    assert [v.frames.tobytes() for v in videos] == [v.frames.tobytes() for v in want]
+    assert [(v.label, v.domain, v.video_id) for v in videos] \
+        == [(v.label, v.domain, v.video_id) for v in want]
+
+
+def written_files(spec, directory):
+    write_dataset(spec, str(directory))
+    return [(directory / name).read_bytes() for name in ("manifest.json", "frames.bin")]
+
+
+@pytest.mark.parametrize("block", [1, 3, SYNTH_BLOCK])
+def test_bytes_do_not_depend_on_the_block_size(monkeypatch, tmp_path, block):
+    """generate_domain and the files write_dataset writes, with any block
+    size, are the default block size's; the files are generate_domain's
+    videos end to end and the manifest json.dumps(indent=1) would write."""
+    spec = DomainSpec(n_videos=SYNTH_BLOCK + 4, length_range=(8, 30), bias_rho=0.5, seed=12)
+    want_manifest, want_videos = generate_domain(spec)
+    monkeypatch.setattr(synthdata, "SYNTH_BLOCK", block)
+    manifest, videos = generate_domain(spec)
+    assert manifest.entries == want_manifest.entries
+    assert [v.frames.tobytes() for v in videos] == [v.frames.tobytes() for v in want_videos]
+    doc = {"format": synthdata.MAGIC, "spec": dataclasses.asdict(spec),
+           "entries": want_manifest.entries}
+    assert written_files(spec, tmp_path) == [
+        json.dumps(doc, indent=1).encode(), b"".join(v.frames.tobytes() for v in want_videos)]
+
+
+def traced_peak_of_write(tmp_path, n_videos: int) -> int:
+    """Peak bytes tracemalloc sees (numpy's buffers included) while
+    write_dataset renders and writes n_videos 40-frame videos."""
+    spec = DomainSpec(n_videos=n_videos, length_range=(40, 40), seed=13)
+    tracemalloc.start()
+    try:
+        write_dataset(spec, str(tmp_path / str(n_videos)))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_dataset_memory_is_one_block(tmp_path):
+    """Writing four blocks peaks below 1.5 times writing one: the work
+    buffers are sized by a block and reused, and every block is written
+    before the next is rendered."""
+    one = traced_peak_of_write(tmp_path, SYNTH_BLOCK)
+    assert traced_peak_of_write(tmp_path, 4 * SYNTH_BLOCK) < 1.5 * one
 
 
 def test_generate_domain_balanced_labels_and_lengths():
@@ -205,7 +295,7 @@ def test_strip_labels():
 
 def test_roundtrip_lossless(tmp_path):
     manifest, samples = generate_domain(SMALL)
-    write_dataset(manifest, samples, str(tmp_path))
+    write_dataset(SMALL, str(tmp_path))
     manifest2, samples2 = read_dataset(str(tmp_path))
     assert manifest2.spec == manifest.spec
     assert manifest2.entries == manifest.entries
@@ -218,12 +308,13 @@ def test_pack_uses_the_buffer_read_dataset_read(tmp_path):
     """read_dataset's videos pack into the one array it read, with no copy;
     stripping the labels keeps that; other lists are copied in order."""
     manifest, samples = generate_domain(SMALL)
-    write_dataset(manifest, samples, str(tmp_path))
+    write_dataset(SMALL, str(tmp_path))
     _, read = read_dataset(str(tmp_path))
     for videos in (read, strip_labels(read)):
         packed = pack(videos)
         assert packed.frames.base is read[0].frames.base
         assert packed.frames.shape == (sum(manifest.lengths()), SMALL.frame_dim)
+    assert pack(samples).frames.base is samples[0].frames.base  # generate_domain's too
     packed = pack(read)
     assert packed.lengths.tolist() == manifest.lengths()
     assert packed.labels.tolist() == [e["label"] for e in manifest.entries]
@@ -250,7 +341,7 @@ def test_roundtrip_lossless_random_specs(tmp_path_factory, seed):
     )
     manifest, samples = generate_domain(spec)
     out = str(tmp_path_factory.mktemp("ds"))
-    write_dataset(manifest, samples, out)
+    write_dataset(spec, out)
     manifest2, samples2 = read_dataset(out)
     assert manifest2.spec == spec
     for a, b in zip(samples, samples2):
@@ -258,8 +349,7 @@ def test_roundtrip_lossless_random_specs(tmp_path_factory, seed):
 
 
 def test_read_rejects_bad_magic(tmp_path):
-    manifest, samples = generate_domain(SMALL)
-    write_dataset(manifest, samples, str(tmp_path))
+    write_dataset(SMALL, str(tmp_path))
     path = tmp_path / "manifest.json"
     doc = json.loads(path.read_text())
     doc["format"] = "something-else"
@@ -269,16 +359,14 @@ def test_read_rejects_bad_magic(tmp_path):
 
 
 def test_read_rejects_unparseable_manifest(tmp_path):
-    manifest, samples = generate_domain(SMALL)
-    write_dataset(manifest, samples, str(tmp_path))
+    write_dataset(SMALL, str(tmp_path))
     (tmp_path / "manifest.json").write_text("{not json")
     with pytest.raises(CorruptHeaderError):
         read_dataset(str(tmp_path))
 
 
 def test_read_rejects_truncated_frames(tmp_path):
-    manifest, samples = generate_domain(SMALL)
-    write_dataset(manifest, samples, str(tmp_path))
+    write_dataset(SMALL, str(tmp_path))
     blob = (tmp_path / "frames.bin").read_bytes()
     (tmp_path / "frames.bin").write_bytes(blob[:-8])
     with pytest.raises(TruncatedDataError):
@@ -286,17 +374,10 @@ def test_read_rejects_truncated_frames(tmp_path):
 
 
 def test_read_rejects_entry_count_mismatch(tmp_path):
-    manifest, samples = generate_domain(SMALL)
-    write_dataset(manifest, samples, str(tmp_path))
+    write_dataset(SMALL, str(tmp_path))
     path = tmp_path / "manifest.json"
     doc = json.loads(path.read_text())
     doc["entries"] = doc["entries"][:-1]
     path.write_text(json.dumps(doc))
     with pytest.raises(ManifestMismatchError):
         read_dataset(str(tmp_path))
-
-
-def test_write_rejects_mismatched_sample_count(tmp_path):
-    manifest, samples = generate_domain(SMALL)
-    with pytest.raises(ManifestMismatchError):
-        write_dataset(manifest, samples[:-1], str(tmp_path))

@@ -15,12 +15,13 @@ from glad import model as glad_model, trainer
 from glad.diffnet import mlp_forward
 from glad.model import ModelConfig, init_glad_model
 from glad.debias import build_background_bank, mix_background
+from glad.schema import from_json
 from glad.synthdata import (DomainSpec, VideoSample, generate_domain, pack,
                             strip_labels)
 from glad.trainer import (TrainConfig, TrainReport, ablation_rows,
-                          active_groups, apply_grads, config_from_dict,
-                          evaluate, format_ablation_table, lr_at,
-                          run_ablation_matrix, train)
+                          active_groups, apply_grads, evaluate,
+                          format_ablation_table, lr_at, run_ablation_matrix,
+                          train)
 from oracles import (encode_clip_stack, evaluate_per_clip, sample_global_clip,
                      sample_local_clip, sgd_step, step_on_lists)
 
@@ -407,7 +408,7 @@ def test_ablation_matrix_rejects_empty_seeds():
 
 def test_config_dict_roundtrip():
     cfg = tiny_config(gla_views=("gg",), lr_drop_epochs=(3, 7))
-    back = config_from_dict(json.loads(json.dumps(dataclasses.asdict(cfg))))
+    back = from_json(TrainConfig, json.loads(json.dumps(dataclasses.asdict(cfg))))
     assert back == cfg
     assert isinstance(back.model, ModelConfig)
 
