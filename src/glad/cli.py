@@ -101,20 +101,20 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def scene_features_of(samples) -> SceneFeatureSet:
+def scene_features_of(split) -> SceneFeatureSet:
     # Scene features are L2-normalized temporal-median backgrounds; this
     # replaces a pretrained scene-classification network at desk scale.
-    bank = build_background_bank(samples)
+    bank = build_background_bank(split)
     return SceneFeatureSet.from_vectors(bank.astype(np.float64))
 
 
 def cmd_gap(args) -> int:
     features, lengths = [], []
     for path in (args.source, args.target):
-        manifest, samples = read_dataset(resolve_split_dir(path))
-        features.append(scene_features_of(samples))
+        manifest, split = read_dataset(resolve_split_dir(path))
+        features.append(scene_features_of(split))
         lengths.append(manifest.lengths())
-        del samples  # one split's frames at a time
+        del split  # one split's frames at a time
     delta_bg = scene_distance(*features)
     delta_temp = temporal_distance(*lengths)
     report = GapReport(delta_bg=delta_bg, delta_temp=delta_temp,
@@ -150,14 +150,14 @@ def load_experiment(path: str):
     return doc, tc
 
 
-def _read_split(directory: str, model_cfg) -> list:
-    """Samples of a split whose videos fit the model's input and classes."""
-    manifest, samples = read_dataset(directory)
+def _read_split(directory: str, model_cfg):
+    """The split in directory; its videos must fit the model's input and classes."""
+    manifest, split = read_dataset(directory)
     for key in ("n_classes", "frame_dim"):
         have, need = getattr(manifest.spec, key), getattr(model_cfg, key)
         if have != need:
             raise UsageError(f"{directory}: dataset {key}={have} but model {key}={need}")
-    return samples
+    return split
 
 
 def _load_splits(doc, tc):
@@ -166,7 +166,7 @@ def _load_splits(doc, tc):
     src_train = _read_split(src_dir, tc.model)
     tgt_train = _read_split(tgt_dir, tc.model)
     # the labelled side of supervised_target, the target split, is in the min
-    smaller = min(len(src_train), len(tgt_train))
+    smaller = min(len(src_train.lengths), len(tgt_train.lengths))
     if tc.batch_size > smaller:
         raise UsageError(f"batch_size {tc.batch_size} is larger than the smaller "
                          f"training split ({smaller} videos)")
@@ -205,8 +205,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     mdl = glad_model.load_model(args.checkpoint)
-    samples = _read_split(resolve_split_dir(args.data), mdl.config)
-    cm, mca = evaluate(mdl, samples, mdl.config.n_classes)
+    split = _read_split(resolve_split_dir(args.data), mdl.config)
+    cm, mca = evaluate(mdl, split, mdl.config.n_classes)
     print(f"MCA: {mca:.2f}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)

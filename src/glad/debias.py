@@ -5,32 +5,30 @@ from __future__ import annotations
 
 import numpy as np
 
-from .synthdata import VideoSample
+from .synthdata import Packed
 
 
-def build_background_bank(samples: list[VideoSample]) -> np.ndarray:
-    """(n, D) array of the samples' temporal-median backgrounds, values in
+def build_background_bank(split: Packed) -> np.ndarray:
+    """(n, D) array of the split's temporal-median backgrounds, values in
     [0, 1]: the per-pixel median over each video's frames, the mean of the
     two middle values for an even length and NaN where a pixel has a NaN,
-    as np.median gives them. The videos of one length are stacked as
+    as np.median gives them. The videos of one length are gathered as
     (g, D, T) rows and sorted in place; a sorted row's middle values are
     the ones np.median's partition selects, so the bank is bit for bit
     that of one np.median call per video."""
-    if not samples:
-        raise ValueError("empty dataset")
-    lengths = np.array([s.frames.shape[0] for s in samples])
-    if lengths.min() < 1:
+    lengths = split.lengths
+    if lengths.min() < 1:  # a split with no video raises here too
         raise ValueError("empty video")
     order = np.argsort(lengths, kind="stable")
     medians = []
     for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
-        rows = np.stack([samples[i].frames.T for i in group])
+        t = int(lengths[group[0]])
+        rows = split.frames[split.starts[group][:, None] + np.arange(t)].transpose(0, 2, 1).copy()
         rows.sort(axis=2)
-        t = rows.shape[2]
         # the middle value of an odd length, the two middle ones of an even
         mid = rows[:, :, (t - 1) // 2:t // 2 + 1].mean(axis=2)
         medians.append(np.where(np.isnan(rows[:, :, -1]), np.nan, mid))
-    bank = np.empty((len(samples), medians[0].shape[1]), dtype=medians[0].dtype)
+    bank = np.empty((len(lengths), medians[0].shape[1]), dtype=medians[0].dtype)
     bank[order] = np.concatenate(medians)
     return bank
 

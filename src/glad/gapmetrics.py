@@ -19,8 +19,7 @@ class EmptyClassError(ValueError):
 
 @dataclass
 class SceneFeatureSet:
-    vectors: np.ndarray  # (L, D)
-    normalized: bool = False
+    vectors: np.ndarray  # (L, D) unit rows
 
     @classmethod
     def from_vectors(cls, vectors) -> "SceneFeatureSet":
@@ -30,7 +29,7 @@ class SceneFeatureSet:
         norms = np.linalg.norm(arr, axis=1)
         if np.any(norms == 0.0):
             raise ZeroVectorError("zero vector cannot be normalized")
-        return cls(arr / norms[:, None], normalized=True)
+        return cls(arr / norms[:, None])
 
 
 # scene_distance's blocks hold about SCENE_BLOCK dot products (4 MB of
@@ -53,9 +52,7 @@ def scene_distance(u: SceneFeatureSet, v: SceneFeatureSet) -> float:
     column maxima of u.v are taken over blocks of source rows, so this
     allocates one block, never the (L_S, L_T) matrix; min(1 - x) is
     1 - max(x) exactly, as rounding is monotone."""
-    us = u if u.normalized else SceneFeatureSet.from_vectors(u.vectors)
-    vs = v if v.normalized else SceneFeatureSet.from_vectors(v.vectors)
-    a, b = us.vectors, vs.vectors
+    a, b = u.vectors, v.vectors
     step = _scene_rows(len(b))
     row_max, col_max = np.empty(len(a)), np.full(len(b), -np.inf)
     starts = [k * step for k in range(max(1, len(a) // step))]

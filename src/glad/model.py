@@ -49,6 +49,11 @@ class ModelConfig:
             raise ValueError(f"tol_clips must be one of {list(TOL_ORDERS)}")
         if self.n_frames < 1 or self.local_stride < 1:
             raise ValueError("n_frames and local_stride must be >= 1")
+        for key in ("frame_dim", "enc_hidden", "enc_out", "feat_dim", "n_classes", "tol_hidden"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
+        if min(self.domain_hidden) < 1:
+            raise ValueError("domain_hidden widths must be >= 1")
         for key in ("input_center", "input_gain", "proj_init_scale"):
             if not math.isfinite(getattr(self, key)):
                 raise ValueError(f"{key} must be finite")
@@ -87,11 +92,9 @@ class GladModel:
 
     Every parameter lives in one float64 vector, params.flat, and
     params[g][i] is a view into it (see _flat_layout); gradients and the
-    optimizer's velocity use the same layout. params may be swapped for any
-    dict of lists of the same shapes, as the gradient checks do: the losses,
-    step_losses and zero_grads take one, and only trainer.apply_grads needs
-    the flat vector. The encoder writes its large per-step arrays into
-    buffers the model keeps (see scratch) instead of new ones each call.
+    optimizer's velocity use the same layout. The encoder writes its large
+    per-step arrays into buffers the model keeps (see scratch) instead of
+    new ones each call.
     """
     config: ModelConfig
     specs: dict
@@ -113,13 +116,9 @@ class GladModel:
         return FlatState(self.layout, np.zeros(self.size))
 
     def zero_grads(self) -> FlatState:
-        """Zeroed gradients in the parameter layout. For the model's own
-        flat parameters this is one vector that the model keeps and zeroes
-        again on each call, so a step's gradients last until the next
-        step's zero_grads; with any other params dict swapped in, a new
-        one."""
-        if not isinstance(self.params, FlatState):
-            return self.zeros()
+        """Zeroed gradients in the parameter layout: one vector that the
+        model keeps and zeroes again on each call, so a step's gradients
+        last until the next step's zero_grads."""
         self._grads.flat.fill(0.0)
         return self._grads
 

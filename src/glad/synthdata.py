@@ -47,46 +47,15 @@ class ManifestMismatchError(DatasetError):
 
 
 @dataclass
-class VideoSample:
-    frames: np.ndarray  # (T, D) float32 in [0, 1]
-    label: int | None
-    domain: str  # "source" or "target"
-    video_id: str
-
-    @property
-    def length(self) -> int:
-        return self.frames.shape[0]
-
-
-@dataclass
 class Packed:
-    """Videos end to end in one (sum T, D) frame array, the frames.bin
-    layout: video i is frames[starts[i]:starts[i] + lengths[i]]. A label
-    of -1 marks an unlabeled video."""
+    """One split's videos end to end in one (sum T, D) frame array, the
+    frames.bin layout: video i is frames[starts[i]:starts[i] + lengths[i]].
+    A label of -1 marks an unlabeled video."""
     frames: np.ndarray
     starts: np.ndarray
     lengths: np.ndarray
     labels: np.ndarray
-    domains: list
-
-
-def pack(samples: list[VideoSample]) -> Packed:
-    """The samples packed in order. The videos of read_dataset and of
-    generate_domain are consecutive rows of one buffer; that buffer is used
-    as is, and any other list is copied into a new array."""
-    if not samples:
-        raise ValueError("no videos")
-    lengths = np.array([s.length for s in samples], dtype=np.int64)
-    starts = np.cumsum(lengths) - lengths
-    base, d = samples[0].frames.base, samples[0].frames.shape[1]
-    shared = (isinstance(base, np.ndarray) and base.dtype == samples[0].frames.dtype
-              and base.size == lengths.sum() * d
-              and all(s.frames.base is base and s.frames.flags.c_contiguous
-                      and s.frames.ctypes.data == base.ctypes.data + r * d * base.itemsize
-                      for s, r in zip(samples, starts)))
-    frames = base.reshape(-1, d) if shared else np.concatenate([s.frames for s in samples])
-    labels = np.array([-1 if s.label is None else s.label for s in samples], dtype=np.int64)
-    return Packed(frames, starts, lengths, labels, [s.domain for s in samples])
+    domain: str  # "source" or "target"
 
 
 @dataclass(frozen=True)
@@ -267,27 +236,24 @@ def _blocks(spec: DomainSpec):
         yield entries, render_block(spec, lengths, backgrounds, motions, rngs, work)
 
 
-def _videos(spec: DomainSpec, entries: list, frames: np.ndarray) -> list[VideoSample]:
-    """The entries' videos as views of the split's (sum T, D) frames."""
-    rows = [e["offset"] // (4 * spec.frame_dim) for e in entries]
-    return [VideoSample(frames[r:r + e["length"]], e["label"], spec.domain, e["video_id"])
-            for r, e in zip(rows, entries)]
+def _packed(spec: DomainSpec, entries: list, frames: np.ndarray) -> Packed:
+    """The split whose videos the entries list, in order, end to end in the
+    (sum T, D) frames."""
+    lengths = np.array([e["length"] for e in entries], dtype=np.int64)
+    labels = np.array([e["label"] for e in entries], dtype=np.int64)
+    return Packed(frames, np.cumsum(lengths) - lengths, lengths, labels, spec.domain)
 
 
 def generate_domain(spec: DomainSpec):
-    """(manifest, videos) of the spec's split: the blocks write_dataset
-    writes, packed into one array that every video is a view of."""
+    """(manifest, [split]) of the spec: the blocks write_dataset writes,
+    packed in one array. The split is in a one-item list only because
+    perfbench/checks.py joins the frames of the list's items."""
     entries, blocks = [], []
     for block_entries, frames in _blocks(spec):
         entries += block_entries
         blocks.append(frames.copy())
-    return DomainManifest(spec=spec, entries=entries), _videos(spec, entries, np.concatenate(blocks))
-
-
-def strip_labels(samples: list[VideoSample]) -> list[VideoSample]:
-    """Training-side view of an unlabeled domain."""
-    return [VideoSample(frames=s.frames, label=None, domain=s.domain, video_id=s.video_id)
-            for s in samples]
+    split = _packed(spec, entries, np.concatenate(blocks))
+    return DomainManifest(spec=spec, entries=entries), [split]
 
 
 def spec_from_dict(d: dict, where: str = "") -> DomainSpec:
@@ -309,9 +275,10 @@ def write_dataset(spec: DomainSpec, directory: str) -> None:
 
 
 def read_dataset(directory: str):
-    """Inverse of write_dataset; validates the header, the spec, that the
-    entries tile frames.bin in order, the payload size, and that every frame
-    value is in [0, 1] (NaN is not)."""
+    """(manifest, split), the inverse of write_dataset: the split is the one
+    array frames.bin holds. Validates the header, the spec, that the entries
+    tile frames.bin in order, the payload size, and that every frame value
+    is in [0, 1] (NaN is not)."""
     path = os.path.join(directory, "manifest.json")
     try:
         with open(path) as f:
@@ -357,9 +324,8 @@ def read_dataset(directory: str):
         raise TruncatedDataError(f"truncated frame data: {size} < {end} bytes")
     if size > end:
         raise ManifestMismatchError(f"manifest mismatch: {size} > {end} bytes")
-    # one read; every video is a view into the flat frame array
     flat = np.fromfile(frames_path, dtype="<f4")
     lo, hi = flat.min(), flat.max()  # a NaN anywhere makes both NaN
     if not (lo >= 0.0 and hi <= 1.0):
         raise DatasetError(f"{frames_path}: frame values span [{lo}, {hi}], not within [0, 1]")
-    return DomainManifest(spec=spec, entries=entries), _videos(spec, entries, flat.reshape(-1, d))
+    return DomainManifest(spec=spec, entries=entries), _packed(spec, entries, flat.reshape(-1, d))

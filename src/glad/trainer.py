@@ -19,7 +19,7 @@ from .debias import build_background_bank, draw_mixes, mix_background
 from .gapmetrics import confusion_matrix, mean_class_accuracy
 from .model import GLA_VIEWS, GladModel, ModelConfig, init_glad_model
 from .sampling import clip_indices
-from .synthdata import Packed, VideoSample, pack, strip_labels
+from .synthdata import Packed
 
 
 class NumericError(RuntimeError):
@@ -175,8 +175,7 @@ def step_losses(mdl: GladModel, src: Packed, tgt: Packed, batch, config: TrainCo
         raise ValueError("need equal non-empty source and target batches")
     mixes = []
     if config.use_bg_aug and bank is not None:
-        domains = [src.domains[i] for i in src_idx] + [tgt.domains[i] for i in tgt_idx]
-        mixes = draw_mixes(domains, len(bank), config, rng)
+        mixes = draw_mixes([src.domain] * b + [tgt.domain] * b, len(bank), config, rng)
 
     # Every video gets the same K = mg + nl + n_tol clips, in this order:
     # mg global views, nl local views, then n_tol clips for order learning.
@@ -301,15 +300,14 @@ def run_phase_epoch(mdl, src, tgt, config, velocity, rng, phase, lr, bank):
 EVAL_BLOCK = 256
 
 
-def _eval_inputs(samples: list[VideoSample], cfg: ModelConfig):
+def _eval_inputs(videos: Packed, cfg: ModelConfig):
     """What evaluation needs of a labeled split, which depends on no
     parameter: (labels, packed frames, blocks). A block is (clips, rows) of
     EVAL_BLOCK videos for encode_clip_batch over frames[rows]: each video's
     centred global clip and its centred local clip twice, as indices into
     the block's distinct packed-frame rows. Only these indices are new."""
-    videos = pack(samples)
     if (videos.labels < 0).any():
-        raise ValueError("evaluate requires labeled samples")
+        raise ValueError("evaluate requires labeled videos")
     idx = clip_indices(videos.lengths, cfg.n_frames, cfg.local_stride, 1, 1)[:, [0, 1, 1]]
     frame = videos.starts[:, None, None] + idx
     blocks = []
@@ -333,29 +331,27 @@ def _score(mdl: GladModel, inputs, n_classes: int):
     return cm, mean_class_accuracy(cm)
 
 
-def evaluate(mdl: GladModel, samples: list[VideoSample], n_classes: int):
+def evaluate(mdl: GladModel, videos: Packed, n_classes: int):
     """Consensus inference per video over its centred global clip and its
     centred local clip twice; returns (confusion matrix, MCA). The videos go
     through the encoder EVAL_BLOCK at a time (see _score)."""
-    return _score(mdl, _eval_inputs(samples, mdl.config), n_classes)
+    return _score(mdl, _eval_inputs(videos, mdl.config), n_classes)
 
 
 # Overflow and NaN in a diverging run end it with NumericError or
 # NonFiniteGradientError, not with numpy warnings.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def train(config: TrainConfig, src_train: list[VideoSample],
-          tgt_train: list[VideoSample], tgt_test: list[VideoSample] | None = None,
-          out_dir: str | None = None) -> tuple:
+def train(config: TrainConfig, src: Packed, tgt_train: Packed,
+          tgt_test: Packed | None = None, out_dir: str | None = None) -> tuple:
     """Full curriculum: TOL warm-up (when TOL is enabled) followed by the
-    adversarial main phase. Target training labels are stripped before any
-    step sees them."""
+    adversarial main phase. Target training labels are set to -1 before
+    any step sees them."""
     mdl = init_glad_model(config.model, seed=config.seed)
     rng = np.random.default_rng((config.seed, 0x7A))
-    tgt_unlabeled = strip_labels(tgt_train)
+    tgt = replace(tgt_train, labels=np.full_like(tgt_train.labels, -1))
     bank = None
     if config.use_bg_aug:
-        bank = build_background_bank(list(src_train) + tgt_unlabeled)
-    src, tgt = pack(src_train), pack(tgt_unlabeled)
+        bank = np.concatenate([build_background_bank(src), build_background_bank(tgt)])
     velocity = mdl.zeros()
     report = TrainReport()
     # the test split's clips are fixed: prepare them once, score each epoch

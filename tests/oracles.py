@@ -1,9 +1,11 @@
 """Reference implementations that the array paths of src/glad/ are tested
 against: the one-clip-at-a-time samplers, the per-clip encoder and
-evaluation, a step on plain lists of videos, the per-tensor SGD update, the
+evaluation, a step over two whole splits, the per-tensor SGD update, the
 alignment loss with one classifier pass per sub-batch, the frame-by-frame
 renderer and a split rendered with it one video at a time, the per-video
-background median and the scene distance over one whole distance matrix."""
+background median and the scene distance over one whole distance matrix;
+and helpers that build a Packed split from per-video frame arrays and
+take one apart again."""
 
 import numpy as np
 
@@ -12,9 +14,38 @@ from glad.diffnet import NonFiniteGradientError, ShapeError
 from glad.gapmetrics import SceneFeatureSet, confusion_matrix, mean_class_accuracy
 from glad.model import (GLA_VIEWS, _unit_rows, _unit_rows_backward, classify_action,
                         domain_adv_loss)
-from glad.synthdata import (BLOB_AMPLITUDE, BLOB_SIZE, VideoSample, background_bank,
-                            checkerboard, class_motion, pack)
+from glad.synthdata import (BLOB_AMPLITUDE, BLOB_SIZE, Packed, background_bank,
+                            checkerboard, class_motion)
 from glad.trainer import step_losses
+
+
+def packed(frames, labels, domain: str = "source") -> Packed:
+    """A split of the (T, D) frame arrays, copied end to end in order; a
+    label of None becomes -1, unlabeled."""
+    lengths = np.array([len(f) for f in frames], dtype=np.int64)
+    labels = np.array([-1 if label is None else label for label in labels], dtype=np.int64)
+    return Packed(np.concatenate(frames), np.cumsum(lengths) - lengths, lengths, labels,
+                  domain)
+
+
+def videos_of(split: Packed) -> list:
+    """Each video's (T, D) frames, as views of the split's frames."""
+    return [split.frames[a:a + t] for a, t in zip(split.starts, split.lengths)]
+
+
+def same_split(a: Packed, b: Packed) -> bool:
+    """Whether two splits hold the same videos, labels and domain, bit for
+    bit."""
+    return (a.frames.shape == b.frames.shape and a.frames.dtype == b.frames.dtype
+            and a.frames.tobytes() == b.frames.tobytes() and a.domain == b.domain
+            and all(np.array_equal(getattr(a, k), getattr(b, k))
+                    for k in ("starts", "lengths", "labels")))
+
+
+def subset(split: Packed, idx) -> Packed:
+    """The split's videos idx, in that order, copied into a new split."""
+    videos = videos_of(split)
+    return packed([videos[i] for i in idx], split.labels[list(idx)], split.domain)
 
 
 def sample_global_clip(T: int, n_frames: int,
@@ -63,18 +94,18 @@ def encode_clip_stack(model, clip_frames: np.ndarray) -> np.ndarray:
     return diffnet.mlp_forward(model.specs["proj"], model.params["proj"], pooled)[0]
 
 
-def evaluate_per_clip(model, samples, n_classes: int):
+def evaluate_per_clip(model, split, n_classes: int):
     """trainer.evaluate with each video's clips sampled one at a time and
     every clip frame encoded: (confusion matrix, MCA)."""
     cfg = model.config
     stack = []
-    for v in samples:
-        g = list(sample_global_clip(v.length, cfg.n_frames))
-        loc = list(sample_local_clip(v.length, cfg.n_frames, cfg.local_stride))
-        stack += [v.frames[g], v.frames[loc], v.frames[loc]]
-    consensus = encode_clip_stack(model, np.array(stack)).reshape(len(samples), 3, -1).mean(axis=1)
-    cm = confusion_matrix([v.label for v in samples],
-                          np.argmax(classify_action(model, consensus), axis=1), n_classes)
+    for v in videos_of(split):
+        g = list(sample_global_clip(len(v), cfg.n_frames))
+        loc = list(sample_local_clip(len(v), cfg.n_frames, cfg.local_stride))
+        stack += [v[g], v[loc], v[loc]]
+    consensus = encode_clip_stack(model, np.array(stack)).reshape(-1, 3, cfg.feat_dim).mean(axis=1)
+    cm = confusion_matrix(split.labels, np.argmax(classify_action(model, consensus), axis=1),
+                          n_classes)
     return cm, mean_class_accuracy(cm)
 
 
@@ -90,10 +121,9 @@ def encoder_grads_by_repeat(model, clips: np.ndarray, rows: np.ndarray,
                                 np.repeat(dpooled / nf, nf, axis=0))[0]
 
 
-def step_on_lists(mdl, src_batch, tgt_batch, config, rng, phase, bank=None):
-    """step_losses on two lists of videos, each its own packed domain."""
-    return step_losses(mdl, pack(src_batch), pack(tgt_batch),
-                       (np.arange(len(src_batch)), np.arange(len(tgt_batch))),
+def step_on_splits(mdl, src, tgt, config, rng, phase, bank=None):
+    """step_losses with every video of each split in the batch, in order."""
+    return step_losses(mdl, src, tgt, (np.arange(len(src.lengths)), np.arange(len(tgt.lengths))),
                        config, rng, phase, bank)
 
 
@@ -150,10 +180,9 @@ def gla_loss_per_subbatch(model, psi_g, psi_l, grl_coeff: float,
     return total, clf, dpsi, logits
 
 
-def render_video_loop(class_id, length, background, motion, rng, spec,
-                      domain=None, video_id="v"):
-    """One video of synthdata.render_block, one frame and one blob cell at
-    a time, with the noise drawn by rng.normal."""
+def render_video_loop(length, background, motion, rng, spec):
+    """The (length, D) frames of one video of synthdata.render_block, one
+    frame and one blob cell at a time, with the noise drawn by rng.normal."""
     if length < 1:
         raise ValueError("length must be >= 1")
     h, w = spec.height, spec.width
@@ -173,13 +202,11 @@ def render_video_loop(class_id, length, background, motion, rng, spec,
         frames[t] = frame
     if spec.noise_std > 0.0:
         frames += rng.normal(0.0, spec.noise_std, size=frames.shape)
-    frames = np.clip(frames, 0.0, 1.0).astype(np.float32)
-    return VideoSample(frames=frames.reshape(length, h * w), label=class_id,
-                       domain=domain or spec.domain, video_id=video_id)
+    return np.clip(frames, 0.0, 1.0).astype(np.float32).reshape(length, h * w)
 
 
 def generate_domain_loop(spec):
-    """(manifest entries, videos) of synthdata.generate_domain, each video
+    """(manifest entries, split) of synthdata.generate_domain, each video
     drawn from its own rng and rendered alone by render_video_loop."""
     bank, checker = background_bank(spec), checkerboard(spec)
     entries, videos, offset = [], [], 0
@@ -194,24 +221,24 @@ def generate_domain_loop(spec):
         else:
             bg = bank[int(rng.integers(0, spec.bank_size))]
         motion = class_motion(label, spec, rng)
-        vid = f"{spec.domain}-{i:05d}"
-        videos.append(render_video_loop(label, length, bg, motion, rng, spec, video_id=vid))
-        entries.append({"video_id": vid, "label": label, "length": length, "offset": offset})
+        videos.append(render_video_loop(length, bg, motion, rng, spec))
+        entries.append({"video_id": f"{spec.domain}-{i:05d}", "label": label,
+                        "length": length, "offset": offset})
         offset += length * spec.frame_dim * 4
-    return entries, videos
+    return entries, packed(videos, [e["label"] for e in entries], spec.domain)
 
 
-def extract_background_tmf(video: VideoSample) -> np.ndarray:
-    """Per-pixel median over one video's frames; even T averages the two
-    middle values (numpy's convention)."""
-    if video.frames.shape[0] < 1:
+def extract_background_tmf(frames: np.ndarray) -> np.ndarray:
+    """Per-pixel median over one video's (T, D) frames; even T averages the
+    two middle values (numpy's convention)."""
+    if frames.shape[0] < 1:
         raise ValueError("empty video")
-    return np.median(video.frames, axis=0)
+    return np.median(frames, axis=0)
 
 
 def scene_distance_one_matrix(u: SceneFeatureSet, v: SceneFeatureSet) -> float:
-    """gapmetrics.scene_distance over the whole (L_S, L_T) distance matrix."""
-    us = u if u.normalized else SceneFeatureSet.from_vectors(u.vectors)
-    vs = v if v.normalized else SceneFeatureSet.from_vectors(v.vectors)
-    d = 1.0 - us.vectors @ vs.vectors.T  # (L_S, L_T)
+    """gapmetrics.scene_distance over the whole (L_S, L_T) distance matrix
+    of the sets' unit rows (from_vectors normalizes them; normalizing again
+    would move last bits)."""
+    d = 1.0 - u.vectors @ v.vectors.T  # (L_S, L_T)
     return 0.5 * (d.min(axis=1).mean() + d.min(axis=0).mean())

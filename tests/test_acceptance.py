@@ -24,11 +24,10 @@ from glad.diffnet import grl_backward
 from glad.gapmetrics import (SceneFeatureSet, accuracy_gap, scene_distance,
                              temporal_distance)
 from glad.model import TOL_ORDERS, ModelConfig, init_glad_model, tol_labels
-from glad.synthdata import (DomainSpec, VideoSample, checkerboard, class_motion,
-                            generate_domain, read_dataset, render_block,
-                            strip_labels, write_dataset)
+from glad.synthdata import (DomainSpec, checkerboard, class_motion, generate_domain,
+                            read_dataset, render_block, write_dataset)
 from glad.trainer import TrainConfig
-from oracles import extract_background_tmf, step_on_lists
+from oracles import extract_background_tmf, packed, same_split, step_on_splits
 
 # ---------------------------------------------------------------------------
 # Shared benchmark fixtures (criteria 8 and 9)
@@ -39,9 +38,9 @@ SEEDS = [0, 1, 2]
 @pytest.fixture(scope="session")
 def benchmark_data():
     specs = default_benchmark_specs(0)
-    _, src = generate_domain(specs["source_train"])
-    _, tgt = generate_domain(specs["target_train"])
-    _, tgt_test = generate_domain(specs["target_test"])
+    _, (src,) = generate_domain(specs["source_train"])
+    _, (tgt,) = generate_domain(specs["target_train"])
+    _, (tgt_test,) = generate_domain(specs["target_test"])
     return src, tgt, tgt_test
 
 
@@ -146,37 +145,34 @@ def check_composed_step(mdl, cfg_model, seed, coord_rng):
     a micro-net when one tiny ReLU layer goes fully dead). Such degenerate
     draws show up as exploding gradients at the normalization clamp and
     are deterministically re-drawn.
-    """
-    from glad.synthdata import VideoSample
 
+    The probes perturb the model's own parameters in place, through the
+    views of mdl.params.
+    """
     for attempt in range(10):
         rng0 = np.random.default_rng((seed, attempt))
         b = int(rng0.integers(1, 3))
         t = int(rng0.integers(8, 14))
         coeff = float(rng0.uniform(0.25, 1.0))
-        src = [VideoSample(rng0.uniform(size=(t, cfg_model.frame_dim)).astype(np.float32),
-                           int(rng0.integers(0, cfg_model.n_classes)), "source", f"s{i}")
-               for i in range(b)]
-        tgt = [VideoSample(rng0.uniform(size=(t, cfg_model.frame_dim)).astype(np.float32),
-                           None, "target", f"t{i}") for i in range(b)]
+        src = packed(*zip(*[(rng0.uniform(size=(t, cfg_model.frame_dim)).astype(np.float32),
+                             int(rng0.integers(0, cfg_model.n_classes))) for _ in range(b)]))
+        tgt = packed([rng0.uniform(size=(t, cfg_model.frame_dim)).astype(np.float32)
+                      for _ in range(b)], [None] * b, "target")
         tc = TrainConfig(batch_size=b, grl_coeff=coeff, use_bg_aug=False,
                          model=cfg_model)
 
-        def run(params_by_group):
-            saved = mdl.params
-            mdl.params = params_by_group
-            stats, grads = step_on_lists(mdl, src, tgt, tc,
-                                         np.random.default_rng((seed, attempt, 99)),
-                                         "main")
-            mdl.params = saved
-            return stats, grads
+        def run():
+            return step_on_splits(mdl, src, tgt, tc,
+                                  np.random.default_rng((seed, attempt, 99)), "main")
 
-        stats, grads = run(mdl.params)
+        stats, grads = run()
         largest = max(np.abs(g).max() for gs in grads.values() for g in gs)
         if largest < 1e3:
             break
     else:
         pytest.fail(f"no regular draw found for instance {seed}")
+    # a copy: every probe's step zeroes the gradient buffer the model keeps
+    grads = {group: [g.copy() for g in gs] for group, gs in grads.items()}
 
     partitions = {
         ("enc", "proj"): lambda s: s["loss_ce"] + s["loss_tol"] - coeff * s["loss_gla"],
@@ -187,16 +183,9 @@ def check_composed_step(mdl, cfg_model, seed, coord_rng):
     for groups, objective in partitions.items():
         flat_params = [p for g in groups for p in mdl.params[g]]
         flat_grads = [p for g in groups for p in grads[g]]
-        sizes = [len(mdl.params[g]) for g in groups]
 
-        def loss_fn(ps, groups=groups, sizes=sizes, objective=objective):
-            trial = {k: list(v) for k, v in mdl.params.items()}
-            at = 0
-            for g, n in zip(groups, sizes):
-                trial[g] = ps[at:at + n]
-                at += n
-            s, _ = run(trial)
-            return objective(s)
+        def loss_fn(_, objective=objective):
+            return objective(run()[0])
 
         worst = max(worst, fd_check_coords(loss_fn, flat_params, flat_grads,
                                            rng=coord_rng, n_coords=12))
@@ -216,12 +205,8 @@ def test_criterion_01_gradient_suite():
         feats = rng.normal(size=(batch, cfg.feat_dim))
         labels = rng.integers(0, cfg.n_classes, size=batch)
 
-        def ce_fn(p):
-            saved = mdl.params["act"]
-            mdl.params["act"] = p
-            loss, _, _ = glad_model.ce_loss(mdl, feats, labels)
-            mdl.params["act"] = saved
-            return loss
+        def ce_fn(_):
+            return glad_model.ce_loss(mdl, feats, labels)[0]
 
         _, ce_grads, _ = glad_model.ce_loss(mdl, feats, labels)
         worst = max(worst, fd_check_coords(ce_fn, mdl.params["act"],
@@ -230,12 +215,8 @@ def test_criterion_01_gradient_suite():
         concat = rng.normal(size=(2 * batch, cfg.tol_clips * cfg.feat_dim))
         perm_idx = rng.integers(0, math.factorial(cfg.tol_clips), size=2 * batch)
 
-        def tol_fn(p):
-            saved = mdl.params["tol"]
-            mdl.params["tol"] = p
-            loss, _, _, _ = glad_model.tol_loss(mdl, concat, perm_idx)
-            mdl.params["tol"] = saved
-            return loss
+        def tol_fn(_):
+            return glad_model.tol_loss(mdl, concat, perm_idx)[0]
 
         _, tol_grads, _, _ = glad_model.tol_loss(mdl, concat, perm_idx)
         worst = max(worst, fd_check_coords(tol_fn, mdl.params["tol"],
@@ -324,10 +305,9 @@ def test_criterion_05_tmf_recovery():
         board = checkerboard(spec)
         c = int(rng.integers(0, spec.n_classes))
         frames = render_block(spec, [length], [board], [class_motion(c, spec, rng)], [rng], [])
-        vid = VideoSample(frames, c, spec.domain, "v")
-        occupancy = (vid.frames != board[None, :]).mean(axis=0)
+        occupancy = (frames != board[None, :]).mean(axis=0)
         assert occupancy.max() < 0.5, "planted occupancy bound violated"
-        assert np.array_equal(extract_background_tmf(vid), board)
+        assert np.array_equal(extract_background_tmf(frames), board)
         recovered += 1
     assert recovered == 50
 
@@ -378,8 +358,8 @@ def test_criterion_10_determinism(tmp_path):
                                        length_range=(8, 12), seed=1,
                                        background_mode="fixed_checkerboard",
                                        domain="target")}
-    _, src = generate_domain(spec["source_train"])
-    _, tgt = generate_domain(spec["target_train"])
+    _, (src,) = generate_domain(spec["source_train"])
+    _, (tgt,) = generate_domain(spec["target_train"])
     cfg = TrainConfig(warmup_epochs=1, main_epochs=2, batch_size=4,
                       model=ModelConfig(enc_hidden=8, enc_out=6, feat_dim=6,
                                         n_classes=4, n_frames=4, tol_hidden=8,
@@ -405,15 +385,13 @@ def test_criterion_11_dataset_roundtrip(tmp_path):
             seed=int(rng.integers(0, 10_000)),
             domain=("source", "target")[i % 2],
         )
-        manifest, samples = generate_domain(spec)
+        manifest, (split,) = generate_domain(spec)
         out = str(tmp_path / f"d{i}")
         write_dataset(spec, out)
-        manifest2, samples2 = read_dataset(out)
+        manifest2, split2 = read_dataset(out)
         assert manifest2.spec == spec
         assert manifest2.entries == manifest.entries
-        for x, y in zip(samples, samples2):
-            assert np.array_equal(x.frames, y.frames)
-            assert x.label == y.label
+        assert same_split(split, split2)
 
     # documented error exit codes through the CLI surface
     good = str(tmp_path / "d0")

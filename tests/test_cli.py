@@ -95,12 +95,12 @@ def test_synth_files_equal_generate_domain(tmp_path):
     split: the same entries, and its videos' bytes end to end."""
     out = synth_small(tmp_path)
     for name, spec in small_specs().items():
-        manifest, videos = generate_domain(spec)
+        manifest, (videos,) = generate_domain(spec)
         split = os.path.join(out, *name.split("_"))
         with open(os.path.join(split, "manifest.json")) as f:
             assert json.load(f)["entries"] == manifest.entries
         with open(os.path.join(split, "frames.bin"), "rb") as f:
-            assert f.read() == b"".join(v.frames.tobytes() for v in videos)
+            assert f.read() == videos.frames.tobytes()
 
 
 def test_synth_dry_run_writes_nothing(tmp_path, capsys):
@@ -267,6 +267,11 @@ def test_train_bad_config_field_exit_1(tmp_path, capsys):
     assert "no_such_field" in capsys.readouterr().err
 
 
+# A layer width or class count below 1, each of which a model config rejects.
+BAD_WIDTHS = [("frame_dim", 0), ("enc_hidden", -1), ("enc_out", 0), ("feat_dim", 0),
+              ("n_classes", 0), ("tol_hidden", 0)]
+
+
 @pytest.mark.parametrize("overrides,message", [
     ({"gla_views": ["gg", "bogus"]}, "unknown gla_views"),
     ({"warmup_epochs": -1}, "must be >= 0"),
@@ -290,11 +295,16 @@ def test_train_bad_config_field_exit_1(tmp_path, capsys):
     ({"gla_views": "gg"}, "train.gla_views: expected list[str, ...], got 'gg'"),
     ({"global_views": 1.5}, "train.global_views: expected int, got 1.5"),
     ({"model": {"input_gain": float("nan")}}, "input_gain must be finite"),
+    *[({"model": {key: value}}, f"{key} must be >= 1") for key, value in BAD_WIDTHS],
+    ({"model": {"domain_hidden": [0, 64, 32]}}, "domain_hidden widths must be >= 1"),
+    ({"model": {"domain_hidden": [64, 64, -2]}}, "domain_hidden widths must be >= 1"),
 ], ids=["unknown_view", "negative_epochs", "no_report_row", "negative_lr", "zero_lr",
         "zero_lr_drop_factor", "negative_weight_decay", "unknown_aug_domain",
         "aug_checked_when_off", "aug_lambda", "aug_lambda_mode", "grl_nan", "grl_1e400",
         "zero_stride", "negative_stride", "zero_frames", "domain_hidden_length",
-        "bool_as_string", "views_as_string", "float_count", "input_gain_nan"])
+        "bool_as_string", "views_as_string", "float_count", "input_gain_nan",
+        *[f"width_{key}" for key, _ in BAD_WIDTHS], "width_domain_hidden_first",
+        "width_domain_hidden_last"])
 def test_train_invalid_config_value_exit_1(tmp_path, capsys, overrides, message):
     """Each bad value exits 1, naming its key, before any data is read
     (there is none) and before --out is created."""
@@ -509,8 +519,11 @@ def test_eval_bad_checkpoint_exit_2(eval_inputs, tmp_path, capsys, damage):
     (lambda d: {**d, "tol_clips": 5}, "tol_clips must be one of"),
     (lambda d: {**d, "input_gain": float("nan")}, "input_gain must be finite"),
     (lambda d: [64, 32], "expected an object, got [64, 32]"),
+    *[(lambda d, key=key, value=value: {**d, key: value}, f"{key} must be >= 1")
+      for key, value in BAD_WIDTHS],
+    (lambda d: {**d, "domain_hidden": [0, 64, 32]}, "domain_hidden widths must be >= 1"),
 ], ids=["short_domain_hidden", "string_count", "unknown_key", "bad_tol_clips", "nan_gain",
-        "json_list"])
+        "json_list", *[f"width_{key}" for key, _ in BAD_WIDTHS], "width_domain_hidden"])
 def test_eval_invalid_model_json_exit_2(eval_inputs, tmp_path, capsys, edit, message):
     """A checkpoint's model.json gets the experiment config's checks: a bad
     one is an I/O error naming the file and the key."""

@@ -5,32 +5,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glad.debias import build_background_bank, draw_mixes, mix_background
-from glad.synthdata import (DomainSpec, VideoSample, checkerboard,
-                            class_motion, generate_domain, render_block)
+from glad.synthdata import (DomainSpec, Packed, checkerboard, class_motion,
+                            generate_domain, render_block)
 from glad.trainer import TrainConfig
-from oracles import extract_background_tmf
-
-
-def make_video(frames, label=0, domain="source", vid="v0"):
-    return VideoSample(frames=np.asarray(frames, dtype=np.float32),
-                       label=label, domain=domain, video_id=vid)
+from oracles import extract_background_tmf, packed, videos_of
 
 
 def test_tmf_constant_video():
-    vid = make_video(np.full((5, 4), 0.3))
+    vid = np.full((5, 4), 0.3, np.float32)
     assert np.array_equal(extract_background_tmf(vid), np.full(4, np.float32(0.3)))
 
 
 def test_tmf_majority_pixel_value():
     # pixel occupied by the blob in 2 of 5 frames: median is the background
-    frames = np.array([[0.2], [0.2], [0.9], [0.9], [0.2]])
-    vid = make_video(frames)
+    vid = np.array([[0.2], [0.2], [0.9], [0.9], [0.2]], np.float32)
     assert extract_background_tmf(vid)[0] == np.float32(0.2)
 
 
 def test_tmf_rejects_empty():
     with pytest.raises(ValueError):
-        extract_background_tmf(make_video(np.empty((0, 4))))
+        extract_background_tmf(np.empty((0, 4), np.float32))
 
 
 def test_tmf_recovers_planted_background_bitwise():
@@ -41,30 +35,42 @@ def test_tmf_recovers_planted_background_bitwise():
     for c in range(12):
         rng = np.random.default_rng(c)
         frames = render_block(spec, [9], [board], [class_motion(c, spec, rng)], [rng], [])
-        vid = VideoSample(frames, c, spec.domain, "v")
-        occupancy = (vid.frames != board[None, :]).mean(axis=0)
+        occupancy = (frames != board[None, :]).mean(axis=0)
         assert occupancy.max() < 0.5
-        assert np.array_equal(extract_background_tmf(vid), board)
+        assert np.array_equal(extract_background_tmf(frames), board)
 
 
 def test_build_bank_from_generated_domain():
     spec = DomainSpec(n_videos=10, length_range=(9, 15), noise_std=0.0, seed=5)
-    _, samples = generate_domain(spec)
-    bank = build_background_bank(samples)
+    _, (split,) = generate_domain(spec)
+    bank = build_background_bank(split)
     assert bank.shape == (10, spec.frame_dim)
-    for bg, s in zip(bank, samples):
-        assert np.array_equal(bg, extract_background_tmf(s))
+    for bg, frames in zip(bank, videos_of(split)):
+        assert np.array_equal(bg, extract_background_tmf(frames))
 
 
 def test_build_bank_rejects_empty():
     with pytest.raises(ValueError):
-        build_background_bank([])
+        build_background_bank(Packed(np.empty((0, 4), np.float32), *np.zeros((3, 0), np.int64),
+                                     "source"))
 
 
 def test_build_bank_rejects_an_empty_video():
-    videos = [make_video(np.full((3, 4), 0.5)), make_video(np.empty((0, 4)))]
+    split = packed([np.full((3, 4), 0.5, np.float32), np.empty((0, 4), np.float32)], [0, 0])
     with pytest.raises(ValueError, match="empty video"):
-        build_background_bank(videos)
+        build_background_bank(split)
+
+
+def test_bank_of_two_splits_is_the_bank_of_their_videos():
+    """Each video's background depends on no other video: the banks of two
+    splits, joined, are bit for bit the bank of all their videos in one
+    split, as train builds the bank of the source and target splits."""
+    spec = DomainSpec(n_videos=14, length_range=(8, 20), seed=6)
+    _, (src,) = generate_domain(spec)
+    _, (tgt,) = generate_domain(dataclasses.replace(spec, length_range=(12, 30), seed=7))
+    both = packed(videos_of(src) + videos_of(tgt), [0] * 28)
+    joined = np.concatenate([build_background_bank(src), build_background_bank(tgt)])
+    assert joined.tobytes() == build_background_bank(both).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -74,12 +80,11 @@ def test_build_bank_matches_per_video_median(seed, dtype):
     of 5) and one NaN pixel: the bank is bit for bit one np.median per
     video."""
     rng = np.random.default_rng(seed)
-    videos = [make_video(rng.integers(0, 5, size=(int(rng.integers(1, 12)), 6)) / 4)
-              for _ in range(40)]
-    videos = [VideoSample(v.frames.astype(dtype), 0, "source", "v") for v in videos]
-    videos[seed].frames[0, 1] = np.nan
-    bank = build_background_bank(videos)
-    want = np.stack([extract_background_tmf(v) for v in videos])
+    split = packed([(rng.integers(0, 5, size=(int(rng.integers(1, 12)), 6)) / 4).astype(dtype)
+                    for _ in range(40)], [0] * 40)
+    split.frames[split.starts[seed], 1] = np.nan
+    bank = build_background_bank(split)
+    want = np.stack([extract_background_tmf(v) for v in videos_of(split)])
     assert bank.dtype == want.dtype
     assert bank.tobytes() == want.tobytes()
     assert np.isnan(bank[seed, 1])
@@ -129,14 +134,14 @@ def test_mix_gathered_rows_equals_mix_then_gather():
     """Mixing only the gathered rows of a video gives the bytes of mixing
     the whole video and then gathering."""
     spec = DomainSpec(n_videos=3, length_range=(20, 40), seed=2)
-    _, samples = generate_domain(spec)
-    bank = build_background_bank(samples)
+    _, (split,) = generate_domain(spec)
+    bank = build_background_bank(split)
     rng = np.random.default_rng(3)
-    for v in samples:
-        rows = rng.integers(0, v.length, size=9)
+    for v in videos_of(split):
+        rows = rng.integers(0, len(v), size=9)
         for lam in (0.75, float(rng.uniform())):
-            whole = mix_background(v.frames, bank[2], lam)
-            assert whole[rows].tobytes() == mix_background(v.frames[rows], bank[2], lam).tobytes()
+            whole = mix_background(v, bank[2], lam)
+            assert whole[rows].tobytes() == mix_background(v[rows], bank[2], lam).tobytes()
 
 
 def test_policy_validation():

@@ -10,21 +10,19 @@ from glad.model import (GLA_VIEWS, GladModel, ModelConfig, ce_loss, classify_act
                         gla_loss, init_glad_model, load_model, save_model,
                         tol_loss)
 from glad.sampling import clip_indices
-from glad.synthdata import VideoSample, pack
 from glad.trainer import evaluate
 from gradcheck import finite_difference_check
-from oracles import (encode_clip_stack, encoder_grads_by_repeat,
-                     gla_loss_per_subbatch, sample_global_clip, sample_local_clip)
+from oracles import (encode_clip_stack, encoder_grads_by_repeat, gla_loss_per_subbatch,
+                     packed, sample_global_clip, sample_local_clip)
 
 TINY = ModelConfig(frame_dim=6, enc_hidden=5, enc_out=4, feat_dim=4,
                    n_classes=3, n_frames=4, tol_clips=3, tol_hidden=5,
                    domain_hidden=(5, 4, 3))
 
 
-def make_video(t=10, d=6, seed=0, domain="source", label=1):
-    rng = np.random.default_rng(seed)
-    return VideoSample(frames=rng.uniform(size=(t, d)).astype(np.float32),
-                       label=label, domain=domain, video_id=f"v{seed}")
+def make_video(t=10, d=6, seed=0):
+    """(t, d) random frames."""
+    return np.random.default_rng(seed).uniform(size=(t, d)).astype(np.float32)
 
 
 def test_config_rejects_bad_tol_clips():
@@ -100,11 +98,11 @@ def test_encode_clip_batch_bit_equal_to_per_clip_oracle(cfg):
     rng = np.random.default_rng(5)
     vids = [make_video(t=int(t), d=cfg.frame_dim, seed=i)
             for i, t in enumerate(rng.integers(5, 60, size=12))]
-    videos = pack(vids)
+    videos = packed(vids, [1] * 12)
     idx = clip_indices(videos.lengths, cfg.n_frames, cfg.local_stride, 1, 5, rng)
     rows, clips, _ = trainer._clip_rows([(videos, np.arange(12))], idx)
     assert len(rows) < clips.size  # the clips share frames
-    stack = np.stack([v.frames[c] for v, cs in zip(vids, idx) for c in cs])
+    stack = np.stack([v[c] for v, cs in zip(vids, idx) for c in cs])
     feats, _ = encode_clip_batch(m, clips, rows)
     assert np.array_equal(feats, encode_clip_stack(m, stack))
 
@@ -129,10 +127,10 @@ def test_gather_clip_frames_selects_indices():
     slot even when two slots hold the same video."""
     vids = [make_video(t=12, seed=0), make_video(t=9, seed=1)]
     idx = np.array([[[0, 3, 6, 9]], [[1, 1, 2, 8]], [[0, 3, 3, 11]]])
-    rows, clips, bounds = trainer._clip_rows([(pack(vids), np.array([0, 1, 0]))], idx)
+    rows, clips, bounds = trainer._clip_rows([(packed(vids, [1, 1]), np.array([0, 1, 0]))], idx)
     assert len(rows) == 4 + 3 + 3 and bounds.tolist() == [0, 4, 7, 10]
     for slot, video in enumerate([0, 1, 0]):
-        assert np.array_equal(rows[clips[slot]], vids[video].frames[idx[slot, 0]])
+        assert np.array_equal(rows[clips[slot]], vids[video][idx[slot, 0]])
         assert set(clips[slot]) <= set(range(bounds[slot], bounds[slot + 1]))
 
 
@@ -298,7 +296,7 @@ def test_ce_loss_head_gradients_match_finite_differences():
 def test_eval_clips_one_global_two_local(monkeypatch):
     """evaluate pools each video's centred global clip and its centred local
     clip twice, and encodes the local clip once."""
-    vids = [make_video(t=t, seed=t, label=t % 3) for t in (3, 7, 20, 33)]
+    vids = [make_video(t=t, seed=t) for t in (3, 7, 20, 33)]
     m = init_glad_model(TINY, seed=8)
     seen = {}
     real_encode = glad_model.encode_clip_batch
@@ -309,15 +307,15 @@ def test_eval_clips_one_global_two_local(monkeypatch):
         return seen["feats"], cache
 
     monkeypatch.setattr(glad_model, "encode_clip_batch", spy)
-    cm, _ = evaluate(m, vids, 3)
+    cm, _ = evaluate(m, packed(vids, [len(v) % 3 for v in vids]), 3)
     clips, rows = seen["clips"], seen["rows"]
     assert clips.shape == (3 * len(vids), TINY.n_frames)
     assert len(rows) == len(np.unique(clips)) < clips.size
     for i, v in enumerate(vids):
-        g = sample_global_clip(v.length, TINY.n_frames)
-        l = sample_local_clip(v.length, TINY.n_frames, TINY.local_stride)
-        assert np.array_equal(rows[clips[3 * i]], v.frames[list(g)])
-        assert np.array_equal(rows[clips[3 * i + 1]], v.frames[list(l)])
+        g = sample_global_clip(len(v), TINY.n_frames)
+        l = sample_local_clip(len(v), TINY.n_frames, TINY.local_stride)
+        assert np.array_equal(rows[clips[3 * i]], v[list(g)])
+        assert np.array_equal(rows[clips[3 * i + 1]], v[list(l)])
         assert np.array_equal(clips[3 * i + 1], clips[3 * i + 2])  # the same rows
     consensus = seen["feats"].reshape(len(vids), 3, -1).mean(axis=1)
     assert np.array_equal(cm.sum(axis=0), np.bincount(
@@ -331,13 +329,13 @@ def test_classify_action_shapes():
 
 def test_consensus_inference_returns_class():
     m = init_glad_model(TINY, seed=12)
-    cm, _ = evaluate(m, [make_video(t=15, seed=c, label=c) for c in range(3)], 3)
+    cm, _ = evaluate(m, packed([make_video(t=15, seed=c) for c in range(3)], range(3)), 3)
     assert cm.shape == (3, 3) and cm.sum() == 3  # one class per video
 
 
 def test_consensus_inference_deterministic():
     m = init_glad_model(TINY, seed=13)
-    vids = [make_video(t=9, seed=5 + c, label=c) for c in range(3)]
+    vids = packed([make_video(t=9, seed=5 + c) for c in range(3)], range(3))
     assert np.array_equal(evaluate(m, vids, 3)[0], evaluate(m, vids, 3)[0])
 
 
@@ -353,6 +351,6 @@ def test_model_checkpoint_roundtrip(tmp_path):
             # float32 storage: each tensor comes back as its rounded original
             assert pb.dtype == np.float64
             assert np.array_equal(pa.astype(np.float32).astype(np.float64), pb)
-    vids = [make_video(t=11, seed=6 + c, label=c) for c in range(3)]
+    vids = packed([make_video(t=11, seed=6 + c) for c in range(3)], range(3))
     # float32 storage must not flip the predictions on generic inputs
     assert np.array_equal(evaluate(back, vids, 3)[0], evaluate(m, vids, 3)[0])

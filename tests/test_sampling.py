@@ -8,9 +8,8 @@ from hypothesis import given, strategies as st
 from glad import model as glad_model
 from glad.model import TOL_ORDERS, ModelConfig, init_glad_model, tol_labels
 from glad.sampling import clip_indices
-from glad.synthdata import VideoSample
 from glad.trainer import TrainConfig
-from oracles import sample_global_clip, sample_local_clip, step_on_lists
+from oracles import packed, sample_global_clip, sample_local_clip, step_on_splits
 
 
 def global_clip(t, n_frames, rng=None):
@@ -158,10 +157,9 @@ TINY = ModelConfig(frame_dim=6, enc_hidden=5, enc_out=4, feat_dim=4,
 
 def tiny_batch(domain, seed, b=8):
     rng = np.random.default_rng(seed)
-    return [VideoSample(frames=rng.uniform(size=(int(rng.integers(8, 20)), 6)),
-                        label=int(rng.integers(0, 3)) if domain == "source" else None,
-                        domain=domain, video_id=f"{domain}{i}")
-            for i in range(b)]
+    videos = [(rng.uniform(size=(int(rng.integers(8, 20)), 6)),
+               int(rng.integers(0, 3)) if domain == "source" else None) for _ in range(b)]
+    return packed(*zip(*videos), domain)
 
 
 def tol_step(monkeypatch, phase, tol_loss=None, b=8):
@@ -186,9 +184,9 @@ def tol_step(monkeypatch, phase, tol_loss=None, b=8):
     monkeypatch.setattr(glad_model, "encode_clip_batch", spy_encode)
     monkeypatch.setattr(glad_model, "tol_loss", spy_tol)
     monkeypatch.setattr(glad_model, "encode_clip_backward", spy_backward)
-    step_on_lists(init_glad_model(TINY, seed=0), tiny_batch("source", 0, b),
-                  tiny_batch("target", 1, b), TrainConfig(model=TINY),
-                  np.random.default_rng(0), phase)
+    step_on_splits(init_glad_model(TINY, seed=0), tiny_batch("source", 0, b),
+                   tiny_batch("target", 1, b), TrainConfig(model=TINY),
+                   np.random.default_rng(0), phase)
     return seen
 
 

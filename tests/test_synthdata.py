@@ -12,10 +12,9 @@ from glad import synthdata
 from glad.synthdata import (BLOB_SIZE, SYNTH_BLOCK, CorruptHeaderError, DomainSpec,
                             ManifestMismatchError, MotionParams,
                             TruncatedDataError, background_bank, checkerboard,
-                            class_motion, generate_domain, pack, read_dataset,
-                            render_block, spec_from_dict, strip_labels,
-                            write_dataset)
-from oracles import generate_domain_loop, render_video_loop
+                            class_motion, generate_domain, read_dataset,
+                            render_block, spec_from_dict, write_dataset)
+from oracles import generate_domain_loop, render_video_loop, same_split, videos_of
 
 SMALL = DomainSpec(n_videos=24, length_range=(8, 16), seed=3)
 
@@ -140,7 +139,7 @@ def same_render(spec, lengths, backgrounds, motions, seed):
     start = 0
     for k, (length, bg, motion) in enumerate(zip(lengths, backgrounds, motions)):
         rng = np.random.default_rng((seed, k))
-        want = render_video_loop(5, length, bg, motion, rng, spec).frames
+        want = render_video_loop(length, bg, motion, rng, spec)
         assert block[start:start + length].tobytes() == want.tobytes()
         assert rngs[k].random() == rng.random()
         start += length
@@ -191,12 +190,10 @@ def test_render_video_blob_wraps_across_both_edges():
         "below_one_block", "one_block", "not_a_block_multiple"])
 def test_generate_domain_matches_frame_loop(spec):
     """Every video of the split, as the frame loop renders it alone."""
-    manifest, videos = generate_domain(spec)
+    manifest, (split,) = generate_domain(spec)
     entries, want = generate_domain_loop(spec)
     assert manifest.entries == entries
-    assert [v.frames.tobytes() for v in videos] == [v.frames.tobytes() for v in want]
-    assert [(v.label, v.domain, v.video_id) for v in videos] \
-        == [(v.label, v.domain, v.video_id) for v in want]
+    assert same_split(split, want)
 
 
 def written_files(spec, directory):
@@ -210,15 +207,15 @@ def test_bytes_do_not_depend_on_the_block_size(monkeypatch, tmp_path, block):
     size, are the default block size's; the files are generate_domain's
     videos end to end and the manifest json.dumps(indent=1) would write."""
     spec = DomainSpec(n_videos=SYNTH_BLOCK + 4, length_range=(8, 30), bias_rho=0.5, seed=12)
-    want_manifest, want_videos = generate_domain(spec)
+    want_manifest, (want,) = generate_domain(spec)
     monkeypatch.setattr(synthdata, "SYNTH_BLOCK", block)
-    manifest, videos = generate_domain(spec)
+    manifest, (split,) = generate_domain(spec)
     assert manifest.entries == want_manifest.entries
-    assert [v.frames.tobytes() for v in videos] == [v.frames.tobytes() for v in want_videos]
+    assert same_split(split, want)
     doc = {"format": synthdata.MAGIC, "spec": dataclasses.asdict(spec),
            "entries": want_manifest.entries}
     assert written_files(spec, tmp_path) == [
-        json.dumps(doc, indent=1).encode(), b"".join(v.frames.tobytes() for v in want_videos)]
+        json.dumps(doc, indent=1).encode(), want.frames.tobytes()]
 
 
 def traced_peak_of_write(tmp_path, n_videos: int) -> int:
@@ -242,88 +239,60 @@ def test_write_dataset_memory_is_one_block(tmp_path):
 
 
 def test_generate_domain_balanced_labels_and_lengths():
-    manifest, samples = generate_domain(SMALL)
-    assert len(samples) == 24
-    labels = [s.label for s in samples]
+    manifest, (split,) = generate_domain(SMALL)
+    assert len(split.lengths) == 24 and split.domain == SMALL.domain
+    labels = split.labels.tolist()
     assert all(labels.count(c) == 2 for c in range(12))
-    for s in samples:
-        assert 8 <= s.length <= 16
-    assert manifest.lengths() == [s.length for s in samples]
+    assert all(8 <= t <= 16 for t in split.lengths)
+    assert manifest.lengths() == split.lengths.tolist()
+    assert split.starts.tolist() == (np.cumsum(split.lengths) - split.lengths).tolist()
+    assert split.frames.shape == (sum(manifest.lengths()), SMALL.frame_dim)
 
 
 def test_generate_domain_deterministic():
-    _, a = generate_domain(SMALL)
-    _, b = generate_domain(SMALL)
-    for x, y in zip(a, b):
-        assert np.array_equal(x.frames, y.frames)
+    _, (a,) = generate_domain(SMALL)
+    _, (b,) = generate_domain(SMALL)
+    assert same_split(a, b)
 
 
 def test_generate_domain_seed_changes_data():
-    _, a = generate_domain(SMALL)
-    _, b = generate_domain(dataclasses.replace(SMALL, seed=4))
-    assert any(not np.array_equal(x.frames, y.frames) for x, y in zip(a, b))
+    _, (a,) = generate_domain(SMALL)
+    _, (b,) = generate_domain(dataclasses.replace(SMALL, seed=4))
+    assert not np.array_equal(a.frames, b.frames)
 
 
 def test_target_mode_uses_one_background():
     spec = dataclasses.replace(SMALL, background_mode="fixed_checkerboard",
                                noise_std=0.0, domain="target")
-    _, samples = generate_domain(spec)
+    _, (split,) = generate_domain(spec)
     board = checkerboard(spec)
-    for s in samples:
-        med = np.median(s.frames, axis=0)
+    for frames in videos_of(split):
+        med = np.median(frames, axis=0)
         assert np.array_equal(med.astype(np.float32), board)
 
 
 def test_source_bias_links_background_to_label():
     spec = dataclasses.replace(SMALL, noise_std=0.0, bias_rho=1.0)
     bank = background_bank(spec)
-    _, samples = generate_domain(spec)
-    for s in samples:
-        med = np.median(s.frames, axis=0)
+    _, (split,) = generate_domain(spec)
+    for frames, label in zip(videos_of(split), split.labels):
+        med = np.median(frames, axis=0)
         # the recovered background must be nearest to the class-assigned entry
         dists = np.linalg.norm(bank - med[None, :], axis=1)
-        assert int(np.argmin(dists)) == s.label % spec.bank_size
-
-
-def test_strip_labels():
-    _, samples = generate_domain(SMALL)
-    bare = strip_labels(samples)
-    assert all(s.label is None for s in bare)
-    assert all(np.shares_memory(a.frames, b.frames) or np.array_equal(a.frames, b.frames)
-               for a, b in zip(samples, bare))
+        assert int(np.argmin(dists)) == label % spec.bank_size
 
 
 def test_roundtrip_lossless(tmp_path):
-    manifest, samples = generate_domain(SMALL)
+    """read_dataset's split is generate_domain's; its frames are the bytes
+    of frames.bin, and its starts follow the manifest's offsets."""
+    manifest, (split,) = generate_domain(SMALL)
     write_dataset(SMALL, str(tmp_path))
-    manifest2, samples2 = read_dataset(str(tmp_path))
+    manifest2, read = read_dataset(str(tmp_path))
     assert manifest2.spec == manifest.spec
     assert manifest2.entries == manifest.entries
-    for a, b in zip(samples, samples2):
-        assert np.array_equal(a.frames, b.frames)
-        assert a.label == b.label and a.video_id == b.video_id
-
-
-def test_pack_uses_the_buffer_read_dataset_read(tmp_path):
-    """read_dataset's videos pack into the one array it read, with no copy;
-    stripping the labels keeps that; other lists are copied in order."""
-    manifest, samples = generate_domain(SMALL)
-    write_dataset(SMALL, str(tmp_path))
-    _, read = read_dataset(str(tmp_path))
-    for videos in (read, strip_labels(read)):
-        packed = pack(videos)
-        assert packed.frames.base is read[0].frames.base
-        assert packed.frames.shape == (sum(manifest.lengths()), SMALL.frame_dim)
-    assert pack(samples).frames.base is samples[0].frames.base  # generate_domain's too
-    packed = pack(read)
-    assert packed.lengths.tolist() == manifest.lengths()
-    assert packed.labels.tolist() == [e["label"] for e in manifest.entries]
-    assert pack(strip_labels(read)).labels.tolist() == [-1] * len(read)
-    for subset in (samples, read[::-1], read[1:]):
-        copied = pack(subset)
-        assert not np.shares_memory(copied.frames, read[0].frames)
-        for v, start, length in zip(subset, copied.starts, copied.lengths):
-            assert np.array_equal(copied.frames[start:start + length], v.frames)
+    assert same_split(read, split)
+    assert read.frames.tobytes() == (tmp_path / "frames.bin").read_bytes()
+    assert (read.starts * 4 * SMALL.frame_dim).tolist() == [e["offset"] for e in manifest.entries]
 
 
 @given(st.integers(0, 10_000))
@@ -339,13 +308,12 @@ def test_roundtrip_lossless_random_specs(tmp_path_factory, seed):
         seed=seed,
         domain=("source", "target")[int(rng.integers(0, 2))],
     )
-    manifest, samples = generate_domain(spec)
+    _, (split,) = generate_domain(spec)
     out = str(tmp_path_factory.mktemp("ds"))
     write_dataset(spec, out)
-    manifest2, samples2 = read_dataset(out)
+    manifest2, read = read_dataset(out)
     assert manifest2.spec == spec
-    for a, b in zip(samples, samples2):
-        assert np.array_equal(a.frames, b.frames)
+    assert same_split(read, split)
 
 
 def test_read_rejects_bad_magic(tmp_path):

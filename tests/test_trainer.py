@@ -16,14 +16,13 @@ from glad.diffnet import mlp_forward
 from glad.model import ModelConfig, init_glad_model
 from glad.debias import build_background_bank, mix_background
 from glad.schema import from_json
-from glad.synthdata import (DomainSpec, VideoSample, generate_domain, pack,
-                            strip_labels)
+from glad.synthdata import DomainSpec, Packed, generate_domain
 from glad.trainer import (TrainConfig, TrainReport, ablation_rows,
                           active_groups, apply_grads, evaluate,
                           format_ablation_table, lr_at, run_ablation_matrix,
                           train)
 from oracles import (encode_clip_stack, evaluate_per_clip, sample_global_clip,
-                     sample_local_clip, sgd_step, step_on_lists)
+                     sample_local_clip, sgd_step, step_on_splits, subset, videos_of)
 
 TINY_MODEL = ModelConfig(frame_dim=64, enc_hidden=8, enc_out=6, feat_dim=6,
                          n_classes=4, n_frames=4, tol_clips=3, tol_hidden=8,
@@ -43,9 +42,14 @@ def tiny_data(seed=0, n=16, n_classes=4):
     tgt_spec = DomainSpec(n_classes=n_classes, n_videos=n, length_range=(8, 12),
                           background_mode="fixed_checkerboard", seed=seed + 1,
                           domain="target")
-    _, src = generate_domain(src_spec)
-    _, tgt = generate_domain(tgt_spec)
+    _, (src,) = generate_domain(src_spec)
+    _, (tgt,) = generate_domain(tgt_spec)
     return src, tgt
+
+
+def unlabeled(split):
+    """The split with every label -1, as train hands the target to a step."""
+    return dataclasses.replace(split, labels=np.full_like(split.labels, -1))
 
 
 def test_config_validation():
@@ -139,7 +143,8 @@ def test_step_losses_shapes_and_finiteness(mg, nl, tol_clips):
     cfg = tiny_config(global_views=mg, local_views=nl, model=model)
     mdl = init_glad_model(model, seed=0)
     rng = np.random.default_rng(0)
-    stats, grads = step_on_lists(mdl, src[:4], strip_labels(tgt[:4]), cfg, rng, "main")
+    stats, grads = step_on_splits(mdl, subset(src, range(4)), unlabeled(subset(tgt, range(4))),
+                                  cfg, rng, "main")
     for v in ("gg", "ll", "cross"):
         assert np.isfinite(stats[f"dom_acc_{v}"]) == (v in cfg.enabled_gla_views())
     assert 0.0 <= stats["tol_acc"] <= 1.0
@@ -157,7 +162,8 @@ def test_step_losses_warmup_touches_only_tol_path():
     cfg = tiny_config()
     mdl = init_glad_model(TINY_MODEL, seed=1)
     rng = np.random.default_rng(1)
-    stats, grads = step_on_lists(mdl, src[:4], strip_labels(tgt[:4]), cfg, rng, "warmup")
+    stats, grads = step_on_splits(mdl, subset(src, range(4)), unlabeled(subset(tgt, range(4))),
+                                  cfg, rng, "warmup")
     assert stats["loss_ce"] == 0.0 and stats["loss_gla"] == 0.0
     assert stats["loss_tol"] > 0.0
     for group in ("act", "dg", "dl", "dx"):
@@ -188,8 +194,8 @@ def test_step_accuracies_score_the_heads_on_their_training_inputs(monkeypatch):
 
     monkeypatch.setattr(glad_model, "gla_loss", spy_gla)
     monkeypatch.setattr(glad_model, "tol_loss", spy_tol)
-    stats, _ = step_on_lists(mdl, src[:8], strip_labels(tgt[:8]), tiny_config(),
-                             np.random.default_rng(4), "main")
+    stats, _ = step_on_splits(mdl, subset(src, range(8)), unlabeled(subset(tgt, range(8))),
+                              tiny_config(), np.random.default_rng(4), "main")
 
     g, l = (x / np.linalg.norm(x, axis=1, keepdims=True) for x in seen["gla"])
     g_src, l_src, g_tgt, l_tgt = g[:8], l[:8], g[8:], l[8:]
@@ -214,8 +220,8 @@ def test_step_losses_rejects_mismatched_batches():
     src, tgt = tiny_data()
     mdl = init_glad_model(TINY_MODEL, seed=0)
     with pytest.raises(ValueError):
-        step_on_lists(mdl, src[:4], strip_labels(tgt[:3]), tiny_config(),
-                      np.random.default_rng(0), "main")
+        step_on_splits(mdl, subset(src, range(4)), unlabeled(subset(tgt, range(3))),
+                       tiny_config(), np.random.default_rng(0), "main")
 
 
 def test_epoch_batches_cover_smaller_domain():
@@ -261,6 +267,17 @@ def test_train_deterministic_same_seed(tmp_path):
     assert a == b
 
 
+def test_target_labels_cannot_reach_training(tmp_path):
+    """Training with the target-train labels rolled by one class writes the
+    same checkpoint and report: no step reads a target label."""
+    src, tgt = tiny_data()
+    rolled = dataclasses.replace(tgt, labels=(tgt.labels + 1) % 4)
+    for name, tgt_train in (("a", tgt), ("b", rolled)):
+        train(tiny_config(), src, tgt_train, tgt_test=tgt, out_dir=str(tmp_path / name))
+    for name in ("final/params.bin", "report.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_train_seed_changes_results():
     src, tgt = tiny_data()
     _, r0 = train(tiny_config(seed=0), src, tgt)
@@ -275,8 +292,7 @@ def test_disabled_paths_match_source_only_bitwise():
     cfg_a = tiny_config(use_bg_aug=False, use_tol=False, gla_views=(),
                         grl_coeff=0.0)
     mdl_a, _ = train(cfg_a, src, tgt)
-    other_tgt = [dataclasses.replace(t, frames=np.flip(t.frames, axis=1).copy())
-                 for t in tgt]
+    other_tgt = dataclasses.replace(tgt, frames=np.flip(tgt.frames, axis=1).copy())
     mdl_b, _ = train(cfg_a, src, other_tgt)
     for group in ("enc", "proj", "act"):
         for pa, pb in zip(mdl_a.params[group], mdl_b.params[group]):
@@ -288,7 +304,7 @@ def test_evaluate_shapes_and_range():
     mdl = init_glad_model(TINY_MODEL, seed=0)
     cm, mca = evaluate(mdl, src, 4)
     assert cm.shape == (4, 4)
-    assert cm.sum() == len(src)
+    assert cm.sum() == len(src.lengths)
     assert 0.0 <= mca <= 100.0
 
 
@@ -312,12 +328,13 @@ def test_evaluate_in_blocks_equals_each_block_alone_and_per_clip_oracle():
     the per-clip oracle's."""
     block = trainer.EVAL_BLOCK
     n = 2 * block + block // 2
-    _, videos = generate_domain(DomainSpec(n_classes=4, n_videos=n, length_range=(8, 40),
-                                           seed=5, domain="source"))
+    _, (videos,) = generate_domain(DomainSpec(n_classes=4, n_videos=n, length_range=(8, 40),
+                                              seed=5, domain="source"))
     mdl = init_glad_model(TINY_MODEL, seed=1)
     assert len(trainer._eval_inputs(videos, TINY_MODEL)[2]) == 3
     cm, mca = evaluate(mdl, videos, 4)
-    alone = sum(evaluate(mdl, videos[a:a + block], 4)[0] for a in range(0, n, block))
+    alone = sum(evaluate(mdl, subset(videos, range(a, min(a + block, n))), 4)[0]
+                for a in range(0, n, block))
     assert np.array_equal(cm, alone)
     want_cm, want_mca = evaluate_per_clip(mdl, videos, 4)
     assert np.array_equal(cm, want_cm) and mca == want_mca
@@ -328,8 +345,8 @@ def traced_peak_of_evaluate(n_videos: int) -> int:
     model evaluates n_videos 40-frame videos packed in one buffer, as
     read_dataset gives them; the frames exist before tracing starts."""
     frames = np.random.default_rng(0).random((n_videos * 40, 64), dtype=np.float32)
-    videos = [VideoSample(frames[40 * i:40 * (i + 1)], i % 4, "target", f"v{i}")
-              for i in range(n_videos)]
+    videos = Packed(frames, np.arange(n_videos) * 40, np.full(n_videos, 40),
+                    np.arange(n_videos) % 4, "target")
     mdl = init_glad_model(TINY_MODEL, seed=0)
     tracemalloc.start()
     try:
@@ -351,7 +368,7 @@ def test_evaluate_rejects_unlabeled():
     src, _ = tiny_data()
     mdl = init_glad_model(TINY_MODEL, seed=0)
     with pytest.raises(ValueError):
-        evaluate(mdl, strip_labels(src), 4)
+        evaluate(mdl, unlabeled(src), 4)
 
 
 def test_ablation_rows_cover_standard_matrix():
@@ -431,11 +448,11 @@ def test_step_draws_and_encodes_like_the_per_video_path(monkeypatch):
     per clip, video by video, then the TOL orders, and encodes the frames a
     whole-video mix followed by a per-clip gather gives, bit for bit."""
     src, tgt = tiny_data()
-    tgt = strip_labels(tgt)
+    tgt = unlabeled(tgt)
     cfg = tiny_config(aug_probability=0.5, aug_lambda_mode="uniform",
                       aug_domains=("source", "target"))
     mdl = init_glad_model(TINY_MODEL, seed=2)
-    bank = build_background_bank(src + tgt)
+    bank = np.concatenate([build_background_bank(src), build_background_bank(tgt)])
     batch = (np.array([3, 0, 3, 7]), np.array([1, 2, 5, 5]))
     seen = {}
     real_encode = glad_model.encode_clip_batch
@@ -446,22 +463,23 @@ def test_step_draws_and_encodes_like_the_per_video_path(monkeypatch):
 
     monkeypatch.setattr(glad_model, "encode_clip_batch", spy)
     rng = np.random.default_rng(9)
-    trainer.step_losses(mdl, pack(src), pack(tgt), batch, cfg, rng, "main", bank)
+    trainer.step_losses(mdl, src, tgt, batch, cfg, rng, "main", bank)
 
     oracle = np.random.default_rng(9)
-    videos = [src[i] for i in batch[0]] + [tgt[i] for i in batch[1]]
+    videos = ([videos_of(src)[i] for i in batch[0]]
+              + [videos_of(tgt)[i] for i in batch[1]])
     mixed = []
     for v in videos:
-        frames = v.frames
+        frames = v
         if oracle.uniform() < 0.5:
             bg = bank[int(oracle.integers(0, len(bank)))]
             frames = mix_background(frames, bg, float(oracle.uniform()))
         mixed.append(frames)
-    assert 0 < sum(f is not v.frames for f, v in zip(mixed, videos)) < len(videos)
+    assert 0 < sum(f is not v for f, v in zip(mixed, videos)) < len(videos)
     m = TINY_MODEL
     clips = [frames[list(c)] for v, frames in zip(videos, mixed)
-             for c in [sample_global_clip(v.length, m.n_frames, oracle)]
-             + [sample_local_clip(v.length, m.n_frames, m.local_stride, oracle)
+             for c in [sample_global_clip(len(v), m.n_frames, oracle)]
+             + [sample_local_clip(len(v), m.n_frames, m.local_stride, oracle)
                 for _ in range(2 + m.tol_clips)]]
     oracle.permuted(np.tile(np.arange(m.tol_clips), (8, 1)), axis=1)
     assert rng.bit_generator.state == oracle.bit_generator.state
