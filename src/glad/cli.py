@@ -1,7 +1,7 @@
 """Command-line surface: synth, gap, train, eval, ablate.
 
-Exit codes: 0 success, 1 usage/config error, 2 I/O or data error, 3 numeric failure;
-a worker process of `glad ablate` that dies also ends with code 2.
+Exit codes: 0 success, 1 usage/config error or out of memory, 2 I/O or data error,
+3 numeric failure; a worker process of `glad ablate` that dies also ends with code 2.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .gapmetrics import (EmptyClassError, GapReport, SceneFeatureSet,
 from .schema import from_json
 from .synthdata import (DatasetError, DomainSpec, read_dataset, spec_from_dict,
                         write_dataset)
-from .trainer import (NumericError, TrainConfig, evaluate, format_ablation_table,
-                      run_ablation_matrix, train)
+from .trainer import (EVAL_BLOCK, NumericError, TrainConfig, evaluate,
+                      format_ablation_table, run_ablation_matrix, train)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -73,6 +73,9 @@ def resolve_split_dir(path: str) -> str:
 def cmd_synth(args) -> int:
     seed = args.seed if args.seed is not None else 0
     if args.spec:
+        if args.seed is not None:
+            raise UsageError("--seed does not apply with --spec: each split's seed "
+                             "is the \"seed\" of its spec")
         with open(args.spec) as f:
             raw = json.load(f)
         if not isinstance(raw, dict):
@@ -101,20 +104,22 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def scene_features_of(split) -> SceneFeatureSet:
-    # Scene features are L2-normalized temporal-median backgrounds; this
-    # replaces a pretrained scene-classification network at desk scale.
-    bank = build_background_bank(split)
+def scene_features_of(blocks) -> SceneFeatureSet:
+    """Scene features of a split's consecutive Packed blocks, in video
+    order: L2-normalized temporal-median backgrounds, which replace a
+    pretrained scene-classification network at desk scale. A video's median
+    depends on no other video, so a block's bank rows are the split's. map
+    keeps no block once its bank is built, so one block at a time is alive."""
+    bank = np.concatenate(list(map(build_background_bank, blocks)))
     return SceneFeatureSet.from_vectors(bank.astype(np.float64))
 
 
 def cmd_gap(args) -> int:
     features, lengths = [], []
     for path in (args.source, args.target):
-        manifest, split = read_dataset(resolve_split_dir(path))
-        features.append(scene_features_of(split))
+        manifest, blocks = read_dataset(resolve_split_dir(path), EVAL_BLOCK)
+        features.append(scene_features_of(blocks))
         lengths.append(manifest.lengths())
-        del split  # one split's frames at a time
     delta_bg = scene_distance(*features)
     delta_temp = temporal_distance(*lengths)
     report = GapReport(delta_bg=delta_bg, delta_temp=delta_temp,
@@ -150,13 +155,17 @@ def load_experiment(path: str):
     return doc, tc
 
 
-def _read_split(directory: str, model_cfg):
-    """The split in directory; its videos must fit the model's input and classes."""
-    manifest, split = read_dataset(directory)
+def _check_fit(directory: str, spec: DomainSpec, model_cfg) -> None:
+    """The videos of a split must fit the model's input and classes."""
     for key in ("n_classes", "frame_dim"):
-        have, need = getattr(manifest.spec, key), getattr(model_cfg, key)
+        have, need = getattr(spec, key), getattr(model_cfg, key)
         if have != need:
             raise UsageError(f"{directory}: dataset {key}={have} but model {key}={need}")
+
+
+def _read_split(directory: str, model_cfg):
+    manifest, (split,) = read_dataset(directory)
+    _check_fit(directory, manifest.spec, model_cfg)
     return split
 
 
@@ -192,7 +201,7 @@ def _write_resolved_config(doc, tc, out_dir):
 def cmd_train(args) -> int:
     doc, tc = load_experiment(args.config)
     if args.seed is not None:
-        tc.seed = args.seed
+        tc = replace(tc, seed=args.seed)
     out = args.out or doc.get("out_dir") or "train_out"
     src_train, tgt_train, tgt_test = _load_splits(doc, tc)
     _write_resolved_config(doc, tc, out)
@@ -205,8 +214,10 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     mdl = glad_model.load_model(args.checkpoint)
-    split = _read_split(resolve_split_dir(args.data), mdl.config)
-    cm, mca = evaluate(mdl, split, mdl.config.n_classes)
+    directory = resolve_split_dir(args.data)
+    manifest, blocks = read_dataset(directory, EVAL_BLOCK)  # one block's frames at a time
+    _check_fit(directory, manifest.spec, mdl.config)
+    cm, mca = evaluate(mdl, blocks, mdl.config.n_classes)
     print(f"MCA: {mca:.2f}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -217,13 +228,12 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     doc, tc = load_experiment(args.config)
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [0, 1, 2]
     out = args.out or doc.get("out_dir") or "ablate_out"
     src_train, tgt_train, tgt_test = _load_splits(doc, tc)
     if tgt_test is None:
         raise UsageError("ablation needs a labeled target test split")
     _write_resolved_config(doc, tc, out)
-    table = run_ablation_matrix(tc, src_train, tgt_train, tgt_test, seeds)
+    table = run_ablation_matrix(tc, src_train, tgt_train, tgt_test, args.seeds)
     text = format_ablation_table(table)
     print(text)
     with open(os.path.join(out, "ablation.json"), "w") as f:
@@ -233,9 +243,19 @@ def cmd_ablate(args) -> int:
     return EXIT_OK
 
 
+def _seed_arg(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"a seed must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
+def _seed_list_arg(text: str) -> list[int]:
+    return [_seed_arg(s) for s in text.split(",")]
+
+
 def build_parser() -> CliParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--seed", type=_seed_arg, default=None)
     common.add_argument("--out", default=None)
     parser = CliParser(prog="glad", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -263,7 +283,8 @@ def build_parser() -> CliParser:
 
     p = sub.add_parser("ablate", parents=[common], help="run the ablation matrix")
     p.add_argument("--config", required=True)
-    p.add_argument("--seeds", default=None, help="comma-separated seed list")
+    p.add_argument("--seeds", type=_seed_list_arg, default=[0, 1, 2],
+                   help="comma-separated seed list")
     p.set_defaults(func=cmd_ablate)
     return parser
 
@@ -285,6 +306,9 @@ def main(argv=None) -> int:
     except (NumericError, NonFiniteGradientError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as e:  # numpy's _ArrayMemoryError names the allocation
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

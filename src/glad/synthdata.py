@@ -88,6 +88,8 @@ class DomainSpec:
         for name in ("n_videos", "n_classes", "bank_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if min(self.height, self.width) <= BLOB_SIZE:
             raise ValueError(f"height and width must be > the blob size {BLOB_SIZE}")
         for name in ("length_range", "blob_speed_range"):
@@ -246,8 +248,8 @@ def _packed(spec: DomainSpec, entries: list, frames: np.ndarray) -> Packed:
 
 def generate_domain(spec: DomainSpec):
     """(manifest, [split]) of the spec: the blocks write_dataset writes,
-    packed in one array. The split is in a one-item list only because
-    perfbench/checks.py joins the frames of the list's items."""
+    packed in one array. The one-item list is what read_dataset yields by
+    default, and perfbench/checks.py joins the frames of its items."""
     entries, blocks = [], []
     for block_entries, frames in _blocks(spec):
         entries += block_entries
@@ -274,11 +276,14 @@ def write_dataset(spec: DomainSpec, directory: str) -> None:
                            indent=1))
 
 
-def read_dataset(directory: str):
-    """(manifest, split), the inverse of write_dataset: the split is the one
-    array frames.bin holds. Validates the header, the spec, that the entries
-    tile frames.bin in order, the payload size, and that every frame value
-    is in [0, 1] (NaN is not)."""
+def read_dataset(directory: str, block: int | None = None):
+    """(manifest, blocks), the inverse of write_dataset: blocks yields the
+    split's consecutive videos as Packed splits of `block` videos, the last
+    one taking the rest, each read from frames.bin only when it is asked
+    for. By default one block holds the whole split: `manifest, (split,) =
+    read_dataset(directory)`. Validates the header, the spec, that the
+    entries tile frames.bin in order and the payload size before it returns;
+    that a block's frame values are in [0, 1] (NaN is not) as it is read."""
     path = os.path.join(directory, "manifest.json")
     try:
         with open(path) as f:
@@ -324,8 +329,28 @@ def read_dataset(directory: str):
         raise TruncatedDataError(f"truncated frame data: {size} < {end} bytes")
     if size > end:
         raise ManifestMismatchError(f"manifest mismatch: {size} > {end} bytes")
-    flat = np.fromfile(frames_path, dtype="<f4")
+    return DomainManifest(spec=spec, entries=entries), _read_frames(
+        frames_path, spec, entries, block or len(entries))
+
+
+def _read_frames(frames_path: str, spec: DomainSpec, entries: list, block: int):
+    """The Packed blocks of read_dataset from the open frames.bin. No local
+    here holds a block once it is yielded, so a consumer that keeps no
+    block reads each next one into the memory the last one freed."""
+    with open(frames_path, "rb") as f:
+        for first in range(0, len(entries), block):
+            yield _read_block(f, frames_path, spec, entries[first:first + block], first)
+
+
+def _read_block(f, frames_path: str, spec: DomainSpec, entries: list, first: int) -> Packed:
+    """The videos of the entries, from `first` on, in one np.fromfile call
+    from f's position; their values must be in [0, 1]."""
+    count = sum(e["length"] for e in entries) * spec.frame_dim
+    flat = np.fromfile(f, dtype="<f4", count=count)
+    if flat.size < count:  # the file shrank after its size was checked
+        raise TruncatedDataError(f"{frames_path}: truncated frame data")
     lo, hi = flat.min(), flat.max()  # a NaN anywhere makes both NaN
     if not (lo >= 0.0 and hi <= 1.0):
-        raise DatasetError(f"{frames_path}: frame values span [{lo}, {hi}], not within [0, 1]")
-    return DomainManifest(spec=spec, entries=entries), _packed(spec, entries, flat.reshape(-1, d))
+        raise DatasetError(f"{frames_path}: frame values of videos {first} to "
+                           f"{first + len(entries) - 1} span [{lo}, {hi}], not within [0, 1]")
+    return _packed(spec, entries, flat.reshape(-1, spec.frame_dim))

@@ -72,6 +72,11 @@ class TrainConfig:
         if min(self.global_views, self.local_views) < 0 \
                 or self.global_views + self.local_views < 1:
             raise ValueError("view counts must be >= 0 with at least one view per video")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if any(epoch < 0 for epoch in self.lr_drop_epochs):
+            raise ValueError(f"lr_drop_epochs must be epochs >= 0, "
+                             f"got {list(self.lr_drop_epochs)}")
         if min(self.warmup_epochs, self.main_epochs) < 0:
             raise ValueError("warmup_epochs and main_epochs must be >= 0")
         if self.main_epochs == 0 and (self.warmup_epochs == 0 or not self.use_tol):
@@ -317,25 +322,39 @@ def _eval_inputs(videos: Packed, cfg: ModelConfig):
     return videos.labels, videos.frames, blocks
 
 
-def _score(mdl: GladModel, inputs, n_classes: int):
-    """(confusion matrix, MCA) of consensus inference on _eval_inputs, one
-    block at a time, so the gathered rows and the encoder's float64 scratch
-    are sized by a block, not by the split."""
-    labels, frames, blocks = inputs
+def _predict(mdl: GladModel, inputs) -> np.ndarray:
+    """The consensus class of each video of _eval_inputs, one block at a
+    time, so the gathered rows and the encoder's float64 scratch are sized
+    by a block, not by the split."""
+    _, frames, blocks = inputs
     preds = []
     for clips, rows in blocks:
         feats, _ = glad_model.encode_clip_batch(mdl, clips, frames[rows])
         consensus = feats.reshape(len(clips) // 3, 3, -1).mean(axis=1)
         preds.append(np.argmax(glad_model.classify_action(mdl, consensus), axis=1))
-    cm = confusion_matrix(labels, np.concatenate(preds), n_classes)
+    return np.concatenate(preds)
+
+
+def _score(mdl: GladModel, inputs, n_classes: int):
+    """(confusion matrix, MCA) of consensus inference on _eval_inputs."""
+    cm = confusion_matrix(inputs[0], _predict(mdl, inputs), n_classes)
     return cm, mean_class_accuracy(cm)
 
 
-def evaluate(mdl: GladModel, videos: Packed, n_classes: int):
+def evaluate(mdl: GladModel, videos, n_classes: int):
     """Consensus inference per video over its centred global clip and its
-    centred local clip twice; returns (confusion matrix, MCA). The videos go
-    through the encoder EVAL_BLOCK at a time (see _score)."""
-    return _score(mdl, _eval_inputs(videos, mdl.config), n_classes)
+    centred local clip twice; returns (confusion matrix, MCA). videos is a
+    Packed split, or an iterable of a split's consecutive Packed blocks, as
+    synthdata.read_dataset yields them. The videos go through the encoder
+    EVAL_BLOCK at a time (see _predict), so blocks of EVAL_BLOCK videos give
+    it the rows the whole split does, bit for bit."""
+    blocks = [videos] if isinstance(videos, Packed) else videos
+    # map keeps no block once it is scored, unlike a for loop's variable, so
+    # one block at a time is alive
+    labels, preds = zip(*map(
+        lambda block: (block.labels, _predict(mdl, _eval_inputs(block, mdl.config))), blocks))
+    cm = confusion_matrix(np.concatenate(labels), np.concatenate(preds), n_classes)
+    return cm, mean_class_accuracy(cm)
 
 
 # Overflow and NaN in a diverging run end it with NumericError or

@@ -388,7 +388,7 @@ def test_criterion_11_dataset_roundtrip(tmp_path):
         manifest, (split,) = generate_domain(spec)
         out = str(tmp_path / f"d{i}")
         write_dataset(spec, out)
-        manifest2, split2 = read_dataset(out)
+        manifest2, (split2,) = read_dataset(out)
         assert manifest2.spec == spec
         assert manifest2.entries == manifest.entries
         assert same_split(split, split2)

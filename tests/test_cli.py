@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import shutil
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 from glad import cli, model as glad_model, trainer
 from glad.cli import (EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                       default_benchmark_specs, main, resolve_split_dir)
+from glad.debias import build_background_bank
+from glad.gapmetrics import SceneFeatureSet
 from glad.model import ModelConfig, init_glad_model, save_model
 from glad.synthdata import (DomainSpec, generate_domain, read_dataset,
                             write_dataset)
@@ -298,13 +301,15 @@ BAD_WIDTHS = [("frame_dim", 0), ("enc_hidden", -1), ("enc_out", 0), ("feat_dim",
     *[({"model": {key: value}}, f"{key} must be >= 1") for key, value in BAD_WIDTHS],
     ({"model": {"domain_hidden": [0, 64, 32]}}, "domain_hidden widths must be >= 1"),
     ({"model": {"domain_hidden": [64, 64, -2]}}, "domain_hidden widths must be >= 1"),
+    ({"seed": -1}, "train: seed must be >= 0, got -1"),
+    ({"lr_drop_epochs": [3, -1]}, "train: lr_drop_epochs must be epochs >= 0, got [3, -1]"),
 ], ids=["unknown_view", "negative_epochs", "no_report_row", "negative_lr", "zero_lr",
         "zero_lr_drop_factor", "negative_weight_decay", "unknown_aug_domain",
         "aug_checked_when_off", "aug_lambda", "aug_lambda_mode", "grl_nan", "grl_1e400",
         "zero_stride", "negative_stride", "zero_frames", "domain_hidden_length",
         "bool_as_string", "views_as_string", "float_count", "input_gain_nan",
         *[f"width_{key}" for key, _ in BAD_WIDTHS], "width_domain_hidden_first",
-        "width_domain_hidden_last"])
+        "width_domain_hidden_last", "negative_seed", "negative_lr_drop_epoch"])
 def test_train_invalid_config_value_exit_1(tmp_path, capsys, overrides, message):
     """Each bad value exits 1, naming its key, before any data is read
     (there is none) and before --out is created."""
@@ -641,11 +646,12 @@ def test_eval_zero_length_entry_exit_2(eval_inputs, tmp_path, capsys):
     ("height", 8.5, "source_train.height: expected int, got 8.5"),
     ("bank_size", 1.5, "source_train.bank_size: expected int, got 1.5"),
     ("no_such_field", 1, "source_train.no_such_field: unknown field"),
+    ("seed", -1, "source_train: seed must be >= 0, got -1"),
 ], ids=["zero_videos", "negative_videos", "zero_classes", "zero_bank", "zero_height",
         "width_of_blob", "one_length", "three_lengths", "lengths_reversed",
         "speeds_reversed", "speed_inf", "speed_nan", "negative_noise", "noise_nan",
         "bool_classes", "int_domain", "float_length", "float_videos", "float_height",
-        "float_bank", "unknown_field"])
+        "float_bank", "unknown_field", "negative_seed"])
 def test_synth_invalid_spec_value_exit_1(tmp_path, capsys, field, value, message):
     """Each bad spec value exits 1 with one line, naming the split and the
     check or key, before anything is written."""
@@ -749,3 +755,158 @@ def test_eval_exit_code_on_damaged_files(eval_inputs, data):
             os.truncate(path, data.draw(st.integers(0, os.path.getsize(path) - 1)))
         code = main(["eval", "--checkpoint", ckpt, "--data", split])
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_NUMERIC)
+
+
+# ---------------------------------------------------------------------------
+# glad eval and glad gap read a split EVAL_BLOCK videos at a time
+
+def write_blocks_split(directory, n_videos, length_range=(8, 24)):
+    """A source split of n_videos and its whole Packed split."""
+    spec = DomainSpec(n_classes=4, n_videos=n_videos, length_range=length_range,
+                      bias_rho=0.5, seed=3, domain="source")
+    write_dataset(spec, str(directory))
+    _, (split,) = generate_domain(spec)
+    return str(directory), split
+
+
+@pytest.fixture(scope="module")
+def three_block_split(tmp_path_factory):
+    """A split of two blocks and one video, its whole Packed split, and a
+    checkpoint that fits it."""
+    root = tmp_path_factory.mktemp("blocks")
+    directory, split = write_blocks_split(root / "split", 2 * trainer.EVAL_BLOCK + 1)
+    save_model(init_glad_model(EVAL_MODEL, seed=2), str(root / "ckpt"))
+    return directory, split, str(root / "ckpt")
+
+
+def test_read_dataset_yields_consecutive_blocks(three_block_split):
+    directory, split, _ = three_block_split
+    block = trainer.EVAL_BLOCK
+    manifest, blocks = read_dataset(directory, block)
+    blocks = list(blocks)
+    assert [len(b.lengths) for b in blocks] == [block, block, 1]
+    assert np.array_equal(np.concatenate([b.frames for b in blocks]), split.frames)
+    assert np.array_equal(np.concatenate([b.labels for b in blocks]), split.labels)
+    for k, b in enumerate(blocks):
+        assert np.array_equal(b.lengths, split.lengths[k * block:(k + 1) * block])
+        assert b.starts[0] == 0 and np.array_equal(b.starts[1:], np.cumsum(b.lengths)[:-1])
+
+
+def test_eval_in_blocks_equals_evaluate_of_the_whole_split(three_block_split, tmp_path):
+    directory, split, ckpt = three_block_split
+    out = tmp_path / "eval"
+    assert main(["eval", "--checkpoint", ckpt, "--data", directory, "--out", str(out)]) == EXIT_OK
+    doc = json.loads((out / "eval.json").read_text())
+    cm, mca = trainer.evaluate(glad_model.load_model(ckpt), split, 4)
+    assert doc["confusion"] == cm.tolist() and doc["mca"] == mca
+
+
+def test_gap_bank_in_blocks_equals_bank_of_the_whole_split(three_block_split):
+    directory, split, _ = three_block_split
+    whole = build_background_bank(split)
+    _, blocks = read_dataset(directory, trainer.EVAL_BLOCK)
+    assert np.array_equal(np.concatenate([build_background_bank(b) for b in blocks]), whole)
+    _, blocks = read_dataset(directory, trainer.EVAL_BLOCK)
+    streamed = cli.scene_features_of(blocks).vectors
+    assert np.array_equal(streamed, SceneFeatureSet.from_vectors(whole.astype(np.float64)).vectors)
+
+
+@pytest.mark.parametrize("command", ["eval", "gap"])
+def test_nan_in_last_block_exit_2(three_block_split, tmp_path, capsys, command):
+    """A NaN in the last block only is refused when that block is read,
+    after the blocks before it were used, and before --out exists."""
+    directory, split, ckpt = three_block_split
+    damaged = str(tmp_path / "split")
+    shutil.copytree(directory, damaged)
+    last = split.starts[-1] * EVAL_MODEL.frame_dim * 4
+    with open(os.path.join(damaged, "frames.bin"), "r+b") as f:
+        f.seek(last + 4)
+        f.write(np.float32(np.nan).tobytes())
+    out = tmp_path / "out"
+    if command == "eval":
+        argv = ["eval", "--checkpoint", ckpt, "--data", damaged]
+    else:
+        argv = ["gap", directory, damaged]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error:") and err.count("\n") == 1
+    assert "not within [0, 1]" in err and f"videos {2 * trainer.EVAL_BLOCK} to" in err
+    assert not out.exists()
+
+
+def traced_peak_of_command(tmp_path, command, n_blocks):
+    """Peak bytes tracemalloc sees while `glad eval` or `glad gap` reads a
+    split of n_blocks blocks of 24-frame videos; the files exist before
+    tracing starts. gap compares the split with a small fixed one, so its
+    scene distance stays small."""
+    directory, _ = write_blocks_split(tmp_path / f"split{n_blocks}",
+                                      n_blocks * trainer.EVAL_BLOCK, (24, 24))
+    if command == "eval":
+        ckpt = str(tmp_path / "ckpt")
+        save_model(init_glad_model(EVAL_MODEL, seed=0), ckpt)
+        argv = ["eval", "--checkpoint", ckpt, "--data", directory]
+    else:
+        small, _ = write_blocks_split(tmp_path / "small", 8)
+        argv = ["gap", directory, small, "--out", str(tmp_path / "gap")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command", ["eval", "gap"])
+def test_eval_and_gap_memory_is_bounded_by_a_block(tmp_path, capsys, command):
+    """Four blocks of videos peak below 1.5 times one block: the commands
+    hold one block's frames at a time, and only the manifest, labels and
+    scene features grow with the split."""
+    one = traced_peak_of_command(tmp_path, command, 1)
+    assert traced_peak_of_command(tmp_path, command, 4) < 1.5 * one
+
+
+# ---------------------------------------------------------------------------
+# Seeds and memory exhaustion
+
+@pytest.mark.parametrize("argv,message", [
+    (["train", "--seed", "-1"], "argument --seed: a seed must be an integer >= 0, got '-1'"),
+    (["ablate", "--seeds", "0,-1"], "argument --seeds: a seed must be an integer >= 0, got '-1'"),
+    (["ablate", "--seeds", ""], "argument --seeds: a seed must be an integer >= 0, got ''"),
+    (["ablate", "--seeds", "0,x"], "argument --seeds: a seed must be an integer >= 0, got 'x'"),
+    (["synth", "--seed", "-1"], "argument --seed: a seed must be an integer >= 0, got '-1'"),
+    (["synth", "--spec", "SPEC", "--seed", "3"], "--seed does not apply with --spec"),
+], ids=["train_negative", "ablate_negative", "ablate_empty", "ablate_not_int",
+        "synth_negative", "synth_spec_and_seed"])
+def test_bad_seed_argument_exit_1_writes_nothing(tmp_path, capsys, argv, message):
+    """A seed argument that would be ignored, or that numpy would refuse
+    later, exits 1 naming the argument before anything is written."""
+    data = synth_small(tmp_path)
+    cfg = train_config_doc(tmp_path, data)
+    spec_file = write_spec_file(tmp_path, small_specs())
+    out = tmp_path / "out"
+    argv = [a.replace("SPEC", spec_file) for a in argv] + ["--out", str(out)]
+    if argv[0] != "synth":
+        argv += ["--config", cfg]
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and message in err
+    assert err.count("error:") == 1
+    assert not out.exists()
+
+
+def test_out_of_memory_exit_1(tmp_path, capsys, monkeypatch):
+    """A MemoryError, as numpy raises for an allocation that cannot be
+    made, ends glad with one line and exit 1."""
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 373. TiB for an array with shape "
+                          "(64, 100000000) and data type float64")
+
+    monkeypatch.setattr(trainer, "init_glad_model", no_memory)
+    data = synth_small(tmp_path)
+    cfg = train_config_doc(tmp_path, data)
+    capsys.readouterr()
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1

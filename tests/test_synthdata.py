@@ -283,11 +283,11 @@ def test_source_bias_links_background_to_label():
 
 
 def test_roundtrip_lossless(tmp_path):
-    """read_dataset's split is generate_domain's; its frames are the bytes
-    of frames.bin, and its starts follow the manifest's offsets."""
+    """read_dataset's one block is generate_domain's split; its frames are
+    the bytes of frames.bin, and its starts follow the manifest's offsets."""
     manifest, (split,) = generate_domain(SMALL)
     write_dataset(SMALL, str(tmp_path))
-    manifest2, read = read_dataset(str(tmp_path))
+    manifest2, (read,) = read_dataset(str(tmp_path))
     assert manifest2.spec == manifest.spec
     assert manifest2.entries == manifest.entries
     assert same_split(read, split)
@@ -311,7 +311,7 @@ def test_roundtrip_lossless_random_specs(tmp_path_factory, seed):
     _, (split,) = generate_domain(spec)
     out = str(tmp_path_factory.mktemp("ds"))
     write_dataset(spec, out)
-    manifest2, read = read_dataset(out)
+    manifest2, (read,) = read_dataset(out)
     assert manifest2.spec == spec
     assert same_split(read, split)
 
