@@ -17,9 +17,9 @@ import numpy as np
 from . import model as glad_model
 from .debias import build_background_bank
 from .diffnet import NonFiniteGradientError
-from .gapmetrics import (EmptyClassError, GapReport, SceneFeatureSet,
-                         accuracy_gap, scene_distance, temporal_distance)
-from .schema import from_json
+from .gapmetrics import (EmptyClassError, GapReport, SceneFeatureSet, accuracy_gap,
+                         mean_class_accuracy, scene_distance, temporal_distance)
+from .schema import from_json, read_json
 from .synthdata import (DatasetError, DomainSpec, read_dataset, spec_from_dict,
                         write_dataset)
 from .trainer import (EVAL_BLOCK, NumericError, TrainConfig, evaluate,
@@ -76,8 +76,7 @@ def cmd_synth(args) -> int:
         if args.seed is not None:
             raise UsageError("--seed does not apply with --spec: each split's seed "
                              "is the \"seed\" of its spec")
-        with open(args.spec) as f:
-            raw = json.load(f)
+        raw = read_json(args.spec, UsageError)
         if not isinstance(raw, dict):
             raise UsageError(f"{args.spec}: expected an object of named splits")
         specs = {name: spec_from_dict(value, name) for name, value in raw.items()}
@@ -115,6 +114,9 @@ def scene_features_of(blocks) -> SceneFeatureSet:
 
 
 def cmd_gap(args) -> int:
+    if (args.mca_sup is None) != (args.mca_src is None):
+        missing = "--mca-sup" if args.mca_sup is None else "--mca-src"
+        raise UsageError(f"the accuracy gap needs --mca-sup and --mca-src; {missing} is missing")
     features, lengths = [], []
     for path in (args.source, args.target):
         manifest, blocks = read_dataset(resolve_split_dir(path), EVAL_BLOCK)
@@ -124,7 +126,7 @@ def cmd_gap(args) -> int:
     delta_temp = temporal_distance(*lengths)
     report = GapReport(delta_bg=delta_bg, delta_temp=delta_temp,
                        notes={"scene_feature": "normalized temporal-median background"})
-    if args.mca_sup is not None and args.mca_src is not None:
+    if args.mca_sup is not None:
         report.mca_supervised_target = args.mca_sup
         report.mca_source_only = args.mca_src
         report.delta_acc = accuracy_gap(args.mca_sup, args.mca_src)
@@ -140,14 +142,18 @@ def cmd_gap(args) -> int:
 
 
 def load_experiment(path: str):
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except json.JSONDecodeError as e:
-        raise UsageError(f"config {path}: invalid JSON ({e})") from e
-    for key in ("source_dir", "target_dir"):
-        if key not in doc:
+    """(document, TrainConfig) of an experiment config: an object with
+    source_dir and target_dir strings, optional test_dir and out_dir
+    strings (null for none) and a train section; other keys are kept."""
+    doc = read_json(path, UsageError, f"config {path}")
+    if not isinstance(doc, dict):
+        raise UsageError(f"config {path}: expected an object, got {doc!r}")
+    for key in ("source_dir", "target_dir", "test_dir", "out_dir"):
+        value = doc.get(key)
+        if value is None and key in ("source_dir", "target_dir"):
             raise UsageError(f"config {path}: missing field {key!r}")
+        if not isinstance(value, (str, type(None))):
+            raise UsageError(f"config {path}: {key}: expected str, got {value!r}")
     try:
         tc = from_json(TrainConfig, doc.get("train", {}), "train")
     except TypeError as e:
@@ -217,7 +223,9 @@ def cmd_eval(args) -> int:
     directory = resolve_split_dir(args.data)
     manifest, blocks = read_dataset(directory, EVAL_BLOCK)  # one block's frames at a time
     _check_fit(directory, manifest.spec, mdl.config)
-    cm, mca = evaluate(mdl, blocks, mdl.config.n_classes)
+    # the blocks' counts add up to the split's; map keeps one block alive at a time
+    cm = sum(map(lambda block: evaluate(mdl, block, mdl.config.n_classes), blocks))
+    mca = mean_class_accuracy(cm)
     print(f"MCA: {mca:.2f}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)

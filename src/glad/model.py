@@ -19,7 +19,7 @@ import numpy as np
 
 from . import diffnet
 from .diffnet import MlpSpec
-from .schema import from_json
+from .schema import from_json, read_json
 
 # The N! orders of N clips in lexicographic order, for each allowed N. The
 # TOL head has one output per row, and the label of an order is its row.
@@ -412,25 +412,17 @@ def save_model(model: GladModel, directory: str) -> None:
                 f.write(np.asarray(p, dtype="<f4").tobytes())
 
 
-def _read_json(path: str):
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except json.JSONDecodeError as e:
-        raise OSError(f"{path}: invalid JSON ({e})") from e
-
-
 def load_model(directory: str) -> GladModel:
     """Inverse of save_model. Raises OSError unless model.json is a valid
     config, params.json lists exactly the tensors and shapes of that model
     and params.bin holds exactly their bytes."""
     path = os.path.join(directory, "model.json")
     try:
-        cfg = from_json(ModelConfig, _read_json(path))
+        cfg = from_json(ModelConfig, read_json(path, OSError))
     except (TypeError, ValueError) as e:
         raise OSError(f"{path}: {e}") from e
     model = init_glad_model(cfg, seed=0)
-    if _read_json(os.path.join(directory, "params.json")) != _params_meta(model):
+    if read_json(os.path.join(directory, "params.json"), OSError) != _params_meta(model):
         raise OSError(f"{directory}: params.json does not list the tensors "
                       f"and shapes of the model in model.json")
     path = os.path.join(directory, "params.bin")

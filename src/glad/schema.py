@@ -1,7 +1,18 @@
-"""The one reader of JSON objects into configs and dataset specs."""
+"""The one reader of JSON files, and of JSON objects into configs and
+dataset specs."""
 
 import dataclasses
+import json
 import typing
+
+
+def read_json(path: str, error: type, name: str | None = None):
+    """The JSON document of a file; invalid JSON raises error naming name or the path."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except json.JSONDecodeError as e:
+        raise error(f"{name or path}: invalid JSON ({e})") from e
 
 
 def _fits(hint, value) -> bool:

@@ -113,9 +113,7 @@ class TrainReport:
     def write(self, out_dir: str) -> None:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "report.csv"), "w", newline="") as f:
-            writer = csv.writer(f)
-            for row in self.csv_rows():
-                writer.writerow(row)
+            csv.writer(f).writerows(self.csv_rows())
         with open(os.path.join(out_dir, "report.json"), "w") as f:
             json.dump({"epochs": self.epochs, "checkpoint_dir": self.checkpoint_dir},
                       f, indent=1)
@@ -305,56 +303,25 @@ def run_phase_epoch(mdl, src, tgt, config, velocity, rng, phase, lr, bank):
 EVAL_BLOCK = 256
 
 
-def _eval_inputs(videos: Packed, cfg: ModelConfig):
-    """What evaluation needs of a labeled split, which depends on no
-    parameter: (labels, packed frames, blocks). A block is (clips, rows) of
-    EVAL_BLOCK videos for encode_clip_batch over frames[rows]: each video's
-    centred global clip and its centred local clip twice, as indices into
-    the block's distinct packed-frame rows. Only these indices are new."""
+def evaluate(mdl: GladModel, videos: Packed, n_classes: int) -> np.ndarray:
+    """Confusion matrix of consensus inference over a labeled split: a video's
+    class is the action head's argmax over its pooled centred global clip and
+    centred local clip twice. EVAL_BLOCK videos at a time are gathered and
+    encoded, each distinct frame once, so memory is sized by a block, and a split
+    read in blocks of EVAL_BLOCK videos gives the encoder the same rows, bit for bit."""
     if (videos.labels < 0).any():
         raise ValueError("evaluate requires labeled videos")
+    cfg = mdl.config
     idx = clip_indices(videos.lengths, cfg.n_frames, cfg.local_stride, 1, 1)[:, [0, 1, 1]]
     frame = videos.starts[:, None, None] + idx
-    blocks = []
+    preds = []
     for a in range(0, len(frame), EVAL_BLOCK):
         rows, clips = np.unique(frame[a:a + EVAL_BLOCK], return_inverse=True)
-        blocks.append((clips.reshape(-1, cfg.n_frames), rows))
-    return videos.labels, videos.frames, blocks
-
-
-def _predict(mdl: GladModel, inputs) -> np.ndarray:
-    """The consensus class of each video of _eval_inputs, one block at a
-    time, so the gathered rows and the encoder's float64 scratch are sized
-    by a block, not by the split."""
-    _, frames, blocks = inputs
-    preds = []
-    for clips, rows in blocks:
-        feats, _ = glad_model.encode_clip_batch(mdl, clips, frames[rows])
-        consensus = feats.reshape(len(clips) // 3, 3, -1).mean(axis=1)
+        feats, _ = glad_model.encode_clip_batch(mdl, clips.reshape(-1, cfg.n_frames),
+                                                videos.frames[rows])
+        consensus = feats.reshape(len(feats) // 3, 3, -1).mean(axis=1)
         preds.append(np.argmax(glad_model.classify_action(mdl, consensus), axis=1))
-    return np.concatenate(preds)
-
-
-def _score(mdl: GladModel, inputs, n_classes: int):
-    """(confusion matrix, MCA) of consensus inference on _eval_inputs."""
-    cm = confusion_matrix(inputs[0], _predict(mdl, inputs), n_classes)
-    return cm, mean_class_accuracy(cm)
-
-
-def evaluate(mdl: GladModel, videos, n_classes: int):
-    """Consensus inference per video over its centred global clip and its
-    centred local clip twice; returns (confusion matrix, MCA). videos is a
-    Packed split, or an iterable of a split's consecutive Packed blocks, as
-    synthdata.read_dataset yields them. The videos go through the encoder
-    EVAL_BLOCK at a time (see _predict), so blocks of EVAL_BLOCK videos give
-    it the rows the whole split does, bit for bit."""
-    blocks = [videos] if isinstance(videos, Packed) else videos
-    # map keeps no block once it is scored, unlike a for loop's variable, so
-    # one block at a time is alive
-    labels, preds = zip(*map(
-        lambda block: (block.labels, _predict(mdl, _eval_inputs(block, mdl.config))), blocks))
-    cm = confusion_matrix(np.concatenate(labels), np.concatenate(preds), n_classes)
-    return cm, mean_class_accuracy(cm)
+    return confusion_matrix(videos.labels, np.concatenate(preds), n_classes)
 
 
 # Overflow and NaN in a diverging run end it with NumericError or
@@ -373,15 +340,13 @@ def train(config: TrainConfig, src: Packed, tgt_train: Packed,
         bank = np.concatenate([build_background_bank(src), build_background_bank(tgt)])
     velocity = mdl.zeros()
     report = TrainReport()
-    # the test split's clips are fixed: prepare them once, score each epoch
-    test_inputs = _eval_inputs(tgt_test, config.model) if tgt_test is not None else None
 
     def record(phase, epoch, lr, stats):
-        row = {"phase": phase, "epoch": epoch, "lr": lr, **STEP_STATS, **stats,
-               "target_mca": float("nan")}
-        if test_inputs is not None:
-            row["target_mca"] = _score(mdl, test_inputs, config.model.n_classes)[1]
-        report.epochs.append(row)
+        mca = float("nan")
+        if tgt_test is not None:
+            mca = mean_class_accuracy(evaluate(mdl, tgt_test, config.model.n_classes))
+        report.epochs.append({"phase": phase, "epoch": epoch, "lr": lr, **STEP_STATS, **stats,
+                              "target_mca": mca})
 
     warmup_epochs = config.warmup_epochs if config.use_tol else 0
     for epoch in range(warmup_epochs):
@@ -411,17 +376,6 @@ def ablation_rows() -> dict:
         "supervised_target": {"use_bg_aug": False, "use_tol": False, "gla_views": ()},
         "dann": {"use_bg_aug": False, "use_tol": False, "gla_views": ("gg",)},
     }
-
-
-def run_config(name: str, overrides: dict, base: TrainConfig, src_train,
-               tgt_train, tgt_test, seed: int) -> float:
-    """Train one ablation configuration and return the target-test MCA."""
-    cfg = replace(base, **overrides, seed=seed)
-    if name == "supervised_target":
-        # Upper-bound baseline: the labeled "source" is the target train split.
-        src_train = tgt_train
-    _, report = train(cfg, src_train, tgt_train, tgt_test)
-    return report.epochs[-1]["target_mca"]
 
 
 # Inputs every ablation job shares; _init_worker sets them in each pool
@@ -463,13 +417,18 @@ def _init_worker(base, src_train, tgt_train, tgt_test) -> None:
 
 
 def _run_job(name: str, overrides: dict, seed: int) -> float:
+    """The final target-test MCA of one ablation run on the worker's inputs."""
     base, src_train, tgt_train, tgt_test = _job_inputs
-    return run_config(name, overrides, base, src_train, tgt_train, tgt_test, seed)
+    if name == "supervised_target":
+        # Upper-bound baseline: the labeled "source" is the target train split.
+        src_train = tgt_train
+    _, report = train(replace(base, **overrides, seed=seed), src_train, tgt_train, tgt_test)
+    return report.epochs[-1]["target_mca"]
 
 
-def run_ablation_matrix(base: TrainConfig, src_train, tgt_train, tgt_test,
-                        seeds, rows: dict | None = None) -> dict:
-    """MCA mean and population std per toggle set over the given seeds.
+def run_ablation_matrix(base: TrainConfig, src_train, tgt_train, tgt_test, seeds) -> dict:
+    """MCA mean and population std per toggle set of ablation_rows() over
+    the given seeds.
 
     Each (row, seed) run is seeded and independent, so the runs go to a pool
     of forked worker processes, one per available core (at most one per
@@ -485,7 +444,7 @@ def run_ablation_matrix(base: TrainConfig, src_train, tgt_train, tgt_test,
 
     if len(seeds) < 1:
         raise ValueError("need at least one seed")
-    rows = rows if rows is not None else ablation_rows()
+    rows = ablation_rows()
     jobs = [(name, i, seed) for name in rows for i, seed in enumerate(seeds)]
 
     def epochs(job):
@@ -508,13 +467,10 @@ def run_ablation_matrix(base: TrainConfig, src_train, tgt_train, tgt_test,
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
-    table = {}
-    for name in rows:
-        values = [mcas[name, i] for i in range(len(seeds))]
-        mean = statistics.fmean(values)
-        std = statistics.pstdev(values) if len(values) > 1 else 0.0
-        table[name] = {"mean": mean, "std": std, "values": values}
-    return table
+    values = {name: [mcas[name, i] for i in range(len(seeds))] for name in rows}
+    # the population std of one value is 0.0
+    return {name: {"mean": statistics.fmean(v), "std": statistics.pstdev(v), "values": v}
+            for name, v in values.items()}
 
 
 def format_ablation_table(table: dict) -> str:

@@ -14,7 +14,7 @@ from glad import cli, model as glad_model, trainer
 from glad.cli import (EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                       default_benchmark_specs, main, resolve_split_dir)
 from glad.debias import build_background_bank
-from glad.gapmetrics import SceneFeatureSet
+from glad.gapmetrics import SceneFeatureSet, mean_class_accuracy
 from glad.model import ModelConfig, init_glad_model, save_model
 from glad.synthdata import (DomainSpec, generate_domain, read_dataset,
                             write_dataset)
@@ -152,6 +152,20 @@ def test_gap_accuracy_flags(tmp_path):
                  "--out", gap_out]) == EXIT_OK
     doc = json.loads(open(os.path.join(gap_out, "gap.json")).read())
     assert doc["delta_acc"] == pytest.approx(65.0)
+
+
+@pytest.mark.parametrize("given,missing", [("--mca-sup", "--mca-src"),
+                                            ("--mca-src", "--mca-sup")])
+def test_gap_one_accuracy_flag_exit_1(tmp_path, capsys, given, missing):
+    """An accuracy without the other would be dropped from gap.json, so it
+    is refused, naming the missing flag, before a split is read."""
+    out = tmp_path / "gap"
+    assert main(["gap", str(tmp_path / "nope"), str(tmp_path / "nada"), given, "90",
+                 "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{missing} is missing" in err
+    assert not out.exists()
 
 
 def test_gap_missing_dataset_exit_2(tmp_path, capsys):
@@ -303,17 +317,31 @@ BAD_WIDTHS = [("frame_dim", 0), ("enc_hidden", -1), ("enc_out", 0), ("feat_dim",
     ({"model": {"domain_hidden": [64, 64, -2]}}, "domain_hidden widths must be >= 1"),
     ({"seed": -1}, "train: seed must be >= 0, got -1"),
     ({"lr_drop_epochs": [3, -1]}, "train: lr_drop_epochs must be epochs >= 0, got [3, -1]"),
+    # a function of the whole document edits its top level
+    (lambda doc: 3, "config.json: expected an object, got 3"),
+    (lambda doc: [1], "config.json: expected an object, got [1]"),
+    *[(lambda doc, key=key: {**doc, key: 7}, f"config.json: {key}: expected str, got 7")
+      for key in ("source_dir", "target_dir", "test_dir", "out_dir")],
 ], ids=["unknown_view", "negative_epochs", "no_report_row", "negative_lr", "zero_lr",
         "zero_lr_drop_factor", "negative_weight_decay", "unknown_aug_domain",
         "aug_checked_when_off", "aug_lambda", "aug_lambda_mode", "grl_nan", "grl_1e400",
         "zero_stride", "negative_stride", "zero_frames", "domain_hidden_length",
         "bool_as_string", "views_as_string", "float_count", "input_gain_nan",
         *[f"width_{key}" for key, _ in BAD_WIDTHS], "width_domain_hidden_first",
-        "width_domain_hidden_last", "negative_seed", "negative_lr_drop_epoch"])
+        "width_domain_hidden_last", "negative_seed", "negative_lr_drop_epoch",
+        "top_level_int", "top_level_list", "int_source_dir", "int_target_dir",
+        "int_test_dir", "int_out_dir"])
 def test_train_invalid_config_value_exit_1(tmp_path, capsys, overrides, message):
-    """Each bad value exits 1, naming its key, before any data is read
-    (there is none) and before --out is created."""
-    cfg = train_config_doc(tmp_path, str(tmp_path / "data"), **overrides)
+    """Each bad value exits 1, naming the file or its key, before any data
+    is read (there is none) and before --out is created."""
+    if callable(overrides):
+        cfg = train_config_doc(tmp_path, str(tmp_path / "data"))
+        with open(cfg) as f:
+            doc = overrides(json.load(f))
+        with open(cfg, "w") as f:
+            json.dump(doc, f)
+    else:
+        cfg = train_config_doc(tmp_path, str(tmp_path / "data"), **overrides)
     # JSON has no infinity; write the number that overflows to it
     with open(cfg) as f:
         text = f.read().replace("Infinity", "1e400")
@@ -370,6 +398,29 @@ def test_train_invalid_json_exit_1(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text("{broken")
     assert main(["train", "--config", str(cfg_path)]) == EXIT_USAGE
+
+
+def test_config_keeps_unknown_top_level_keys(tmp_path):
+    data = synth_small(tmp_path)
+    cfg = train_config_doc(tmp_path, data)
+    doc = json.loads(open(cfg).read())
+    doc["notes"] = ["any", {"value": 1}]
+    with open(cfg, "w") as f:
+        json.dump(doc, f)
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "config.json").read_text())["notes"] == doc["notes"]
+
+
+def test_synth_spec_invalid_json_names_the_file_exit_1(tmp_path, capsys):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text('{"source_train":\n')
+    out = tmp_path / "data"
+    assert main(["synth", "--spec", str(spec_file), "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec_file}: invalid JSON (Expecting value: line 2")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_unknown_subcommand_exit_1(capsys):
@@ -453,8 +504,14 @@ def test_non_finite_gradient_exit_3(tmp_path, capsys, monkeypatch, command):
     assert not (out / "final").exists()
 
 
+def exit_worker(*args):
+    """An ablation job that ends its worker process at once; a module-level
+    function, so the pool can send it to a worker by name."""
+    os._exit(70)
+
+
 def test_ablate_worker_death_exit_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(trainer, "run_config", lambda *args: os._exit(70))
+    monkeypatch.setattr(trainer, "_run_job", exit_worker)
     data = synth_small(tmp_path)
     cfg = train_config_doc(tmp_path, data)
     capsys.readouterr()
@@ -797,7 +854,8 @@ def test_eval_in_blocks_equals_evaluate_of_the_whole_split(three_block_split, tm
     out = tmp_path / "eval"
     assert main(["eval", "--checkpoint", ckpt, "--data", directory, "--out", str(out)]) == EXIT_OK
     doc = json.loads((out / "eval.json").read_text())
-    cm, mca = trainer.evaluate(glad_model.load_model(ckpt), split, 4)
+    cm = trainer.evaluate(glad_model.load_model(ckpt), split, 4)
+    mca = mean_class_accuracy(cm)
     assert doc["confusion"] == cm.tolist() and doc["mca"] == mca
 
 

@@ -13,12 +13,15 @@ TESTS = ROOT / "tests"
 BENCH = ROOT / "perfbench"
 
 
-def public_definitions(path: pathlib.Path) -> set:
-    """Public module-level functions and classes of one file."""
+def module_definitions(path: pathlib.Path, private_functions: bool = False) -> set:
+    """Public module-level functions and classes of one file, and with
+    private_functions its private module-level functions too."""
     tree = ast.parse(path.read_text(), filename=str(path))
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     return {node.name for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")}
+            if isinstance(node, (*functions, ast.ClassDef))
+            and (not node.name.startswith("_")
+                 or private_functions and isinstance(node, functions))}
 
 
 def names_used(paths) -> set:
@@ -43,11 +46,13 @@ def glad_imports(paths) -> list:
 
 
 def test_every_public_name_is_used_in_src():
-    """Each public module-level function or class of src/glad/ is named
-    somewhere in src/glad/ besides its own definition, or imported by the
-    benchmark under perfbench/; code only tests call belongs in tests/."""
+    """Each public module-level function or class of src/glad/, and each
+    private module-level function, is named somewhere in src/glad/ besides
+    its own definition, or imported by the benchmark under perfbench/; code
+    only tests call belongs in tests/."""
     paths = sorted(SRC.glob("*.py"))
-    defined = {name: path.name for path in paths for name in public_definitions(path)}
+    defined = {name: path.name for path in paths
+               for name in module_definitions(path, private_functions=True)}
     assert defined, f"no modules found in {SRC}"
     used = names_used(paths) | {name for _, name in glad_imports(BENCH.glob("*.py"))}
     unused = sorted(f"{module}:{name}" for name, module in defined.items()
@@ -73,7 +78,7 @@ def test_every_import_in_src_is_used():
 def test_every_oracle_is_used_by_a_test():
     """Each public function or class of tests/oracles.py is named by some
     tests/test_*.py; an oracle that no test calls checks nothing."""
-    defined = public_definitions(TESTS / "oracles.py")
+    defined = module_definitions(TESTS / "oracles.py")
     assert defined
     assert sorted(defined - names_used(TESTS.glob("test_*.py"))) == []
 

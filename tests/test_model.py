@@ -307,7 +307,7 @@ def test_eval_clips_one_global_two_local(monkeypatch):
         return seen["feats"], cache
 
     monkeypatch.setattr(glad_model, "encode_clip_batch", spy)
-    cm, _ = evaluate(m, packed(vids, [len(v) % 3 for v in vids]), 3)
+    cm = evaluate(m, packed(vids, [len(v) % 3 for v in vids]), 3)
     clips, rows = seen["clips"], seen["rows"]
     assert clips.shape == (3 * len(vids), TINY.n_frames)
     assert len(rows) == len(np.unique(clips)) < clips.size
@@ -329,14 +329,14 @@ def test_classify_action_shapes():
 
 def test_consensus_inference_returns_class():
     m = init_glad_model(TINY, seed=12)
-    cm, _ = evaluate(m, packed([make_video(t=15, seed=c) for c in range(3)], range(3)), 3)
+    cm = evaluate(m, packed([make_video(t=15, seed=c) for c in range(3)], range(3)), 3)
     assert cm.shape == (3, 3) and cm.sum() == 3  # one class per video
 
 
 def test_consensus_inference_deterministic():
     m = init_glad_model(TINY, seed=13)
     vids = packed([make_video(t=9, seed=5 + c) for c in range(3)], range(3))
-    assert np.array_equal(evaluate(m, vids, 3)[0], evaluate(m, vids, 3)[0])
+    assert np.array_equal(evaluate(m, vids, 3), evaluate(m, vids, 3))
 
 
 def test_model_checkpoint_roundtrip(tmp_path):
@@ -353,4 +353,4 @@ def test_model_checkpoint_roundtrip(tmp_path):
             assert np.array_equal(pa.astype(np.float32).astype(np.float64), pb)
     vids = packed([make_video(t=11, seed=6 + c) for c in range(3)], range(3))
     # float32 storage must not flip the predictions on generic inputs
-    assert np.array_equal(evaluate(back, vids, 3)[0], evaluate(m, vids, 3)[0])
+    assert np.array_equal(evaluate(back, vids, 3), evaluate(m, vids, 3))

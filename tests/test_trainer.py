@@ -15,6 +15,7 @@ from glad import model as glad_model, trainer
 from glad.diffnet import mlp_forward
 from glad.model import ModelConfig, init_glad_model
 from glad.debias import build_background_bank, mix_background
+from glad.gapmetrics import mean_class_accuracy
 from glad.schema import from_json
 from glad.synthdata import DomainSpec, Packed, generate_domain
 from glad.trainer import (TrainConfig, TrainReport, ablation_rows,
@@ -248,6 +249,7 @@ def test_train_writes_report_and_checkpoint(tmp_path):
                        "loss_gla", "loss_total", "dom_acc_gg", "dom_acc_ll",
                        "dom_acc_cross", "tol_acc", "target_mca"]
     assert len(rows) == 1 + len(report.epochs)
+    assert report.epochs[-1]["target_mca"] == mean_class_accuracy(evaluate(mdl, tgt, 4))
 
 
 def test_train_skips_warmup_without_tol():
@@ -302,27 +304,13 @@ def test_disabled_paths_match_source_only_bitwise():
 def test_evaluate_shapes_and_range():
     src, _ = tiny_data()
     mdl = init_glad_model(TINY_MODEL, seed=0)
-    cm, mca = evaluate(mdl, src, 4)
+    cm = evaluate(mdl, src, 4)
     assert cm.shape == (4, 4)
     assert cm.sum() == len(src.lengths)
-    assert 0.0 <= mca <= 100.0
+    assert 0.0 <= mean_class_accuracy(cm) <= 100.0
 
 
-def test_eval_inputs_prepared_once_score_like_evaluate():
-    """train prepares the test split's clips once per run and scores them
-    every epoch; that gives evaluate's confusion matrix for any parameters."""
-    src, tgt = tiny_data()
-    inputs = trainer._eval_inputs(src, TINY_MODEL)
-    for seed in range(3):
-        mdl = init_glad_model(TINY_MODEL, seed=seed)
-        cm, mca = trainer._score(mdl, inputs, 4)
-        want_cm, want_mca = evaluate(mdl, src, 4)
-        assert np.array_equal(cm, want_cm) and mca == want_mca
-    mdl, report = train(tiny_config(), src, tgt, tgt_test=src)
-    assert report.epochs[-1]["target_mca"] == evaluate(mdl, src, 4)[1]
-
-
-def test_evaluate_in_blocks_equals_each_block_alone_and_per_clip_oracle():
+def test_evaluate_in_blocks_equals_each_block_alone_and_per_clip_oracle(monkeypatch):
     """A split of two and a half blocks is scored a block at a time: its
     confusion matrix is the sum of scoring each block's videos alone, and
     the per-clip oracle's."""
@@ -331,13 +319,21 @@ def test_evaluate_in_blocks_equals_each_block_alone_and_per_clip_oracle():
     _, (videos,) = generate_domain(DomainSpec(n_classes=4, n_videos=n, length_range=(8, 40),
                                               seed=5, domain="source"))
     mdl = init_glad_model(TINY_MODEL, seed=1)
-    assert len(trainer._eval_inputs(videos, TINY_MODEL)[2]) == 3
-    cm, mca = evaluate(mdl, videos, 4)
-    alone = sum(evaluate(mdl, subset(videos, range(a, min(a + block, n))), 4)[0]
+    encoded = []
+    real_encode = glad_model.encode_clip_batch
+
+    def spy(mdl, clips, rows):
+        encoded.append(len(clips))
+        return real_encode(mdl, clips, rows)
+
+    monkeypatch.setattr(glad_model, "encode_clip_batch", spy)
+    cm = evaluate(mdl, videos, 4)
+    assert encoded == [3 * block, 3 * block, 3 * (n - 2 * block)]  # 3 clips per video
+    alone = sum(evaluate(mdl, subset(videos, range(a, min(a + block, n))), 4)
                 for a in range(0, n, block))
     assert np.array_equal(cm, alone)
     want_cm, want_mca = evaluate_per_clip(mdl, videos, 4)
-    assert np.array_equal(cm, want_cm) and mca == want_mca
+    assert np.array_equal(cm, want_cm) and mean_class_accuracy(cm) == want_mca
 
 
 def traced_peak_of_evaluate(n_videos: int) -> int:
@@ -382,10 +378,9 @@ def test_ablation_rows_cover_standard_matrix():
 def test_ablation_matrix_and_table():
     src, tgt = tiny_data(n=8)
     base = tiny_config(warmup_epochs=1, main_epochs=1)
-    rows = {"source_only": ablation_rows()["source_only"],
-            "full_glad": ablation_rows()["full_glad"]}
-    table = run_ablation_matrix(base, src, tgt, tgt, seeds=[0, 1], rows=rows)
-    for name in rows:
+    table = run_ablation_matrix(base, src, tgt, tgt, seeds=[0, 1])
+    assert list(table) == list(ablation_rows())
+    for name in table:
         assert len(table[name]["values"]) == 2
         vals = table[name]["values"]
         assert table[name]["mean"] == pytest.approx(np.mean(vals))
@@ -396,14 +391,20 @@ def test_ablation_matrix_and_table():
 
 
 def test_ablation_matrix_equals_direct_runs_on_any_core_count():
-    """The pooled table holds exactly the MCAs of in-process run_config
-    calls, with one worker and with one worker per available core."""
+    """The pooled table holds exactly the final MCAs of in-process train
+    calls, supervised_target's with the target split as its labeled source,
+    with one worker and with one worker per available core."""
     src, tgt = tiny_data(n=8)
     base = tiny_config(warmup_epochs=1, main_epochs=1)
     rows = ablation_rows()
     seeds = [0, 1]
-    direct = {name: [trainer.run_config(name, overrides, base, src, tgt, tgt, seed)
-                     for seed in seeds] for name, overrides in rows.items()}
+
+    def direct_mca(name, seed):
+        labeled = tgt if name == "supervised_target" else src
+        _, report = train(dataclasses.replace(base, **rows[name], seed=seed), labeled, tgt, tgt)
+        return report.epochs[-1]["target_mca"]
+
+    direct = {name: [direct_mca(name, seed) for seed in seeds] for name in rows}
     cores = os.sched_getaffinity(0)
     try:
         os.sched_setaffinity(0, {min(cores)})
