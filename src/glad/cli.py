@@ -17,8 +17,8 @@ import numpy as np
 from . import model as glad_model
 from .debias import build_background_bank
 from .diffnet import NonFiniteGradientError
-from .gapmetrics import (EmptyClassError, GapReport, SceneFeatureSet, accuracy_gap,
-                         mean_class_accuracy, scene_distance, temporal_distance)
+from .gapmetrics import (EmptyClassError, GapReport, SceneFeatureSet, ZeroVectorError,
+                         accuracy_gap, mean_class_accuracy, scene_distance, temporal_distance)
 from .schema import from_json, read_json
 from .synthdata import (DatasetError, DomainSpec, read_dataset, spec_from_dict,
                         write_dataset)
@@ -119,8 +119,12 @@ def cmd_gap(args) -> int:
         raise UsageError(f"the accuracy gap needs --mca-sup and --mca-src; {missing} is missing")
     features, lengths = [], []
     for path in (args.source, args.target):
-        manifest, blocks = read_dataset(resolve_split_dir(path), EVAL_BLOCK)
-        features.append(scene_features_of(blocks))
+        directory = resolve_split_dir(path)
+        manifest, blocks = read_dataset(directory, EVAL_BLOCK)
+        try:
+            features.append(scene_features_of(blocks))
+        except ZeroVectorError as e:  # valid frames whose median background is all zeros
+            raise DatasetError(f"{directory}: scene features, one row per video: {e}") from e
         lengths.append(manifest.lengths())
     delta_bg = scene_distance(*features)
     delta_temp = temporal_distance(*lengths)
@@ -144,7 +148,8 @@ def cmd_gap(args) -> int:
 def load_experiment(path: str):
     """(document, TrainConfig) of an experiment config: an object with
     source_dir and target_dir strings, optional test_dir and out_dir
-    strings (null for none) and a train section; other keys are kept."""
+    strings (null for none), none of them empty, and a train section; other
+    keys are kept."""
     doc = read_json(path, UsageError, f"config {path}")
     if not isinstance(doc, dict):
         raise UsageError(f"config {path}: expected an object, got {doc!r}")
@@ -154,9 +159,11 @@ def load_experiment(path: str):
             raise UsageError(f"config {path}: missing field {key!r}")
         if not isinstance(value, (str, type(None))):
             raise UsageError(f"config {path}: {key}: expected str, got {value!r}")
+        if value == "":
+            raise UsageError(f"config {path}: {key}: expected a path, got \"\"")
     try:
         tc = from_json(TrainConfig, doc.get("train", {}), "train")
-    except TypeError as e:
+    except (TypeError, ValueError) as e:
         raise UsageError(f"config {path}: {e}") from e
     return doc, tc
 

@@ -11,10 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-class ShapeError(ValueError):
-    """Input or parameter shapes do not match the MLP spec."""
-
-
 class NonFiniteGradientError(FloatingPointError):
     """A gradient contained NaN or inf; the optimizer step was aborted."""
 
@@ -23,12 +19,6 @@ class NonFiniteGradientError(FloatingPointError):
 class MlpSpec:
     """Dense layers with ReLU between them and a linear output layer."""
     layer_widths: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.layer_widths) < 2:
-            raise ValueError("need at least input and output widths")
-        if any(w <= 0 for w in self.layer_widths):
-            raise ValueError("layer widths must be positive")
 
     @property
     def n_layers(self) -> int:
@@ -55,8 +45,6 @@ def mlp_forward(spec: MlpSpec, params, x: np.ndarray, out=None):
     for the backward pass.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (2, 3) or x.shape[-1] != spec.layer_widths[0]:
-        raise ShapeError(f"input shape {x.shape} != ([P,] n, {spec.layer_widths[0]})")
     inputs = []
     outputs = []
     h = x
@@ -81,8 +69,6 @@ def mlp_backward(spec: MlpSpec, params, cache, upstream: np.ndarray,
     given and out[i] is not None.
     """
     g = np.asarray(upstream, dtype=np.float64)
-    if g.shape != cache["outputs"][-1].shape:
-        raise ShapeError(f"upstream shape {g.shape} != output {cache['outputs'][-1].shape}")
     last = spec.n_layers - 1
     grads: list = [None] * (2 * last + 2)
     for i in range(last, -1, -1):
@@ -110,6 +96,4 @@ def softmax_cross_entropy_batch(logits: np.ndarray, targets: np.ndarray):
 
 def grl_backward(upstream: np.ndarray, coefficient: float) -> np.ndarray:
     """Gradient reversal: identity forward, -coefficient * upstream backward."""
-    if not np.isfinite(coefficient):
-        raise ValueError("GRL coefficient must be finite")
     return -coefficient * np.asarray(upstream)

@@ -24,11 +24,9 @@ class SceneFeatureSet:
     @classmethod
     def from_vectors(cls, vectors) -> "SceneFeatureSet":
         arr = np.asarray(vectors, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] == 0:
-            raise ValueError("need a non-empty (L, D) array")
         norms = np.linalg.norm(arr, axis=1)
         if np.any(norms == 0.0):
-            raise ZeroVectorError("zero vector cannot be normalized")
+            raise ZeroVectorError(f"row {np.argmin(norms)}: zero vector cannot be normalized")
         return cls(arr / norms[:, None])
 
 
@@ -68,8 +66,6 @@ def temporal_distance(lengths_p, lengths_q) -> float:
     |CDF_p - CDF_q| over the merged breakpoints."""
     p = np.sort(np.asarray(lengths_p, dtype=np.float64))
     q = np.sort(np.asarray(lengths_q, dtype=np.float64))
-    if p.size == 0 or q.size == 0:
-        raise ValueError("length lists must be non-empty")
     xs = np.union1d(p, q)
     if xs.size == 1:
         return 0.0
@@ -80,10 +76,8 @@ def temporal_distance(lengths_p, lengths_q) -> float:
 
 def confusion_matrix(true_labels, pred_labels, n_classes: int) -> np.ndarray:
     """Counts with rows = ground truth, columns = prediction."""
-    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for t, p in zip(true_labels, pred_labels):
-        cm[t, p] += 1
-    return cm
+    keys = np.asarray(true_labels, dtype=np.int64) * n_classes + np.asarray(pred_labels)
+    return np.bincount(keys, minlength=n_classes * n_classes).reshape(n_classes, n_classes)
 
 
 def mean_class_accuracy(cm: np.ndarray) -> float:

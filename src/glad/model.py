@@ -57,6 +57,8 @@ class ModelConfig:
         for key in ("input_center", "input_gain", "proj_init_scale"):
             if not math.isfinite(getattr(self, key)):
                 raise ValueError(f"{key} must be finite")
+        if self.proj_init_scale < 0.0:  # the std of the projection's initial weights
+            raise ValueError("proj_init_scale must be >= 0")
 
 
 class FlatState(dict):
@@ -262,8 +264,6 @@ def domain_adv_loss(spec: MlpSpec, params, psi_batch: np.ndarray, grl_coeff: flo
     """
     psi_batch = np.asarray(psi_batch, dtype=np.float64)
     two_b = psi_batch.shape[-2]
-    if two_b == 0 or two_b % 2 != 0:
-        raise ValueError("batch must hold B source then B target entries")
     b = two_b // 2
     z, cache = diffnet.mlp_forward(spec, params, psi_batch)
     z = z[..., 0]
@@ -421,7 +421,7 @@ def load_model(directory: str) -> GladModel:
         cfg = from_json(ModelConfig, read_json(path, OSError))
     except (TypeError, ValueError) as e:
         raise OSError(f"{path}: {e}") from e
-    model = init_glad_model(cfg, seed=0)
+    model = GladModel(cfg, _specs(cfg))  # zeroed; params.bin fills every tensor
     if read_json(os.path.join(directory, "params.json"), OSError) != _params_meta(model):
         raise OSError(f"{directory}: params.json does not list the tensors "
                       f"and shapes of the model in model.json")

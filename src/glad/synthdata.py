@@ -165,13 +165,9 @@ def render_block(spec: DomainSpec, lengths, backgrounds, motions, rngs,
     draws its normals in frame order from its own rng, as a per-video frame
     loop does. The buffers in `work` grow to a block and are reused."""
     lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.min() < 1:
-        raise ValueError("length must be >= 1")
     h, w = spec.height, spec.width
     d = h * w
     bg = np.asarray(backgrounds, dtype=np.float64).reshape(len(lengths), d)
-    if bg.min() < 0.0 or bg.max() > 1.0:
-        raise ValueError("background values must be in [0, 1]")
     rows = int(lengths.sum())
     if not work or work[0].size < rows * d:
         work[:] = np.empty(rows * d), np.empty(rows * d, "<f4")

@@ -121,8 +121,6 @@ class TrainReport:
 
 def lr_at(epoch: int, config: TrainConfig) -> float:
     """Piecewise-constant schedule over the main phase."""
-    if epoch < 0:
-        raise ValueError("epoch must be >= 0")
     drops = sum(1 for d in config.lr_drop_epochs if epoch >= d)
     return config.lr / (config.lr_drop_factor ** drops)
 
@@ -174,8 +172,6 @@ def step_losses(mdl: GladModel, src: Packed, tgt: Packed, batch, config: TrainCo
     cfg = mdl.config
     src_idx, tgt_idx = (np.asarray(i, dtype=np.int64) for i in batch)
     b = len(src_idx)
-    if b == 0 or len(tgt_idx) != b:
-        raise ValueError("need equal non-empty source and target batches")
     mixes = []
     if config.use_bg_aug and bank is not None:
         mixes = draw_mixes([src.domain] * b + [tgt.domain] * b, len(bank), config, rng)
@@ -309,16 +305,14 @@ def evaluate(mdl: GladModel, videos: Packed, n_classes: int) -> np.ndarray:
     centred local clip twice. EVAL_BLOCK videos at a time are gathered and
     encoded, each distinct frame once, so memory is sized by a block, and a split
     read in blocks of EVAL_BLOCK videos gives the encoder the same rows, bit for bit."""
-    if (videos.labels < 0).any():
-        raise ValueError("evaluate requires labeled videos")
     cfg = mdl.config
     idx = clip_indices(videos.lengths, cfg.n_frames, cfg.local_stride, 1, 1)[:, [0, 1, 1]]
-    frame = videos.starts[:, None, None] + idx
     preds = []
-    for a in range(0, len(frame), EVAL_BLOCK):
-        rows, clips = np.unique(frame[a:a + EVAL_BLOCK], return_inverse=True)
-        feats, _ = glad_model.encode_clip_batch(mdl, clips.reshape(-1, cfg.n_frames),
-                                                videos.frames[rows])
+    for a in range(0, len(idx), EVAL_BLOCK):
+        block = idx[a:a + EVAL_BLOCK]
+        rows, clips, _ = _clip_rows([(videos, np.arange(a, a + len(block)))], block)
+        feats, _ = glad_model.encode_clip_batch(mdl, clips, rows)
+        del rows  # the next block's rows reuse its memory
         consensus = feats.reshape(len(feats) // 3, 3, -1).mean(axis=1)
         preds.append(np.argmax(glad_model.classify_action(mdl, consensus), axis=1))
     return confusion_matrix(videos.labels, np.concatenate(preds), n_classes)
@@ -442,8 +436,6 @@ def run_ablation_matrix(base: TrainConfig, src_train, tgt_train, tgt_test, seeds
     from concurrent.futures import ProcessPoolExecutor, as_completed
     from concurrent.futures.process import BrokenProcessPool
 
-    if len(seeds) < 1:
-        raise ValueError("need at least one seed")
     rows = ablation_rows()
     jobs = [(name, i, seed) for name in rows for i, seed in enumerate(seeds)]
 

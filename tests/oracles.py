@@ -10,7 +10,7 @@ take one apart again."""
 import numpy as np
 
 from glad import diffnet
-from glad.diffnet import NonFiniteGradientError, ShapeError
+from glad.diffnet import NonFiniteGradientError
 from glad.gapmetrics import SceneFeatureSet, confusion_matrix, mean_class_accuracy
 from glad.model import (GLA_VIEWS, _unit_rows, _unit_rows_backward, classify_action,
                         domain_adv_loss)
@@ -136,7 +136,7 @@ def sgd_step(params, grads, velocity, lr: float, momentum: float,
     velocity list is updated in place; returns the new parameter list.
     """
     if len(params) != len(grads) or len(params) != len(velocity):
-        raise ShapeError("params/grads/velocity length mismatch")
+        raise ValueError("params/grads/velocity length mismatch")
     for i, g in enumerate(grads):
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradientError(f"non-finite gradient in tensor {i}")

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import multiprocessing
 import os
@@ -214,6 +216,23 @@ def test_nan_frames_exit_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_gap_all_black_video_exit_2(tmp_path, capsys):
+    """An all-zero video is valid data, but its median background has no
+    direction to compare: glad gap refuses the split with one I/O error
+    line that names it."""
+    data = synth_small(tmp_path)
+    split = os.path.join(data, "target", "train")
+    with open(os.path.join(split, "manifest.json")) as f:
+        length = json.load(f)["entries"][0]["length"]
+    with open(os.path.join(split, "frames.bin"), "r+b") as f:
+        f.write(np.zeros(length * 64, "<f4").tobytes())
+    capsys.readouterr()
+    assert main(["gap", os.path.join(data, "source"), os.path.join(data, "target")]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"I/O error: {split}: ") and err.count("\n") == 1
+    assert "row 0: zero vector cannot be normalized" in err
+
+
 @pytest.mark.parametrize("command", ["train", "ablate"])
 def test_missing_source_dir_exit_2_creates_no_out(tmp_path, capsys, command):
     """The splits load before the resolved config is written, so a config
@@ -322,6 +341,8 @@ BAD_WIDTHS = [("frame_dim", 0), ("enc_hidden", -1), ("enc_out", 0), ("feat_dim",
     (lambda doc: [1], "config.json: expected an object, got [1]"),
     *[(lambda doc, key=key: {**doc, key: 7}, f"config.json: {key}: expected str, got 7")
       for key in ("source_dir", "target_dir", "test_dir", "out_dir")],
+    *[(lambda doc, key=key: {**doc, key: ""}, f'config.json: {key}: expected a path, got ""')
+      for key in ("source_dir", "target_dir", "test_dir", "out_dir")],
 ], ids=["unknown_view", "negative_epochs", "no_report_row", "negative_lr", "zero_lr",
         "zero_lr_drop_factor", "negative_weight_decay", "unknown_aug_domain",
         "aug_checked_when_off", "aug_lambda", "aug_lambda_mode", "grl_nan", "grl_1e400",
@@ -330,9 +351,10 @@ BAD_WIDTHS = [("frame_dim", 0), ("enc_hidden", -1), ("enc_out", 0), ("feat_dim",
         *[f"width_{key}" for key, _ in BAD_WIDTHS], "width_domain_hidden_first",
         "width_domain_hidden_last", "negative_seed", "negative_lr_drop_epoch",
         "top_level_int", "top_level_list", "int_source_dir", "int_target_dir",
-        "int_test_dir", "int_out_dir"])
+        "int_test_dir", "int_out_dir", "empty_source_dir", "empty_target_dir",
+        "empty_test_dir", "empty_out_dir"])
 def test_train_invalid_config_value_exit_1(tmp_path, capsys, overrides, message):
-    """Each bad value exits 1, naming the file or its key, before any data
+    """Each bad value exits 1, naming the file and the key, before any data
     is read (there is none) and before --out is created."""
     if callable(overrides):
         cfg = train_config_doc(tmp_path, str(tmp_path / "data"))
@@ -352,7 +374,7 @@ def test_train_invalid_config_value_exit_1(tmp_path, capsys, overrides, message)
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error:") and err.count("\n") == 1
-    assert message in err
+    assert message in err and f"config {cfg}: " in err
     assert not out.exists()
 
 
@@ -529,11 +551,14 @@ EVAL_MODEL = ModelConfig(enc_hidden=8, enc_out=6, feat_dim=6, n_classes=4,
 
 @pytest.fixture(scope="module")
 def eval_inputs(tmp_path_factory):
-    """A 4-video target split and an untrained checkpoint that fits it."""
+    """A 4-video target split, an untrained checkpoint that fits it and a
+    4-video source split under source/train to train with."""
     root = tmp_path_factory.mktemp("eval_inputs")
     spec = DomainSpec(n_classes=4, n_videos=4, length_range=(8, 10),
                       background_mode="fixed_checkerboard", domain="target")
     write_dataset(spec, str(root / "split"))
+    write_dataset(dataclasses.replace(spec, background_mode="class_correlated", seed=1,
+                                      domain="source"), str(root / "source" / "train"))
     save_model(init_glad_model(EVAL_MODEL, seed=0), str(root / "ckpt"))
     assert main(["eval", "--checkpoint", str(root / "ckpt"),
                  "--data", str(root / "split")]) == EXIT_OK
@@ -812,6 +837,97 @@ def test_eval_exit_code_on_damaged_files(eval_inputs, data):
             os.truncate(path, data.draw(st.integers(0, os.path.getsize(path) - 1)))
         code = main(["eval", "--checkpoint", ckpt, "--data", split])
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_NUMERIC)
+
+
+# ---------------------------------------------------------------------------
+# Random experiment configs through glad train
+
+JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.just([1.5]), st.just({}))
+ANY_FLOAT = st.floats()  # NaN and infinities included
+
+
+def mostly(good, bad):
+    """A value from good, or one time in ten from bad or JUNK."""
+    return st.integers(0, 9).flatmap(lambda k: st.one_of(bad, JUNK) if k == 9 else good)
+
+
+# A key's (good, bad) values. The epoch counts, batch_size, the model's
+# widths, its n_frames and its n_classes (the default does not fit the
+# splits) are always drawn, from small ranges, so that an example trains
+# for a few short steps at most.
+TRAIN_KEYS = {"warmup_epochs": (st.integers(0, 2), st.just(-1)),
+              "main_epochs": (st.integers(0, 2), st.just(-1)),
+              "batch_size": (st.integers(1, 4), st.sampled_from([-1, 0, 5]))}
+MODEL_KEYS = {**{key: (st.integers(1, 8), st.integers(-1, 0))
+                 for key in ("enc_hidden", "enc_out", "feat_dim", "tol_hidden", "n_frames")},
+              "domain_hidden": (st.lists(st.integers(1, 8), min_size=3, max_size=3),
+                                st.lists(st.integers(-1, 8), max_size=4)),
+              "n_classes": (st.just(4), st.sampled_from([3, 0]))}
+OPTIONAL_MODEL_KEYS = {
+    "frame_dim": (st.just(64), st.sampled_from([63, 0])),
+    "local_stride": (st.integers(1, 4), st.integers(-1, 0)),
+    "tol_clips": (st.integers(2, 4), st.sampled_from([1, 5])),
+    "input_center": (st.floats(-1.0, 1.0), ANY_FLOAT),
+    "input_gain": (st.floats(0.1, 8.0), ANY_FLOAT),
+    "proj_init_scale": (st.floats(0.0, 2.0), ANY_FLOAT)}
+OPTIONAL_TRAIN_KEYS = {
+    "lr": (st.floats(1e-4, 0.1), ANY_FLOAT),
+    "momentum": (st.floats(0.0, 0.99), ANY_FLOAT),
+    "weight_decay": (st.floats(0.0, 0.01), ANY_FLOAT),
+    "lr_drop_epochs": (st.lists(st.integers(0, 3), max_size=3),
+                       st.lists(st.integers(-2, 2**70), max_size=3)),
+    "lr_drop_factor": (st.floats(1.0, 100.0), ANY_FLOAT),
+    "grl_coeff": (st.floats(-2.0, 2.0), ANY_FLOAT),
+    **{key: (st.integers(0, 3), st.just(-1)) for key in ("global_views", "local_views")},
+    **{key: (st.floats(0.0, 1.0), ANY_FLOAT) for key in ("aug_probability", "aug_lambda")},
+    "aug_lambda_mode": (st.sampled_from(["fixed", "uniform"]), st.just("beta")),
+    "aug_domains": (st.lists(st.sampled_from(["source", "target"]), max_size=2),
+                    st.just(["bogus"])),
+    **{key: (st.booleans(), st.just("no")) for key in ("use_bg_aug", "use_tol")},
+    "gla_views": (st.lists(st.sampled_from(["gg", "ll", "cross"]), max_size=3),
+                  st.just(["bogus"])),
+    "seed": (st.integers(0, 2**70), st.just(-1))}
+
+
+def section(keys, optional):
+    """An object with every key of keys and some of optional."""
+    return st.fixed_dictionaries({key: mostly(*v) for key, v in keys.items()},
+                                 optional={key: mostly(*v) for key, v in optional.items()})
+
+
+TRAIN_SECTIONS = section({**TRAIN_KEYS, "model": (section(MODEL_KEYS, OPTIONAL_MODEL_KEYS),
+                                                 st.just({"no_such_key": 1}))},
+                         OPTIONAL_TRAIN_KEYS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_train_exit_code_on_random_configs(eval_inputs, data):
+    """A random train section and random directory values, passed through
+    glad train, exit 0, 1, 2 or 3; a failure prints exactly one line, an
+    error message, and no example prints a traceback."""
+    root = str(eval_inputs)
+    doc = {"train": data.draw(TRAIN_SECTIONS)}
+    for key, path in (("source_dir", "source"), ("target_dir", "split"),
+                      ("test_dir", "split"), ("out_dir", "out")):
+        value = data.draw(mostly(st.just(os.path.join(root, path)), st.sampled_from([
+            "absent", None, "", root, os.path.join(root, "no_such_dir"),
+            os.path.join(root, "split", "frames.bin")])))
+        if value != "absent":
+            doc[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "config.json")
+        with open(cfg, "w") as f:
+            json.dump(doc, f)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["train", "--config", cfg, "--out", os.path.join(tmp, "out")])
+    err = err.getvalue()
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_NUMERIC)
+    assert "Traceback" not in err
+    if code != EXIT_OK:
+        assert err.count("\n") == 1, err
+        assert err.startswith(("error:", "I/O error:", "numeric failure:")), err
 
 
 # ---------------------------------------------------------------------------

@@ -145,13 +145,6 @@ def test_domain_adv_loss_symmetric_start():
     assert np.all(z == 0.0)
 
 
-def test_domain_adv_loss_rejects_odd_batch():
-    m = init_glad_model(TINY, seed=0)
-    with pytest.raises(ValueError):
-        domain_adv_loss(m.specs["dg"], m.params["dg"],
-                        np.zeros((3, 4)), 1.0)
-
-
 def test_domain_adv_grl_zero_blocks_feature_gradient():
     m = init_glad_model(TINY, seed=1)
     psi = np.random.default_rng(1).normal(size=(4, 4))

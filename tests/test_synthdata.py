@@ -117,18 +117,6 @@ def test_render_video_blob_brightens_frames():
         assert ((frames[t] - bg) > 0.1).sum() >= BLOB_SIZE ** 2
 
 
-def test_render_video_rejects_bad_inputs():
-    """A length below 1 or a background outside [0, 1] anywhere in the
-    block; a blob as large as the canvas is refused by the spec."""
-    rng = np.random.default_rng(3)
-    board = checkerboard(SMALL)
-    motion = class_motion(0, SMALL, rng)
-    with pytest.raises(ValueError, match="length"):
-        render_block(SMALL, [4, 0], [board, board], [motion] * 2, [rng] * 2, [])
-    with pytest.raises(ValueError, match="background"):
-        render_block(SMALL, [4, 4], [board, board + 5.0], [motion] * 2, [rng] * 2, [])
-
-
 def same_render(spec, lengths, backgrounds, motions, seed):
     """render_block on one block and the frame loop on each video alone,
     every video with its own rng from the seed: the same bytes, and the

@@ -86,11 +86,6 @@ def test_lr_schedule_non_increasing(e1, e2):
     assert lr_at(hi, cfg) <= lr_at(lo, cfg)
 
 
-def test_lr_rejects_negative_epoch():
-    with pytest.raises(ValueError):
-        lr_at(-1, TrainConfig())
-
-
 def test_active_groups_by_phase():
     cfg = tiny_config()
     assert active_groups(cfg, "warmup") == ["enc", "proj", "tol"]
@@ -215,14 +210,6 @@ def test_step_accuracies_score_the_heads_on_their_training_inputs(monkeypatch):
     concat, targets = seen["tol"]
     logits, _ = mlp_forward(mdl.specs["tol"], mdl.params["tol"], concat)
     assert stats["tol_acc"] == pytest.approx(np.mean(np.argmax(logits, axis=1) == targets))
-
-
-def test_step_losses_rejects_mismatched_batches():
-    src, tgt = tiny_data()
-    mdl = init_glad_model(TINY_MODEL, seed=0)
-    with pytest.raises(ValueError):
-        step_on_splits(mdl, subset(src, range(4)), unlabeled(subset(tgt, range(3))),
-                       tiny_config(), np.random.default_rng(0), "main")
 
 
 def test_epoch_batches_cover_smaller_domain():
@@ -360,13 +347,6 @@ def test_evaluate_memory_is_bounded_by_a_block():
     assert traced_peak_of_evaluate(4 * trainer.EVAL_BLOCK) < 1.5 * one
 
 
-def test_evaluate_rejects_unlabeled():
-    src, _ = tiny_data()
-    mdl = init_glad_model(TINY_MODEL, seed=0)
-    with pytest.raises(ValueError):
-        evaluate(mdl, unlabeled(src), 4)
-
-
 def test_ablation_rows_cover_standard_matrix():
     rows = ablation_rows()
     assert set(rows) == {"source_only", "gla_only", "debias_only", "full_glad",
@@ -417,11 +397,6 @@ def test_ablation_matrix_equals_direct_runs_on_any_core_count():
         for name, values in direct.items():
             assert table[name] == {"mean": statistics.fmean(values),
                                    "std": statistics.pstdev(values), "values": values}
-
-
-def test_ablation_matrix_rejects_empty_seeds():
-    with pytest.raises(ValueError):
-        run_ablation_matrix(tiny_config(), [], [], [], seeds=[])
 
 
 def test_config_dict_roundtrip():
