@@ -42,9 +42,9 @@ def mlp_forward(spec: MlpSpec, params, x: np.ndarray, out=None):
     given.
 
     Returns (output, cache); the cache holds per-layer inputs and outputs
-    for the backward pass.
+    for the backward pass. The arithmetic runs in the dtype of x and params.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     inputs = []
     outputs = []
     h = x
@@ -68,7 +68,7 @@ def mlp_backward(spec: MlpSpec, params, cache, upstream: np.ndarray,
     The gradient at layer i's input is written into out[i] when out is
     given and out[i] is not None.
     """
-    g = np.asarray(upstream, dtype=np.float64)
+    g = np.asarray(upstream)
     last = spec.n_layers - 1
     grads: list = [None] * (2 * last + 2)
     for i in range(last, -1, -1):

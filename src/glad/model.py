@@ -125,13 +125,15 @@ class GladModel:
         return self._grads
 
     def scratch(self, key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-        """An uninitialized array of the given shape in a buffer the model
-        keeps under key, grown when too small: the encoder writes its large
-        per-step arrays here instead of allocating them on every call."""
+        """An uninitialized array of the given shape and dtype in a buffer the
+        model keeps under (key, dtype), grown when too small: the encoder
+        writes its large per-step arrays here instead of allocating them on
+        every call."""
         n = math.prod(shape)
-        buf = self._scratch.get(key)
+        slot = (key, np.dtype(dtype))
+        buf = self._scratch.get(slot)
         if buf is None or buf.size < n:
-            buf = self._scratch[key] = np.empty(n, dtype)
+            buf = self._scratch[slot] = np.empty(n, dtype)
         return buf[:n].reshape(shape)
 
     def flat_spans(self, groups: tuple) -> list:
@@ -186,34 +188,40 @@ def accumulate(grads: dict, group: str, contribution) -> None:
 # ---------------------------------------------------------------------------
 # Feature extraction
 
-def encode_clip_batch(model: GladModel, clips: np.ndarray, rows: np.ndarray):
+def encode_clip_batch(model: GladModel, clips: np.ndarray, rows: np.ndarray,
+                      dtype=np.float64):
     """(C, F) features of C clips given as a (C, n_f) matrix of indices into
     the (U, D) distinct frame rows, which are encoded once each; every row
     belongs to some clip.
 
     Per-frame encoder, mean over the clip's frames, then a linear projection.
-    The normalized rows and the encoder's layer outputs go to the model's
-    scratch buffers, so the returned cache is only good until the next
-    encode_clip_batch call on the same model.
+    The encoder and the clip mean run in dtype, on the encoder's parameters
+    cast to it (the parameters themselves for float64); the projection and
+    the features are float64. The normalized rows and the encoder's layer
+    outputs go to the model's scratch buffers, so the returned cache is only
+    good until the next encode_clip_batch call on the same model in the same
+    dtype.
     """
     cfg = model.config
     widths = model.specs["enc"].layer_widths
     n = len(rows)
-    x = model.scratch("x", (n, widths[0]))
+    enc = [p.astype(dtype, copy=False) for p in model.params["enc"]]
+    x = model.scratch("x", (n, widths[0]), dtype)
     x[...] = rows
     x -= cfg.input_center
     x *= cfg.input_gain
     h, enc_cache = diffnet.mlp_forward(
-        model.specs["enc"], model.params["enc"], x,
-        out=[model.scratch(f"enc{i}", (n, w)) for i, w in enumerate(widths[1:])])
+        model.specs["enc"], enc, x,
+        out=[model.scratch(f"enc{i}", (n, w), dtype) for i, w in enumerate(widths[1:])])
     # the clip mean, one frame position at a time: the additions of
     # h[clips].mean(axis=1) in its order, without the (C, n_f, F) gather
     pooled = h[clips[:, 0]]
     for j in range(1, clips.shape[1]):
         pooled += h[clips[:, j]]
     pooled /= clips.shape[1]
-    feats, proj_cache = diffnet.mlp_forward(model.specs["proj"], model.params["proj"], pooled)
-    return feats, {"enc": enc_cache, "proj": proj_cache, "clips": clips}
+    feats, proj_cache = diffnet.mlp_forward(model.specs["proj"], model.params["proj"],
+                                            pooled.astype(np.float64, copy=False))
+    return feats, {"enc": enc_cache, "enc_params": enc, "proj": proj_cache, "clips": clips}
 
 
 def encode_clip_backward(model: GladModel, cache, dfeats: np.ndarray, grads: dict) -> None:
@@ -223,7 +231,8 @@ def encode_clip_backward(model: GladModel, cache, dfeats: np.ndarray, grads: dic
 
     A distinct row's gradient sums dpooled / n_f over the clip frames it
     fills: one np.bincount over (row, column) keys adds them up, in clip
-    order.
+    order. The encoder's backward runs in the dtype of its forward, and its
+    gradients are added into the float64 grads.
     """
     proj_grads, dpooled = diffnet.mlp_backward(
         model.specs["proj"], model.params["proj"], cache["proj"], dfeats)
@@ -235,11 +244,12 @@ def encode_clip_backward(model: GladModel, cache, dfeats: np.ndarray, grads: dic
     np.add((clips * width)[:, :, None], np.arange(width), out=keys)
     weights = model.scratch("weights", keys.shape)
     weights[...] = (dpooled / nf)[:, None]
-    dh = np.bincount(keys.ravel(), weights.ravel(),
-                     minlength=n_rows * width).reshape(n_rows, width)
+    enc = cache["enc_params"]
+    dh = np.bincount(keys.ravel(), weights.ravel(), minlength=n_rows * width)
     enc_grads, _ = diffnet.mlp_backward(
-        model.specs["enc"], model.params["enc"], cache["enc"], dh, input_grad=False,
-        out=[None] + [model.scratch(f"enc_d{i}", (n_rows, w))
+        model.specs["enc"], enc, cache["enc"],
+        dh.reshape(n_rows, width).astype(enc[0].dtype, copy=False), input_grad=False,
+        out=[None] + [model.scratch(f"enc_d{i}", (n_rows, w), enc[0].dtype)
                       for i, w in enumerate(widths[1:-1], 1)])
     accumulate(grads, "enc", enc_grads)
 

@@ -160,14 +160,16 @@ def _clip_rows(parts, idx: np.ndarray):
 
 
 def step_losses(mdl: GladModel, src: Packed, tgt: Packed, batch, config: TrainConfig,
-                rng: np.random.Generator, phase: str, bank: np.ndarray | None):
+                rng: np.random.Generator, phase: str, bank: np.ndarray | None,
+                dtype=np.float32):
     """One optimization step's losses and gradients (no parameter update).
 
     batch is the (source, target) pair of video index arrays. Source labels
     are read here; target labels must already be stripped. Returns (stats,
     grads) where grads realizes the saddle objective: the domain classifiers
     descend their adversarial losses while the extractor receives the
-    reversal-scaled alignment gradient.
+    reversal-scaled alignment gradient. The frame encoder runs in dtype;
+    the heads, the losses and grads are float64.
     """
     cfg = mdl.config
     src_idx, tgt_idx = (np.asarray(i, dtype=np.int64) for i in batch)
@@ -188,7 +190,7 @@ def step_losses(mdl: GladModel, src: Packed, tgt: Packed, batch, config: TrainCo
     for slot, bg, lam in mixes:
         a, z = bounds[slot], bounds[slot + 1]
         frames[a:z] = mix_background(frames[a:z], bank[bg], lam)
-    feats, cache = glad_model.encode_clip_batch(mdl, clips, frames)
+    feats, cache = glad_model.encode_clip_batch(mdl, clips, frames, dtype)
     dfeats = np.zeros_like(feats)
     f3 = feats.reshape(2 * b, n_views + n_tol, -1)
     d3 = dfeats.reshape(f3.shape)

@@ -122,9 +122,10 @@ def encoder_grads_by_repeat(model, clips: np.ndarray, rows: np.ndarray,
 
 
 def step_on_splits(mdl, src, tgt, config, rng, phase, bank=None):
-    """step_losses with every video of each split in the batch, in order."""
+    """step_losses with every video of each split in the batch, in order,
+    and the encoder in float64, as every other part of the step."""
     return step_losses(mdl, src, tgt, (np.arange(len(src.lengths)), np.arange(len(tgt.lengths))),
-                       config, rng, phase, bank)
+                       config, rng, phase, bank, np.float64)
 
 
 def sgd_step(params, grads, velocity, lr: float, momentum: float,

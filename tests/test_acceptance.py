@@ -6,7 +6,6 @@ the trend criteria share their training runs.
 """
 
 import copy
-import dataclasses
 import itertools
 import json
 import math
@@ -18,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from glad import diffnet, model as glad_model, trainer
+from glad import model as glad_model, trainer
 from glad.cli import EXIT_IO, EXIT_OK, default_benchmark_specs, main
 from glad.diffnet import grl_backward
 from glad.gapmetrics import (SceneFeatureSet, accuracy_gap, scene_distance,

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from glad.diffnet import (MlpSpec, NonFiniteGradientError,
                           grl_backward, init_mlp, mlp_backward, mlp_forward,

@@ -1,7 +1,7 @@
 """Layout guards: src/glad/ holds only code that src/glad/ itself or the
-benchmark uses and imports only names it uses, every name the benchmark
-imports from glad exists, and tests/oracles.py only references that some
-test uses."""
+benchmark uses, src/glad/ and tests/ import only names they use, every
+name the benchmark imports from glad exists, and tests/oracles.py only
+references that some test uses."""
 
 import ast
 import importlib
@@ -61,17 +61,19 @@ def test_every_public_name_is_used_in_src():
 
 
 def test_every_import_in_src_is_used():
-    """Each name a src/glad/ module imports is named again in that module,
-    so an import of deleted or moved code cannot linger; __future__
+    """Each name a src/glad/ or tests/ module imports is named again in that
+    module, so an import of deleted or moved code cannot linger. Only a bare
+    name uses an import (`x.copy()` does not use `import copy`); __future__
     imports are directives, not names."""
     unused = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         imported = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                     and getattr(node, "module", None) != "__future__"
                     for alias in node.names}
-        unused += [f"{path.name}:{name}" for name in sorted(imported - names_used([path]))]
+        bare = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.parent.name}/{path.name}:{name}" for name in sorted(imported - bare)]
     assert unused == []
 
 

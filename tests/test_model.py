@@ -1,11 +1,10 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
 
 from glad import diffnet, model as glad_model, trainer
-from glad.model import (GLA_VIEWS, GladModel, ModelConfig, ce_loss, classify_action,
+from glad.model import (GLA_VIEWS, ModelConfig, ce_loss, classify_action,
                         domain_adv_loss, encode_clip_backward, encode_clip_batch,
                         gla_loss, init_glad_model, load_model, save_model,
                         tol_loss)
@@ -294,8 +293,8 @@ def test_eval_clips_one_global_two_local(monkeypatch):
     seen = {}
     real_encode = glad_model.encode_clip_batch
 
-    def spy(mdl, clips, rows):
-        seen["feats"], cache = real_encode(mdl, clips, rows)
+    def spy(mdl, clips, rows, dtype=np.float64):
+        seen["feats"], cache = real_encode(mdl, clips, rows, dtype)
         seen["rows"], seen["clips"] = rows, clips
         return seen["feats"], cache
 

@@ -169,8 +169,8 @@ def tol_step(monkeypatch, phase, tol_loss=None, b=8):
     real_encode, real_backward = glad_model.encode_clip_batch, glad_model.encode_clip_backward
     tol_loss = tol_loss or glad_model.tol_loss
 
-    def spy_encode(m, clips, rows):
-        seen["feats"], cache = real_encode(m, clips, rows)
+    def spy_encode(m, clips, rows, dtype=np.float64):
+        seen["feats"], cache = real_encode(m, clips, rows, dtype)
         return seen["feats"], cache
 
     def spy_tol(m, concat, targets):

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import os
 import re
 import tracemalloc
 
