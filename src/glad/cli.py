@@ -16,7 +16,6 @@ import numpy as np
 
 from . import model as glad_model
 from .debias import build_background_bank
-from .diffnet import NonFiniteGradientError
 from .gapmetrics import (EmptyClassError, GapReport, SceneFeatureSet, ZeroVectorError,
                          accuracy_gap, mean_class_accuracy, scene_distance, temporal_distance)
 from .schema import from_json, read_json
@@ -168,17 +167,25 @@ def load_experiment(path: str):
     return doc, tc
 
 
-def _check_fit(directory: str, spec: DomainSpec, model_cfg) -> None:
-    """The videos of a split must fit the model's input and classes."""
+def _check_fit(directory: str, manifest, model_cfg, scored: bool = False) -> None:
+    """The videos of a split must fit the model's input and classes, and a
+    split that is scored must hold every class, by its manifest's labels."""
     for key in ("n_classes", "frame_dim"):
-        have, need = getattr(spec, key), getattr(model_cfg, key)
+        have, need = getattr(manifest.spec, key), getattr(model_cfg, key)
         if have != need:
             raise UsageError(f"{directory}: dataset {key}={have} but model {key}={need}")
+    if scored:
+        counts = np.bincount([e["label"] for e in manifest.entries],
+                             minlength=model_cfg.n_classes)
+        if not counts.all():
+            raise DatasetError(f"{directory}: class {counts.argmin()} has no samples")
 
 
-def _read_split(directory: str, model_cfg):
-    manifest, (split,) = read_dataset(directory)
-    _check_fit(directory, manifest.spec, model_cfg)
+def _read_split(directory: str, model_cfg, scored: bool = False):
+    """The split's videos, read once it fits the model (see _check_fit)."""
+    manifest, blocks = read_dataset(directory)
+    _check_fit(directory, manifest, model_cfg, scored)
+    (split,) = blocks
     return split
 
 
@@ -199,7 +206,7 @@ def _load_splits(doc, tc):
         if os.path.exists(os.path.join(candidate, "manifest.json")):
             test_dir = candidate
     if test_dir:
-        tgt_test = _read_split(resolve_split_dir(test_dir), tc.model)
+        tgt_test = _read_split(resolve_split_dir(test_dir), tc.model, scored=True)
     return src_train, tgt_train, tgt_test
 
 
@@ -229,7 +236,7 @@ def cmd_eval(args) -> int:
     mdl = glad_model.load_model(args.checkpoint)
     directory = resolve_split_dir(args.data)
     manifest, blocks = read_dataset(directory, EVAL_BLOCK)  # one block's frames at a time
-    _check_fit(directory, manifest.spec, mdl.config)
+    _check_fit(directory, manifest, mdl.config, scored=True)
     # the blocks' counts add up to the split's; map keeps one block alive at a time
     cm = sum(map(lambda block: evaluate(mdl, block, mdl.config.n_classes), blocks))
     mca = mean_class_accuracy(cm)
@@ -318,7 +325,7 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericError, NonFiniteGradientError) as e:
+    except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except MemoryError as e:  # numpy's _ArrayMemoryError names the allocation

@@ -7,39 +7,26 @@ as a flat list [W0, b0, W1, b1, ...] with W of shape (d_in, d_out).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-class NonFiniteGradientError(FloatingPointError):
-    """A gradient contained NaN or inf; the optimizer step was aborted."""
 
-
-@dataclass(frozen=True)
-class MlpSpec:
-    """Dense layers with ReLU between them and a linear output layer."""
-    layer_widths: tuple[int, ...]
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layer_widths) - 1
-
-
-def init_mlp(spec: MlpSpec, rng: np.random.Generator, scale: float | None = None):
-    """He-style initialization; biases start at zero."""
+def init_mlp(widths: tuple, rng: np.random.Generator, scale: float | None = None):
+    """He-style initialization of dense layers of the given widths, input
+    first; biases start at zero."""
     params = []
-    for d_in, d_out in zip(spec.layer_widths[:-1], spec.layer_widths[1:]):
+    for d_in, d_out in zip(widths[:-1], widths[1:]):
         s = scale if scale is not None else np.sqrt(2.0 / d_in)
         params.append(rng.normal(0.0, s, size=(d_in, d_out)))
         params.append(np.zeros(d_out))
     return params
 
 
-def mlp_forward(spec: MlpSpec, params, x: np.ndarray, out=None):
-    """Forward pass over a (n, d_in) batch, or over a (P, n, d_in) stack
-    through P MLPs at once: params then holds (P, d_in, d_out) weights and
-    (P, 1, d_out) biases. Layer i writes its output into out[i] when out is
-    given.
+def mlp_forward(params, x: np.ndarray, out=None):
+    """Forward pass of the len(params) // 2 dense layers, with ReLU between
+    them and a linear output layer, over a (n, d_in) batch, or over a
+    (P, n, d_in) stack through P MLPs at once: params then holds
+    (P, d_in, d_out) weights and (P, 1, d_out) biases. Layer i writes its
+    output into out[i] when out is given.
 
     Returns (output, cache); the cache holds per-layer inputs and outputs
     for the backward pass. The arithmetic runs in the dtype of x and params.
@@ -48,7 +35,7 @@ def mlp_forward(spec: MlpSpec, params, x: np.ndarray, out=None):
     inputs = []
     outputs = []
     h = x
-    last = spec.n_layers - 1
+    last = len(params) // 2 - 1
     for i in range(last + 1):
         inputs.append(h)
         h = np.matmul(h, params[2 * i], out=None if out is None else out[i])
@@ -59,8 +46,7 @@ def mlp_forward(spec: MlpSpec, params, x: np.ndarray, out=None):
     return h, {"inputs": inputs, "outputs": outputs}
 
 
-def mlp_backward(spec: MlpSpec, params, cache, upstream: np.ndarray,
-                 input_grad: bool = True, out=None):
+def mlp_backward(params, cache, upstream: np.ndarray, input_grad: bool = True, out=None):
     """Backprop an upstream gradient through the cached forward pass.
 
     Returns (param_grads, input_grad) with the same shapes as params/input;
@@ -69,7 +55,7 @@ def mlp_backward(spec: MlpSpec, params, cache, upstream: np.ndarray,
     given and out[i] is not None.
     """
     g = np.asarray(upstream)
-    last = spec.n_layers - 1
+    last = len(params) // 2 - 1
     grads: list = [None] * (2 * last + 2)
     for i in range(last, -1, -1):
         if i < last:  # g is this pass's own array here

@@ -1,6 +1,6 @@
 """GLAD model: frame-MLP feature extractor with mean pooling, linear action
-head, three adversarial domain classifiers behind a gradient reversal layer
-and a clip-order head.
+head, three adversarial domain classifiers (one stacked group) behind a
+gradient reversal layer and a clip-order head.
 
 Parameters live in named groups of views into one flat vector; every loss
 function returns the scalar loss together with gradient contributions that
@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import diffnet
-from .diffnet import MlpSpec
 from .schema import from_json, read_json
 
 # The N! orders of N clips in lexicographic order, for each allowed N. The
@@ -72,25 +71,30 @@ class FlatState(dict):
         self.flat = flat
 
 
-def _flat_layout(specs: dict) -> dict:
+def _flat_layout(widths: dict) -> dict:
     """Group -> [(offset, shape)] of its tensors W0, b0, W1, b1, ... in one
     vector that holds every group's weight matrices first, then every bias,
-    so that weight decay covers whole ranges."""
-    layers = {g: list(zip(s.layer_widths[:-1], s.layer_widths[1:])) for g, s in specs.items()}
-    at_w, at_b = 0, sum(d_in * d_out for ls in layers.values() for d_in, d_out in ls)
+    so that weight decay covers whole ranges. A "dom" tensor stacks one
+    layer of the len(GLA_VIEWS) domain classifiers, classifier c's at [c]:
+    (C, d_in, d_out) weights and (C, 1, d_out) biases."""
+    shapes = {g: [((d_in, d_out), (d_out,)) for d_in, d_out in zip(w[:-1], w[1:])]
+              for g, w in widths.items()}
+    n = len(GLA_VIEWS)
+    shapes["dom"] = [((n, *w), (n, 1, *b)) for w, b in shapes["dom"]]
+    at = [0, sum(math.prod(w) for layers in shapes.values() for w, _ in layers)]
     layout = {}
-    for g, ls in layers.items():
+    for g, layers in shapes.items():
         layout[g] = []
-        for d_in, d_out in ls:
-            layout[g] += [(at_w, (d_in, d_out)), (at_b, (d_out,))]
-            at_w += d_in * d_out
-            at_b += d_out
+        for layer in layers:
+            for kind, shape in enumerate(layer):  # kind 0: weight, 1: bias
+                layout[g].append((at[kind], shape))
+                at[kind] += math.prod(shape)
     return layout
 
 
 @dataclass
 class GladModel:
-    """The model's configuration, layer specs and parameters.
+    """The model's configuration, layer widths and parameters.
 
     Every parameter lives in one float64 vector, params.flat, and
     params[g][i] is a view into it (see _flat_layout); gradients and the
@@ -99,7 +103,7 @@ class GladModel:
     new ones each call.
     """
     config: ModelConfig
-    specs: dict
+    widths: dict = field(init=False)  # group -> its layers' widths, input first
     params: dict = field(init=False)
     layout: dict = field(init=False, repr=False)
     size: int = field(init=False, repr=False)  # parameters in the layout
@@ -108,7 +112,8 @@ class GladModel:
     _scratch: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self.layout = _flat_layout(self.specs)
+        self.widths = _widths(self.config)
+        self.layout = _flat_layout(self.widths)
         self.size = sum(math.prod(shape) for ts in self.layout.values() for _, shape in ts)
         self.params = self.zeros()
         self._grads = self.zeros()
@@ -152,30 +157,31 @@ class GladModel:
         return self._spans[groups]
 
 
-def _specs(cfg: ModelConfig) -> dict:
-    dh = cfg.domain_hidden
+def _widths(cfg: ModelConfig) -> dict:
     n_perm = len(TOL_ORDERS[cfg.tol_clips])
     return {
-        "enc": MlpSpec((cfg.frame_dim, cfg.enc_hidden, cfg.enc_out)),
-        "proj": MlpSpec((cfg.enc_out, cfg.feat_dim)),
-        "act": MlpSpec((cfg.feat_dim, cfg.n_classes)),
-        "tol": MlpSpec((cfg.feat_dim * cfg.tol_clips, cfg.tol_hidden, n_perm)),
-        # domain classifiers emit logits; the sigmoid lives inside the
+        "enc": (cfg.frame_dim, cfg.enc_hidden, cfg.enc_out),
+        "proj": (cfg.enc_out, cfg.feat_dim),
+        "act": (cfg.feat_dim, cfg.n_classes),
+        "tol": (cfg.feat_dim * cfg.tol_clips, cfg.tol_hidden, n_perm),
+        # each domain classifier emits a logit; the sigmoid lives inside the
         # binary cross-entropy below, computed in logit space for stability
-        "dg": MlpSpec((cfg.feat_dim, dh[0], dh[1], dh[2], 1)),
-        "dl": MlpSpec((cfg.feat_dim, dh[0], dh[1], dh[2], 1)),
-        "dx": MlpSpec((cfg.feat_dim, dh[0], dh[1], dh[2], 1)),
+        "dom": (cfg.feat_dim, *cfg.domain_hidden, 1),
     }
 
 
 def init_glad_model(cfg: ModelConfig, seed: int = 0) -> GladModel:
+    """He-style draws from one rng, in this order: enc, proj, act, tol, the
+    domain classifiers one after another, then proj again at
+    proj_init_scale."""
     rng = np.random.default_rng((seed, 0xD0))
-    specs = _specs(cfg)
-    drawn = {name: diffnet.init_mlp(spec, rng) for name, spec in specs.items()}
-    drawn["proj"] = diffnet.init_mlp(specs["proj"], rng, scale=cfg.proj_init_scale)
-    model = GladModel(config=cfg, specs=specs)
-    for group, ps in drawn.items():
-        for p, value in zip(model.params[group], ps):
+    model = GladModel(cfg)
+    ps, w = model.params, model.widths
+    draws = [(ps[g], w[g], None) for g in ("enc", "proj", "act", "tol")]
+    draws += [([p[c] for p in ps["dom"]], w["dom"], None) for c in range(len(GLA_VIEWS))]
+    draws.append((ps["proj"], w["proj"], cfg.proj_init_scale))
+    for tensors, widths, scale in draws:
+        for p, value in zip(tensors, diffnet.init_mlp(widths, rng, scale)):
             p[...] = value
     return model
 
@@ -203,7 +209,7 @@ def encode_clip_batch(model: GladModel, clips: np.ndarray, rows: np.ndarray,
     dtype.
     """
     cfg = model.config
-    widths = model.specs["enc"].layer_widths
+    widths = model.widths["enc"]
     n = len(rows)
     enc = [p.astype(dtype, copy=False) for p in model.params["enc"]]
     x = model.scratch("x", (n, widths[0]), dtype)
@@ -211,15 +217,14 @@ def encode_clip_batch(model: GladModel, clips: np.ndarray, rows: np.ndarray,
     x -= cfg.input_center
     x *= cfg.input_gain
     h, enc_cache = diffnet.mlp_forward(
-        model.specs["enc"], enc, x,
-        out=[model.scratch(f"enc{i}", (n, w), dtype) for i, w in enumerate(widths[1:])])
+        enc, x, out=[model.scratch(f"enc{i}", (n, w), dtype) for i, w in enumerate(widths[1:])])
     # the clip mean, one frame position at a time: the additions of
     # h[clips].mean(axis=1) in its order, without the (C, n_f, F) gather
     pooled = h[clips[:, 0]]
     for j in range(1, clips.shape[1]):
         pooled += h[clips[:, j]]
     pooled /= clips.shape[1]
-    feats, proj_cache = diffnet.mlp_forward(model.specs["proj"], model.params["proj"],
+    feats, proj_cache = diffnet.mlp_forward(model.params["proj"],
                                             pooled.astype(np.float64, copy=False))
     return feats, {"enc": enc_cache, "enc_params": enc, "proj": proj_cache, "clips": clips}
 
@@ -234,11 +239,10 @@ def encode_clip_backward(model: GladModel, cache, dfeats: np.ndarray, grads: dic
     order. The encoder's backward runs in the dtype of its forward, and its
     gradients are added into the float64 grads.
     """
-    proj_grads, dpooled = diffnet.mlp_backward(
-        model.specs["proj"], model.params["proj"], cache["proj"], dfeats)
+    proj_grads, dpooled = diffnet.mlp_backward(model.params["proj"], cache["proj"], dfeats)
     accumulate(grads, "proj", proj_grads)
     clips, nf = cache["clips"], cache["clips"].shape[1]
-    widths = model.specs["enc"].layer_widths
+    widths = model.widths["enc"]
     n_rows, width = len(cache["enc"]["inputs"][0]), widths[-1]
     keys = model.scratch("keys", (*clips.shape, width), np.intp)
     np.add((clips * width)[:, :, None], np.arange(width), out=keys)
@@ -247,7 +251,7 @@ def encode_clip_backward(model: GladModel, cache, dfeats: np.ndarray, grads: dic
     enc = cache["enc_params"]
     dh = np.bincount(keys.ravel(), weights.ravel(), minlength=n_rows * width)
     enc_grads, _ = diffnet.mlp_backward(
-        model.specs["enc"], enc, cache["enc"],
+        enc, cache["enc"],
         dh.reshape(n_rows, width).astype(enc[0].dtype, copy=False), input_grad=False,
         out=[None] + [model.scratch(f"enc_d{i}", (n_rows, w), enc[0].dtype)
                       for i, w in enumerate(widths[1:-1], 1)])
@@ -258,7 +262,7 @@ def encode_clip_backward(model: GladModel, cache, dfeats: np.ndarray, grads: dic
 # Losses
 
 
-def domain_adv_loss(spec: MlpSpec, params, psi_batch: np.ndarray, grl_coeff: float):
+def domain_adv_loss(params, psi_batch: np.ndarray, grl_coeff: float):
     """Adversarial loss of one domain classifier over a (2B, F) batch of
     view features (first B source, last B target), or of P classifiers at
     once over a (P, 2B, F) stack: then params holds (P, d_in, d_out)
@@ -275,7 +279,7 @@ def domain_adv_loss(spec: MlpSpec, params, psi_batch: np.ndarray, grl_coeff: flo
     psi_batch = np.asarray(psi_batch, dtype=np.float64)
     two_b = psi_batch.shape[-2]
     b = two_b // 2
-    z, cache = diffnet.mlp_forward(spec, params, psi_batch)
+    z, cache = diffnet.mlp_forward(params, psi_batch)
     z = z[..., 0]
     # -log sigmoid(z) = softplus(-z); -log(1 - sigmoid(z)) = softplus(z)
     loss = (np.logaddexp(0.0, -z[..., :b]).sum(axis=-1)
@@ -284,7 +288,7 @@ def domain_adv_loss(spec: MlpSpec, params, psi_batch: np.ndarray, grl_coeff: flo
     dz = np.empty_like(z)
     dz[..., :b] = (sig[..., :b] - 1.0) / two_b
     dz[..., b:] = sig[..., b:] / two_b
-    clf_grads, dpsi = diffnet.mlp_backward(spec, params, cache, dz[..., None])
+    clf_grads, dpsi = diffnet.mlp_backward(params, cache, dz[..., None])
     return loss, clf_grads, diffnet.grl_backward(dpsi, grl_coeff), z
 
 
@@ -298,11 +302,12 @@ def _unit_rows_backward(y: np.ndarray, norms: np.ndarray, dy: np.ndarray):
     return (dy - y * np.sum(y * dy, axis=1, keepdims=True)) / norms
 
 
-# view -> (classifier group, sub-batches); each sub-batch names the stream
-# that gives its source rows, then the stream that gives its target rows
-GLA_VIEWS = {"gg": ("dg", (("g", "g"),)),
-             "ll": ("dl", (("l", "l"),)),
-             "cross": ("dx", (("g", "l"), ("l", "g")))}
+# view -> (its domain classifier's index in the "dom" stack, sub-batches);
+# each sub-batch names the stream that gives its source rows, then the
+# stream that gives its target rows
+GLA_VIEWS = {"gg": (0, (("g", "g"),)),
+             "ll": (1, (("l", "l"),)),
+             "cross": (2, (("g", "l"), ("l", "g")))}
 
 
 def gla_loss(model: GladModel, psi_g, psi_l, grl_coeff: float,
@@ -317,11 +322,12 @@ def gla_loss(model: GladModel, psi_g, psi_l, grl_coeff: float,
     same classifier -- {source global vs target local} and {source local vs
     target global} -- and averages them. All P sub-batches go through one
     domain_adv_loss call over a (P, 2B, F) stack, each with its view's
-    classifier (dx's twice); the classifiers share one spec. Returns (loss,
-    clf_grads_by_group, dpsi_by_stream, logits_by_view) where
-    dpsi["g"]/dpsi["l"] are the (2B, F) reversal-scaled gradients of the
-    given streams and logits_by_view[v] is the (sub-batches, 2B) array of
-    the classifier's logits.
+    classifier gathered from the "dom" stack (the cross view's twice).
+    Returns (loss, dom_grads, dpsi_by_stream, logits_by_view) where
+    dom_grads are the gradients of the "dom" tensors, zero for a classifier
+    that no enabled view uses, dpsi["g"]/dpsi["l"] are the (2B, F)
+    reversal-scaled gradients of the given streams and logits_by_view[v] is
+    the (sub-batches, 2B) array of the classifier's logits.
     """
     unit, norms = {}, {}
     for k, psi in (("g", psi_g), ("l", psi_l)):
@@ -329,37 +335,34 @@ def gla_loss(model: GladModel, psi_g, psi_l, grl_coeff: float,
             unit[k], norms[k] = _unit_rows(np.asarray(psi, dtype=np.float64))
     two_b, width = next(iter(unit.values())).shape
     b = two_b // 2
-    enabled = [(view, group, pairs) for view, (group, pairs) in GLA_VIEWS.items()
-               if view in views]
-    subs = [(group, s, t) for _, group, pairs in enabled for s, t in pairs]
+    enabled = [(view, c, pairs) for view, (c, pairs) in GLA_VIEWS.items() if view in views]
+    subs = [(c, s, t) for _, c, pairs in enabled for s, t in pairs]
     stack = np.empty((len(subs), two_b, width))
     for k, (_, s, t) in enumerate(subs):
         stack[k, :b] = unit[s][:b]
         stack[k, b:] = unit[t][b:]
-    params = [np.array([model.params[group][i] for group, _, _ in subs])
-              for i in range(len(model.params[subs[0][0]]))]
-    params[1::2] = [p[:, None] for p in params[1::2]]  # (P, 1, d) biases
-    losses, grads, ds, zs = domain_adv_loss(model.specs[subs[0][0]], params, stack,
+    sel = np.array([c for c, _, _ in subs])
+    losses, grads, ds, zs = domain_adv_loss([p[sel] for p in model.params["dom"]], stack,
                                             grl_coeff)
     total = 0.0
-    clf = {}
+    dom_grads = [np.zeros(p.shape) for p in model.params["dom"]]
     logits = {}
     dpsi = {k: np.zeros_like(u) for k, u in unit.items()}
     at = 0
-    for view, group, pairs in enabled:
+    for view, c, pairs in enabled:
         rows = slice(at, at + len(pairs))
         at += len(pairs)
         w = 1.0 / len(pairs)
         total += w * sum(losses[rows])
-        clf[group] = [w * np.add.reduce(g[rows]).reshape(p.shape)
-                      for g, p in zip(grads, model.params[group])]
+        for g, out in zip(grads, dom_grads):
+            np.multiply(np.add.reduce(g[rows]), w, out=out[c])
         for (s, t), d in zip(pairs, ds[rows]):
             dpsi[s][:b] += w * d[:b]
             dpsi[t][b:] += w * d[b:]
         logits[view] = zs[rows]
     for k in dpsi:
         dpsi[k] = _unit_rows_backward(unit[k], norms[k], dpsi[k])
-    return float(total), clf, dpsi, logits
+    return float(total), dom_grads, dpsi, logits
 
 
 def tol_labels(orders: np.ndarray) -> np.ndarray:
@@ -376,27 +379,25 @@ def tol_loss(model: GladModel, shuffled_concat: np.ndarray, perm_indices: np.nda
     """
     n_fact = len(TOL_ORDERS[model.config.tol_clips])
     two_b = shuffled_concat.shape[0]
-    logits, cache = diffnet.mlp_forward(model.specs["tol"], model.params["tol"], shuffled_concat)
+    logits, cache = diffnet.mlp_forward(model.params["tol"], shuffled_concat)
     losses, dlogits = diffnet.softmax_cross_entropy_batch(logits, perm_indices)
     scale = 1.0 / (two_b * n_fact)
     loss = float(losses.sum() * scale)
-    head_grads, dinput = diffnet.mlp_backward(
-        model.specs["tol"], model.params["tol"], cache, dlogits * scale)
+    head_grads, dinput = diffnet.mlp_backward(model.params["tol"], cache, dlogits * scale)
     return loss, head_grads, dinput, logits
 
 
 def classify_action(model: GladModel, features: np.ndarray) -> np.ndarray:
     """Linear action head over a (B, F) batch."""
-    return diffnet.mlp_forward(model.specs["act"], model.params["act"], features)[0]
+    return diffnet.mlp_forward(model.params["act"], features)[0]
 
 
 def ce_loss(model: GladModel, features: np.ndarray, labels: np.ndarray):
     """Mean softmax cross-entropy of the action head over consensus features."""
-    logits, cache = diffnet.mlp_forward(model.specs["act"], model.params["act"], features)
+    logits, cache = diffnet.mlp_forward(model.params["act"], features)
     losses, dlogits = diffnet.softmax_cross_entropy_batch(logits, labels)
     b = features.shape[0]
-    head_grads, dfeat = diffnet.mlp_backward(
-        model.specs["act"], model.params["act"], cache, dlogits / b)
+    head_grads, dfeat = diffnet.mlp_backward(model.params["act"], cache, dlogits / b)
     return float(losses.mean()), head_grads, dfeat
 
 
@@ -404,22 +405,22 @@ def ce_loss(model: GladModel, features: np.ndarray, labels: np.ndarray):
 # Checkpointing
 
 def _params_meta(model: GladModel) -> list:
-    return [{"name": f"{group}.{i}", "shape": list(p.shape)}
-            for group, ps in model.params.items() for i, p in enumerate(ps)]
+    """Name and shape of each tensor, in the order of the flat vector."""
+    tensors = sorted((at, f"{group}.{i}", shape) for group, ts in model.layout.items()
+                     for i, (at, shape) in enumerate(ts))
+    return [{"name": name, "shape": list(shape)} for _, name, shape in tensors]
 
 
 def save_model(model: GladModel, directory: str) -> None:
-    """model.json (the config), params.json (ordered names and shapes) and
-    params.bin (the tensors in that order, little-endian float32)."""
+    """model.json (the config), params.json (the names and shapes of the
+    tensors in the order of the flat vector) and params.bin (the flat
+    vector, little-endian float32)."""
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, "model.json"), "w") as f:
         json.dump(asdict(model.config), f, indent=1)
     with open(os.path.join(directory, "params.json"), "w") as f:
         json.dump(_params_meta(model), f, indent=1)
-    with open(os.path.join(directory, "params.bin"), "wb") as f:
-        for ps in model.params.values():
-            for p in ps:
-                f.write(np.asarray(p, dtype="<f4").tobytes())
+    model.params.flat.astype("<f4").tofile(os.path.join(directory, "params.bin"))
 
 
 def load_model(directory: str) -> GladModel:
@@ -431,18 +432,12 @@ def load_model(directory: str) -> GladModel:
         cfg = from_json(ModelConfig, read_json(path, OSError))
     except (TypeError, ValueError) as e:
         raise OSError(f"{path}: {e}") from e
-    model = GladModel(cfg, _specs(cfg))  # zeroed; params.bin fills every tensor
+    model = GladModel(cfg)  # zeroed; params.bin fills the whole vector
     if read_json(os.path.join(directory, "params.json"), OSError) != _params_meta(model):
         raise OSError(f"{directory}: params.json does not list the tensors "
                       f"and shapes of the model in model.json")
     path = os.path.join(directory, "params.bin")
-    expected = 4 * sum(p.size for ps in model.params.values() for p in ps)
-    if os.path.getsize(path) != expected:
-        raise OSError(f"{path}: {os.path.getsize(path)} bytes, the model needs {expected}")
-    raw = np.fromfile(path, dtype="<f4")
-    offset = 0
-    for ps in model.params.values():
-        for p in ps:
-            p[...] = raw[offset:offset + p.size].reshape(p.shape)
-            offset += p.size
+    if os.path.getsize(path) != 4 * model.size:
+        raise OSError(f"{path}: {os.path.getsize(path)} bytes, the model needs {4 * model.size}")
+    model.params.flat[:] = np.fromfile(path, dtype="<f4")
     return model

@@ -31,19 +31,8 @@ MAGIC = "glad-dataset-v1"
 
 
 class DatasetError(Exception):
-    """Base class for dataset serialization problems."""
-
-
-class CorruptHeaderError(DatasetError):
-    pass
-
-
-class TruncatedDataError(DatasetError):
-    pass
-
-
-class ManifestMismatchError(DatasetError):
-    pass
+    """A dataset on disk that cannot be read as written: a bad header or
+    manifest, or frame data of the wrong size or range."""
 
 
 @dataclass
@@ -285,46 +274,48 @@ def read_dataset(directory: str, block: int | None = None):
         with open(path) as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
-        raise CorruptHeaderError(f"unreadable manifest: {e}") from e
+        raise DatasetError(f"unreadable manifest: {e}") from e
     if not isinstance(doc, dict) or doc.get("format") != MAGIC:
-        raise CorruptHeaderError(f"bad or missing format header in {path}")
+        raise DatasetError(f"bad or missing format header in {path}")
     if "spec" not in doc or "entries" not in doc:
-        raise CorruptHeaderError(f"{path} lacks spec or entries")
+        raise DatasetError(f"{path} lacks spec or entries")
     try:
         spec = spec_from_dict(doc["spec"])
     except (TypeError, ValueError) as e:
-        raise CorruptHeaderError(f"invalid spec in {path}: {e}") from e
+        raise DatasetError(f"invalid spec in {path}: {e}") from e
     entries = doc["entries"]
     if not isinstance(entries, list) or not entries:
-        raise CorruptHeaderError(f"{path} lists no videos")
+        raise DatasetError(f"{path} lists no videos")
     d = spec.frame_dim
     end = 0
-    for e in entries:
+    for i, e in enumerate(entries):
+        if not isinstance(e, dict):
+            raise DatasetError(f"{path}: entry {i} is {e!r}, not an object")
         missing = [k for k in ("video_id", "label", "length", "offset") if k not in e]
         if missing:
-            raise ManifestMismatchError(f"manifest mismatch: an entry lacks {missing}")
+            raise DatasetError(f"manifest mismatch: an entry lacks {missing}")
         label = e["label"]
         if type(label) is not int or not 0 <= label < spec.n_classes:
-            raise ManifestMismatchError(f"manifest mismatch: label {label!r} of "
+            raise DatasetError(f"manifest mismatch: label {label!r} of "
                                         f"{e['video_id']} is not in [0, {spec.n_classes})")
         if type(e["length"]) is not int or e["length"] < 1:
-            raise ManifestMismatchError(f"manifest mismatch: length {e['length']!r} of "
+            raise DatasetError(f"manifest mismatch: length {e['length']!r} of "
                                         f"{e['video_id']} is not an int >= 1")
         # each video starts where the one before it ends
         if type(e["offset"]) is not int or e["offset"] != end:
-            raise ManifestMismatchError(f"manifest mismatch: offset {e['offset']!r} of "
+            raise DatasetError(f"manifest mismatch: offset {e['offset']!r} of "
                                         f"{e['video_id']} is not {end}, the end of "
                                         f"the entry before it")
         end += e["length"] * d * 4
     if len(entries) != spec.n_videos:
-        raise ManifestMismatchError(
+        raise DatasetError(
             f"manifest mismatch: {len(entries)} entries for n_videos={spec.n_videos}")
     frames_path = os.path.join(directory, "frames.bin")
     size = os.path.getsize(frames_path)
     if size < end:
-        raise TruncatedDataError(f"truncated frame data: {size} < {end} bytes")
+        raise DatasetError(f"truncated frame data: {size} < {end} bytes")
     if size > end:
-        raise ManifestMismatchError(f"manifest mismatch: {size} > {end} bytes")
+        raise DatasetError(f"manifest mismatch: {size} > {end} bytes")
     return DomainManifest(spec=spec, entries=entries), _read_frames(
         frames_path, spec, entries, block or len(entries))
 
@@ -344,7 +335,7 @@ def _read_block(f, frames_path: str, spec: DomainSpec, entries: list, first: int
     count = sum(e["length"] for e in entries) * spec.frame_dim
     flat = np.fromfile(f, dtype="<f4", count=count)
     if flat.size < count:  # the file shrank after its size was checked
-        raise TruncatedDataError(f"{frames_path}: truncated frame data")
+        raise DatasetError(f"{frames_path}: truncated frame data")
     lo, hi = flat.min(), flat.max()  # a NaN anywhere makes both NaN
     if not (lo >= 0.0 and hi <= 1.0):
         raise DatasetError(f"{frames_path}: frame values of videos {first} to "

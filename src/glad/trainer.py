@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import diffnet, model as glad_model
+from . import model as glad_model
 from .debias import build_background_bank, draw_mixes, mix_background
 from .gapmetrics import confusion_matrix, mean_class_accuracy
 from .model import GLA_VIEWS, GladModel, ModelConfig, init_glad_model
@@ -131,8 +131,8 @@ def active_groups(config: TrainConfig, phase: str) -> list[str]:
     groups = ["enc", "proj", "act"]
     if config.use_tol:
         groups.append("tol")
-    for v in config.enabled_gla_views():
-        groups.append(GLA_VIEWS[v][0])
+    if config.enabled_gla_views():
+        groups.append("dom")
     return groups
 
 
@@ -219,13 +219,12 @@ def step_losses(mdl: GladModel, src: Packed, tgt: Packed, batch, config: TrainCo
 
         views = config.enabled_gla_views()
         if views:
-            loss_gla, clf, dpsi, logits = glad_model.gla_loss(
+            loss_gla, dom_grads, dpsi, logits = glad_model.gla_loss(
                 mdl, f3[:, :mg].mean(axis=1) if mg else None,
                 f3[:, mg:n_views].mean(axis=1) if nl else None,
                 config.grl_coeff, views)
             stats["loss_gla"] = loss_gla
-            for group, g in clf.items():
-                glad_model.accumulate(grads, group, g)
+            glad_model.accumulate(grads, "dom", dom_grads)
             if mg:
                 d3[:, :mg] += (dpsi["g"] / mg)[:, None]
             if nl:
@@ -252,7 +251,7 @@ def apply_grads(mdl: GladModel, grads: dict, velocity: dict, groups, lr: float,
     mdl.zeros(), the optimizer's only state) share the model's flat layout,
     and the update runs over the few ranges of it that the groups fill.
     Every active gradient is checked first: a non-finite one raises
-    NonFiniteGradientError, naming its tensor, before anything moves.
+    NumericError, naming its tensor, before anything moves.
     Other groups are not touched.
     """
     p, g, v = mdl.params.flat, grads.flat, velocity.flat
@@ -261,7 +260,7 @@ def apply_grads(mdl: GladModel, grads: dict, velocity: dict, groups, lr: float,
         if not (np.isfinite(g[a:z].min()) and np.isfinite(g[a:z].max())):
             bad = next(f"{group}.{i}" for group in groups
                        for i, t in enumerate(grads[group]) if not np.isfinite(t).all())
-            raise diffnet.NonFiniteGradientError(f"non-finite gradient in tensor {bad}")
+            raise NumericError(f"non-finite gradient in tensor {bad}")
     for a, z, is_weight in spans:
         vs, tmp = v[a:z], mdl.scratch("sgd", (z - a,))
         vs *= config.momentum
@@ -320,8 +319,8 @@ def evaluate(mdl: GladModel, videos: Packed, n_classes: int) -> np.ndarray:
     return confusion_matrix(videos.labels, np.concatenate(preds), n_classes)
 
 
-# Overflow and NaN in a diverging run end it with NumericError or
-# NonFiniteGradientError, not with numpy warnings.
+# Overflow and NaN in a diverging run end it with NumericError, not with
+# numpy warnings.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(config: TrainConfig, src: Packed, tgt_train: Packed,
           tgt_test: Packed | None = None, out_dir: str | None = None) -> tuple:

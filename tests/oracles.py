@@ -10,13 +10,12 @@ take one apart again."""
 import numpy as np
 
 from glad import diffnet
-from glad.diffnet import NonFiniteGradientError
 from glad.gapmetrics import SceneFeatureSet, confusion_matrix, mean_class_accuracy
 from glad.model import (GLA_VIEWS, _unit_rows, _unit_rows_backward, classify_action,
                         domain_adv_loss)
 from glad.synthdata import (BLOB_AMPLITUDE, BLOB_SIZE, Packed, background_bank,
                             checkerboard, class_motion)
-from glad.trainer import step_losses
+from glad.trainer import NumericError, step_losses
 
 
 def packed(frames, labels, domain: str = "source") -> Packed:
@@ -89,9 +88,9 @@ def encode_clip_stack(model, clip_frames: np.ndarray) -> np.ndarray:
     cfg = model.config
     c, nf, d = clip_frames.shape
     flat = (clip_frames.reshape(c * nf, d).astype(np.float64) - cfg.input_center) * cfg.input_gain
-    h, _ = diffnet.mlp_forward(model.specs["enc"], model.params["enc"], flat)
+    h, _ = diffnet.mlp_forward(model.params["enc"], flat)
     pooled = h.reshape(c, nf, -1).mean(axis=1)
-    return diffnet.mlp_forward(model.specs["proj"], model.params["proj"], pooled)[0]
+    return diffnet.mlp_forward(model.params["proj"], pooled)[0]
 
 
 def evaluate_per_clip(model, split, n_classes: int):
@@ -116,8 +115,8 @@ def encoder_grads_by_repeat(model, clips: np.ndarray, rows: np.ndarray,
     c, nf = clips.shape
     x = (rows[clips.ravel()].astype(np.float64) - model.config.input_center) \
         * model.config.input_gain
-    _, cache = diffnet.mlp_forward(model.specs["enc"], model.params["enc"], x)
-    return diffnet.mlp_backward(model.specs["enc"], model.params["enc"], cache,
+    _, cache = diffnet.mlp_forward(model.params["enc"], x)
+    return diffnet.mlp_backward(model.params["enc"], cache,
                                 np.repeat(dpooled / nf, nf, axis=0))[0]
 
 
@@ -140,10 +139,10 @@ def sgd_step(params, grads, velocity, lr: float, momentum: float,
         raise ValueError("params/grads/velocity length mismatch")
     for i, g in enumerate(grads):
         if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError(f"non-finite gradient in tensor {i}")
+            raise NumericError(f"non-finite gradient in tensor {i}")
     new_params = []
     for i, (p, g, v) in enumerate(zip(params, grads, velocity)):
-        eff = g + weight_decay * p if p.ndim > 1 else g
+        eff = g + weight_decay * p if i % 2 == 0 else g  # W0, b0, W1, b1, ...
         velocity[i] = momentum * v + eff
         new_params.append(p - lr * velocity[i])
     return new_params
@@ -152,26 +151,29 @@ def sgd_step(params, grads, velocity, lr: float, momentum: float,
 def gla_loss_per_subbatch(model, psi_g, psi_l, grl_coeff: float,
                           views=("gg", "ll", "cross")):
     """model.gla_loss with one domain_adv_loss call, and so one classifier
-    forward and backward pass, per sub-batch."""
+    forward and backward pass, per sub-batch, on classifier c's tensors
+    sliced from the "dom" stack; the gradient of each slice goes to [c] of
+    a zeroed stack."""
     unit, norms = {}, {}
     for k, psi in (("g", psi_g), ("l", psi_l)):
         if psi is not None:
             unit[k], norms[k] = _unit_rows(np.asarray(psi, dtype=np.float64))
     b = len(next(iter(unit.values()))) // 2
     total = 0.0
-    clf = {}
+    clf = [np.zeros_like(p) for p in model.params["dom"]]
     logits = {}
     dpsi = {k: np.zeros_like(u) for k, u in unit.items()}
-    for view, (group, pairs) in GLA_VIEWS.items():
+    for view, (c, pairs) in GLA_VIEWS.items():
         if view not in views:
             continue
         w = 1.0 / len(pairs)
         losses, grads, ds, zs = zip(*[
-            domain_adv_loss(model.specs[group], model.params[group],
+            domain_adv_loss([p[c] for p in model.params["dom"]],
                             np.concatenate([unit[s][:b], unit[t][b:]]), grl_coeff)
             for s, t in pairs])
         total += w * sum(losses)
-        clf[group] = [w * sum(gs[1:], gs[0]) for gs in zip(*grads)]
+        for out, gs in zip(clf, zip(*grads)):
+            out[c] = w * sum(gs[1:], gs[0])
         for (s, t), d in zip(pairs, ds):
             dpsi[s][:b] += w * d[:b]
             dpsi[t][b:] += w * d[b:]

@@ -176,7 +176,7 @@ def check_composed_step(mdl, cfg_model, seed, coord_rng):
     partitions = {
         ("enc", "proj"): lambda s: s["loss_ce"] + s["loss_tol"] - coeff * s["loss_gla"],
         ("act", "tol"): lambda s: s["loss_ce"] + s["loss_tol"],
-        ("dg", "dl", "dx"): lambda s: s["loss_gla"],
+        ("dom",): lambda s: s["loss_gla"],
     }
     worst = 0.0
     for groups, objective in partitions.items():
@@ -222,15 +222,15 @@ def test_criterion_01_gradient_suite():
                                            tol_grads, eps=1e-5))
 
         psi = rng.normal(size=(2 * batch, cfg.feat_dim))
-        for group in ("dg", "dl", "dx"):
-            def adv_fn(p, group=group):
-                loss, _, _, _ = glad_model.domain_adv_loss(mdl.specs[group], p, psi, 1.0)
+        for c in range(len(glad_model.GLA_VIEWS)):
+            classifier = [p[c] for p in mdl.params["dom"]]
+
+            def adv_fn(p):
+                loss, _, _, _ = glad_model.domain_adv_loss(p, psi, 1.0)
                 return loss
 
-            _, adv_grads, _, _ = glad_model.domain_adv_loss(
-                mdl.specs[group], mdl.params[group], psi, 1.0)
-            worst = max(worst, fd_check_coords(adv_fn, mdl.params[group],
-                                               adv_grads, eps=1e-5))
+            _, adv_grads, _, _ = glad_model.domain_adv_loss(classifier, psi, 1.0)
+            worst = max(worst, fd_check_coords(adv_fn, classifier, adv_grads, eps=1e-5))
 
         worst = max(worst, check_composed_step(mdl, cfg, seed=i,
                                                coord_rng=coord_rng))

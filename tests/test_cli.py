@@ -405,8 +405,27 @@ def test_eval_split_missing_a_class_exit_2(tmp_path, capsys):
     save_model(init_glad_model(EVAL_MODEL, seed=0), str(tmp_path / "ckpt"))
     assert main(["eval", "--checkpoint", str(tmp_path / "ckpt"), "--data", split]) == EXIT_IO
     err = capsys.readouterr().err
-    assert err.startswith("I/O error:") and err.count("\n") == 1
+    assert err.startswith(f"I/O error: {split}: ") and err.count("\n") == 1
     assert "class 3 has no samples" in err
+
+
+def test_train_test_split_missing_a_class_exit_2(tmp_path, capsys):
+    """A test split with no video of some class is refused before any
+    step runs: exit 2, naming the split, and no output is written."""
+    data = synth_small(tmp_path)
+    split = str(tmp_path / "test")
+    write_dataset(DomainSpec(n_classes=4, n_videos=3, length_range=(8, 10),
+                             background_mode="fixed_checkerboard", domain="target"), split)
+    cfg = json.loads(open(train_config_doc(tmp_path, data)).read())
+    cfg["test_dir"] = split
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(tmp_path / "config.json"),
+                 "--out", str(out)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"I/O error: {split}: ") and err.count("\n") == 1
+    assert "class 3 has no samples" in err
+    assert not (out / "report.json").exists() and not out.exists()
 
 
 def test_train_missing_paths_exit_1(tmp_path, capsys):
@@ -598,6 +617,28 @@ def test_eval_bad_checkpoint_exit_2(eval_inputs, tmp_path, capsys, damage):
     assert err.startswith("I/O error:") and err.count("\n") == 1
 
 
+def test_eval_checkpoint_with_per_classifier_groups_exit_2(eval_inputs, tmp_path, capsys):
+    """A params.json that still lists the domain classifiers as dg, dl and
+    dx groups, over a params.bin of the right size, is refused: exit 2,
+    naming params.json."""
+    ckpt, split = copy_inputs(eval_inputs, tmp_path)
+    path = os.path.join(ckpt, "params.json")
+    with open(path) as f:
+        meta = json.load(f)
+    dom = {e["name"]: e["shape"] for e in meta if e["name"].startswith("dom.")}
+    old = [e for e in meta if e["name"] not in dom]
+    for group in ("dg", "dl", "dx"):  # (3, d_in, d_out) weights, (3, 1, d_out) biases
+        old += [{"name": f"{group}.{i}", "shape": dom[f"dom.{i}"][1 if i % 2 == 0 else 2:]}
+                for i in range(len(dom))]
+    assert sum(np.prod(e["shape"]) for e in old) == sum(np.prod(e["shape"]) for e in meta)
+    with open(path, "w") as f:
+        json.dump(old, f)
+    assert main(["eval", "--checkpoint", ckpt, "--data", split]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error:") and err.count("\n") == 1
+    assert "params.json" in err
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda d: {**d, "domain_hidden": [64]},
      "domain_hidden: expected list[int, int, int], got [64]"),
@@ -659,11 +700,14 @@ def test_eval_unparsable_checkpoint_json_exit_2(eval_inputs, tmp_path, capsys, n
     lambda d: d["spec"].update(n_videos=float(d["spec"]["n_videos"])),
     lambda d: d["spec"].update(domain=3),
     lambda d: d["spec"].update(length_range=[8, 10.5]),
+    lambda d: d["entries"].__setitem__(3, 5),
+    lambda d: d["entries"].__setitem__(3, None),
 ], ids=["no_spec", "no_entries", "no_video_id", "no_label", "no_length", "no_offset",
         "label_too_large", "label_negative", "label_not_int", "length_not_int",
         "offset_not_int", "spec_zero_classes", "spec_zero_height", "spec_negative_noise",
         "spec_one_length", "spec_unknown_field", "spec_not_a_dict", "zero_entries",
-        "empty_split", "spec_float_videos", "spec_int_domain", "spec_float_length"])
+        "empty_split", "spec_float_videos", "spec_int_domain", "spec_float_length",
+        "entry_int", "entry_null"])
 def test_eval_malformed_manifest_exit_2(eval_inputs, tmp_path, capsys, edit):
     ckpt, split = copy_inputs(eval_inputs, tmp_path)
     edit_json(os.path.join(split, "manifest.json"), edit)

@@ -1,12 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from glad.diffnet import (MlpSpec, NonFiniteGradientError,
-                          grl_backward, init_mlp, mlp_backward, mlp_forward,
+from glad.diffnet import (grl_backward, init_mlp, mlp_backward, mlp_forward,
                           softmax_cross_entropy_batch)
-from glad.model import ModelConfig, init_glad_model
-from glad.trainer import TrainConfig, apply_grads
+from glad.model import ModelConfig, init_glad_model, load_model, save_model
+from glad.trainer import NumericError, TrainConfig, apply_grads
 from gradcheck import finite_difference_check
 
 
@@ -25,31 +26,28 @@ def one_row_xent(logits, target):
 
 
 def test_mlp_identity_case():
-    spec = MlpSpec((2, 2))
     params = [np.eye(2), np.zeros(2)]
-    out, _ = mlp_forward(spec, params, np.array([[1.0, 2.0]]))
+    out, _ = mlp_forward(params, np.array([[1.0, 2.0]]))
     assert np.allclose(out, [[1.0, 2.0]])
 
 
 def test_mlp_matches_matrix_oracle():
     rng = np.random.default_rng(3)
-    spec = MlpSpec((4, 6, 3))
-    params = init_mlp(spec, rng)
+    params = init_mlp((4, 6, 3), rng)
     x = rng.normal(size=(2, 4))
     # straight-line matrix arithmetic
     h = np.maximum(x @ params[0] + params[1], 0.0)
     expected = h @ params[2] + params[3]
-    assert np.allclose(mlp_forward(spec, params, x)[0], expected, atol=1e-12)
+    assert np.allclose(mlp_forward(params, x)[0], expected, atol=1e-12)
 
 
 def test_linear_layer_analytic_gradient():
     rng = np.random.default_rng(1)
-    spec = MlpSpec((3, 2))
-    params = init_mlp(spec, rng)
+    params = init_mlp((3, 2), rng)
     x = rng.normal(size=(1, 3))
     g = rng.normal(size=(1, 2))
-    _, cache = mlp_forward(spec, params, x)
-    grads, dx = mlp_backward(spec, params, cache, g)
+    _, cache = mlp_forward(params, x)
+    grads, dx = mlp_backward(params, cache, g)
     assert np.allclose(grads[0], np.outer(x, g))
     assert np.allclose(grads[1], g[0])
     assert np.allclose(dx, g @ params[0].T)
@@ -57,26 +55,24 @@ def test_linear_layer_analytic_gradient():
 
 def test_zero_upstream_gives_zero_gradients():
     rng = np.random.default_rng(2)
-    spec = MlpSpec((3, 5, 2))
-    params = init_mlp(spec, rng)
-    _, cache = mlp_forward(spec, params, rng.normal(size=(4, 3)))
-    grads, dx = mlp_backward(spec, params, cache, np.zeros((4, 2)))
+    params = init_mlp((3, 5, 2), rng)
+    _, cache = mlp_forward(params, rng.normal(size=(4, 3)))
+    grads, dx = mlp_backward(params, cache, np.zeros((4, 2)))
     assert all(np.all(g == 0) for g in grads)
     assert np.all(dx == 0)
 
 
 def test_mlp_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
-    spec = MlpSpec((3, 4, 2))
-    params = init_mlp(spec, rng)
+    params = init_mlp((3, 4, 2), rng)
     x = rng.normal(size=(5, 3))
     w = rng.normal(size=(5, 2))  # fixed projection making the loss scalar
 
     def loss_fn(p):
-        return float(np.sum(mlp_forward(spec, p, x)[0] * w))
+        return float(np.sum(mlp_forward(p, x)[0] * w))
 
-    _, cache = mlp_forward(spec, params, x)
-    grads, _ = mlp_backward(spec, params, cache, w)
+    _, cache = mlp_forward(params, x)
+    grads, _ = mlp_backward(params, cache, w)
     assert finite_difference_check(loss_fn, params, grads) < 1e-6
 
 
@@ -176,7 +172,7 @@ def test_sgd_lr_zero_is_identity():
     p = rng.normal(size=init_glad_model(MICRO).params.flat.size)
     g = rng.normal(size=p.size)
     mdl, _ = fused_step(p, g, lr=0.0, momentum=0.5, weight_decay=0.1,
-                        groups=("enc", "proj", "act", "tol", "dg", "dl", "dx"))
+                        groups=("enc", "proj", "act", "tol", "dom"))
     assert np.array_equal(mdl.params.flat, p)
 
 
@@ -191,7 +187,7 @@ def test_sgd_aborts_on_non_finite_gradient():
     mdl = init_glad_model(MICRO)
     grads = mdl.zero_grads()
     grads["act"][1][0] = np.nan
-    with pytest.raises(NonFiniteGradientError, match="act.1"):
+    with pytest.raises(NumericError, match="act.1"):
         apply_grads(mdl, grads, mdl.zeros(), ["act"], 0.1,
                     TrainConfig(momentum=0.9, weight_decay=0.0, model=MICRO))
 
@@ -200,7 +196,7 @@ def test_sgd_aborts_on_non_finite_gradient():
 def test_sgd_non_finite_gradient_moves_nothing(bad):
     """A non-finite value in any active gradient tensor, the last one
     checked included, raises before any parameter or velocity moves."""
-    groups = ["enc", "proj", "act", "dg", "dx"]
+    groups = ["enc", "proj", "act", "dom"]
     rng = np.random.default_rng(5)
     mdl = init_glad_model(MICRO)
     mdl.params.flat[:] = rng.normal(size=mdl.params.flat.size)
@@ -213,7 +209,7 @@ def test_sgd_non_finite_gradient_moves_nothing(bad):
             grads = mdl.zero_grads()
             grads.flat[:] = rng.normal(size=grads.flat.size)
             grads[group][i].flat[-1] = bad
-            with pytest.raises(NonFiniteGradientError, match=f"tensor {group}.{i}$"):
+            with pytest.raises(NumericError, match=f"tensor {group}.{i}$"):
                 apply_grads(mdl, grads, velocity, groups, 0.1, cfg)
             assert (mdl.params.flat.tobytes(), velocity.flat.tobytes()) == before
 
@@ -235,21 +231,20 @@ def test_finite_difference_constant_loss():
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    # the named-tensor checkpoint now lives in model.save_model/load_model:
-    # float32-representable parameters come back bit for bit, in order
-    from glad.model import ModelConfig, init_glad_model, load_model, save_model
-    cfg = ModelConfig(frame_dim=3, enc_hidden=2, enc_out=2, feat_dim=2,
-                      n_classes=2, n_frames=4, tol_clips=2, tol_hidden=2,
-                      domain_hidden=(2, 2, 2))
-    m = init_glad_model(cfg, seed=9)
+    """A float32-representable flat vector comes back bit for bit, and
+    params.json names the tensors in the order of the flat vector, which
+    is params.bin's."""
+    m = init_glad_model(MICRO, seed=9)
     rng = np.random.default_rng(9)
-    for ps in m.params.values():
-        for i, p in enumerate(ps):
-            ps[i] = rng.normal(size=p.shape).astype(np.float32).astype(np.float64)
+    m.params.flat[:] = rng.normal(size=m.size).astype(np.float32)
     save_model(m, str(tmp_path))
     back = load_model(str(tmp_path))
-    names = [f"{g}.{i}" for g, ps in back.params.items() for i in range(len(ps))]
-    assert names == [f"{g}.{i}" for g, ps in m.params.items() for i in range(len(ps))]
-    for group in m.params:
-        for orig, loaded in zip(m.params[group], back.params[group]):
-            assert np.array_equal(orig, loaded)
+    assert back.params.flat.tobytes() == m.params.flat.tobytes()
+    assert (tmp_path / "params.bin").read_bytes() == m.params.flat.astype("<f4").tobytes()
+    meta = json.loads((tmp_path / "params.json").read_text())
+    offsets = {f"{g}.{i}": at for g, ts in m.layout.items() for i, (at, _) in enumerate(ts)}
+    assert [e["name"] for e in meta] == sorted(offsets, key=offsets.get)
+    assert meta[0]["name"] == "enc.0" and meta[-1]["name"] == "dom.7"
+    for e in meta:
+        group, i = e["name"].split(".")
+        assert e["shape"] == list(back.params[group][int(i)].shape)

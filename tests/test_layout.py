@@ -1,10 +1,13 @@
 """Layout guards: src/glad/ holds only code that src/glad/ itself or the
 benchmark uses, src/glad/ and tests/ import only names they use, every
-name the benchmark imports from glad exists, and tests/oracles.py only
-references that some test uses."""
+name the benchmark imports from glad exists, tests/oracles.py only
+references that some test uses, and every exception type src/glad/
+defines has an exit code."""
 
 import ast
+import builtins
 import importlib
+import inspect
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -94,3 +97,24 @@ def test_every_name_the_benchmark_imports_exists():
     missing = [f"{module}:{name}" for module, name in imports
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def test_every_exception_type_has_an_exit_code():
+    """Each exception class a src/glad/ module defines is a subclass of a
+    type that an except clause of cli.main catches, so none of them can
+    escape the exit-code contract as a traceback."""
+    from glad import cli
+    tree = ast.parse((SRC / "cli.py").read_text())
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = []
+    for handler in ast.walk(main):
+        if isinstance(handler, ast.ExceptHandler):
+            types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            caught += [getattr(cli, t.id, None) or getattr(builtins, t.id) for t in types]
+    defined = [cls for path in sorted(SRC.glob("*.py"))
+               for _, cls in inspect.getmembers(importlib.import_module(f"glad.{path.stem}"),
+                                                inspect.isclass)
+               if cls.__module__ == f"glad.{path.stem}" and issubclass(cls, BaseException)]
+    assert len(defined) > 3
+    assert [cls.__qualname__ for cls in defined if not issubclass(cls, tuple(caught))] == []

@@ -116,7 +116,7 @@ def test_encoder_grads_match_repeat_oracle():
     _, cache = encode_clip_batch(m, clips, rows)
     grads = m.zero_grads()
     encode_clip_backward(m, cache, dfeats, grads)
-    dpooled = diffnet.mlp_backward(m.specs["proj"], m.params["proj"], cache["proj"], dfeats)[1]
+    dpooled = diffnet.mlp_backward(m.params["proj"], cache["proj"], dfeats)[1]
     for g, want in zip(grads["enc"], encoder_grads_by_repeat(m, clips, rows, dpooled)):
         assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -133,12 +133,17 @@ def test_gather_clip_frames_selects_indices():
         assert set(clips[slot]) <= set(range(bounds[slot], bounds[slot + 1]))
 
 
+def classifier(m, c=0):
+    """Domain classifier c's tensors: views of [c] of the "dom" stack."""
+    return [p[c] for p in m.params["dom"]]
+
+
 def test_domain_adv_loss_symmetric_start():
     """With a zeroed classifier the output is 0.5 so the loss is ln 2."""
     m = init_glad_model(TINY, seed=0)
-    params = [np.zeros_like(p) for p in m.params["dg"]]
+    params = [np.zeros_like(p) for p in classifier(m)]
     psi = np.random.default_rng(0).normal(size=(6, 4))
-    loss, _, dpsi, z = domain_adv_loss(m.specs["dg"], params, psi, 1.0)
+    loss, _, dpsi, z = domain_adv_loss(params, psi, 1.0)
     assert loss == pytest.approx(np.log(2), abs=1e-12)
     assert dpsi.shape == psi.shape
     assert np.all(z == 0.0)
@@ -147,16 +152,16 @@ def test_domain_adv_loss_symmetric_start():
 def test_domain_adv_grl_zero_blocks_feature_gradient():
     m = init_glad_model(TINY, seed=1)
     psi = np.random.default_rng(1).normal(size=(4, 4))
-    _, _, dpsi, _ = domain_adv_loss(m.specs["dg"], m.params["dg"], psi, 0.0)
+    _, _, dpsi, _ = domain_adv_loss(classifier(m), psi, 0.0)
     assert np.all(dpsi == 0.0)
 
 
 def test_domain_adv_classifier_grads_descend_loss():
     m = init_glad_model(TINY, seed=2)
     psi = np.random.default_rng(2).normal(size=(8, 4))
-    loss, grads, _, _ = domain_adv_loss(m.specs["dg"], m.params["dg"], psi, 1.0)
-    stepped = [p - 1e-3 * g for p, g in zip(m.params["dg"], grads)]
-    loss2, _, _, _ = domain_adv_loss(m.specs["dg"], stepped, psi, 1.0)
+    loss, grads, _, _ = domain_adv_loss(classifier(m), psi, 1.0)
+    stepped = [p - 1e-3 * g for p, g in zip(classifier(m), grads)]
+    loss2, _, _, _ = domain_adv_loss(stepped, psi, 1.0)
     assert loss2 < loss
 
 
@@ -165,11 +170,11 @@ def test_domain_adv_classifier_grads_match_finite_differences():
     psi = np.random.default_rng(3).normal(size=(4, 4))
 
     def loss_fn(p):
-        l, _, _, _ = domain_adv_loss(m.specs["dg"], p, psi, 1.0)
+        l, _, _, _ = domain_adv_loss(p, psi, 1.0)
         return l
 
-    _, grads, _, _ = domain_adv_loss(m.specs["dg"], m.params["dg"], psi, 1.0)
-    assert finite_difference_check(loss_fn, m.params["dg"], grads) < 1e-5
+    _, grads, _, _ = domain_adv_loss(classifier(m), psi, 1.0)
+    assert finite_difference_check(loss_fn, classifier(m), grads) < 1e-5
 
 
 def test_gla_loss_view_subsets():
@@ -177,14 +182,14 @@ def test_gla_loss_view_subsets():
     rng = np.random.default_rng(4)
     psi_g, psi_l = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
     total_all, clf_all, dpsi_all, logits_all = gla_loss(m, psi_g, psi_l, grl_coeff=1.0)
-    assert set(clf_all) == {"dg", "dl", "dx"}
+    assert [g.shape for g in clf_all] == [p.shape for p in m.params["dom"]]
     assert {k: d.shape for k, d in dpsi_all.items()} == {"g": (6, 4), "l": (6, 4)}
     # one row of 2B logits per sub-batch; the cross view has two
     assert {v: z.shape for v, z in logits_all.items()} == {
         "gg": (1, 6), "ll": (1, 6), "cross": (2, 6)}
     total_gg, clf_gg, dpsi_gg, logits_gg = gla_loss(m, psi_g, None, grl_coeff=1.0,
                                                     views=("gg",))
-    assert set(clf_gg) == {"dg"} and set(logits_gg) == {"gg"}
+    assert set(logits_gg) == {"gg"}
     assert total_gg < total_all
     # the gg view needs no local stream and returns no local gradient
     assert set(dpsi_gg) == {"g"}
@@ -197,7 +202,8 @@ def test_gla_loss_view_subsets():
 def test_stacked_gla_loss_bit_equal_to_per_subbatch_oracle(cfg, views):
     """One stacked classifier pass gives the loss, classifier gradients,
     feature gradients and logits of one pass per sub-batch, bit for bit; a
-    stream that no enabled view uses is None, as in a step without it."""
+    stream that no enabled view uses is None, as in a step without it, and
+    a classifier that no enabled view uses gets a zero gradient."""
     m = init_glad_model(cfg, seed=9)
     rng = np.random.default_rng(9)
     used = {s for v in views for pair in GLA_VIEWS[v][1] for s in pair}
@@ -205,13 +211,16 @@ def test_stacked_gla_loss_bit_equal_to_per_subbatch_oracle(cfg, views):
     got = gla_loss(m, psi["g"], psi["l"], 0.5, views)
     want = gla_loss_per_subbatch(m, psi["g"], psi["l"], 0.5, views)
     assert got[0] == want[0]
-    for got_d, want_d in zip(got[1:], want[1:]):
+    for i, (a, b) in enumerate(zip(got[1], want[1], strict=True)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), f"dom.{i}"
+    for got_d, want_d in zip(got[2:], want[2:]):
         assert list(got_d) == list(want_d)
         for k in want_d:
-            got_arrays = got_d[k] if isinstance(got_d[k], list) else [got_d[k]]
-            want_arrays = want_d[k] if isinstance(want_d[k], list) else [want_d[k]]
-            for a, b in zip(got_arrays, want_arrays, strict=True):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes(), k
+            assert got_d[k].shape == want_d[k].shape
+            assert got_d[k].tobytes() == want_d[k].tobytes(), k
+    classifiers = {GLA_VIEWS[v][0] for v in views}
+    for c in range(len(GLA_VIEWS)):
+        assert any(np.any(g[c] != 0.0) for g in got[1]) == (c in classifiers), c
 
 
 def test_gla_loss_feature_gradients_match_finite_differences():

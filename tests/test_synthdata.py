@@ -8,11 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glad import synthdata
-from glad.synthdata import (BLOB_SIZE, SYNTH_BLOCK, CorruptHeaderError, DomainSpec,
-                            ManifestMismatchError, MotionParams,
-                            TruncatedDataError, background_bank, checkerboard,
-                            class_motion, generate_domain, read_dataset,
-                            render_block, spec_from_dict, write_dataset)
+from glad.synthdata import (BLOB_SIZE, SYNTH_BLOCK, DatasetError, DomainSpec, MotionParams,
+                            background_bank, checkerboard, class_motion, generate_domain,
+                            read_dataset, render_block, spec_from_dict, write_dataset)
 from oracles import generate_domain_loop, render_video_loop, same_split, videos_of
 
 SMALL = DomainSpec(n_videos=24, length_range=(8, 16), seed=3)
@@ -309,14 +307,14 @@ def test_read_rejects_bad_magic(tmp_path):
     doc = json.loads(path.read_text())
     doc["format"] = "something-else"
     path.write_text(json.dumps(doc))
-    with pytest.raises(CorruptHeaderError):
+    with pytest.raises(DatasetError, match="bad or missing format header"):
         read_dataset(str(tmp_path))
 
 
 def test_read_rejects_unparseable_manifest(tmp_path):
     write_dataset(SMALL, str(tmp_path))
     (tmp_path / "manifest.json").write_text("{not json")
-    with pytest.raises(CorruptHeaderError):
+    with pytest.raises(DatasetError, match="unreadable manifest"):
         read_dataset(str(tmp_path))
 
 
@@ -324,7 +322,7 @@ def test_read_rejects_truncated_frames(tmp_path):
     write_dataset(SMALL, str(tmp_path))
     blob = (tmp_path / "frames.bin").read_bytes()
     (tmp_path / "frames.bin").write_bytes(blob[:-8])
-    with pytest.raises(TruncatedDataError):
+    with pytest.raises(DatasetError, match="truncated frame data"):
         read_dataset(str(tmp_path))
 
 
@@ -334,5 +332,18 @@ def test_read_rejects_entry_count_mismatch(tmp_path):
     doc = json.loads(path.read_text())
     doc["entries"] = doc["entries"][:-1]
     path.write_text(json.dumps(doc))
-    with pytest.raises(ManifestMismatchError):
+    with pytest.raises(DatasetError, match="entries for n_videos"):
+        read_dataset(str(tmp_path))
+
+
+@pytest.mark.parametrize("entry", [5, None, ["label", 0]], ids=["int", "null", "list"])
+def test_read_rejects_an_entry_that_is_not_an_object(tmp_path, entry):
+    """The error names the manifest and the entry."""
+    write_dataset(SMALL, str(tmp_path))
+    path = tmp_path / "manifest.json"
+    doc = json.loads(path.read_text())
+    doc["entries"][3] = entry
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DatasetError, match=re.escape(f"{path}: entry 3 is {entry!r}, "
+                                                     "not an object")):
         read_dataset(str(tmp_path))

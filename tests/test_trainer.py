@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from glad import model as glad_model, trainer
 from glad.diffnet import mlp_forward
-from glad.model import ModelConfig, init_glad_model
+from glad.model import GLA_VIEWS, ModelConfig, init_glad_model
 from glad.debias import build_background_bank, mix_background
 from glad.gapmetrics import mean_class_accuracy
 from glad.schema import from_json
@@ -89,11 +89,11 @@ def test_active_groups_by_phase():
     cfg = tiny_config()
     assert active_groups(cfg, "warmup") == ["enc", "proj", "tol"]
     main = active_groups(cfg, "main")
-    assert set(main) == {"enc", "proj", "act", "tol", "dg", "dl", "dx"}
+    assert set(main) == {"enc", "proj", "act", "tol", "dom"}
     src_only = tiny_config(use_tol=False, gla_views=())
     assert active_groups(src_only, "main") == ["enc", "proj", "act"]
     dann = tiny_config(use_tol=False, gla_views=("gg",))
-    assert active_groups(dann, "main") == ["enc", "proj", "act", "dg"]
+    assert active_groups(dann, "main") == ["enc", "proj", "act", "dom"]
 
 
 @pytest.mark.parametrize("phase", ["warmup", "main"])
@@ -161,7 +161,7 @@ def test_step_losses_warmup_touches_only_tol_path():
                                   cfg, rng, "warmup")
     assert stats["loss_ce"] == 0.0 and stats["loss_gla"] == 0.0
     assert stats["loss_tol"] > 0.0
-    for group in ("act", "dg", "dl", "dx"):
+    for group in ("act", "dom"):
         assert all(np.all(g == 0) for g in grads[group])
     assert any(np.any(g != 0) for g in grads["tol"])
 
@@ -173,9 +173,9 @@ def test_step_accuracies_score_the_heads_on_their_training_inputs(monkeypatch):
     src, tgt = tiny_data()
     mdl = init_glad_model(TINY_MODEL, seed=3)
     rng = np.random.default_rng(1)
-    for group in ("dg", "dl", "dx"):  # non-zero biases: scale matters
-        mdl.params[group] = [p + rng.normal(scale=0.5, size=p.shape)
-                             for p in mdl.params[group]]
+    for c in range(3):  # non-zero biases: scale matters
+        for p in mdl.params["dom"]:
+            p[c] += rng.normal(scale=0.5, size=p[c].shape)
     seen = {}
     real_gla, real_tol = glad_model.gla_loss, glad_model.tol_loss
 
@@ -195,19 +195,19 @@ def test_step_accuracies_score_the_heads_on_their_training_inputs(monkeypatch):
     g, l = (x / np.linalg.norm(x, axis=1, keepdims=True) for x in seen["gla"])
     g_src, l_src, g_tgt, l_tgt = g[:8], l[:8], g[8:], l[8:]
 
-    def hits(group, src_feats, tgt_feats):
-        spec, params = mdl.specs[group], mdl.params[group]
-        return (list(mlp_forward(spec, params, src_feats)[0][:, 0] > 0.0)
-                + list(mlp_forward(spec, params, tgt_feats)[0][:, 0] <= 0.0))
+    def hits(view, src_feats, tgt_feats):
+        params = [p[GLA_VIEWS[view][0]] for p in mdl.params["dom"]]
+        return (list(mlp_forward(params, src_feats)[0][:, 0] > 0.0)
+                + list(mlp_forward(params, tgt_feats)[0][:, 0] <= 0.0))
 
-    assert stats["dom_acc_gg"] == pytest.approx(np.mean(hits("dg", g_src, g_tgt)))
-    assert stats["dom_acc_ll"] == pytest.approx(np.mean(hits("dl", l_src, l_tgt)))
-    cross_a, cross_b = hits("dx", g_src, l_tgt), hits("dx", l_src, g_tgt)
+    assert stats["dom_acc_gg"] == pytest.approx(np.mean(hits("gg", g_src, g_tgt)))
+    assert stats["dom_acc_ll"] == pytest.approx(np.mean(hits("ll", l_src, l_tgt)))
+    cross_a, cross_b = hits("cross", g_src, l_tgt), hits("cross", l_src, g_tgt)
     assert np.mean(cross_a) != np.mean(cross_b)  # one sub-batch alone is not enough
     cross = cross_a + cross_b
     assert stats["dom_acc_cross"] == pytest.approx(np.mean(cross))
     concat, targets = seen["tol"]
-    logits, _ = mlp_forward(mdl.specs["tol"], mdl.params["tol"], concat)
+    logits, _ = mlp_forward(mdl.params["tol"], concat)
     assert stats["tol_acc"] == pytest.approx(np.mean(np.argmax(logits, axis=1) == targets))
 
 
