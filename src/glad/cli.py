@@ -16,8 +16,7 @@ import numpy as np
 
 from . import model as glad_model
 from .debias import build_background_bank
-from .gapmetrics import (EmptyClassError, GapReport, SceneFeatureSet, ZeroVectorError,
-                         accuracy_gap, mean_class_accuracy, scene_distance, temporal_distance)
+from .gapmetrics import accuracy_gap, mean_class_accuracy, scene_distance, temporal_distance
 from .schema import from_json, read_json
 from .synthdata import (DatasetError, DomainSpec, read_dataset, spec_from_dict,
                         write_dataset)
@@ -78,6 +77,9 @@ def cmd_synth(args) -> int:
         raw = read_json(args.spec, UsageError)
         if not isinstance(raw, dict):
             raise UsageError(f"{args.spec}: expected an object of named splits")
+        for name in raw:  # each names a directory under --out
+            if name in ("", ".", "..") or "/" in name or os.sep in name:
+                raise UsageError(f"{args.spec}: split name {name!r} is not one path component")
         specs = {name: spec_from_dict(value, name) for name, value in raw.items()}
     else:
         specs = default_benchmark_specs(seed)
@@ -102,39 +104,44 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def scene_features_of(blocks) -> SceneFeatureSet:
+def scene_features_of(directory: str, blocks) -> np.ndarray:
     """Scene features of a split's consecutive Packed blocks, in video
-    order: L2-normalized temporal-median backgrounds, which replace a
-    pretrained scene-classification network at desk scale. A video's median
-    depends on no other video, so a block's bank rows are the split's. map
-    keeps no block once its bank is built, so one block at a time is alive."""
-    bank = np.concatenate(list(map(build_background_bank, blocks)))
-    return SceneFeatureSet.from_vectors(bank.astype(np.float64))
+    order: L2-normalized temporal-median backgrounds (float64 unit rows),
+    which replace a pretrained scene-classification network at desk scale.
+    A video's median depends on no other video, so a block's bank rows are
+    the split's. map keeps no block once its bank is built, so one block at
+    a time is alive."""
+    bank = np.concatenate(list(map(build_background_bank, blocks))).astype(np.float64)
+    norms = np.linalg.norm(bank, axis=1)
+    if not norms.all():  # valid frames whose median background is all zeros
+        raise DatasetError(f"{directory}: scene features, one row per video: "
+                           f"row {norms.argmin()}: zero vector cannot be normalized")
+    return bank / norms[:, None]
 
 
 def cmd_gap(args) -> int:
     if (args.mca_sup is None) != (args.mca_src is None):
         missing = "--mca-sup" if args.mca_sup is None else "--mca-src"
         raise UsageError(f"the accuracy gap needs --mca-sup and --mca-src; {missing} is missing")
-    features, lengths = [], []
-    for path in (args.source, args.target):
-        directory = resolve_split_dir(path)
-        manifest, blocks = read_dataset(directory, EVAL_BLOCK)
-        try:
-            features.append(scene_features_of(blocks))
-        except ZeroVectorError as e:  # valid frames whose median background is all zeros
-            raise DatasetError(f"{directory}: scene features, one row per video: {e}") from e
-        lengths.append(manifest.lengths())
-    delta_bg = scene_distance(*features)
-    delta_temp = temporal_distance(*lengths)
-    report = GapReport(delta_bg=delta_bg, delta_temp=delta_temp,
-                       notes={"scene_feature": "normalized temporal-median background"})
-    if args.mca_sup is not None:
-        report.mca_supervised_target = args.mca_sup
-        report.mca_source_only = args.mca_src
-        report.delta_acc = accuracy_gap(args.mca_sup, args.mca_src)
-    print(report.to_table())
-    payload = json.dumps(report.to_dict(), indent=1)
+    delta_acc = None if args.mca_sup is None else accuracy_gap(args.mca_sup, args.mca_src)
+    # both manifests before any frame: read_dataset yields its blocks lazily
+    splits = [(d, *read_dataset(d, EVAL_BLOCK))
+              for d in map(resolve_split_dir, (args.source, args.target))]
+    (src_dir, src, _), (tgt_dir, tgt, _) = splits
+    if src.spec.frame_dim != tgt.spec.frame_dim:
+        raise UsageError(f"{src_dir}: frame_dim={src.spec.frame_dim} but {tgt_dir}: "
+                         f"frame_dim={tgt.spec.frame_dim}; scene features need one frame size")
+    features = [scene_features_of(d, blocks) for d, _, blocks in splits]
+    report = {"delta_bg": scene_distance(*features),
+              "delta_temp": temporal_distance(src.lengths(), tgt.lengths()),
+              "delta_acc": delta_acc, "mca_source_only": args.mca_src,
+              "mca_supervised_target": args.mca_sup,
+              "notes": {"scene_feature": "normalized temporal-median background"}}
+    cells = ["-" if report[k] is None else f"{report[k]:.3f}"
+             for k in ("delta_bg", "delta_temp", "delta_acc")]
+    print(f"{'Delta_bg':>10} {'Delta_temp':>12} {'Delta_Acc':>10}\n"
+          f"{cells[0]:>10} {cells[1]:>12} {cells[2]:>10}")
+    payload = json.dumps(report, indent=1)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "gap.json"), "w") as f:
@@ -319,7 +326,7 @@ def main(argv=None) -> int:
     except ChildProcessError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
-    except (DatasetError, EmptyClassError, OSError) as e:
+    except (DatasetError, OSError) as e:
         print(f"I/O error: {e}", file=sys.stderr)
         return EXIT_IO
     except (UsageError, ValueError, TypeError) as e:

@@ -4,30 +4,7 @@ accuracy, and the supervised/source-only accuracy gap."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
-
 import numpy as np
-
-
-class ZeroVectorError(ValueError):
-    """A scene feature vector has zero norm and cannot be normalized."""
-
-
-class EmptyClassError(ValueError):
-    """A confusion-matrix row has no samples."""
-
-
-@dataclass
-class SceneFeatureSet:
-    vectors: np.ndarray  # (L, D) unit rows
-
-    @classmethod
-    def from_vectors(cls, vectors) -> "SceneFeatureSet":
-        arr = np.asarray(vectors, dtype=np.float64)
-        norms = np.linalg.norm(arr, axis=1)
-        if np.any(norms == 0.0):
-            raise ZeroVectorError(f"row {np.argmin(norms)}: zero vector cannot be normalized")
-        return cls(arr / norms[:, None])
 
 
 # scene_distance's blocks hold about SCENE_BLOCK dot products (4 MB of
@@ -44,13 +21,12 @@ def _scene_rows(n_cols: int) -> int:
     return max(SCENE_ROW_ALIGN, SCENE_BLOCK // n_cols // SCENE_ROW_ALIGN * SCENE_ROW_ALIGN)
 
 
-def scene_distance(u: SceneFeatureSet, v: SceneFeatureSet) -> float:
-    """Symmetric average of per-item minimum cosine distances between the
-    two sets, d(u, v) = 1 - u.v on unit vectors. Row maxima and running
-    column maxima of u.v are taken over blocks of source rows, so this
-    allocates one block, never the (L_S, L_T) matrix; min(1 - x) is
+def scene_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Symmetric average of per-item minimum cosine distances between two
+    (L, D) float64 sets of unit rows, d(u, v) = 1 - u.v. Row maxima and
+    running column maxima of a.b^T are taken over blocks of source rows, so
+    this allocates one block, never the (L_S, L_T) matrix; min(1 - x) is
     1 - max(x) exactly, as rounding is monotone."""
-    a, b = u.vectors, v.vectors
     step = _scene_rows(len(b))
     row_max, col_max = np.empty(len(a)), np.full(len(b), -np.inf)
     starts = [k * step for k in range(max(1, len(a) // step))]
@@ -81,13 +57,9 @@ def confusion_matrix(true_labels, pred_labels, n_classes: int) -> np.ndarray:
 
 
 def mean_class_accuracy(cm: np.ndarray) -> float:
-    """Unweighted mean of per-class accuracies, in percent."""
-    cm = np.asarray(cm)
-    row_sums = cm.sum(axis=1)
-    for k, s in enumerate(row_sums):
-        if s == 0:
-            raise EmptyClassError(f"class {k} has no samples")
-    return float(np.mean(np.diag(cm) / row_sums) * 100.0)
+    """Unweighted mean of per-class accuracies, in percent; every class
+    must have a sample (callers check the split where it enters)."""
+    return float(np.mean(np.diag(cm) / cm.sum(axis=1)) * 100.0)
 
 
 def accuracy_gap(mca_supervised_target: float, mca_source_only: float) -> float:
@@ -97,22 +69,3 @@ def accuracy_gap(mca_supervised_target: float, mca_source_only: float) -> float:
             raise ValueError(f"MCA {v} outside [0, 100]")
     return mca_supervised_target - mca_source_only
 
-
-@dataclass
-class GapReport:
-    delta_bg: float
-    delta_temp: float
-    delta_acc: float | None = None
-    mca_source_only: float | None = None
-    mca_supervised_target: float | None = None
-    notes: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_table(self) -> str:
-        def fmt(v):
-            return "-" if v is None else f"{v:.3f}"
-        header = f"{'Delta_bg':>10} {'Delta_temp':>12} {'Delta_Acc':>10}"
-        row = f"{fmt(self.delta_bg):>10} {fmt(self.delta_temp):>12} {fmt(self.delta_acc):>10}"
-        return header + "\n" + row

@@ -426,7 +426,7 @@ def save_model(model: GladModel, directory: str) -> None:
 def load_model(directory: str) -> GladModel:
     """Inverse of save_model. Raises OSError unless model.json is a valid
     config, params.json lists exactly the tensors and shapes of that model
-    and params.bin holds exactly their bytes."""
+    and params.bin holds exactly their bytes, all of them finite."""
     path = os.path.join(directory, "model.json")
     try:
         cfg = from_json(ModelConfig, read_json(path, OSError))
@@ -440,4 +440,8 @@ def load_model(directory: str) -> GladModel:
     if os.path.getsize(path) != 4 * model.size:
         raise OSError(f"{path}: {os.path.getsize(path)} bytes, the model needs {4 * model.size}")
     model.params.flat[:] = np.fromfile(path, dtype="<f4")
+    if not np.isfinite(model.params.flat).all():
+        bad = next(f"{group}.{i}" for group, ts in model.params.items()
+                   for i, t in enumerate(ts) if not np.isfinite(t).all())
+        raise OSError(f"{path}: non-finite value in tensor {bad}")
     return model

@@ -10,7 +10,7 @@ take one apart again."""
 import numpy as np
 
 from glad import diffnet
-from glad.gapmetrics import SceneFeatureSet, confusion_matrix, mean_class_accuracy
+from glad.gapmetrics import confusion_matrix, mean_class_accuracy
 from glad.model import (GLA_VIEWS, _unit_rows, _unit_rows_backward, classify_action,
                         domain_adv_loss)
 from glad.synthdata import (BLOB_AMPLITUDE, BLOB_SIZE, Packed, background_bank,
@@ -239,9 +239,15 @@ def extract_background_tmf(frames: np.ndarray) -> np.ndarray:
     return np.median(frames, axis=0)
 
 
-def scene_distance_one_matrix(u: SceneFeatureSet, v: SceneFeatureSet) -> float:
+def unit_rows(x) -> np.ndarray:
+    """x's rows over their L2 norms, in float64: the scene features that
+    cli.scene_features_of makes of a background bank."""
+    x = np.asarray(x, dtype=np.float64)
+    return x / np.linalg.norm(x, axis=1)[:, None]
+
+
+def scene_distance_one_matrix(u: np.ndarray, v: np.ndarray) -> float:
     """gapmetrics.scene_distance over the whole (L_S, L_T) distance matrix
-    of the sets' unit rows (from_vectors normalizes them; normalizing again
-    would move last bits)."""
-    d = 1.0 - u.vectors @ v.vectors.T  # (L_S, L_T)
+    of two sets of unit rows (normalizing them again would move last bits)."""
+    d = 1.0 - u @ v.T  # (L_S, L_T)
     return 0.5 * (d.min(axis=1).mean() + d.min(axis=0).mean())

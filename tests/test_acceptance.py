@@ -20,13 +20,12 @@ import pytest
 from glad import model as glad_model, trainer
 from glad.cli import EXIT_IO, EXIT_OK, default_benchmark_specs, main
 from glad.diffnet import grl_backward
-from glad.gapmetrics import (SceneFeatureSet, accuracy_gap, scene_distance,
-                             temporal_distance)
+from glad.gapmetrics import accuracy_gap, scene_distance, temporal_distance
 from glad.model import TOL_ORDERS, ModelConfig, init_glad_model, tol_labels
 from glad.synthdata import (DomainSpec, checkerboard, class_motion, generate_domain,
                             read_dataset, render_block, write_dataset)
 from glad.trainer import TrainConfig
-from oracles import extract_background_tmf, packed, same_split, step_on_splits
+from oracles import extract_background_tmf, packed, same_split, step_on_splits, unit_rows
 
 # ---------------------------------------------------------------------------
 # Shared benchmark fixtures (criteria 8 and 9)
@@ -272,15 +271,15 @@ def test_criterion_03_emd_oracle():
 
 
 def test_criterion_04_scene_distance_oracle():
-    u = SceneFeatureSet.from_vectors(np.array([[1.0, 0.0]]))
-    v = SceneFeatureSet.from_vectors(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    u = unit_rows([[1.0, 0.0]])
+    v = unit_rows([[1.0, 0.0], [0.0, 1.0]])
     assert scene_distance(u, v) == pytest.approx(0.25, abs=1e-12)
     rng = np.random.default_rng(4)
     for _ in range(100):
         a = rng.normal(size=(int(rng.integers(1, 31)), int(rng.integers(2, 17))))
         b = rng.normal(size=(int(rng.integers(1, 31)), a.shape[1]))
-        u = SceneFeatureSet.from_vectors(a)
-        v = SceneFeatureSet.from_vectors(b)
+        u = unit_rows(a)
+        v = unit_rows(b)
 
         def cos_dist(x, y):
             return 1.0 - float(np.dot(x, y) / (np.linalg.norm(x) * np.linalg.norm(y)))

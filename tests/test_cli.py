@@ -16,10 +16,11 @@ from glad import cli, model as glad_model, trainer
 from glad.cli import (EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                       default_benchmark_specs, main, resolve_split_dir)
 from glad.debias import build_background_bank
-from glad.gapmetrics import SceneFeatureSet, mean_class_accuracy
+from glad.gapmetrics import mean_class_accuracy
 from glad.model import ModelConfig, init_glad_model, save_model
 from glad.synthdata import (DomainSpec, generate_domain, read_dataset,
                             write_dataset)
+from oracles import unit_rows
 
 
 def small_specs(seed=0):
@@ -229,8 +230,48 @@ def test_gap_all_black_video_exit_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["gap", os.path.join(data, "source"), os.path.join(data, "target")]) == EXIT_IO
     err = capsys.readouterr().err
-    assert err.startswith(f"I/O error: {split}: ") and err.count("\n") == 1
-    assert "row 0: zero vector cannot be normalized" in err
+    assert err == (f"I/O error: {split}: scene features, one row per video: "
+                   "row 0: zero vector cannot be normalized\n")
+
+
+@pytest.mark.parametrize("accuracies,cell", [
+    ([], "-"), (["--mca-sup", "76.7", "--mca-src", "11.7"], "65.000"),
+], ids=["no_accuracy", "accuracy"])
+def test_gap_prints_a_table_and_writes_keys_in_order(tmp_path, capsys, accuracies, cell):
+    """The table's header and row are right-aligned in 10/12/10 columns, a
+    missing accuracy gap is "-", and gap.json keeps its key order."""
+    data = synth_small(tmp_path)
+    capsys.readouterr()
+    gap_out = tmp_path / "gap"
+    assert main(["gap", os.path.join(data, "source"), os.path.join(data, "target"),
+                 "--out", str(gap_out)] + accuracies) == EXIT_OK
+    header, row = capsys.readouterr().out.splitlines()
+    doc = json.loads((gap_out / "gap.json").read_text())
+    assert header == "  Delta_bg   Delta_temp  Delta_Acc"
+    assert row == f"{doc['delta_bg']:>10.3f} {doc['delta_temp']:>12.3f} {cell:>10}"
+    assert list(doc) == ["delta_bg", "delta_temp", "delta_acc", "mca_source_only",
+                         "mca_supervised_target", "notes"]
+    assert doc["notes"] == {"scene_feature": "normalized temporal-median background"}
+    if not accuracies:
+        assert doc["delta_acc"] is doc["mca_source_only"] is doc["mca_supervised_target"] is None
+
+
+def test_gap_splits_of_different_frame_sizes_exit_1(tmp_path, capsys):
+    """A 6x6 split against an 8x8 one is refused with one line naming both
+    directories and both sizes, before a frame is read: the 6x6 split's
+    NaN frames would otherwise be an I/O error."""
+    small = tmp_path / "small"
+    write_dataset(DomainSpec(n_videos=4, length_range=(8, 10), n_classes=4,
+                             height=6, width=6), str(small))
+    write_nan_frames(str(small))
+    large = tmp_path / "large"
+    write_dataset(DomainSpec(n_videos=4, length_range=(8, 10), n_classes=4), str(large))
+    out = tmp_path / "gap"
+    assert main(["gap", str(small), str(large), "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == (f"error: {small}: frame_dim=36 but {large}: frame_dim=64; "
+                   "scene features need one frame size\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])
@@ -602,19 +643,36 @@ def append_float(path):
         f.write(b"\0" * 4)
 
 
+def write_float(ckpt, value):
+    """value over the last element of params.bin's first tensor."""
+    with open(os.path.join(ckpt, "params.json")) as f:
+        first = json.load(f)[0]
+    with open(os.path.join(ckpt, "params.bin"), "r+b") as f:
+        f.seek(4 * (int(np.prod(first["shape"])) - 1))
+        f.write(np.array([value], "<f4").tobytes())
+    return first["name"]
+
+
 @pytest.mark.parametrize("damage", [
     lambda ckpt: edit_json(os.path.join(ckpt, "params.json"), lambda d: d.pop(7)),
     lambda ckpt: edit_json(os.path.join(ckpt, "params.json"),
                            lambda d: d[0].update(shape=d[0]["shape"][::-1])),
     lambda ckpt: edit_json(os.path.join(ckpt, "params.json"), lambda d: d[3].pop("name")),
     lambda ckpt: append_float(os.path.join(ckpt, "params.bin")),
-], ids=["missing_entry", "wrong_shape", "entry_without_name", "extra_bytes"])
+    lambda ckpt: write_float(ckpt, np.nan),
+    lambda ckpt: write_float(ckpt, -np.inf),
+], ids=["missing_entry", "wrong_shape", "entry_without_name", "extra_bytes",
+        "nan_value", "inf_value"])
 def test_eval_bad_checkpoint_exit_2(eval_inputs, tmp_path, capsys, damage):
+    """A non-finite parameter is refused, naming params.bin and its tensor."""
     ckpt, split = copy_inputs(eval_inputs, tmp_path)
-    damage(ckpt)
+    bad = damage(ckpt)
     assert main(["eval", "--checkpoint", ckpt, "--data", split]) == EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith("I/O error:") and err.count("\n") == 1
+    if bad is not None:
+        assert err == (f"I/O error: {os.path.join(ckpt, 'params.bin')}: "
+                       f"non-finite value in tensor {bad}\n")
 
 
 def test_eval_checkpoint_with_per_classifier_groups_exit_2(eval_inputs, tmp_path, capsys):
@@ -799,18 +857,27 @@ def test_synth_invalid_spec_value_exit_1(tmp_path, capsys, field, value, message
     ({"source_train": 5}, "source_train: expected an object, got 5"),
     ({"source_train": {"n_videos": 2, "n_classes": 2}, "target_train": {"seed": "1"}},
      "target_train.seed: expected int, got '1'"),
-], ids=["top_level_list", "split_not_an_object", "second_split_bad"])
+] + [({"source_train": {"n_videos": 2, "n_classes": 2}, name: {"n_videos": 2, "n_classes": 2}},
+      f"split name {name!r} is not one path component")
+     for name in ("../escaped", "", ".", "..", "a/b")],
+    ids=["top_level_list", "split_not_an_object", "second_split_bad", "name_dotdot_path",
+         "name_empty", "name_dot", "name_dotdot", "name_with_slash"])
 def test_synth_malformed_spec_file_exit_1(tmp_path, capsys, doc, message):
-    """A spec file that is not an object of split objects exits 1 with one
-    line and writes nothing, even when an earlier split is valid."""
+    """A spec file that is not an object of split objects, or whose split
+    names are not one path component each, exits 1 with one line and
+    writes nothing, under --out or beside it, even when an earlier split
+    is valid, with or without --dry-run."""
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps(doc))
-    out = tmp_path / "data"
-    assert main(["synth", "--spec", str(spec_file), "--out", str(out)]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert message in err
-    assert not out.exists()
+    out = tmp_path / "d3" / "inner"
+    for dry_run in ([], ["--dry-run"]):
+        argv = ["synth", "--spec", str(spec_file), "--out", str(out)] + dry_run
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == ["spec.json"]
 
 
 def test_synth_spec_may_omit_ranges(tmp_path):
@@ -1025,8 +1092,8 @@ def test_gap_bank_in_blocks_equals_bank_of_the_whole_split(three_block_split):
     _, blocks = read_dataset(directory, trainer.EVAL_BLOCK)
     assert np.array_equal(np.concatenate([build_background_bank(b) for b in blocks]), whole)
     _, blocks = read_dataset(directory, trainer.EVAL_BLOCK)
-    streamed = cli.scene_features_of(blocks).vectors
-    assert np.array_equal(streamed, SceneFeatureSet.from_vectors(whole.astype(np.float64)).vectors)
+    streamed = cli.scene_features_of(directory, blocks)
+    assert np.array_equal(streamed, unit_rows(whole))
 
 
 @pytest.mark.parametrize("command", ["eval", "gap"])

@@ -7,11 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glad import gapmetrics, trainer
-from glad.gapmetrics import (EmptyClassError, GapReport, SceneFeatureSet,
-                             ZeroVectorError, accuracy_gap, confusion_matrix,
-                             mean_class_accuracy, scene_distance,
-                             temporal_distance)
-from oracles import scene_distance_one_matrix
+from glad.gapmetrics import (accuracy_gap, confusion_matrix, mean_class_accuracy,
+                             scene_distance, temporal_distance)
+from oracles import scene_distance_one_matrix, unit_rows
 
 
 def sorted_pair_emd(p, q):
@@ -30,14 +28,14 @@ def double_loop_scene_distance(u, v):
 
 
 def test_scene_distance_hand_example():
-    u = SceneFeatureSet.from_vectors(np.array([[1.0, 0.0]]))
-    v = SceneFeatureSet.from_vectors(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    u = unit_rows([[1.0, 0.0]])
+    v = unit_rows([[1.0, 0.0], [0.0, 1.0]])
     assert scene_distance(u, v) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_scene_distance_identical_sets_zero():
     rng = np.random.default_rng(0)
-    u = SceneFeatureSet.from_vectors(rng.normal(size=(7, 5)))
+    u = unit_rows(rng.normal(size=(7, 5)))
     assert scene_distance(u, u) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -49,8 +47,8 @@ def test_scene_distance_matches_double_loop_oracle():
         d = int(rng.integers(2, 17))
         a = rng.normal(size=(nu, d))
         b = rng.normal(size=(nv, d))
-        u = SceneFeatureSet.from_vectors(a)
-        v = SceneFeatureSet.from_vectors(b)
+        u = unit_rows(a)
+        v = unit_rows(b)
         got = scene_distance(u, v)
         assert got == pytest.approx(double_loop_scene_distance(a, b), abs=1e-9)
         assert scene_distance(v, u) == pytest.approx(got, abs=1e-12)
@@ -62,8 +60,7 @@ def blocked_one_matrix_and_swapped(ls: int, lt: int, seed: int) -> tuple:
     in the mean."""
     rng = np.random.default_rng(seed)
     centres = rng.normal(size=(4, 64))
-    u, v = (SceneFeatureSet.from_vectors(centres[np.arange(n) % 4]
-                                         + 1e-3 * rng.normal(size=(n, 64)))
+    u, v = (unit_rows(centres[np.arange(n) % 4] + 1e-3 * rng.normal(size=(n, 64)))
             for n in (ls, lt))
     return scene_distance(u, v), scene_distance_one_matrix(u, v), scene_distance(v, u)
 
@@ -92,8 +89,8 @@ def test_scene_distance_memory_is_one_block():
     scene features must not hold a split-sized matrix (one float64
     (4000, 2000) matrix is 64 MB)."""
     rng = np.random.default_rng(3)
-    u = SceneFeatureSet.from_vectors(rng.normal(size=(4000, 64)))
-    v = SceneFeatureSet.from_vectors(rng.normal(size=(2000, 64)))
+    u = unit_rows(rng.normal(size=(4000, 64)))
+    v = unit_rows(rng.normal(size=(2000, 64)))
     tracemalloc.start()
     try:
         scene_distance(u, v)
@@ -101,11 +98,6 @@ def test_scene_distance_memory_is_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
-
-
-def test_scene_distance_rejects_zero_vector():
-    with pytest.raises(ZeroVectorError):
-        SceneFeatureSet.from_vectors(np.array([[0.0, 0.0]]))
 
 
 def test_emd_hand_example():
@@ -170,27 +162,8 @@ def test_mca_weights_classes_equally():
     assert mean_class_accuracy(cm) == pytest.approx(75.0)
 
 
-def test_mca_rejects_empty_class():
-    with pytest.raises(EmptyClassError):
-        mean_class_accuracy(confusion_matrix([0, 0], [0, 0], 2))
-
-
 def test_accuracy_gap_table_values():
     assert accuracy_gap(76.7, 11.7) == pytest.approx(65.0, abs=1e-12)
-
-
-def test_gap_report_serialization():
-    rep = GapReport(delta_bg=0.5, delta_temp=36.0, delta_acc=65.0)
-    d = rep.to_dict()
-    assert d["delta_bg"] == 0.5 and d["delta_temp"] == 36.0
-    table = rep.to_table()
-    assert "Delta_bg" in table and "65.000" in table
-
-
-def test_gap_report_optional_accuracy():
-    rep = GapReport(delta_bg=0.1, delta_temp=2.0)
-    assert rep.to_dict()["delta_acc"] is None
-    assert "-" in rep.to_table().splitlines()[1]
 
 
 def test_accuracy_gap_rejects_out_of_range():

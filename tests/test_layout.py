@@ -1,14 +1,15 @@
 """Layout guards: src/glad/ holds only code that src/glad/ itself or the
-benchmark uses, src/glad/ and tests/ import only names they use, every
-name the benchmark imports from glad exists, tests/oracles.py only
-references that some test uses, and every exception type src/glad/
-defines has an exit code."""
+benchmark uses, methods included, src/glad/ and tests/ import only names
+they use, every name the benchmark imports from glad exists,
+tests/oracles.py only references that some test uses, and every exception
+type src/glad/ defines has an exit code."""
 
 import ast
 import builtins
 import importlib
 import inspect
 import pathlib
+from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "glad"
@@ -16,10 +17,14 @@ TESTS = ROOT / "tests"
 BENCH = ROOT / "perfbench"
 
 
+def parse(path: pathlib.Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
 def module_definitions(path: pathlib.Path, private_functions: bool = False) -> set:
     """Public module-level functions and classes of one file, and with
     private_functions its private module-level functions too."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = parse(path)
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     return {node.name for node in tree.body
             if isinstance(node, (*functions, ast.ClassDef))
@@ -27,23 +32,23 @@ def module_definitions(path: pathlib.Path, private_functions: bool = False) -> s
                  or private_functions and isinstance(node, functions))}
 
 
+def name_counts(trees) -> Counter:
+    """How often each name and attribute is named in the given syntax
+    trees; an import or a definition alone does not count."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for tree in trees for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
 def names_used(paths) -> set:
-    """Every name and attribute named in the code of the given files; an
-    import alone does not count."""
-    used = set()
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    return used
+    """Every name and attribute named in the code of the given files."""
+    return set(name_counts(map(parse, paths)))
 
 
 def glad_imports(paths) -> list:
     """(module, name) of every `from glad... import name` in the files."""
     return [(node.module, alias.name) for path in paths
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            for node in ast.walk(parse(path))
             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "glad"
             for alias in node.names]
 
@@ -63,6 +68,32 @@ def test_every_public_name_is_used_in_src():
     assert unused == []
 
 
+def test_every_method_of_a_public_class_is_used_in_src():
+    """Each method of a public class of src/glad/ is named somewhere in
+    src/glad/ besides its own definition, unless Python calls it (a dunder
+    such as __post_init__) or it overrides a base-class method (such as
+    CliParser.error); a method only tests call belongs in tests/."""
+    trees = {path: parse(path) for path in sorted(SRC.glob("*.py"))}
+    used = name_counts(trees.values())
+    methods, unused = 0, []
+    for path, tree in trees.items():
+        module = importlib.import_module(f"glad.{path.stem}")
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            bases = getattr(module, cls.name).__mro__[1:]
+            for fn in cls.body:
+                if (not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        or fn.name.startswith("__") and fn.name.endswith("__")
+                        or any(hasattr(base, fn.name) for base in bases)):
+                    continue
+                methods += 1
+                if used[fn.name] == name_counts([fn])[fn.name]:
+                    unused.append(f"{path.name}:{cls.name}.{fn.name}")
+    assert methods > 3
+    assert unused == []
+
+
 def test_every_import_in_src_is_used():
     """Each name a src/glad/ or tests/ module imports is named again in that
     module, so an import of deleted or moved code cannot linger. Only a bare
@@ -70,7 +101,7 @@ def test_every_import_in_src_is_used():
     imports are directives, not names."""
     unused = []
     for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+        tree = parse(path)
         imported = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                     and getattr(node, "module", None) != "__future__"
@@ -104,7 +135,7 @@ def test_every_exception_type_has_an_exit_code():
     type that an except clause of cli.main catches, so none of them can
     escape the exit-code contract as a traceback."""
     from glad import cli
-    tree = ast.parse((SRC / "cli.py").read_text())
+    tree = parse(SRC / "cli.py")
     main = next(node for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name == "main")
     caught = []
@@ -116,5 +147,5 @@ def test_every_exception_type_has_an_exit_code():
                for _, cls in inspect.getmembers(importlib.import_module(f"glad.{path.stem}"),
                                                 inspect.isclass)
                if cls.__module__ == f"glad.{path.stem}" and issubclass(cls, BaseException)]
-    assert len(defined) > 3
+    assert {"UsageError", "DatasetError", "NumericError"} <= {cls.__name__ for cls in defined}
     assert [cls.__qualname__ for cls in defined if not issubclass(cls, tuple(caught))] == []
