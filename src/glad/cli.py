@@ -128,9 +128,7 @@ def cmd_gap(args) -> int:
     splits = [(d, *read_dataset(d, EVAL_BLOCK))
               for d in map(resolve_split_dir, (args.source, args.target))]
     (src_dir, src, _), (tgt_dir, tgt, _) = splits
-    if src.spec.frame_dim != tgt.spec.frame_dim:
-        raise UsageError(f"{src_dir}: frame_dim={src.spec.frame_dim} but {tgt_dir}: "
-                         f"frame_dim={tgt.spec.frame_dim}; scene features need one frame size")
+    _check_frame_size(src_dir, src.spec, tgt_dir, tgt.spec)
     features = [scene_features_of(d, blocks) for d, _, blocks in splits]
     report = {"delta_bg": scene_distance(*features),
               "delta_temp": temporal_distance(src.lengths(), tgt.lengths()),
@@ -188,19 +186,28 @@ def _check_fit(directory: str, manifest, model_cfg, scored: bool = False) -> Non
             raise DatasetError(f"{directory}: class {counts.argmin()} has no samples")
 
 
-def _read_split(directory: str, model_cfg, scored: bool = False):
-    """The split's videos, read once it fits the model (see _check_fit)."""
+def _check_frame_size(first: str, a, second: str, b) -> None:
+    """Splits compared pixel by pixel need one height x width, not one frame_dim."""
+    if (a.height, a.width) != (b.height, b.width):
+        raise UsageError(f"{first}: frames are {a.height}x{a.width} but {second}: frames "
+                         f"are {b.height}x{b.width}; the splits need one frame size")
+
+
+def _read_split(directory: str, model_cfg, scored: bool = False, source=None):
+    """(spec, videos) of a split that fits the model and source's frame size, if given."""
     manifest, blocks = read_dataset(directory)
     _check_fit(directory, manifest, model_cfg, scored)
+    if source:  # the (directory, spec) of the source split
+        _check_frame_size(*source, directory, manifest.spec)
     (split,) = blocks
-    return split
+    return manifest.spec, split
 
 
 def _load_splits(doc, tc):
     src_dir = resolve_split_dir(doc["source_dir"])
     tgt_dir = resolve_split_dir(doc["target_dir"])
-    src_train = _read_split(src_dir, tc.model)
-    tgt_train = _read_split(tgt_dir, tc.model)
+    src_spec, src_train = _read_split(src_dir, tc.model)
+    _, tgt_train = _read_split(tgt_dir, tc.model, source=(src_dir, src_spec))
     # the labelled side of supervised_target, the target split, is in the min
     smaller = min(len(src_train.lengths), len(tgt_train.lengths))
     if tc.batch_size > smaller:
@@ -213,7 +220,7 @@ def _load_splits(doc, tc):
         if os.path.exists(os.path.join(candidate, "manifest.json")):
             test_dir = candidate
     if test_dir:
-        tgt_test = _read_split(resolve_split_dir(test_dir), tc.model, scored=True)
+        _, tgt_test = _read_split(resolve_split_dir(test_dir), tc.model, True, (src_dir, src_spec))
     return src_train, tgt_train, tgt_test
 
 

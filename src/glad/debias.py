@@ -37,16 +37,16 @@ def mix_background(frames: np.ndarray, background: np.ndarray, lam: float) -> np
     return ((1.0 - lam) * frames + lam * background).astype(frames.dtype)
 
 
-def draw_mixes(domains, n_backgrounds: int, config,
+def draw_mixes(sides, n_backgrounds: int, config,
                rng: np.random.Generator) -> list[tuple[int, int, float]]:
     """(slot, background, lambda) of each video to mix, in slot order, by the
-    aug_* fields of a TrainConfig: a video whose domain is in aug_domains is
-    mixed with probability aug_probability with a uniformly chosen bank
-    background, and lambda is aug_lambda or, in "uniform" mode, drawn."""
+    aug_* fields of a TrainConfig: a video whose side ("source" or "target")
+    is in aug_domains is mixed with probability aug_probability with a
+    uniformly chosen bank background; lambda is aug_lambda or, if "uniform", drawn."""
     mixes = []
-    for slot, domain in enumerate(domains):
+    for slot, side in enumerate(sides):
         # random() is uniform() on [0, 1), the same draw at a third of the call cost
-        if domain in config.aug_domains and rng.random() < config.aug_probability:
+        if side in config.aug_domains and rng.random() < config.aug_probability:
             bg = int(rng.integers(0, n_backgrounds))
             lam = config.aug_lambda if config.aug_lambda_mode == "fixed" else rng.random()
             mixes.append((slot, bg, lam))

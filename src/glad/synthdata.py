@@ -44,7 +44,6 @@ class Packed:
     starts: np.ndarray
     lengths: np.ndarray
     labels: np.ndarray
-    domain: str  # "source" or "target"
 
 
 @dataclass(frozen=True)
@@ -223,12 +222,12 @@ def _blocks(spec: DomainSpec):
         yield entries, render_block(spec, lengths, backgrounds, motions, rngs, work)
 
 
-def _packed(spec: DomainSpec, entries: list, frames: np.ndarray) -> Packed:
+def _packed(entries: list, frames: np.ndarray) -> Packed:
     """The split whose videos the entries list, in order, end to end in the
     (sum T, D) frames."""
     lengths = np.array([e["length"] for e in entries], dtype=np.int64)
     labels = np.array([e["label"] for e in entries], dtype=np.int64)
-    return Packed(frames, np.cumsum(lengths) - lengths, lengths, labels, spec.domain)
+    return Packed(frames, np.cumsum(lengths) - lengths, lengths, labels)
 
 
 def generate_domain(spec: DomainSpec):
@@ -239,7 +238,7 @@ def generate_domain(spec: DomainSpec):
     for block_entries, frames in _blocks(spec):
         entries += block_entries
         blocks.append(frames.copy())
-    split = _packed(spec, entries, np.concatenate(blocks))
+    split = _packed(entries, np.concatenate(blocks))
     return DomainManifest(spec=spec, entries=entries), [split]
 
 
@@ -340,4 +339,4 @@ def _read_block(f, frames_path: str, spec: DomainSpec, entries: list, first: int
     if not (lo >= 0.0 and hi <= 1.0):
         raise DatasetError(f"{frames_path}: frame values of videos {first} to "
                            f"{first + len(entries) - 1} span [{lo}, {hi}], not within [0, 1]")
-    return _packed(spec, entries, flat.reshape(-1, spec.frame_dim))
+    return _packed(entries, flat.reshape(-1, spec.frame_dim))

@@ -1,6 +1,6 @@
 """Training loop: clip-order warm-up, adversarial main phase realized through
-the gradient reversal layer, LR schedule, evaluation, and the ablation
-matrix."""
+the gradient reversal layer, the epoch schedule, evaluation, and the
+ablation matrix."""
 
 from __future__ import annotations
 
@@ -79,7 +79,12 @@ class TrainConfig:
                              f"got {list(self.lr_drop_epochs)}")
         if min(self.warmup_epochs, self.main_epochs) < 0:
             raise ValueError("warmup_epochs and main_epochs must be >= 0")
-        if self.main_epochs == 0 and (self.warmup_epochs == 0 or not self.use_tol):
+        try:
+            epochs = schedule(self)
+        except OverflowError:
+            raise ValueError(f"lr_drop_factor {self.lr_drop_factor} overflows when raised "
+                             f"to the number of lr drops") from None
+        if not epochs:
             raise ValueError("config trains no epoch: main_epochs is 0 and there is no warm-up")
         for key, known in (("gla_views", list(GLA_VIEWS)), ("aug_domains", ["source", "target"])):
             unknown = [v for v in getattr(self, key) if v not in known]
@@ -119,21 +124,16 @@ class TrainReport:
                       f, indent=1)
 
 
-def lr_at(epoch: int, config: TrainConfig) -> float:
-    """Piecewise-constant schedule over the main phase."""
-    drops = sum(1 for d in config.lr_drop_epochs if epoch >= d)
-    return config.lr / (config.lr_drop_factor ** drops)
-
-
-def active_groups(config: TrainConfig, phase: str) -> list[str]:
-    if phase == "warmup":
-        return ["enc", "proj", "tol"]
-    groups = ["enc", "proj", "act"]
-    if config.use_tol:
-        groups.append("tol")
-    if config.enabled_gla_views():
-        groups.append("dom")
-    return groups
+def schedule(config: TrainConfig) -> list[tuple[str, int, float]]:
+    """(phase, epoch, lr) of every epoch in training order: the clip-order
+    warm-up at config.lr when TOL is on, then the main phase, whose lr is
+    divided by lr_drop_factor at each of lr_drop_epochs."""
+    epochs = [("warmup", epoch, config.lr)
+              for epoch in range(config.warmup_epochs if config.use_tol else 0)]
+    for epoch in range(config.main_epochs):
+        drops = sum(1 for d in config.lr_drop_epochs if epoch >= d)
+        epochs.append(("main", epoch, config.lr / (config.lr_drop_factor ** drops)))
+    return epochs
 
 
 def _clip_rows(parts, idx: np.ndarray):
@@ -165,24 +165,27 @@ def step_losses(mdl: GladModel, src: Packed, tgt: Packed, batch, config: TrainCo
     """One optimization step's losses and gradients (no parameter update).
 
     batch is the (source, target) pair of video index arrays. Source labels
-    are read here; target labels must already be stripped. Returns (stats,
-    grads) where grads realizes the saddle objective: the domain classifiers
-    descend their adversarial losses while the extractor receives the
-    reversal-scaled alignment gradient. The frame encoder runs in dtype;
-    the heads, the losses and grads are float64.
+    are read here; target labels must already be stripped. With a bank, a
+    video is mixed by its side of the batch. Returns (stats, grads, groups):
+    grads realizes the saddle objective (the domain classifiers descend their
+    adversarial losses, the extractor receives the reversal-scaled alignment
+    gradient), and groups names the groups it fills, in layout order. The
+    frame encoder runs in dtype; the heads, the losses and grads are float64.
     """
     cfg = mdl.config
     src_idx, tgt_idx = (np.asarray(i, dtype=np.int64) for i in batch)
     b = len(src_idx)
     mixes = []
-    if config.use_bg_aug and bank is not None:
-        mixes = draw_mixes([src.domain] * b + [tgt.domain] * b, len(bank), config, rng)
+    if bank is not None:
+        mixes = draw_mixes(["source"] * b + ["target"] * b, len(bank), config, rng)
 
     # Every video gets the same K = mg + nl + n_tol clips, in this order:
     # mg global views, nl local views, then n_tol clips for order learning.
     mg, nl = (config.global_views, config.local_views) if phase == "main" else (0, 0)
     n_tol = cfg.tol_clips if config.use_tol or phase == "warmup" else 0
     n_views = mg + nl
+    views = config.enabled_gla_views() if n_views else ()
+    heads = [g for g, on in (("act", n_views), ("tol", n_tol), ("dom", views)) if on]
 
     lengths = np.concatenate([src.lengths[src_idx], tgt.lengths[tgt_idx]])
     idx = clip_indices(lengths, cfg.n_frames, cfg.local_stride, mg, nl + n_tol, rng)
@@ -217,7 +220,6 @@ def step_losses(mdl: GladModel, src: Packed, tgt: Packed, batch, config: TrainCo
         glad_model.accumulate(grads, "act", act_grads)
         d3[:b, :n_views] += (dcons / n_views)[:, None]
 
-        views = config.enabled_gla_views()
         if views:
             loss_gla, dom_grads, dpsi, logits = glad_model.gla_loss(
                 mdl, f3[:, :mg].mean(axis=1) if mg else None,
@@ -238,7 +240,7 @@ def step_losses(mdl: GladModel, src: Packed, tgt: Packed, batch, config: TrainCo
     stats["loss_total"] = stats["loss_ce"] + stats["loss_tol"] - stats["loss_gla"]
     if not np.isfinite(stats["loss_total"]):
         raise NumericError(f"non-finite loss: {stats}")
-    return stats, grads
+    return stats, grads, ["enc", "proj", *heads]
 
 
 def apply_grads(mdl: GladModel, grads: dict, velocity: dict, groups, lr: float,
@@ -283,19 +285,6 @@ def _epoch_batches(n_src: int, n_tgt: int, batch: int, rng: np.random.Generator)
         yield src_order[slots % n_src], tgt_order[slots % n_tgt]
 
 
-def run_phase_epoch(mdl, src, tgt, config, velocity, rng, phase, lr, bank):
-    sums: dict = {}
-    counts: dict = {}
-    for batch in _epoch_batches(len(src.lengths), len(tgt.lengths), config.batch_size, rng):
-        stats, grads = step_losses(mdl, src, tgt, batch, config, rng, phase, bank)
-        apply_grads(mdl, grads, velocity, active_groups(config, phase), lr, config)
-        for k, v in stats.items():
-            if isinstance(v, float) and not np.isnan(v):
-                sums[k] = sums.get(k, 0.0) + v
-                counts[k] = counts.get(k, 0) + 1
-    return {k: sums[k] / counts[k] for k in sums}
-
-
 # Evaluation gathers and encodes this many videos at a time.
 EVAL_BLOCK = 256
 
@@ -324,34 +313,30 @@ def evaluate(mdl: GladModel, videos: Packed, n_classes: int) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(config: TrainConfig, src: Packed, tgt_train: Packed,
           tgt_test: Packed | None = None, out_dir: str | None = None) -> tuple:
-    """Full curriculum: TOL warm-up (when TOL is enabled) followed by the
-    adversarial main phase. Target training labels are set to -1 before
-    any step sees them."""
+    """The epochs of schedule(config), each reported as its steps' mean
+    statistics and the target-test MCA after it. Target training labels are
+    set to -1 before any step sees them."""
     mdl = init_glad_model(config.model, seed=config.seed)
     rng = np.random.default_rng((config.seed, 0x7A))
     tgt = replace(tgt_train, labels=np.full_like(tgt_train.labels, -1))
-    bank = None
-    if config.use_bg_aug:
-        bank = np.concatenate([build_background_bank(src), build_background_bank(tgt)])
+    bank = (np.concatenate([build_background_bank(src), build_background_bank(tgt)])
+            if config.use_bg_aug else None)
     velocity = mdl.zeros()
     report = TrainReport()
-
-    def record(phase, epoch, lr, stats):
-        mca = float("nan")
-        if tgt_test is not None:
-            mca = mean_class_accuracy(evaluate(mdl, tgt_test, config.model.n_classes))
-        report.epochs.append({"phase": phase, "epoch": epoch, "lr": lr, **STEP_STATS, **stats,
+    for phase, epoch, lr in schedule(config):
+        sums, counts = dict.fromkeys(STEP_STATS, 0.0), dict.fromkeys(STEP_STATS, 0)
+        for batch in _epoch_batches(len(src.lengths), len(tgt.lengths), config.batch_size, rng):
+            stats, grads, groups = step_losses(mdl, src, tgt, batch, config, rng, phase, bank)
+            apply_grads(mdl, grads, velocity, groups, lr, config)
+            for k, v in stats.items():
+                if not math.isnan(v):
+                    sums[k] += v
+                    counts[k] += 1
+        mca = (float("nan") if tgt_test is None
+               else mean_class_accuracy(evaluate(mdl, tgt_test, config.model.n_classes)))
+        report.epochs.append({"phase": phase, "epoch": epoch, "lr": lr, **STEP_STATS,
+                              **{k: sums[k] / counts[k] for k in sums if counts[k]},
                               "target_mca": mca})
-
-    warmup_epochs = config.warmup_epochs if config.use_tol else 0
-    for epoch in range(warmup_epochs):
-        stats = run_phase_epoch(mdl, src, tgt, config, velocity, rng, "warmup",
-                                config.lr, bank)
-        record("warmup", epoch, config.lr, stats)
-    for epoch in range(config.main_epochs):
-        lr = lr_at(epoch, config)
-        stats = run_phase_epoch(mdl, src, tgt, config, velocity, rng, "main", lr, bank)
-        record("main", epoch, lr, stats)
 
     if out_dir:
         final = os.path.join(out_dir, "final")
@@ -438,12 +423,8 @@ def run_ablation_matrix(base: TrainConfig, src_train, tgt_train, tgt_test, seeds
     from concurrent.futures.process import BrokenProcessPool
 
     rows = ablation_rows()
-    jobs = [(name, i, seed) for name in rows for i, seed in enumerate(seeds)]
-
-    def epochs(job):
-        cfg = replace(base, **rows[job[0]])
-        return (cfg.warmup_epochs if cfg.use_tol else 0) + cfg.main_epochs
-
+    jobs = sorted([(name, i, seed) for name in rows for i, seed in enumerate(seeds)],
+                  key=lambda job: len(schedule(replace(base, **rows[job[0]]))), reverse=True)
     workers = min(len(os.sched_getaffinity(0)), len(jobs))
     mcas = {}
     # fork: the workers inherit the loaded splits instead of a pickled copy per run
@@ -451,7 +432,7 @@ def run_ablation_matrix(base: TrainConfig, src_train, tgt_train, tgt_test, seeds
                              initializer=_init_worker,
                              initargs=(base, src_train, tgt_train, tgt_test)) as pool:
         futures = {pool.submit(_run_job, name, rows[name], seed): (name, i)
-                   for name, i, seed in sorted(jobs, key=epochs, reverse=True)}
+                   for name, i, seed in jobs}
         try:
             for future in as_completed(futures):
                 mcas[futures[future]] = future.result()

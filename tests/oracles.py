@@ -18,13 +18,12 @@ from glad.synthdata import (BLOB_AMPLITUDE, BLOB_SIZE, Packed, background_bank,
 from glad.trainer import NumericError, step_losses
 
 
-def packed(frames, labels, domain: str = "source") -> Packed:
+def packed(frames, labels) -> Packed:
     """A split of the (T, D) frame arrays, copied end to end in order; a
     label of None becomes -1, unlabeled."""
     lengths = np.array([len(f) for f in frames], dtype=np.int64)
     labels = np.array([-1 if label is None else label for label in labels], dtype=np.int64)
-    return Packed(np.concatenate(frames), np.cumsum(lengths) - lengths, lengths, labels,
-                  domain)
+    return Packed(np.concatenate(frames), np.cumsum(lengths) - lengths, lengths, labels)
 
 
 def videos_of(split: Packed) -> list:
@@ -33,10 +32,9 @@ def videos_of(split: Packed) -> list:
 
 
 def same_split(a: Packed, b: Packed) -> bool:
-    """Whether two splits hold the same videos, labels and domain, bit for
-    bit."""
+    """Whether two splits hold the same videos and labels, bit for bit."""
     return (a.frames.shape == b.frames.shape and a.frames.dtype == b.frames.dtype
-            and a.frames.tobytes() == b.frames.tobytes() and a.domain == b.domain
+            and a.frames.tobytes() == b.frames.tobytes()
             and all(np.array_equal(getattr(a, k), getattr(b, k))
                     for k in ("starts", "lengths", "labels")))
 
@@ -44,7 +42,7 @@ def same_split(a: Packed, b: Packed) -> bool:
 def subset(split: Packed, idx) -> Packed:
     """The split's videos idx, in that order, copied into a new split."""
     videos = videos_of(split)
-    return packed([videos[i] for i in idx], split.labels[list(idx)], split.domain)
+    return packed([videos[i] for i in idx], split.labels[list(idx)])
 
 
 def sample_global_clip(T: int, n_frames: int,
@@ -228,7 +226,7 @@ def generate_domain_loop(spec):
         entries.append({"video_id": f"{spec.domain}-{i:05d}", "label": label,
                         "length": length, "offset": offset})
         offset += length * spec.frame_dim * 4
-    return entries, packed(videos, [e["label"] for e in entries], spec.domain)
+    return entries, packed(videos, [e["label"] for e in entries])
 
 
 def extract_background_tmf(frames: np.ndarray) -> np.ndarray:

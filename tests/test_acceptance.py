@@ -155,7 +155,7 @@ def check_composed_step(mdl, cfg_model, seed, coord_rng):
         src = packed(*zip(*[(rng0.uniform(size=(t, cfg_model.frame_dim)).astype(np.float32),
                              int(rng0.integers(0, cfg_model.n_classes))) for _ in range(b)]))
         tgt = packed([rng0.uniform(size=(t, cfg_model.frame_dim)).astype(np.float32)
-                      for _ in range(b)], [None] * b, "target")
+                      for _ in range(b)], [None] * b)
         tc = TrainConfig(batch_size=b, grl_coeff=coeff, use_bg_aug=False,
                          model=cfg_model)
 
@@ -163,7 +163,7 @@ def check_composed_step(mdl, cfg_model, seed, coord_rng):
             return step_on_splits(mdl, src, tgt, tc,
                                   np.random.default_rng((seed, attempt, 99)), "main")
 
-        stats, grads = run()
+        stats, grads, _ = run()
         largest = max(np.abs(g).max() for gs in grads.values() for g in gs)
         if largest < 1e3:
             break
@@ -328,10 +328,11 @@ def test_criterion_06_permutation_machinery():
 
 def test_criterion_07_paper_arithmetic():
     assert accuracy_gap(76.7, 11.7) == pytest.approx(65.0, abs=1e-12)
-    cfg = TrainConfig(lr=2e-3, lr_drop_epochs=(5, 10), lr_drop_factor=10.0)
-    assert trainer.lr_at(0, cfg) == pytest.approx(2e-3)
-    assert trainer.lr_at(5, cfg) == pytest.approx(2e-4)
-    assert trainer.lr_at(10, cfg) == pytest.approx(2e-5)
+    cfg = TrainConfig(lr=2e-3, lr_drop_epochs=(5, 10), lr_drop_factor=10.0, main_epochs=11)
+    lrs = [lr for phase, _, lr in trainer.schedule(cfg) if phase == "main"]
+    assert lrs[0] == pytest.approx(2e-3)
+    assert lrs[5] == pytest.approx(2e-4)
+    assert lrs[10] == pytest.approx(2e-5)
 
 
 def test_criterion_08_end_to_end_trend(ablation_means):

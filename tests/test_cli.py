@@ -269,9 +269,53 @@ def test_gap_splits_of_different_frame_sizes_exit_1(tmp_path, capsys):
     out = tmp_path / "gap"
     assert main(["gap", str(small), str(large), "--out", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert err == (f"error: {small}: frame_dim=36 but {large}: frame_dim=64; "
-                   "scene features need one frame size\n")
+    assert err == (f"error: {small}: frames are 6x6 but {large}: frames are 8x8; "
+                   "the splits need one frame size\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,split", [("gap", "train"), ("train", "train"),
+                                           ("train", "test"), ("ablate", "train")])
+def test_splits_of_one_frame_dim_but_another_shape_exit_1(tmp_path, capsys, command, split):
+    """A 4x16 target split has the frame_dim of the 8x8 source, but its
+    pixels are not the source's: gap, train and ablate refuse it with one
+    line naming both directories and both sizes, before its frames (NaN
+    here, an I/O error if read) are read, and write no output."""
+    data = synth_small(tmp_path)
+    wide = os.path.join(data, "target", split)
+    write_dataset(dataclasses.replace(small_specs()[f"target_{split}"], height=4, width=16),
+                  wide)
+    write_nan_frames(wide)
+    out = tmp_path / "out"
+    argv = [os.path.join(data, "source"), os.path.join(data, "target")]
+    if command != "gap":
+        argv = ["--config", train_config_doc(tmp_path, data)]
+    capsys.readouterr()
+    assert main([command, *argv, "--out", str(out)]) == EXIT_USAGE
+    source = os.path.join(data, "source", "train")
+    assert capsys.readouterr().err == (f"error: {source}: frames are 8x8 but {wide}: frames "
+                                       "are 4x16; the splits need one frame size\n")
+    assert not out.exists()
+
+
+def test_mixing_follows_the_side_of_the_batch_not_the_domain_name(tmp_path):
+    """Background mixing picks a video by its side of the batch: splits
+    whose specs name their domain "kinetics" and "babel" train exactly as
+    the same splits named "source" and "target", and unlike a run without
+    mixing."""
+    reports = {}
+    for names, use_bg_aug in ((("source", "target"), True), (("kinetics", "babel"), True),
+                              (("source", "target"), False)):
+        data = tmp_path / names[0]
+        for key, spec in small_specs().items():
+            side, split = key.split("_")
+            write_dataset(dataclasses.replace(spec, domain=names[side == "target"]),
+                          str(data / side / split))
+        cfg = train_config_doc(tmp_path, str(data), use_bg_aug=use_bg_aug, aug_probability=1.0)
+        out = tmp_path / f"{names[0]}_{use_bg_aug}"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        reports[names[0], use_bg_aug] = (out / "report.csv").read_bytes()
+    assert reports["kinetics", True] == reports["source", True] != reports["source", False]
 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])
@@ -377,6 +421,8 @@ BAD_WIDTHS = [("frame_dim", 0), ("enc_hidden", -1), ("enc_out", 0), ("feat_dim",
     ({"model": {"domain_hidden": [64, 64, -2]}}, "domain_hidden widths must be >= 1"),
     ({"seed": -1}, "train: seed must be >= 0, got -1"),
     ({"lr_drop_epochs": [3, -1]}, "train: lr_drop_epochs must be epochs >= 0, got [3, -1]"),
+    ({"lr_drop_factor": 1e200, "lr_drop_epochs": [0, 0]},
+     "train: lr_drop_factor 1e+200 overflows when raised to the number of lr drops"),
     # a function of the whole document edits its top level
     (lambda doc: 3, "config.json: expected an object, got 3"),
     (lambda doc: [1], "config.json: expected an object, got [1]"),
@@ -391,6 +437,7 @@ BAD_WIDTHS = [("frame_dim", 0), ("enc_hidden", -1), ("enc_out", 0), ("feat_dim",
         "bool_as_string", "views_as_string", "float_count", "input_gain_nan",
         *[f"width_{key}" for key, _ in BAD_WIDTHS], "width_domain_hidden_first",
         "width_domain_hidden_last", "negative_seed", "negative_lr_drop_epoch",
+        "lr_drop_overflow",
         "top_level_int", "top_level_list", "int_source_dir", "int_target_dir",
         "int_test_dir", "int_out_dir", "empty_source_dir", "empty_target_dir",
         "empty_test_dir", "empty_out_dir"])

@@ -1,11 +1,12 @@
 """Layout guards: src/glad/ holds only code that src/glad/ itself or the
-benchmark uses, methods included, src/glad/ and tests/ import only names
-they use, every name the benchmark imports from glad exists,
-tests/oracles.py only references that some test uses, and every exception
-type src/glad/ defines has an exit code."""
+benchmark uses, methods and dataclass fields included, src/glad/ and
+tests/ import only names they use, every name the benchmark imports from
+glad exists, tests/oracles.py only references that some test uses, and
+every exception type src/glad/ defines has an exit code."""
 
 import ast
 import builtins
+import dataclasses
 import importlib
 import inspect
 import pathlib
@@ -38,6 +39,15 @@ def name_counts(trees) -> Counter:
     return Counter(node.id if isinstance(node, ast.Name) else node.attr
                    for tree in trees for node in ast.walk(tree)
                    if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def attribute_reads(nodes) -> Counter:
+    """How often each name is read as an attribute, or given as a string
+    (as the keys of a getattr loop are), among the syntax nodes."""
+    return Counter(node.attr if isinstance(node, ast.Attribute) else node.value
+                   for node in nodes
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                   or isinstance(node, ast.Constant) and isinstance(node.value, str))
 
 
 def names_used(paths) -> set:
@@ -92,6 +102,31 @@ def test_every_method_of_a_public_class_is_used_in_src():
                     unused.append(f"{path.name}:{cls.name}.{fn.name}")
     assert methods > 3
     assert unused == []
+
+
+def test_every_dataclass_field_is_read_in_src():
+    """Each field of a dataclass of src/glad/ is read somewhere in src/glad/
+    outside its own class's __post_init__, as an attribute or as a string
+    (the keys of a getattr loop); a field that is only checked is a knob
+    that does nothing. Names are counted, not types: a field is read when
+    any attribute of its name is."""
+    trees = {path: parse(path) for path in sorted(SRC.glob("*.py"))}
+    reads = attribute_reads(node for tree in trees.values() for node in ast.walk(tree))
+    fields, unread = 0, []
+    for path, tree in trees.items():
+        module = importlib.import_module(f"glad.{path.stem}")
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef)
+                    and dataclasses.is_dataclass(getattr(module, cls.name))):
+                continue
+            own = attribute_reads(node for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                                  and fn.name == "__post_init__" for node in ast.walk(fn))
+            for f in dataclasses.fields(getattr(module, cls.name)):
+                fields += 1
+                if reads[f.name] == own[f.name]:
+                    unread.append(f"{path.name}:{cls.name}.{f.name}")
+    assert fields > 3
+    assert unread == []
 
 
 def test_every_import_in_src_is_used():

@@ -159,7 +159,7 @@ def tiny_batch(domain, seed, b=8):
     rng = np.random.default_rng(seed)
     videos = [(rng.uniform(size=(int(rng.integers(8, 20)), 6)),
                int(rng.integers(0, 3)) if domain == "source" else None) for _ in range(b)]
-    return packed(*zip(*videos), domain)
+    return packed(*zip(*videos))
 
 
 def tol_step(monkeypatch, phase, tol_loss=None, b=8):

@@ -225,7 +225,7 @@ def test_write_dataset_memory_is_one_block(tmp_path):
 
 def test_generate_domain_balanced_labels_and_lengths():
     manifest, (split,) = generate_domain(SMALL)
-    assert len(split.lengths) == 24 and split.domain == SMALL.domain
+    assert len(split.lengths) == 24
     labels = split.labels.tolist()
     assert all(labels.count(c) == 2 for c in range(12))
     assert all(8 <= t <= 16 for t in split.lengths)

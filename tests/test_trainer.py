@@ -17,10 +17,8 @@ from glad.debias import build_background_bank, mix_background
 from glad.gapmetrics import mean_class_accuracy
 from glad.schema import from_json
 from glad.synthdata import DomainSpec, Packed, generate_domain
-from glad.trainer import (TrainConfig, TrainReport, ablation_rows,
-                          active_groups, apply_grads, evaluate,
-                          format_ablation_table, lr_at, run_ablation_matrix,
-                          train)
+from glad.trainer import (TrainConfig, TrainReport, ablation_rows, apply_grads, evaluate,
+                          format_ablation_table, run_ablation_matrix, schedule, train)
 from oracles import (encode_clip_stack, evaluate_per_clip, sample_global_clip,
                      sample_local_clip, sgd_step, step_on_splits, subset, videos_of)
 
@@ -67,43 +65,69 @@ def test_config_validation():
         TrainConfig(momentum=1.0)
 
 
+def main_lrs(cfg):
+    return [lr for phase, _, lr in schedule(cfg) if phase == "main"]
+
+
 def test_lr_schedule_paper_values():
-    cfg = TrainConfig(lr=2e-3, lr_drop_epochs=(5, 10), lr_drop_factor=10.0)
-    assert lr_at(0, cfg) == pytest.approx(2e-3)
-    assert lr_at(4, cfg) == pytest.approx(2e-3)
-    assert lr_at(5, cfg) == pytest.approx(2e-4)
-    assert lr_at(9, cfg) == pytest.approx(2e-4)
-    assert lr_at(10, cfg) == pytest.approx(2e-5)
-    assert lr_at(49, cfg) == pytest.approx(2e-5)
+    cfg = TrainConfig(lr=2e-3, lr_drop_epochs=(5, 10), lr_drop_factor=10.0, main_epochs=50)
+    lrs = main_lrs(cfg)
+    assert lrs[0] == pytest.approx(2e-3)
+    assert lrs[4] == pytest.approx(2e-3)
+    assert lrs[5] == pytest.approx(2e-4)
+    assert lrs[9] == pytest.approx(2e-4)
+    assert lrs[10] == pytest.approx(2e-5)
+    assert lrs[49] == pytest.approx(2e-5)
 
 
 @given(st.integers(0, 100), st.integers(0, 100))
 @settings(max_examples=50)
 def test_lr_schedule_non_increasing(e1, e2):
-    cfg = TrainConfig()
+    lrs = main_lrs(TrainConfig(main_epochs=101))
     lo, hi = sorted((e1, e2))
-    assert lr_at(hi, cfg) <= lr_at(lo, cfg)
+    assert lrs[hi] <= lrs[lo]
 
 
-def test_active_groups_by_phase():
-    cfg = tiny_config()
-    assert active_groups(cfg, "warmup") == ["enc", "proj", "tol"]
-    main = active_groups(cfg, "main")
-    assert set(main) == {"enc", "proj", "act", "tol", "dom"}
-    src_only = tiny_config(use_tol=False, gla_views=())
-    assert active_groups(src_only, "main") == ["enc", "proj", "act"]
-    dann = tiny_config(use_tol=False, gla_views=("gg",))
-    assert active_groups(dann, "main") == ["enc", "proj", "act", "dom"]
+@pytest.mark.parametrize("use_tol", [True, False])
+def test_report_epochs_follow_the_schedule(use_tol):
+    """train reports the epochs of schedule: the warm-up at lr only with
+    TOL on, then the main phase with its lr drops."""
+    src, tgt = tiny_data(n=8)
+    cfg = tiny_config(use_tol=use_tol)
+    _, report = train(cfg, src, tgt)
+    warmup = [("warmup", 0, 2e-3)] if use_tol else []
+    assert [(e["phase"], e["epoch"], e["lr"]) for e in report.epochs] == schedule(cfg) \
+        == warmup + [("main", 0, 2e-3), ("main", 1, 2e-3 / 10.0)]
+
+
+def test_step_groups_by_phase():
+    """A step returns, in layout order, the groups it accumulated into: each
+    holds a non-zero gradient and every other group's gradient is zero."""
+    src, tgt = tiny_data()
+    mdl = init_glad_model(TINY_MODEL, seed=0)
+    for row, phase, want in [("full_glad", "warmup", ["enc", "proj", "tol"]),
+                             ("full_glad", "main", ["enc", "proj", "act", "tol", "dom"]),
+                             ("source_only", "main", ["enc", "proj", "act"]),
+                             ("dann", "main", ["enc", "proj", "act", "dom"])]:
+        _, grads, groups = step_on_splits(mdl, subset(src, range(4)),
+                                          unlabeled(subset(tgt, range(4))),
+                                          tiny_config(**ablation_rows()[row]),
+                                          np.random.default_rng(0), phase)
+        assert groups == want, (row, phase)
+        for g in mdl.params:
+            assert any(np.any(t != 0) for t in grads[g]) == (g in groups), (row, phase, g)
 
 
 @pytest.mark.parametrize("phase", ["warmup", "main"])
 @pytest.mark.parametrize("row", list(ablation_rows()))
 def test_fused_update_bit_equal_to_per_tensor_oracle(row, phase):
     """apply_grads gives the parameter and velocity bytes of the per-tensor
-    update on every active group, signed zeros included, and leaves every
-    other group's bytes alone."""
+    update on every group a step of that row and phase accumulates into,
+    signed zeros included, and leaves every other group's bytes alone."""
     cfg = tiny_config(**ablation_rows()[row], weight_decay=0.01)
-    groups = active_groups(cfg, phase)
+    src, tgt = tiny_data(n=4)
+    *_, groups = step_on_splits(init_glad_model(TINY_MODEL, seed=0), src, unlabeled(tgt), cfg,
+                                np.random.default_rng(0), phase)
     rng = np.random.default_rng(7)
     mdl = init_glad_model(TINY_MODEL, seed=0)
     grads, velocity = mdl.zero_grads(), mdl.zeros()
@@ -138,8 +162,8 @@ def test_step_losses_shapes_and_finiteness(mg, nl, tol_clips):
     cfg = tiny_config(global_views=mg, local_views=nl, model=model)
     mdl = init_glad_model(model, seed=0)
     rng = np.random.default_rng(0)
-    stats, grads = step_on_splits(mdl, subset(src, range(4)), unlabeled(subset(tgt, range(4))),
-                                  cfg, rng, "main")
+    stats, grads, _ = step_on_splits(mdl, subset(src, range(4)),
+                                     unlabeled(subset(tgt, range(4))), cfg, rng, "main")
     for v in ("gg", "ll", "cross"):
         assert np.isfinite(stats[f"dom_acc_{v}"]) == (v in cfg.enabled_gla_views())
     assert 0.0 <= stats["tol_acc"] <= 1.0
@@ -157,8 +181,8 @@ def test_step_losses_warmup_touches_only_tol_path():
     cfg = tiny_config()
     mdl = init_glad_model(TINY_MODEL, seed=1)
     rng = np.random.default_rng(1)
-    stats, grads = step_on_splits(mdl, subset(src, range(4)), unlabeled(subset(tgt, range(4))),
-                                  cfg, rng, "warmup")
+    stats, grads, _ = step_on_splits(mdl, subset(src, range(4)),
+                                     unlabeled(subset(tgt, range(4))), cfg, rng, "warmup")
     assert stats["loss_ce"] == 0.0 and stats["loss_gla"] == 0.0
     assert stats["loss_tol"] > 0.0
     for group in ("act", "dom"):
@@ -189,8 +213,8 @@ def test_step_accuracies_score_the_heads_on_their_training_inputs(monkeypatch):
 
     monkeypatch.setattr(glad_model, "gla_loss", spy_gla)
     monkeypatch.setattr(glad_model, "tol_loss", spy_tol)
-    stats, _ = step_on_splits(mdl, subset(src, range(8)), unlabeled(subset(tgt, range(8))),
-                              tiny_config(), np.random.default_rng(4), "main")
+    stats, *_ = step_on_splits(mdl, subset(src, range(8)), unlabeled(subset(tgt, range(8))),
+                               tiny_config(), np.random.default_rng(4), "main")
 
     g, l = (x / np.linalg.norm(x, axis=1, keepdims=True) for x in seen["gla"])
     g_src, l_src, g_tgt, l_tgt = g[:8], l[:8], g[8:], l[8:]
@@ -329,7 +353,7 @@ def traced_peak_of_evaluate(n_videos: int) -> int:
     read_dataset gives them; the frames exist before tracing starts."""
     frames = np.random.default_rng(0).random((n_videos * 40, 64), dtype=np.float32)
     videos = Packed(frames, np.arange(n_videos) * 40, np.full(n_videos, 40),
-                    np.arange(n_videos) % 4, "target")
+                    np.arange(n_videos) % 4)
     mdl = init_glad_model(TINY_MODEL, seed=0)
     tracemalloc.start()
     try:
@@ -464,11 +488,10 @@ def test_step_draws_and_encodes_like_the_per_video_path(monkeypatch):
 
 
 def test_training_steps_encode_in_float32_and_scoring_in_float64(monkeypatch):
-    """run_phase_epoch's steps run the encoder on float32 rows and float32
-    copies of its parameters, and evaluate runs it in float64; the clip
-    features that reach the heads are float64 either way."""
+    """The steps of a one-epoch train run the encoder on float32 rows and
+    float32 copies of its parameters, and evaluate runs it in float64; the
+    clip features that reach the heads are float64 either way."""
     src, tgt = tiny_data()
-    mdl = init_glad_model(TINY_MODEL, seed=0)
     seen = []
     real_encode = glad_model.encode_clip_batch
 
@@ -479,9 +502,7 @@ def test_training_steps_encode_in_float32_and_scoring_in_float64(monkeypatch):
         return feats, cache
 
     monkeypatch.setattr(glad_model, "encode_clip_batch", spy)
-    cfg = tiny_config()
-    trainer.run_phase_epoch(mdl, src, unlabeled(tgt), cfg, mdl.zeros(),
-                            np.random.default_rng(0), "main", cfg.lr, None)
+    mdl, _ = train(tiny_config(warmup_epochs=0, main_epochs=1), src, tgt)  # no test split
     assert seen and all(s == (np.float32,) * 3 + (np.float64,) for s in seen)
     seen.clear()
     evaluate(mdl, tgt, 4)
@@ -507,15 +528,16 @@ def test_float32_step_agrees_with_float64_step():
     for phase in ("warmup", "main"):
         got = {}
         for dtype in (np.float64, np.float32):
-            stats, grads = trainer.step_losses(mdl, src, tgt, batch, cfg,
-                                               np.random.default_rng(0), phase, bank, dtype)
+            stats, grads, groups = trainer.step_losses(mdl, src, tgt, batch, cfg,
+                                                       np.random.default_rng(0), phase, bank,
+                                                       dtype)
             # a copy: the next step zeroes the gradient vector the model keeps
             got[dtype] = stats, {g: np.concatenate([t.ravel() for t in ts])
                                  for g, ts in grads.items()}
         (stats64, grads64), (stats32, grads32) = got[np.float64], got[np.float32]
         for key in ("loss_ce", "loss_tol", "loss_gla", "loss_total"):
             assert abs(stats32[key] - stats64[key]) <= 1e-6 * abs(stats64[key]), (phase, key)
-        for g in active_groups(cfg, phase):
+        for g in groups:
             assert np.linalg.norm(grads32[g] - grads64[g]) \
                 <= 1e-5 * np.linalg.norm(grads64[g]), (phase, g)
         assert not np.array_equal(grads32["enc"], grads64["enc"])  # the float32 path ran
