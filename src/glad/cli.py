@@ -16,11 +16,11 @@ import numpy as np
 
 from . import model as glad_model
 from .debias import build_background_bank
-from .gapmetrics import accuracy_gap, mean_class_accuracy, scene_distance, temporal_distance
+from .gapmetrics import mean_class_accuracy, scene_distance, temporal_distance
 from .schema import from_json, read_json
 from .synthdata import (DatasetError, DomainSpec, read_dataset, spec_from_dict,
                         write_dataset)
-from .trainer import (EVAL_BLOCK, NumericError, TrainConfig, evaluate,
+from .trainer import (EVAL_BLOCK, NumericError, TrainConfig, _one_blas_thread, evaluate,
                       format_ablation_table, run_ablation_matrix, train)
 
 EXIT_OK = 0
@@ -34,6 +34,9 @@ class UsageError(Exception):
 
 
 class CliParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # full option names only: --seed is not --seeds
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         raise UsageError(message)
@@ -120,10 +123,6 @@ def scene_features_of(directory: str, blocks) -> np.ndarray:
 
 
 def cmd_gap(args) -> int:
-    if (args.mca_sup is None) != (args.mca_src is None):
-        missing = "--mca-sup" if args.mca_sup is None else "--mca-src"
-        raise UsageError(f"the accuracy gap needs --mca-sup and --mca-src; {missing} is missing")
-    delta_acc = None if args.mca_sup is None else accuracy_gap(args.mca_sup, args.mca_src)
     # both manifests before any frame: read_dataset yields its blocks lazily
     splits = [(d, *read_dataset(d, EVAL_BLOCK))
               for d in map(resolve_split_dir, (args.source, args.target))]
@@ -132,13 +131,9 @@ def cmd_gap(args) -> int:
     features = [scene_features_of(d, blocks) for d, _, blocks in splits]
     report = {"delta_bg": scene_distance(*features),
               "delta_temp": temporal_distance(src.lengths(), tgt.lengths()),
-              "delta_acc": delta_acc, "mca_source_only": args.mca_src,
-              "mca_supervised_target": args.mca_sup,
               "notes": {"scene_feature": "normalized temporal-median background"}}
-    cells = ["-" if report[k] is None else f"{report[k]:.3f}"
-             for k in ("delta_bg", "delta_temp", "delta_acc")]
-    print(f"{'Delta_bg':>10} {'Delta_temp':>12} {'Delta_Acc':>10}\n"
-          f"{cells[0]:>10} {cells[1]:>12} {cells[2]:>10}")
+    print(f"{'Delta_bg':>10} {'Delta_temp':>12}\n"
+          f"{report['delta_bg']:>10.3f} {report['delta_temp']:>12.3f}")
     payload = json.dumps(report, indent=1)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -173,12 +168,15 @@ def load_experiment(path: str):
 
 
 def _check_fit(directory: str, manifest, model_cfg, scored: bool = False) -> None:
-    """The videos of a split must fit the model's input and classes, and a
-    split that is scored must hold every class, by its manifest's labels."""
-    for key in ("n_classes", "frame_dim"):
-        have, need = getattr(manifest.spec, key), getattr(model_cfg, key)
-        if have != need:
-            raise UsageError(f"{directory}: dataset {key}={have} but model {key}={need}")
+    """The videos of a split must fit the model's classes and frame shape,
+    and a split that is scored must hold every class, by its manifest's labels."""
+    spec = manifest.spec
+    if spec.n_classes != model_cfg.n_classes:
+        raise UsageError(f"{directory}: dataset n_classes={spec.n_classes} "
+                         f"but model n_classes={model_cfg.n_classes}")
+    if (spec.height, spec.width) != model_cfg.frame_shape:
+        raise UsageError(f"{directory}: frames are {spec.height}x{spec.width} but the "
+                         "model's are {}x{}".format(*model_cfg.frame_shape))
     if scored:
         counts = np.bincount([e["label"] for e in manifest.entries],
                              minlength=model_cfg.n_classes)
@@ -193,21 +191,17 @@ def _check_frame_size(first: str, a, second: str, b) -> None:
                          f"are {b.height}x{b.width}; the splits need one frame size")
 
 
-def _read_split(directory: str, model_cfg, scored: bool = False, source=None):
-    """(spec, videos) of a split that fits the model and source's frame size, if given."""
+def _read_split(directory: str, model_cfg, scored: bool = False):
+    """The videos of a split that fits the model."""
     manifest, blocks = read_dataset(directory)
     _check_fit(directory, manifest, model_cfg, scored)
-    if source:  # the (directory, spec) of the source split
-        _check_frame_size(*source, directory, manifest.spec)
     (split,) = blocks
-    return manifest.spec, split
+    return split
 
 
 def _load_splits(doc, tc):
-    src_dir = resolve_split_dir(doc["source_dir"])
-    tgt_dir = resolve_split_dir(doc["target_dir"])
-    src_spec, src_train = _read_split(src_dir, tc.model)
-    _, tgt_train = _read_split(tgt_dir, tc.model, source=(src_dir, src_spec))
+    src_dir, tgt_dir = (resolve_split_dir(doc[key]) for key in ("source_dir", "target_dir"))
+    src_train, tgt_train = (_read_split(d, tc.model) for d in (src_dir, tgt_dir))
     # the labelled side of supervised_target, the target split, is in the min
     smaller = min(len(src_train.lengths), len(tgt_train.lengths))
     if tc.batch_size > smaller:
@@ -220,7 +214,7 @@ def _load_splits(doc, tc):
         if os.path.exists(os.path.join(candidate, "manifest.json")):
             test_dir = candidate
     if test_dir:
-        _, tgt_test = _read_split(resolve_split_dir(test_dir), tc.model, True, (src_dir, src_spec))
+        tgt_test = _read_split(resolve_split_dir(test_dir), tc.model, True)
     return src_train, tgt_train, tgt_test
 
 
@@ -291,12 +285,12 @@ def _seed_list_arg(text: str) -> list[int]:
 
 def build_parser() -> CliParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_seed_arg, default=None)
     common.add_argument("--out", default=None)
     parser = CliParser(prog="glad", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", parents=[common], help="generate the synthetic benchmark")
+    p.add_argument("--seed", type=_seed_arg, default=None)
     p.add_argument("--spec", help="JSON file of domain specs")
     p.add_argument("--dry-run", action="store_true")
     p.set_defaults(func=cmd_synth)
@@ -304,12 +298,11 @@ def build_parser() -> CliParser:
     p = sub.add_parser("gap", parents=[common], help="measure domain gaps")
     p.add_argument("source")
     p.add_argument("target")
-    p.add_argument("--mca-sup", type=float, default=None)
-    p.add_argument("--mca-src", type=float, default=None)
     p.set_defaults(func=cmd_gap)
 
     p = sub.add_parser("train", parents=[common], help="train a model")
     p.add_argument("--config", required=True)
+    p.add_argument("--seed", type=_seed_arg, default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", parents=[common], help="evaluate a checkpoint")
@@ -329,6 +322,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _one_blas_thread()  # outputs must not depend on OPENBLAS_NUM_THREADS
         return args.func(args)
     except ChildProcessError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -27,7 +27,7 @@ TOL_ORDERS = {n: np.array(list(itertools.permutations(range(n)))) for n in (2, 3
 
 @dataclass(frozen=True)
 class ModelConfig:
-    frame_dim: int = 64
+    frame_shape: tuple[int, int] = (8, 8)  # height x width of a frame
     enc_hidden: int = 64
     enc_out: int = 32
     feat_dim: int = 32
@@ -48,8 +48,8 @@ class ModelConfig:
             raise ValueError(f"tol_clips must be one of {list(TOL_ORDERS)}")
         if self.n_frames < 1 or self.local_stride < 1:
             raise ValueError("n_frames and local_stride must be >= 1")
-        for key in ("frame_dim", "enc_hidden", "enc_out", "feat_dim", "n_classes", "tol_hidden"):
-            if getattr(self, key) < 1:
+        for key in ("frame_shape", "enc_hidden", "enc_out", "feat_dim", "n_classes", "tol_hidden"):
+            if min(np.ravel(getattr(self, key))) < 1:
                 raise ValueError(f"{key} must be >= 1")
         if min(self.domain_hidden) < 1:
             raise ValueError("domain_hidden widths must be >= 1")
@@ -58,6 +58,10 @@ class ModelConfig:
                 raise ValueError(f"{key} must be finite")
         if self.proj_init_scale < 0.0:  # the std of the projection's initial weights
             raise ValueError("proj_init_scale must be >= 0")
+
+    @property
+    def frame_dim(self) -> int:
+        return math.prod(self.frame_shape)
 
 
 class FlatState(dict):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import model as glad_model
 from .debias import build_background_bank, draw_mixes, mix_background
-from .gapmetrics import confusion_matrix, mean_class_accuracy
+from .gapmetrics import accuracy_gap, confusion_matrix, mean_class_accuracy
 from .model import GLA_VIEWS, GladModel, ModelConfig, init_glad_model
 from .sampling import clip_indices
 from .synthdata import Packed
@@ -371,10 +371,9 @@ _OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_",
 def _one_blas_thread() -> None:
     """Run OpenBLAS, where numpy loaded it, on one thread in this process.
 
-    A forked worker keeps the parent's BLAS thread count, and one worker
-    per core, each with a thread per core, spin against each other: on two
-    cores the 18 default-config ablation runs then took twice as long as
-    one after another in one process.
+    cli.main calls it before any command: a matrix product's bits depend on
+    how many threads split it. Each ablation worker calls it for library
+    callers, as workers with a thread per core each spin against each other.
     """
     with open("/proc/self/maps") as f:
         fields = [line.split(maxsplit=5) for line in f]
@@ -448,8 +447,11 @@ def run_ablation_matrix(base: TrainConfig, src_train, tgt_train, tgt_test, seeds
 
 
 def format_ablation_table(table: dict) -> str:
-    # Std is the population formula over seeds.
+    """One line per row, then the paper's accuracy gap of the two baselines'
+    means. Std is the population formula over seeds."""
     lines = [f"{'config':<20} {'MCA mean':>9} {'+/- std (population)':>21}"]
     for name, row in table.items():
         lines.append(f"{name:<20} {row['mean']:>9.2f} {row['std']:>21.2f}")
+    gap = accuracy_gap(table["supervised_target"]["mean"], table["source_only"]["mean"])
+    lines.append(f"{'delta_acc':<20} {gap:>9.2f}")
     return "\n".join(lines)

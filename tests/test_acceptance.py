@@ -74,7 +74,7 @@ def ablation_means(benchmark_data):
 
 def micro_model(rng):
     return ModelConfig(
-        frame_dim=int(rng.integers(4, 9)),
+        frame_shape=(1, int(rng.integers(4, 9))),
         enc_hidden=int(rng.integers(3, 9)),
         enc_out=int(rng.integers(3, 7)),
         feat_dim=int(rng.integers(3, 7)),
@@ -319,7 +319,7 @@ def test_criterion_06_permutation_machinery():
         assert set(labels) == set(range(math.factorial(n)))
         assert np.array_equal(TOL_ORDERS[n][labels], drawn)
     # uniform predictions with N = 3: loss = ln(6) / 6
-    mdl = init_glad_model(ModelConfig(frame_dim=8, feat_dim=4, tol_clips=3), seed=0)
+    mdl = init_glad_model(ModelConfig(frame_shape=(2, 4), feat_dim=4, tol_clips=3), seed=0)
     mdl.params["tol"] = [np.zeros_like(p) for p in mdl.params["tol"]]
     x = np.random.default_rng(6).normal(size=(4, 12))
     loss, _, _, _ = glad_model.tol_loss(mdl, x, np.array([0, 1, 2, 3]))

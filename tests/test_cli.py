@@ -5,6 +5,8 @@ import json
 import multiprocessing
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 
@@ -53,7 +55,7 @@ def synth_small(tmp_path, seed=0):
 def train_config_doc(tmp_path, data_dir, **train_overrides):
     train = {"warmup_epochs": 1, "main_epochs": 2, "batch_size": 4,
              "lr_drop_epochs": [1],
-             "model": {"frame_dim": 64, "enc_hidden": 8, "enc_out": 6,
+             "model": {"frame_shape": [8, 8], "enc_hidden": 8, "enc_out": 6,
                        "feat_dim": 6, "n_classes": 4, "n_frames": 4,
                        "tol_hidden": 8, "domain_hidden": [8, 6, 4]}}
     train.update(train_overrides)
@@ -147,30 +149,6 @@ def test_gap_planted_length_shift(tmp_path):
     assert doc["delta_bg"] > 0.0
 
 
-def test_gap_accuracy_flags(tmp_path):
-    out = synth_small(tmp_path)
-    src = os.path.join(out, "source")
-    gap_out = str(tmp_path / "gap")
-    assert main(["gap", src, src, "--mca-sup", "76.7", "--mca-src", "11.7",
-                 "--out", gap_out]) == EXIT_OK
-    doc = json.loads(open(os.path.join(gap_out, "gap.json")).read())
-    assert doc["delta_acc"] == pytest.approx(65.0)
-
-
-@pytest.mark.parametrize("given,missing", [("--mca-sup", "--mca-src"),
-                                            ("--mca-src", "--mca-sup")])
-def test_gap_one_accuracy_flag_exit_1(tmp_path, capsys, given, missing):
-    """An accuracy without the other would be dropped from gap.json, so it
-    is refused, naming the missing flag, before a split is read."""
-    out = tmp_path / "gap"
-    assert main(["gap", str(tmp_path / "nope"), str(tmp_path / "nada"), given, "90",
-                 "--out", str(out)]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert f"{missing} is missing" in err
-    assert not out.exists()
-
-
 def test_gap_missing_dataset_exit_2(tmp_path, capsys):
     assert main(["gap", str(tmp_path / "nope"), str(tmp_path / "nada")]) == EXIT_IO
 
@@ -234,26 +212,20 @@ def test_gap_all_black_video_exit_2(tmp_path, capsys):
                    "row 0: zero vector cannot be normalized\n")
 
 
-@pytest.mark.parametrize("accuracies,cell", [
-    ([], "-"), (["--mca-sup", "76.7", "--mca-src", "11.7"], "65.000"),
-], ids=["no_accuracy", "accuracy"])
-def test_gap_prints_a_table_and_writes_keys_in_order(tmp_path, capsys, accuracies, cell):
-    """The table's header and row are right-aligned in 10/12/10 columns, a
-    missing accuracy gap is "-", and gap.json keeps its key order."""
+def test_gap_prints_a_table_and_writes_keys_in_order(tmp_path, capsys):
+    """The table's header and row are right-aligned in 10/12 columns, and
+    gap.json keeps its key order."""
     data = synth_small(tmp_path)
     capsys.readouterr()
     gap_out = tmp_path / "gap"
     assert main(["gap", os.path.join(data, "source"), os.path.join(data, "target"),
-                 "--out", str(gap_out)] + accuracies) == EXIT_OK
+                 "--out", str(gap_out)]) == EXIT_OK
     header, row = capsys.readouterr().out.splitlines()
     doc = json.loads((gap_out / "gap.json").read_text())
-    assert header == "  Delta_bg   Delta_temp  Delta_Acc"
-    assert row == f"{doc['delta_bg']:>10.3f} {doc['delta_temp']:>12.3f} {cell:>10}"
-    assert list(doc) == ["delta_bg", "delta_temp", "delta_acc", "mca_source_only",
-                         "mca_supervised_target", "notes"]
+    assert header == "  Delta_bg   Delta_temp"
+    assert row == f"{doc['delta_bg']:>10.3f} {doc['delta_temp']:>12.3f}"
+    assert list(doc) == ["delta_bg", "delta_temp", "notes"]
     assert doc["notes"] == {"scene_feature": "normalized temporal-median background"}
-    if not accuracies:
-        assert doc["delta_acc"] is doc["mca_source_only"] is doc["mca_supervised_target"] is None
 
 
 def test_gap_splits_of_different_frame_sizes_exit_1(tmp_path, capsys):
@@ -275,12 +247,15 @@ def test_gap_splits_of_different_frame_sizes_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,split", [("gap", "train"), ("train", "train"),
-                                           ("train", "test"), ("ablate", "train")])
+                                           ("train", "test"), ("ablate", "train"),
+                                           ("eval", "test")])
 def test_splits_of_one_frame_dim_but_another_shape_exit_1(tmp_path, capsys, command, split):
     """A 4x16 target split has the frame_dim of the 8x8 source, but its
-    pixels are not the source's: gap, train and ablate refuse it with one
-    line naming both directories and both sizes, before its frames (NaN
-    here, an I/O error if read) are read, and write no output."""
+    pixels are not the source's: gap refuses it with one line naming both
+    directories and both sizes, train, ablate and eval (of an 8x8
+    checkpoint) with one line naming it, its size and the model's, before
+    its frames (NaN here, an I/O error if read) are read, and none writes
+    output."""
     data = synth_small(tmp_path)
     wide = os.path.join(data, "target", split)
     write_dataset(dataclasses.replace(small_specs()[f"target_{split}"], height=4, width=16),
@@ -288,13 +263,19 @@ def test_splits_of_one_frame_dim_but_another_shape_exit_1(tmp_path, capsys, comm
     write_nan_frames(wide)
     out = tmp_path / "out"
     argv = [os.path.join(data, "source"), os.path.join(data, "target")]
-    if command != "gap":
+    if command == "eval":
+        ckpt = tmp_path / "ckpt"
+        save_model(init_glad_model(ModelConfig(n_classes=4), seed=0), str(ckpt))
+        argv = ["--checkpoint", str(ckpt), "--data", wide]
+    elif command != "gap":
         argv = ["--config", train_config_doc(tmp_path, data)]
     capsys.readouterr()
     assert main([command, *argv, "--out", str(out)]) == EXIT_USAGE
     source = os.path.join(data, "source", "train")
-    assert capsys.readouterr().err == (f"error: {source}: frames are 8x8 but {wide}: frames "
-                                       "are 4x16; the splits need one frame size\n")
+    assert capsys.readouterr().err == (
+        f"error: {source}: frames are 8x8 but {wide}: frames are 4x16; the splits need "
+        "one frame size\n" if command == "gap" else
+        f"error: {wide}: frames are 4x16 but the model's are 8x8\n")
     assert not out.exists()
 
 
@@ -388,8 +369,9 @@ def test_train_bad_config_field_exit_1(tmp_path, capsys):
     assert "no_such_field" in capsys.readouterr().err
 
 
-# A layer width or class count below 1, each of which a model config rejects.
-BAD_WIDTHS = [("frame_dim", 0), ("enc_hidden", -1), ("enc_out", 0), ("feat_dim", 0),
+# A frame size, layer width or class count below 1, each of which a model
+# config rejects.
+BAD_WIDTHS = [("frame_shape", [8, 0]), ("enc_hidden", -1), ("enc_out", 0), ("feat_dim", 0),
               ("n_classes", 0), ("tol_hidden", 0)]
 
 
@@ -579,6 +561,10 @@ def test_ablate_writes_table(tmp_path, capsys):
         assert len(row["values"]) == 1
     text = open(os.path.join(out, "ablation.txt")).read()
     assert "full_glad" in text
+    # the paper's accuracy gap of the two baselines ends the table
+    name, value = text.splitlines()[-1].split()
+    gap = table["supervised_target"]["mean"] - table["source_only"]["mean"]
+    assert name == "delta_acc" and value == f"{gap:.2f}"
 
 
 def assert_one_line_and_no_worker_left(capture, prefix):
@@ -755,8 +741,12 @@ def test_eval_checkpoint_with_per_classifier_groups_exit_2(eval_inputs, tmp_path
     *[(lambda d, key=key, value=value: {**d, key: value}, f"{key} must be >= 1")
       for key, value in BAD_WIDTHS],
     (lambda d: {**d, "domain_hidden": [0, 64, 32]}, "domain_hidden widths must be >= 1"),
+    # a checkpoint written before model.json recorded the frame shape
+    (lambda d: {**{k: v for k, v in d.items() if k != "frame_shape"}, "frame_dim": 64},
+     "frame_dim: unknown field"),
 ], ids=["short_domain_hidden", "string_count", "unknown_key", "bad_tol_clips", "nan_gain",
-        "json_list", *[f"width_{key}" for key, _ in BAD_WIDTHS], "width_domain_hidden"])
+        "json_list", *[f"width_{key}" for key, _ in BAD_WIDTHS], "width_domain_hidden",
+        "frame_dim_of_old_checkpoint"])
 def test_eval_invalid_model_json_exit_2(eval_inputs, tmp_path, capsys, edit, message):
     """A checkpoint's model.json gets the experiment config's checks: a bad
     one is an I/O error naming the file and the key."""
@@ -1022,7 +1012,7 @@ MODEL_KEYS = {**{key: (st.integers(1, 8), st.integers(-1, 0))
                                 st.lists(st.integers(-1, 8), max_size=4)),
               "n_classes": (st.just(4), st.sampled_from([3, 0]))}
 OPTIONAL_MODEL_KEYS = {
-    "frame_dim": (st.just(64), st.sampled_from([63, 0])),
+    "frame_shape": (st.just([8, 8]), st.sampled_from([[4, 16], [0, 8], [64]])),
     "local_stride": (st.integers(1, 4), st.integers(-1, 0)),
     "tol_clips": (st.integers(2, 4), st.sampled_from([1, 5])),
     "input_center": (st.floats(-1.0, 1.0), ANY_FLOAT),
@@ -1226,6 +1216,57 @@ def test_bad_seed_argument_exit_1_writes_nothing(tmp_path, capsys, argv, message
     assert "Traceback" not in err and message in err
     assert err.count("error:") == 1
     assert not out.exists()
+
+
+SEED_UNKNOWN = "error: unrecognized arguments: --seed 3"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["ablate", "--config", "CFG", "--seed", "3"], SEED_UNKNOWN),
+    (["eval", "--checkpoint", "CKPT", "--data", "SPLIT", "--seed", "3"], SEED_UNKNOWN),
+    (["gap", "SOURCE", "SOURCE", "--seed", "3"], SEED_UNKNOWN),
+    (["train", "--conf", "CFG"], "error: the following arguments are required: --config"),
+], ids=["ablate_seed", "eval_seed", "gap_seed", "train_conf"])
+def test_option_a_command_does_not_read_exit_1(tmp_path, capsys, argv, message):
+    """--seed exists on synth and train only, and an option takes its full
+    name only (--seed is not read as --seeds, nor --conf as --config): any
+    other option exits 1 with one error line before anything is written."""
+    data = synth_small(tmp_path)
+    ckpt = tmp_path / "ckpt"
+    save_model(init_glad_model(ModelConfig(n_classes=4), seed=0), str(ckpt))
+    paths = {"CFG": train_config_doc(tmp_path, data), "CKPT": str(ckpt),
+             "SPLIT": os.path.join(data, "target", "test"),
+             "SOURCE": os.path.join(data, "source")}
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([paths.get(a, a) for a in argv] + ["--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("error:") == 1
+    assert err.splitlines()[-1] == message
+    assert not out.exists()
+
+
+def test_train_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """glad train runs OpenBLAS on one thread whatever OPENBLAS_NUM_THREADS
+    says, so report.csv and params.bin are the same bytes with the variable
+    unset (one thread per core) and set to 1."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def glad(*args, **extra_env):
+        subprocess.run([sys.executable, "-m", "glad.cli", *args], cwd=tmp_path,
+                       env={**env, **extra_env}, check=True, stdout=subprocess.DEVNULL)
+
+    glad("synth", "--out", "data", "--seed", "0")
+    (tmp_path / "exp.json").write_text(json.dumps(
+        {"source_dir": "data/source", "target_dir": "data/target",
+         "train": {"warmup_epochs": 1, "main_epochs": 1}}))
+    glad("train", "--config", "exp.json", "--out", "unset")
+    glad("train", "--config", "exp.json", "--out", "one", OPENBLAS_NUM_THREADS="1")
+    for name in ("report.csv", "final/params.bin"):
+        assert (tmp_path / "unset" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
 def test_out_of_memory_exit_1(tmp_path, capsys, monkeypatch):

@@ -131,7 +131,7 @@ def test_grl_is_exactly_linear(vec, a, b, coeff):
 
 # The fused SGD update, trainer.apply_grads, on a micro model whose every
 # parameter, gradient and velocity entry starts from a given value.
-MICRO = ModelConfig(frame_dim=3, enc_hidden=2, enc_out=2, feat_dim=2, n_classes=2,
+MICRO = ModelConfig(frame_shape=(1, 3), enc_hidden=2, enc_out=2, feat_dim=2, n_classes=2,
                     n_frames=2, tol_clips=2, tol_hidden=2, domain_hidden=(2, 2, 2))
 
 

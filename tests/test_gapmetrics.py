@@ -164,8 +164,3 @@ def test_mca_weights_classes_equally():
 
 def test_accuracy_gap_table_values():
     assert accuracy_gap(76.7, 11.7) == pytest.approx(65.0, abs=1e-12)
-
-
-def test_accuracy_gap_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        accuracy_gap(120.0, 10.0)

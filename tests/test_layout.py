@@ -1,9 +1,11 @@
 """Layout guards: src/glad/ holds only code that src/glad/ itself or the
-benchmark uses, methods and dataclass fields included, src/glad/ and
-tests/ import only names they use, every name the benchmark imports from
-glad exists, tests/oracles.py only references that some test uses, and
-every exception type src/glad/ defines has an exit code."""
+benchmark uses, methods and dataclass fields included, every glad option
+is read by its command, src/glad/ and tests/ import only names they use,
+every name the benchmark imports from glad exists, tests/oracles.py only
+references that some test uses, and every exception type src/glad/
+defines has an exit code."""
 
+import argparse
 import ast
 import builtins
 import dataclasses
@@ -126,6 +128,25 @@ def test_every_dataclass_field_is_read_in_src():
                 if reads[f.name] == own[f.name]:
                     unread.append(f"{path.name}:{cls.name}.{f.name}")
     assert fields > 3
+    assert unread == []
+
+
+def test_every_cli_option_is_read_by_its_command():
+    """Each option and argument of a glad subcommand is read as
+    `args.<dest>` in the function its parser dispatches to; an option that
+    command never reads is a setting that changes no run."""
+    from glad import cli
+    (commands,) = [action.choices for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    unread = []
+    for command, parser in commands.items():
+        func = parser.get_default("func")
+        reads = {node.attr for node in ast.walk(ast.parse(inspect.getsource(func)))
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id == "args"}
+        unread += [f"{command}: {action.dest}" for action in parser._actions
+                   if not isinstance(action, argparse._HelpAction) and action.dest not in reads]
+    assert len(commands) == 5
     assert unread == []
 
 

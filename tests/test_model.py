@@ -14,7 +14,7 @@ from gradcheck import finite_difference_check
 from oracles import (encode_clip_stack, encoder_grads_by_repeat, gla_loss_per_subbatch,
                      packed, sample_global_clip, sample_local_clip)
 
-TINY = ModelConfig(frame_dim=6, enc_hidden=5, enc_out=4, feat_dim=4,
+TINY = ModelConfig(frame_shape=(2, 3), enc_hidden=5, enc_out=4, feat_dim=4,
                    n_classes=3, n_frames=4, tol_clips=3, tol_hidden=5,
                    domain_hidden=(5, 4, 3))
 

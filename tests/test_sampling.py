@@ -150,7 +150,7 @@ def test_permutation_reversal_is_max():
 
 # One training step of a tiny model, with order learning on 3 clips
 
-TINY = ModelConfig(frame_dim=6, enc_hidden=5, enc_out=4, feat_dim=4,
+TINY = ModelConfig(frame_shape=(2, 3), enc_hidden=5, enc_out=4, feat_dim=4,
                    n_classes=3, n_frames=4, tol_clips=3, tol_hidden=5,
                    domain_hidden=(5, 4, 3))
 

@@ -22,7 +22,7 @@ from glad.trainer import (TrainConfig, TrainReport, ablation_rows, apply_grads, 
 from oracles import (encode_clip_stack, evaluate_per_clip, sample_global_clip,
                      sample_local_clip, sgd_step, step_on_splits, subset, videos_of)
 
-TINY_MODEL = ModelConfig(frame_dim=64, enc_hidden=8, enc_out=6, feat_dim=6,
+TINY_MODEL = ModelConfig(frame_shape=(8, 8), enc_hidden=8, enc_out=6, feat_dim=6,
                          n_classes=4, n_frames=4, tol_clips=3, tol_hidden=8,
                          domain_hidden=(8, 6, 4))
 
