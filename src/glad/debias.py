@@ -42,12 +42,10 @@ def draw_mixes(sides, n_backgrounds: int, config,
     """(slot, background, lambda) of each video to mix, in slot order, by the
     aug_* fields of a TrainConfig: a video whose side ("source" or "target")
     is in aug_domains is mixed with probability aug_probability with a
-    uniformly chosen bank background; lambda is aug_lambda or, if "uniform", drawn."""
+    uniformly chosen bank background and lambda aug_lambda."""
     mixes = []
     for slot, side in enumerate(sides):
         # random() is uniform() on [0, 1), the same draw at a third of the call cost
         if side in config.aug_domains and rng.random() < config.aug_probability:
-            bg = int(rng.integers(0, n_backgrounds))
-            lam = config.aug_lambda if config.aug_lambda_mode == "fixed" else rng.random()
-            mixes.append((slot, bg, lam))
+            mixes.append((slot, int(rng.integers(0, n_backgrounds)), config.aug_lambda))
     return mixes

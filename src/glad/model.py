@@ -319,10 +319,9 @@ def gla_loss(model: GladModel, psi_g, psi_l, grl_coeff: float,
     """Sum of the enabled per-view adversarial terms.
 
     psi_g and psi_l are the (2B, F) global and local view features, source
-    rows first; a stream that no enabled view uses may be None. View
-    features are L2-normalized before the domain classifiers, which keeps
-    the min-max game bounded (the reversal layer otherwise inflates feature
-    norms without limit). The cross term runs two sub-batches through the
+    rows first. View features are L2-normalized before the domain
+    classifiers, which keeps the min-max game bounded (the reversal layer
+    otherwise inflates feature norms without limit). The cross term runs two sub-batches through the
     same classifier -- {source global vs target local} and {source local vs
     target global} -- and averages them. All P sub-batches go through one
     domain_adv_loss call over a (P, 2B, F) stack, each with its view's
@@ -330,14 +329,14 @@ def gla_loss(model: GladModel, psi_g, psi_l, grl_coeff: float,
     Returns (loss, dom_grads, dpsi_by_stream, logits_by_view) where
     dom_grads are the gradients of the "dom" tensors, zero for a classifier
     that no enabled view uses, dpsi["g"]/dpsi["l"] are the (2B, F)
-    reversal-scaled gradients of the given streams and logits_by_view[v] is
-    the (sub-batches, 2B) array of the classifier's logits.
+    reversal-scaled gradients of the two streams, zero for a stream that no
+    enabled view uses, and logits_by_view[v] is the (sub-batches, 2B) array
+    of the classifier's logits.
     """
     unit, norms = {}, {}
     for k, psi in (("g", psi_g), ("l", psi_l)):
-        if psi is not None:
-            unit[k], norms[k] = _unit_rows(np.asarray(psi, dtype=np.float64))
-    two_b, width = next(iter(unit.values())).shape
+        unit[k], norms[k] = _unit_rows(np.asarray(psi, dtype=np.float64))
+    two_b, width = unit["g"].shape
     b = two_b // 2
     enabled = [(view, c, pairs) for view, (c, pairs) in GLA_VIEWS.items() if view in views]
     subs = [(c, s, t) for _, c, pairs in enabled for s, t in pairs]

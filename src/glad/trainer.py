@@ -33,6 +33,9 @@ STEP_STATS = {"loss_ce": 0.0, "loss_tol": 0.0, "loss_gla": 0.0, "loss_total": 0.
               "dom_acc_cross": float("nan"), "tol_acc": float("nan")}
 # report.csv columns; every report.json epoch holds these keys in this order
 REPORT_COLUMNS = ("phase", "epoch", "lr", *STEP_STATS, "target_mca")
+# (global, local) views of every video in a main-phase step, and the clips
+# whose mean evaluate scores
+VIEW_LAYOUT = (1, 2)
 
 
 @dataclass
@@ -46,10 +49,7 @@ class TrainConfig:
     lr_drop_epochs: tuple[int, ...] = (20, 26)  # paper-scale reference: (5, 10)
     lr_drop_factor: float = 10.0
     grl_coeff: float = 0.5
-    global_views: int = 1
-    local_views: int = 2
     aug_probability: float = 0.25
-    aug_lambda_mode: str = "fixed"
     aug_lambda: float = 0.75
     aug_domains: tuple[str, ...] = ("source",)
     use_bg_aug: bool = True
@@ -69,9 +69,6 @@ class TrainConfig:
             raise ValueError("grl_coeff must be finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if min(self.global_views, self.local_views) < 0 \
-                or self.global_views + self.local_views < 1:
-            raise ValueError("view counts must be >= 0 with at least one view per video")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if any(epoch < 0 for epoch in self.lr_drop_epochs):
@@ -81,9 +78,13 @@ class TrainConfig:
             raise ValueError("warmup_epochs and main_epochs must be >= 0")
         try:
             epochs = schedule(self)
-        except OverflowError:
-            raise ValueError(f"lr_drop_factor {self.lr_drop_factor} overflows when raised "
+        except (OverflowError, ZeroDivisionError):  # its power over the drops is inf or 0
+            flows = "overflows" if self.lr_drop_factor > 1.0 else "underflows"
+            raise ValueError(f"lr_drop_factor {self.lr_drop_factor} {flows} when raised "
                              f"to the number of lr drops") from None
+        if not all(0.0 < lr < math.inf for _, _, lr in epochs):
+            raise ValueError(f"lr must be finite and stay > 0 over the lr drops, got lr "
+                             f"{self.lr} and lr_drop_factor {self.lr_drop_factor}")
         if not epochs:
             raise ValueError("config trains no epoch: main_epochs is 0 and there is no warm-up")
         for key, known in (("gla_views", list(GLA_VIEWS)), ("aug_domains", ["source", "target"])):
@@ -94,14 +95,6 @@ class TrainConfig:
         for key in ("aug_probability", "aug_lambda"):
             if not 0.0 <= getattr(self, key) <= 1.0:
                 raise ValueError(f"{key} must be in [0, 1]")
-        if self.aug_lambda_mode not in ("fixed", "uniform"):
-            raise ValueError(f"unknown aug_lambda_mode {self.aug_lambda_mode!r}")
-
-    def enabled_gla_views(self) -> tuple[str, ...]:
-        """The gla_views whose streams all get at least one clip per video."""
-        clips = {"g": self.global_views, "l": self.local_views}
-        return tuple(v for v in self.gla_views
-                     if all(clips[s] for pair in GLA_VIEWS[v][1] for s in pair))
 
 
 @dataclass
@@ -180,11 +173,12 @@ def step_losses(mdl: GladModel, src: Packed, tgt: Packed, batch, config: TrainCo
         mixes = draw_mixes(["source"] * b + ["target"] * b, len(bank), config, rng)
 
     # Every video gets the same K = mg + nl + n_tol clips, in this order:
-    # mg global views, nl local views, then n_tol clips for order learning.
-    mg, nl = (config.global_views, config.local_views) if phase == "main" else (0, 0)
+    # mg global views and nl local views (VIEW_LAYOUT in the main phase, none
+    # in the warm-up), then n_tol clips for order learning.
+    mg, nl = VIEW_LAYOUT if phase == "main" else (0, 0)
     n_tol = cfg.tol_clips if config.use_tol or phase == "warmup" else 0
     n_views = mg + nl
-    views = config.enabled_gla_views() if n_views else ()
+    views = config.gla_views if n_views else ()
     heads = [g for g, on in (("act", n_views), ("tol", n_tol), ("dom", views)) if on]
 
     lengths = np.concatenate([src.lengths[src_idx], tgt.lengths[tgt_idx]])
@@ -222,15 +216,12 @@ def step_losses(mdl: GladModel, src: Packed, tgt: Packed, batch, config: TrainCo
 
         if views:
             loss_gla, dom_grads, dpsi, logits = glad_model.gla_loss(
-                mdl, f3[:, :mg].mean(axis=1) if mg else None,
-                f3[:, mg:n_views].mean(axis=1) if nl else None,
+                mdl, f3[:, :mg].mean(axis=1), f3[:, mg:n_views].mean(axis=1),
                 config.grl_coeff, views)
             stats["loss_gla"] = loss_gla
             glad_model.accumulate(grads, "dom", dom_grads)
-            if mg:
-                d3[:, :mg] += (dpsi["g"] / mg)[:, None]
-            if nl:
-                d3[:, mg:n_views] += (dpsi["l"] / nl)[:, None]
+            d3[:, :mg] += (dpsi["g"] / mg)[:, None]
+            d3[:, mg:n_views] += (dpsi["l"] / nl)[:, None]
             # the first B logits of each sub-batch score source videos
             is_src = np.arange(2 * b) < b
             for v, z in logits.items():
@@ -291,19 +282,20 @@ EVAL_BLOCK = 256
 
 def evaluate(mdl: GladModel, videos: Packed, n_classes: int) -> np.ndarray:
     """Confusion matrix of consensus inference over a labeled split: a video's
-    class is the action head's argmax over its pooled centred global clip and
-    centred local clip twice. EVAL_BLOCK videos at a time are gathered and
-    encoded, each distinct frame once, so memory is sized by a block, and a split
-    read in blocks of EVAL_BLOCK videos gives the encoder the same rows, bit for bit."""
+    class is the action head's argmax over the mean of its VIEW_LAYOUT clips,
+    each centred, so the global clip and the centred local clip twice. EVAL_BLOCK
+    videos at a time are gathered and encoded, each distinct frame once, so memory
+    is sized by a block, and a split read in blocks of EVAL_BLOCK videos gives the
+    encoder the same rows, bit for bit."""
     cfg = mdl.config
-    idx = clip_indices(videos.lengths, cfg.n_frames, cfg.local_stride, 1, 1)[:, [0, 1, 1]]
+    idx = clip_indices(videos.lengths, cfg.n_frames, cfg.local_stride, *VIEW_LAYOUT)
     preds = []
     for a in range(0, len(idx), EVAL_BLOCK):
         block = idx[a:a + EVAL_BLOCK]
         rows, clips, _ = _clip_rows([(videos, np.arange(a, a + len(block)))], block)
         feats, _ = glad_model.encode_clip_batch(mdl, clips, rows)
         del rows  # the next block's rows reuse its memory
-        consensus = feats.reshape(len(feats) // 3, 3, -1).mean(axis=1)
+        consensus = feats.reshape(len(block), idx.shape[1], -1).mean(axis=1)
         preds.append(np.argmax(glad_model.classify_action(mdl, consensus), axis=1))
     return confusion_matrix(videos.labels, np.concatenate(preds), n_classes)
 

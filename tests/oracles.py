@@ -154,9 +154,8 @@ def gla_loss_per_subbatch(model, psi_g, psi_l, grl_coeff: float,
     a zeroed stack."""
     unit, norms = {}, {}
     for k, psi in (("g", psi_g), ("l", psi_l)):
-        if psi is not None:
-            unit[k], norms[k] = _unit_rows(np.asarray(psi, dtype=np.float64))
-    b = len(next(iter(unit.values()))) // 2
+        unit[k], norms[k] = _unit_rows(np.asarray(psi, dtype=np.float64))
+    b = len(psi_g) // 2
     total = 0.0
     clf = [np.zeros_like(p) for p in model.params["dom"]]
     logits = {}

@@ -348,6 +348,20 @@ def test_train_determinism_bitwise(tmp_path):
     assert a == b
 
 
+def test_train_reruns_from_its_resolved_config(tmp_path):
+    """The config.json a run writes, given back to glad train, gives the
+    run's report.csv and params.bin bytes, --seed included."""
+    data = synth_small(tmp_path)
+    cfg = train_config_doc(tmp_path, data)
+    first, rerun = tmp_path / "first", tmp_path / "rerun"
+    assert main(["train", "--config", cfg, "--seed", "3", "--out", str(first)]) == EXIT_OK
+    assert json.loads((first / "config.json").read_text())["train"]["seed"] == 3
+    assert main(["train", "--config", str(first / "config.json"),
+                 "--out", str(rerun)]) == EXIT_OK
+    for name in ("report.csv", "final/params.bin"):
+        assert (first / name).read_bytes() == (rerun / name).read_bytes(), name
+
+
 def test_train_seed_flag_overrides(tmp_path):
     data = synth_small(tmp_path)
     cfg = train_config_doc(tmp_path, data)
@@ -386,7 +400,9 @@ BAD_WIDTHS = [("frame_shape", [8, 0]), ("enc_hidden", -1), ("enc_out", 0), ("fea
     ({"aug_domains": ["bogus"]}, "unknown aug_domains"),
     ({"use_bg_aug": False, "aug_probability": 2.0}, "aug_probability must be in [0, 1]"),
     ({"aug_lambda": 1.5}, "aug_lambda must be in [0, 1]"),
-    ({"aug_lambda_mode": "beta"}, "unknown aug_lambda_mode"),
+    ({"aug_lambda_mode": "fixed"}, "train.aug_lambda_mode: unknown field"),
+    ({"global_views": 1}, "train.global_views: unknown field"),
+    ({"local_views": 2}, "train.local_views: unknown field"),
     ({"grl_coeff": float("nan")}, "grl_coeff must be finite"),
     ({"grl_coeff": float("inf")}, "grl_coeff must be finite"),
     ({"model": {"local_stride": 0}}, "n_frames and local_stride must be >= 1"),
@@ -396,7 +412,7 @@ BAD_WIDTHS = [("frame_shape", [8, 0]), ("enc_hidden", -1), ("enc_out", 0), ("fea
      "train.model.domain_hidden: expected list[int, int, int], got [64]"),
     ({"use_tol": "no"}, "train.use_tol: expected bool, got 'no'"),
     ({"gla_views": "gg"}, "train.gla_views: expected list[str, ...], got 'gg'"),
-    ({"global_views": 1.5}, "train.global_views: expected int, got 1.5"),
+    ({"main_epochs": 1.5}, "train.main_epochs: expected int, got 1.5"),
     ({"model": {"input_gain": float("nan")}}, "input_gain must be finite"),
     *[({"model": {key: value}}, f"{key} must be >= 1") for key, value in BAD_WIDTHS],
     ({"model": {"domain_hidden": [0, 64, 32]}}, "domain_hidden widths must be >= 1"),
@@ -405,6 +421,10 @@ BAD_WIDTHS = [("frame_shape", [8, 0]), ("enc_hidden", -1), ("enc_out", 0), ("fea
     ({"lr_drop_epochs": [3, -1]}, "train: lr_drop_epochs must be epochs >= 0, got [3, -1]"),
     ({"lr_drop_factor": 1e200, "lr_drop_epochs": [0, 0]},
      "train: lr_drop_factor 1e+200 overflows when raised to the number of lr drops"),
+    # 1e-200 ** 2 is 0.0, and the lr would be divided by it
+    ({"lr_drop_factor": 1e-200, "lr_drop_epochs": [0, 0]},
+     "train: lr_drop_factor 1e-200 underflows when raised to the number of lr drops"),
+    ({"lr": float("inf")}, "train: lr must be finite and stay > 0 over the lr drops, got lr inf"),
     # a function of the whole document edits its top level
     (lambda doc: 3, "config.json: expected an object, got 3"),
     (lambda doc: [1], "config.json: expected an object, got [1]"),
@@ -414,12 +434,13 @@ BAD_WIDTHS = [("frame_shape", [8, 0]), ("enc_hidden", -1), ("enc_out", 0), ("fea
       for key in ("source_dir", "target_dir", "test_dir", "out_dir")],
 ], ids=["unknown_view", "negative_epochs", "no_report_row", "negative_lr", "zero_lr",
         "zero_lr_drop_factor", "negative_weight_decay", "unknown_aug_domain",
-        "aug_checked_when_off", "aug_lambda", "aug_lambda_mode", "grl_nan", "grl_1e400",
+        "aug_checked_when_off", "aug_lambda", "aug_lambda_mode", "global_views",
+        "local_views", "grl_nan", "grl_1e400",
         "zero_stride", "negative_stride", "zero_frames", "domain_hidden_length",
         "bool_as_string", "views_as_string", "float_count", "input_gain_nan",
         *[f"width_{key}" for key, _ in BAD_WIDTHS], "width_domain_hidden_first",
         "width_domain_hidden_last", "negative_seed", "negative_lr_drop_epoch",
-        "lr_drop_overflow",
+        "lr_drop_overflow", "lr_drop_underflow", "lr_inf",
         "top_level_int", "top_level_list", "int_source_dir", "int_target_dir",
         "int_test_dir", "int_out_dir", "empty_source_dir", "empty_target_dir",
         "empty_test_dir", "empty_out_dir"])
@@ -1024,11 +1045,9 @@ OPTIONAL_TRAIN_KEYS = {
     "weight_decay": (st.floats(0.0, 0.01), ANY_FLOAT),
     "lr_drop_epochs": (st.lists(st.integers(0, 3), max_size=3),
                        st.lists(st.integers(-2, 2**70), max_size=3)),
-    "lr_drop_factor": (st.floats(1.0, 100.0), ANY_FLOAT),
+    "lr_drop_factor": (st.floats(1e-250, 100.0), ANY_FLOAT),
     "grl_coeff": (st.floats(-2.0, 2.0), ANY_FLOAT),
-    **{key: (st.integers(0, 3), st.just(-1)) for key in ("global_views", "local_views")},
     **{key: (st.floats(0.0, 1.0), ANY_FLOAT) for key in ("aug_probability", "aug_lambda")},
-    "aug_lambda_mode": (st.sampled_from(["fixed", "uniform"]), st.just("beta")),
     "aug_domains": (st.lists(st.sampled_from(["source", "target"]), max_size=2),
                     st.just(["bogus"])),
     **{key: (st.booleans(), st.just("no")) for key in ("use_bg_aug", "use_tol")},

@@ -126,8 +126,8 @@ def test_mix_gathered_rows_equals_mix_then_gather():
 
 def test_policy_validation():
     """A bad value names the train config key it came from."""
-    for kwargs in ({"aug_probability": 1.2}, {"aug_lambda_mode": "beta"},
-                   {"aug_lambda": -0.1}, {"aug_domains": ("bogus",)}):
+    for kwargs in ({"aug_probability": 1.2}, {"aug_lambda": -0.1},
+                   {"aug_domains": ("bogus",)}):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             TrainConfig(**kwargs)
 
@@ -153,15 +153,15 @@ def test_policy_probability_one_mixes_all_source():
 
 
 def test_policy_draws_in_slot_order():
-    """Video by video: the hit draw, then the background, then (uniform
-    mode) lambda."""
-    policy = TrainConfig(aug_probability=0.5, aug_lambda_mode="uniform")
+    """Video by video: the hit draw, then the background; lambda is
+    aug_lambda and takes no draw."""
+    policy = TrainConfig(aug_probability=0.5, aug_lambda=0.3)
     rng, oracle = np.random.default_rng(5), np.random.default_rng(5)
     mixes = draw_mixes(["source", "target"] * 20, 3, policy, rng)
     expected = []
     for slot, domain in enumerate(["source", "target"] * 20):
         if domain == "source" and oracle.uniform() < 0.5:
-            expected.append((slot, int(oracle.integers(0, 3)), float(oracle.uniform())))
+            expected.append((slot, int(oracle.integers(0, 3)), 0.3))
     assert mixes == expected and mixes
     assert rng.bit_generator.state == oracle.bit_generator.state
 

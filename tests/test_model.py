@@ -187,12 +187,16 @@ def test_gla_loss_view_subsets():
     # one row of 2B logits per sub-batch; the cross view has two
     assert {v: z.shape for v, z in logits_all.items()} == {
         "gg": (1, 6), "ll": (1, 6), "cross": (2, 6)}
-    total_gg, clf_gg, dpsi_gg, logits_gg = gla_loss(m, psi_g, None, grl_coeff=1.0,
+    total_gg, clf_gg, dpsi_gg, logits_gg = gla_loss(m, psi_g, psi_l, grl_coeff=1.0,
                                                     views=("gg",))
     assert set(logits_gg) == {"gg"}
     assert total_gg < total_all
-    # the gg view needs no local stream and returns no local gradient
-    assert set(dpsi_gg) == {"g"}
+    # the gg view reads no local stream: its gradient is zero, as are those
+    # of the classifiers the other views use
+    assert np.any(dpsi_gg["g"] != 0.0) and not np.any(dpsi_gg["l"])
+    for g in clf_gg:
+        assert np.any(g[GLA_VIEWS["gg"][0]] != 0.0)
+        assert not np.any(g[[GLA_VIEWS["ll"][0], GLA_VIEWS["cross"][0]]])
 
 
 @pytest.mark.parametrize("views", [v for n in (1, 2, 3)
@@ -202,12 +206,11 @@ def test_gla_loss_view_subsets():
 def test_stacked_gla_loss_bit_equal_to_per_subbatch_oracle(cfg, views):
     """One stacked classifier pass gives the loss, classifier gradients,
     feature gradients and logits of one pass per sub-batch, bit for bit; a
-    stream that no enabled view uses is None, as in a step without it, and
-    a classifier that no enabled view uses gets a zero gradient."""
+    stream or a classifier that no enabled view uses gets a zero gradient."""
     m = init_glad_model(cfg, seed=9)
     rng = np.random.default_rng(9)
     used = {s for v in views for pair in GLA_VIEWS[v][1] for s in pair}
-    psi = {s: rng.normal(size=(16, cfg.feat_dim)) if s in used else None for s in "gl"}
+    psi = {s: rng.normal(size=(16, cfg.feat_dim)) for s in "gl"}
     got = gla_loss(m, psi["g"], psi["l"], 0.5, views)
     want = gla_loss_per_subbatch(m, psi["g"], psi["l"], 0.5, views)
     assert got[0] == want[0]
@@ -218,6 +221,8 @@ def test_stacked_gla_loss_bit_equal_to_per_subbatch_oracle(cfg, views):
         for k in want_d:
             assert got_d[k].shape == want_d[k].shape
             assert got_d[k].tobytes() == want_d[k].tobytes(), k
+    for s in "gl":
+        assert np.any(got[2][s] != 0.0) == (s in used), s
     classifiers = {GLA_VIEWS[v][0] for v in views}
     for c in range(len(GLA_VIEWS)):
         assert any(np.any(g[c] != 0.0) for g in got[1]) == (c in classifiers), c

@@ -53,8 +53,10 @@ def unlabeled(split):
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
-    with pytest.raises(ValueError):
-        TrainConfig(global_views=0, local_views=0)
+    with pytest.raises(ValueError, match="lr must be finite"):
+        TrainConfig(lr=math.inf)
+    with pytest.raises(ValueError, match="lr_drop_factor 1e-200 underflows"):
+        TrainConfig(lr_drop_factor=1e-200, lr_drop_epochs=(0, 0))
     with pytest.raises(ValueError):
         TrainConfig(gla_views=("gg", "bogus"))
     with pytest.raises(ValueError):
@@ -147,25 +149,17 @@ def test_fused_update_bit_equal_to_per_tensor_oracle(row, phase):
             assert got.tobytes() == want.tobytes(), g
 
 
-def test_enabled_gla_views_respect_view_counts():
-    cfg = tiny_config(global_views=0)
-    assert cfg.enabled_gla_views() == ("ll",)
-    cfg = tiny_config(local_views=0)
-    assert cfg.enabled_gla_views() == ("gg",)
-
-
 @pytest.mark.parametrize("tol_clips", [2, 4])
-@pytest.mark.parametrize("mg,nl", [(1, 2), (0, 2), (2, 0)])
-def test_step_losses_shapes_and_finiteness(mg, nl, tol_clips):
+def test_step_losses_shapes_and_finiteness(tol_clips):
     src, tgt = tiny_data()
     model = dataclasses.replace(TINY_MODEL, tol_clips=tol_clips)
-    cfg = tiny_config(global_views=mg, local_views=nl, model=model)
+    cfg = tiny_config(model=model)
     mdl = init_glad_model(model, seed=0)
     rng = np.random.default_rng(0)
     stats, grads, _ = step_on_splits(mdl, subset(src, range(4)),
                                      unlabeled(subset(tgt, range(4))), cfg, rng, "main")
-    for v in ("gg", "ll", "cross"):
-        assert np.isfinite(stats[f"dom_acc_{v}"]) == (v in cfg.enabled_gla_views())
+    for v in GLA_VIEWS:
+        assert np.isfinite(stats[f"dom_acc_{v}"])
     assert 0.0 <= stats["tol_acc"] <= 1.0
     assert np.isfinite(stats["loss_total"])
     assert stats["loss_total"] == pytest.approx(
@@ -450,8 +444,7 @@ def test_step_draws_and_encodes_like_the_per_video_path(monkeypatch):
     float64 step."""
     src, tgt = tiny_data()
     tgt = unlabeled(tgt)
-    cfg = tiny_config(aug_probability=0.5, aug_lambda_mode="uniform",
-                      aug_domains=("source", "target"))
+    cfg = tiny_config(aug_probability=0.5, aug_lambda=0.3, aug_domains=("source", "target"))
     mdl = init_glad_model(TINY_MODEL, seed=2)
     bank = np.concatenate([build_background_bank(src), build_background_bank(tgt)])
     batch = (np.array([3, 0, 3, 7]), np.array([1, 2, 5, 5]))
@@ -474,7 +467,7 @@ def test_step_draws_and_encodes_like_the_per_video_path(monkeypatch):
         frames = v
         if oracle.uniform() < 0.5:
             bg = bank[int(oracle.integers(0, len(bank)))]
-            frames = mix_background(frames, bg, float(oracle.uniform()))
+            frames = mix_background(frames, bg, 0.3)
         mixed.append(frames)
     assert 0 < sum(f is not v for f, v in zip(mixed, videos)) < len(videos)
     m = TINY_MODEL
