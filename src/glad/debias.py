@@ -38,14 +38,14 @@ def mix_background(frames: np.ndarray, background: np.ndarray, lam: float) -> np
 
 
 def draw_mixes(sides, n_backgrounds: int, config,
-               rng: np.random.Generator) -> list[tuple[int, int, float]]:
-    """(slot, background, lambda) of each video to mix, in slot order, by the
-    aug_* fields of a TrainConfig: a video whose side ("source" or "target")
-    is in aug_domains is mixed with probability aug_probability with a
-    uniformly chosen bank background and lambda aug_lambda."""
+               rng: np.random.Generator) -> list[tuple[int, int]]:
+    """(slot, background) of each video to mix, in slot order, by the aug_*
+    fields of a TrainConfig: a video whose side ("source" or "target") is in
+    aug_domains is mixed with probability aug_probability with a uniformly
+    chosen bank background."""
     mixes = []
     for slot, side in enumerate(sides):
         # random() is uniform() on [0, 1), the same draw at a third of the call cost
         if side in config.aug_domains and rng.random() < config.aug_probability:
-            mixes.append((slot, int(rng.integers(0, n_backgrounds)), config.aug_lambda))
+            mixes.append((slot, int(rng.integers(0, n_backgrounds))))
     return mixes

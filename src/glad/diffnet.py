@@ -46,25 +46,25 @@ def mlp_forward(params, x: np.ndarray, out=None):
     return h, {"inputs": inputs, "outputs": outputs}
 
 
-def mlp_backward(params, cache, upstream: np.ndarray, input_grad: bool = True, out=None):
+def mlp_backward(params, cache, upstream: np.ndarray, grads, input_grad: bool = True, out=None):
     """Backprop an upstream gradient through the cached forward pass.
 
-    Returns (param_grads, input_grad) with the same shapes as params/input;
-    the input gradient is None, and not computed, when input_grad is False.
-    The gradient at layer i's input is written into out[i] when out is
-    given and out[i] is not None.
+    Writes each parameter's gradient, computed in the forward pass's dtype,
+    into the array at its position in grads, and returns the input gradient:
+    None, and not computed, when input_grad is False. The gradient at layer
+    i's input is written into out[i] when out is given and out[i] is not None.
     """
     g = np.asarray(upstream)
     last = len(params) // 2 - 1
-    grads: list = [None] * (2 * last + 2)
     for i in range(last, -1, -1):
         if i < last:  # g is this pass's own array here
             np.multiply(g, cache["outputs"][i] > 0.0, out=g)
-        grads[2 * i] = cache["inputs"][i].swapaxes(-1, -2) @ g
-        grads[2 * i + 1] = np.add.reduce(g, axis=-2).reshape(params[2 * i + 1].shape)
+        np.matmul(cache["inputs"][i].swapaxes(-1, -2), g, out=grads[2 * i])
+        bias = grads[2 * i + 1]  # (d_out,), or with the summed axis kept
+        np.add.reduce(g, axis=-2, dtype=g.dtype, keepdims=bias.ndim == g.ndim, out=bias)
         g = np.matmul(g, params[2 * i].swapaxes(-1, -2),
                       out=None if out is None else out[i]) if i or input_grad else None
-    return grads, g
+    return g
 
 
 def softmax_cross_entropy_batch(logits: np.ndarray, targets: np.ndarray):

@@ -2,9 +2,10 @@
 head, three adversarial domain classifiers (one stacked group) behind a
 gradient reversal layer and a clip-order head.
 
-Parameters live in named groups of views into one flat vector; every loss
-function returns the scalar loss together with gradient contributions that
-the trainer accumulates before a single SGD step.
+Parameters live in named groups of views into one flat vector, and so do
+the gradients: each loss function returns its scalar loss and writes the
+gradients of its own group into model.grads, which a single SGD step then
+reads.
 """
 
 from __future__ import annotations
@@ -101,17 +102,19 @@ class GladModel:
     """The model's configuration, layer widths and parameters.
 
     Every parameter lives in one float64 vector, params.flat, and
-    params[g][i] is a view into it (see _flat_layout); gradients and the
-    optimizer's velocity use the same layout. The encoder writes its large
-    per-step arrays into buffers the model keeps (see scratch) instead of
-    new ones each call.
+    params[g][i] is a view into it (see _flat_layout); the gradients in
+    grads and the optimizer's velocity use the same layout. Each loss and
+    encode_clip_backward overwrite their own groups of grads, so a group
+    holds the gradient of the last call that wrote it. The encoder writes its
+    large per-step arrays into buffers the model keeps (see scratch) instead
+    of new ones each call.
     """
     config: ModelConfig
     widths: dict = field(init=False)  # group -> its layers' widths, input first
     params: dict = field(init=False)
     layout: dict = field(init=False, repr=False)
     size: int = field(init=False, repr=False)  # parameters in the layout
-    _grads: FlatState = field(init=False, repr=False)
+    grads: FlatState = field(init=False, repr=False)
     _spans: dict = field(init=False, default_factory=dict, repr=False)
     _scratch: dict = field(init=False, default_factory=dict, repr=False)
 
@@ -120,18 +123,11 @@ class GladModel:
         self.layout = _flat_layout(self.widths)
         self.size = sum(math.prod(shape) for ts in self.layout.values() for _, shape in ts)
         self.params = self.zeros()
-        self._grads = self.zeros()
+        self.grads = self.zeros()
 
     def zeros(self) -> FlatState:
         """A new zeroed vector in the parameter layout."""
         return FlatState(self.layout, np.zeros(self.size))
-
-    def zero_grads(self) -> FlatState:
-        """Zeroed gradients in the parameter layout: one vector that the
-        model keeps and zeroes again on each call, so a step's gradients
-        last until the next step's zero_grads."""
-        self._grads.flat.fill(0.0)
-        return self._grads
 
     def scratch(self, key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
         """An uninitialized array of the given shape and dtype in a buffer the
@@ -190,11 +186,6 @@ def init_glad_model(cfg: ModelConfig, seed: int = 0) -> GladModel:
     return model
 
 
-def accumulate(grads: dict, group: str, contribution) -> None:
-    for g, c in zip(grads[group], contribution):
-        g += c
-
-
 # ---------------------------------------------------------------------------
 # Feature extraction
 
@@ -233,18 +224,18 @@ def encode_clip_batch(model: GladModel, clips: np.ndarray, rows: np.ndarray,
     return feats, {"enc": enc_cache, "enc_params": enc, "proj": proj_cache, "clips": clips}
 
 
-def encode_clip_backward(model: GladModel, cache, dfeats: np.ndarray, grads: dict) -> None:
-    """Accumulate into grads the projection's and the encoder's gradients
+def encode_clip_backward(model: GladModel, cache, dfeats: np.ndarray) -> None:
+    """Write into model.grads the projection's and the encoder's gradients
     for the upstream (C, F) feature gradients, from encode_clip_batch's
     cache.
 
     A distinct row's gradient sums dpooled / n_f over the clip frames it
     fills: one np.bincount over (row, column) keys adds them up, in clip
     order. The encoder's backward runs in the dtype of its forward, and its
-    gradients are added into the float64 grads.
+    gradients are stored in the float64 model.grads.
     """
-    proj_grads, dpooled = diffnet.mlp_backward(model.params["proj"], cache["proj"], dfeats)
-    accumulate(grads, "proj", proj_grads)
+    dpooled = diffnet.mlp_backward(model.params["proj"], cache["proj"], dfeats,
+                                   model.grads["proj"])
     clips, nf = cache["clips"], cache["clips"].shape[1]
     widths = model.widths["enc"]
     n_rows, width = len(cache["enc"]["inputs"][0]), widths[-1]
@@ -254,19 +245,18 @@ def encode_clip_backward(model: GladModel, cache, dfeats: np.ndarray, grads: dic
     weights[...] = (dpooled / nf)[:, None]
     enc = cache["enc_params"]
     dh = np.bincount(keys.ravel(), weights.ravel(), minlength=n_rows * width)
-    enc_grads, _ = diffnet.mlp_backward(
-        enc, cache["enc"],
-        dh.reshape(n_rows, width).astype(enc[0].dtype, copy=False), input_grad=False,
+    diffnet.mlp_backward(
+        enc, cache["enc"], dh.reshape(n_rows, width).astype(enc[0].dtype, copy=False),
+        model.grads["enc"], input_grad=False,
         out=[None] + [model.scratch(f"enc_d{i}", (n_rows, w), enc[0].dtype)
                       for i, w in enumerate(widths[1:-1], 1)])
-    accumulate(grads, "enc", enc_grads)
 
 
 # ---------------------------------------------------------------------------
 # Losses
 
 
-def domain_adv_loss(params, psi_batch: np.ndarray, grl_coeff: float):
+def domain_adv_loss(params, psi_batch: np.ndarray, grl_coeff: float, grads):
     """Adversarial loss of one domain classifier over a (2B, F) batch of
     view features (first B source, last B target), or of P classifiers at
     once over a (P, 2B, F) stack: then params holds (P, d_in, d_out)
@@ -275,10 +265,11 @@ def domain_adv_loss(params, psi_batch: np.ndarray, grl_coeff: float):
 
     The classifier output F = sigmoid(z); -log F and -log(1 - F) are
     evaluated as softplus terms on the logit z so saturated samples keep
-    finite, exact gradients. Returns (loss, classifier_grads, dpsi, z) where
-    classifier_grads descend the loss (discriminator improves), dpsi is the
-    gradient reaching the feature extractor after passing the reversal
-    layer, and z holds the 2B logits (positive means "source").
+    finite, exact gradients. The classifier gradients, which descend the
+    loss (the discriminator improves), go into grads, arrays of the shapes
+    of params. Returns (loss, dpsi, z) where dpsi is the gradient reaching
+    the feature extractor after passing the reversal layer, and z holds the
+    2B logits (positive means "source").
     """
     psi_batch = np.asarray(psi_batch, dtype=np.float64)
     two_b = psi_batch.shape[-2]
@@ -292,8 +283,8 @@ def domain_adv_loss(params, psi_batch: np.ndarray, grl_coeff: float):
     dz = np.empty_like(z)
     dz[..., :b] = (sig[..., :b] - 1.0) / two_b
     dz[..., b:] = sig[..., b:] / two_b
-    clf_grads, dpsi = diffnet.mlp_backward(params, cache, dz[..., None])
-    return loss, clf_grads, diffnet.grl_backward(dpsi, grl_coeff), z
+    dpsi = diffnet.mlp_backward(params, cache, dz[..., None], grads)
+    return loss, diffnet.grl_backward(dpsi, grl_coeff), z
 
 
 def _unit_rows(x: np.ndarray):
@@ -326,9 +317,9 @@ def gla_loss(model: GladModel, psi_g, psi_l, grl_coeff: float,
     target global} -- and averages them. All P sub-batches go through one
     domain_adv_loss call over a (P, 2B, F) stack, each with its view's
     classifier gathered from the "dom" stack (the cross view's twice).
-    Returns (loss, dom_grads, dpsi_by_stream, logits_by_view) where
-    dom_grads are the gradients of the "dom" tensors, zero for a classifier
-    that no enabled view uses, dpsi["g"]/dpsi["l"] are the (2B, F)
+    The gradients of the "dom" tensors go into model.grads["dom"], zero for
+    a classifier that no enabled view uses. Returns (loss, dpsi_by_stream,
+    logits_by_view) where dpsi["g"]/dpsi["l"] are the (2B, F)
     reversal-scaled gradients of the two streams, zero for a stream that no
     enabled view uses, and logits_by_view[v] is the (sub-batches, 2B) array
     of the classifier's logits.
@@ -345,10 +336,14 @@ def gla_loss(model: GladModel, psi_g, psi_l, grl_coeff: float,
         stack[k, :b] = unit[s][:b]
         stack[k, b:] = unit[t][b:]
     sel = np.array([c for c, _, _ in subs])
-    losses, grads, ds, zs = domain_adv_loss([p[sel] for p in model.params["dom"]], stack,
-                                            grl_coeff)
+    stacked = [p[sel] for p in model.params["dom"]]
+    grads = [np.empty_like(p) for p in stacked]
+    losses, ds, zs = domain_adv_loss(stacked, stack, grl_coeff, grads)
     total = 0.0
-    dom_grads = [np.zeros(p.shape) for p in model.params["dom"]]
+    dom = model.grads["dom"]
+    unused = [c for view, (c, _) in GLA_VIEWS.items() if view not in views]
+    for out in dom:
+        out[unused] = 0.0
     logits = {}
     dpsi = {k: np.zeros_like(u) for k, u in unit.items()}
     at = 0
@@ -357,7 +352,7 @@ def gla_loss(model: GladModel, psi_g, psi_l, grl_coeff: float,
         at += len(pairs)
         w = 1.0 / len(pairs)
         total += w * sum(losses[rows])
-        for g, out in zip(grads, dom_grads):
+        for g, out in zip(grads, dom):
             np.multiply(np.add.reduce(g[rows]), w, out=out[c])
         for (s, t), d in zip(pairs, ds[rows]):
             dpsi[s][:b] += w * d[:b]
@@ -365,7 +360,7 @@ def gla_loss(model: GladModel, psi_g, psi_l, grl_coeff: float,
         logits[view] = zs[rows]
     for k in dpsi:
         dpsi[k] = _unit_rows_backward(unit[k], norms[k], dpsi[k])
-    return float(total), dom_grads, dpsi, logits
+    return float(total), dpsi, logits
 
 
 def tol_labels(orders: np.ndarray) -> np.ndarray:
@@ -377,8 +372,8 @@ def tol_loss(model: GladModel, shuffled_concat: np.ndarray, perm_indices: np.nda
     """Clip-order loss over 2B samples of concatenated shuffled features.
 
     L = -(1 / (2B * N!)) * sum_i log p_i[true_perm_i]; note the extra N!
-    normalization on top of the batch mean. Returns (loss, head_grads,
-    dinput, logits).
+    normalization on top of the batch mean. Writes the head's gradients
+    into model.grads["tol"] and returns (loss, dinput, logits).
     """
     n_fact = len(TOL_ORDERS[model.config.tol_clips])
     two_b = shuffled_concat.shape[0]
@@ -386,8 +381,9 @@ def tol_loss(model: GladModel, shuffled_concat: np.ndarray, perm_indices: np.nda
     losses, dlogits = diffnet.softmax_cross_entropy_batch(logits, perm_indices)
     scale = 1.0 / (two_b * n_fact)
     loss = float(losses.sum() * scale)
-    head_grads, dinput = diffnet.mlp_backward(model.params["tol"], cache, dlogits * scale)
-    return loss, head_grads, dinput, logits
+    dinput = diffnet.mlp_backward(model.params["tol"], cache, dlogits * scale,
+                                  model.grads["tol"])
+    return loss, dinput, logits
 
 
 def classify_action(model: GladModel, features: np.ndarray) -> np.ndarray:
@@ -396,12 +392,14 @@ def classify_action(model: GladModel, features: np.ndarray) -> np.ndarray:
 
 
 def ce_loss(model: GladModel, features: np.ndarray, labels: np.ndarray):
-    """Mean softmax cross-entropy of the action head over consensus features."""
+    """Mean softmax cross-entropy of the action head over consensus features.
+    Writes the head's gradients into model.grads["act"] and returns
+    (loss, dfeat)."""
     logits, cache = diffnet.mlp_forward(model.params["act"], features)
     losses, dlogits = diffnet.softmax_cross_entropy_batch(logits, labels)
     b = features.shape[0]
-    head_grads, dfeat = diffnet.mlp_backward(model.params["act"], cache, dlogits / b)
-    return float(losses.mean()), head_grads, dfeat
+    dfeat = diffnet.mlp_backward(model.params["act"], cache, dlogits / b, model.grads["act"])
+    return float(losses.mean()), dfeat
 
 
 # ---------------------------------------------------------------------------

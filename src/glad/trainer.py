@@ -63,8 +63,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not (self.lr > 0.0 and self.lr_drop_factor > 0.0):
             raise ValueError("lr and lr_drop_factor must be > 0")
-        if not self.weight_decay >= 0.0:
-            raise ValueError("weight_decay must be >= 0")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if not math.isfinite(self.grl_coeff):
             raise ValueError("grl_coeff must be finite")
         if not 0.0 <= self.momentum < 1.0:
@@ -160,10 +160,12 @@ def step_losses(mdl: GladModel, src: Packed, tgt: Packed, batch, config: TrainCo
     batch is the (source, target) pair of video index arrays. Source labels
     are read here; target labels must already be stripped. With a bank, a
     video is mixed by its side of the batch. Returns (stats, grads, groups):
-    grads realizes the saddle objective (the domain classifiers descend their
-    adversarial losses, the extractor receives the reversal-scaled alignment
-    gradient), and groups names the groups it fills, in layout order. The
-    frame encoder runs in dtype; the heads, the losses and grads are float64.
+    grads is mdl.grads, which realizes the saddle objective (the domain
+    classifiers descend their adversarial losses, the extractor receives the
+    reversal-scaled alignment gradient), and groups names the groups the
+    step writes, in layout order; the other groups keep what an earlier step
+    wrote. The frame encoder runs in dtype; the heads, the losses and grads
+    are float64.
     """
     cfg = mdl.config
     src_idx, tgt_idx = (np.asarray(i, dtype=np.int64) for i in batch)
@@ -184,14 +186,13 @@ def step_losses(mdl: GladModel, src: Packed, tgt: Packed, batch, config: TrainCo
     lengths = np.concatenate([src.lengths[src_idx], tgt.lengths[tgt_idx]])
     idx = clip_indices(lengths, cfg.n_frames, cfg.local_stride, mg, nl + n_tol, rng)
     frames, clips, bounds = _clip_rows([(src, src_idx), (tgt, tgt_idx)], idx)
-    for slot, bg, lam in mixes:
+    for slot, bg in mixes:
         a, z = bounds[slot], bounds[slot + 1]
-        frames[a:z] = mix_background(frames[a:z], bank[bg], lam)
+        frames[a:z] = mix_background(frames[a:z], bank[bg], config.aug_lambda)
     feats, cache = glad_model.encode_clip_batch(mdl, clips, frames, dtype)
     dfeats = np.zeros_like(feats)
     f3 = feats.reshape(2 * b, n_views + n_tol, -1)
     d3 = dfeats.reshape(f3.shape)
-    grads = mdl.zero_grads()
     stats = dict(STEP_STATS)
 
     if n_tol:
@@ -201,25 +202,22 @@ def step_losses(mdl: GladModel, src: Packed, tgt: Packed, batch, config: TrainCo
         perms = rng.permuted(np.tile(np.arange(n_tol), (2 * b, 1)), axis=1)
         targets = glad_model.tol_labels(perms)
         concat = tol[rows, perms].reshape(2 * b, -1)
-        loss_tol, head_grads, dconcat, logits = glad_model.tol_loss(mdl, concat, targets)
+        loss_tol, dconcat, logits = glad_model.tol_loss(mdl, concat, targets)
         stats["loss_tol"] = loss_tol
         stats["tol_acc"] = float(np.mean(np.argmax(logits, axis=1) == targets))
-        glad_model.accumulate(grads, "tol", head_grads)
         d3[:, n_views:][rows, perms] += dconcat.reshape(2 * b, n_tol, -1)
 
     if n_views:
         consensus = f3[:b, :n_views].mean(axis=1)
-        loss_ce, act_grads, dcons = glad_model.ce_loss(mdl, consensus, src.labels[src_idx])
+        loss_ce, dcons = glad_model.ce_loss(mdl, consensus, src.labels[src_idx])
         stats["loss_ce"] = loss_ce
-        glad_model.accumulate(grads, "act", act_grads)
         d3[:b, :n_views] += (dcons / n_views)[:, None]
 
         if views:
-            loss_gla, dom_grads, dpsi, logits = glad_model.gla_loss(
+            loss_gla, dpsi, logits = glad_model.gla_loss(
                 mdl, f3[:, :mg].mean(axis=1), f3[:, mg:n_views].mean(axis=1),
                 config.grl_coeff, views)
             stats["loss_gla"] = loss_gla
-            glad_model.accumulate(grads, "dom", dom_grads)
             d3[:, :mg] += (dpsi["g"] / mg)[:, None]
             d3[:, mg:n_views] += (dpsi["l"] / nl)[:, None]
             # the first B logits of each sub-batch score source videos
@@ -227,11 +225,11 @@ def step_losses(mdl: GladModel, src: Packed, tgt: Packed, batch, config: TrainCo
             for v, z in logits.items():
                 stats[f"dom_acc_{v}"] = float(np.mean((z > 0.0) == is_src))
 
-    glad_model.encode_clip_backward(mdl, cache, dfeats, grads)
+    glad_model.encode_clip_backward(mdl, cache, dfeats)
     stats["loss_total"] = stats["loss_ce"] + stats["loss_tol"] - stats["loss_gla"]
     if not np.isfinite(stats["loss_total"]):
         raise NumericError(f"non-finite loss: {stats}")
-    return stats, grads, ["enc", "proj", *heads]
+    return stats, mdl.grads, ["enc", "proj", *heads]
 
 
 def apply_grads(mdl: GladModel, grads: dict, velocity: dict, groups, lr: float,
@@ -240,7 +238,7 @@ def apply_grads(mdl: GladModel, grads: dict, velocity: dict, groups, lr: float,
     v = mu*v + (g + wd*p) and p -= lr*v, with weight decay on weight
     matrices only (a bias gets exactly g).
 
-    mdl.params, grads (from mdl.zero_grads()) and velocity (from
+    mdl.params, grads (mdl.grads after a step) and velocity (from
     mdl.zeros(), the optimizer's only state) share the model's flat layout,
     and the update runs over the few ranges of it that the groups fill.
     Every active gradient is checked first: a non-finite one raises
@@ -388,13 +386,14 @@ def _init_worker(base, src_train, tgt_train, tgt_test) -> None:
 
 
 def _run_job(name: str, overrides: dict, seed: int) -> float:
-    """The final target-test MCA of one ablation run on the worker's inputs."""
+    """The target-test MCA of one ablation run on the worker's inputs, scored
+    once, after its last epoch."""
     base, src_train, tgt_train, tgt_test = _job_inputs
     if name == "supervised_target":
         # Upper-bound baseline: the labeled "source" is the target train split.
         src_train = tgt_train
-    _, report = train(replace(base, **overrides, seed=seed), src_train, tgt_train, tgt_test)
-    return report.epochs[-1]["target_mca"]
+    mdl, _ = train(replace(base, **overrides, seed=seed), src_train, tgt_train)
+    return mean_class_accuracy(evaluate(mdl, tgt_test, base.model.n_classes))
 
 
 def run_ablation_matrix(base: TrainConfig, src_train, tgt_train, tgt_test, seeds) -> dict:

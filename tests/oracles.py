@@ -114,8 +114,9 @@ def encoder_grads_by_repeat(model, clips: np.ndarray, rows: np.ndarray,
     x = (rows[clips.ravel()].astype(np.float64) - model.config.input_center) \
         * model.config.input_gain
     _, cache = diffnet.mlp_forward(model.params["enc"], x)
-    return diffnet.mlp_backward(model.params["enc"], cache,
-                                np.repeat(dpooled / nf, nf, axis=0))[0]
+    grads = [np.empty_like(p) for p in model.params["enc"]]
+    diffnet.mlp_backward(model.params["enc"], cache, np.repeat(dpooled / nf, nf, axis=0), grads)
+    return grads
 
 
 def step_on_splits(mdl, src, tgt, config, rng, phase, bank=None):
@@ -164,10 +165,11 @@ def gla_loss_per_subbatch(model, psi_g, psi_l, grl_coeff: float,
         if view not in views:
             continue
         w = 1.0 / len(pairs)
-        losses, grads, ds, zs = zip(*[
+        grads = [[np.empty_like(p[c]) for p in model.params["dom"]] for _ in pairs]
+        losses, ds, zs = zip(*[
             domain_adv_loss([p[c] for p in model.params["dom"]],
-                            np.concatenate([unit[s][:b], unit[t][b:]]), grl_coeff)
-            for s, t in pairs])
+                            np.concatenate([unit[s][:b], unit[t][b:]]), grl_coeff, out)
+            for (s, t), out in zip(pairs, grads)])
         total += w * sum(losses)
         for out, gs in zip(clf, zip(*grads)):
             out[c] = w * sum(gs[1:], gs[0])

@@ -169,7 +169,7 @@ def check_composed_step(mdl, cfg_model, seed, coord_rng):
             break
     else:
         pytest.fail(f"no regular draw found for instance {seed}")
-    # a copy: every probe's step zeroes the gradient buffer the model keeps
+    # a copy: every probe's step overwrites the gradient vector the model keeps
     grads = {group: [g.copy() for g in gs] for group, gs in grads.items()}
 
     partitions = {
@@ -206,7 +206,8 @@ def test_criterion_01_gradient_suite():
         def ce_fn(_):
             return glad_model.ce_loss(mdl, feats, labels)[0]
 
-        _, ce_grads, _ = glad_model.ce_loss(mdl, feats, labels)
+        glad_model.ce_loss(mdl, feats, labels)
+        ce_grads = [g.copy() for g in mdl.grads["act"]]  # each probe writes mdl.grads
         worst = max(worst, fd_check_coords(ce_fn, mdl.params["act"],
                                            ce_grads, eps=1e-5))
 
@@ -216,7 +217,8 @@ def test_criterion_01_gradient_suite():
         def tol_fn(_):
             return glad_model.tol_loss(mdl, concat, perm_idx)[0]
 
-        _, tol_grads, _, _ = glad_model.tol_loss(mdl, concat, perm_idx)
+        glad_model.tol_loss(mdl, concat, perm_idx)
+        tol_grads = [g.copy() for g in mdl.grads["tol"]]
         worst = max(worst, fd_check_coords(tol_fn, mdl.params["tol"],
                                            tol_grads, eps=1e-5))
 
@@ -224,11 +226,13 @@ def test_criterion_01_gradient_suite():
         for c in range(len(glad_model.GLA_VIEWS)):
             classifier = [p[c] for p in mdl.params["dom"]]
 
-            def adv_fn(p):
-                loss, _, _, _ = glad_model.domain_adv_loss(p, psi, 1.0)
-                return loss
+            adv_grads = [np.empty_like(p) for p in classifier]
+            probe_grads = [np.empty_like(p) for p in classifier]
 
-            _, adv_grads, _, _ = glad_model.domain_adv_loss(classifier, psi, 1.0)
+            def adv_fn(p):
+                return glad_model.domain_adv_loss(p, psi, 1.0, probe_grads)[0]
+
+            glad_model.domain_adv_loss(classifier, psi, 1.0, adv_grads)
             worst = max(worst, fd_check_coords(adv_fn, classifier, adv_grads, eps=1e-5))
 
         worst = max(worst, check_composed_step(mdl, cfg, seed=i,
@@ -322,7 +326,7 @@ def test_criterion_06_permutation_machinery():
     mdl = init_glad_model(ModelConfig(frame_shape=(2, 4), feat_dim=4, tol_clips=3), seed=0)
     mdl.params["tol"] = [np.zeros_like(p) for p in mdl.params["tol"]]
     x = np.random.default_rng(6).normal(size=(4, 12))
-    loss, _, _, _ = glad_model.tol_loss(mdl, x, np.array([0, 1, 2, 3]))
+    loss, _, _ = glad_model.tol_loss(mdl, x, np.array([0, 1, 2, 3]))
     assert loss == pytest.approx(np.log(6) / 6, abs=1e-9)
 
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,8 +94,8 @@ def test_synth_is_reproducible(tmp_path):
     assert main(["synth", "--spec", spec_file, "--out", out_a]) == EXIT_OK
     assert main(["synth", "--spec", spec_file, "--out", out_b]) == EXIT_OK
     for d in ("source/train", "target/test"):
-        fa = open(os.path.join(out_a, d, "frames.bin"), "rb").read()
-        fb = open(os.path.join(out_b, d, "frames.bin"), "rb").read()
+        fa = Path(os.path.join(out_a, d, "frames.bin")).read_bytes()
+        fb = Path(os.path.join(out_b, d, "frames.bin")).read_bytes()
         assert fa == fb
 
 
@@ -133,7 +134,7 @@ def test_gap_self_comparison_is_zero(tmp_path, capsys):
     src = os.path.join(out, "source", "train")
     gap_out = str(tmp_path / "gap")
     assert main(["gap", src, src, "--out", gap_out]) == EXIT_OK
-    doc = json.loads(open(os.path.join(gap_out, "gap.json")).read())
+    doc = json.loads(Path(os.path.join(gap_out, "gap.json")).read_text())
     assert doc["delta_bg"] == pytest.approx(0.0, abs=1e-12)
     assert doc["delta_temp"] == pytest.approx(0.0, abs=1e-12)
 
@@ -143,7 +144,7 @@ def test_gap_planted_length_shift(tmp_path):
     gap_out = str(tmp_path / "gap")
     assert main(["gap", os.path.join(out, "source"), os.path.join(out, "target"),
                  "--out", gap_out]) == EXIT_OK
-    doc = json.loads(open(os.path.join(gap_out, "gap.json")).read())
+    doc = json.loads(Path(os.path.join(gap_out, "gap.json")).read_text())
     # small specs plant lengths [12,20] vs [8,10]: gap at least 2 frames
     assert doc["delta_temp"] >= 2.0
     assert doc["delta_bg"] > 0.0
@@ -157,9 +158,9 @@ def test_gap_corrupt_header_exit_2(tmp_path):
     out = synth_small(tmp_path)
     src = os.path.join(out, "source", "train")
     manifest = os.path.join(src, "manifest.json")
-    doc = json.loads(open(manifest).read())
+    doc = json.loads(Path(manifest).read_text())
     doc["format"] = "wrong"
-    open(manifest, "w").write(json.dumps(doc))
+    Path(manifest).write_text(json.dumps(doc))
     assert main(["gap", src, src]) == EXIT_IO
 
 
@@ -305,7 +306,7 @@ def test_missing_source_dir_exit_2_creates_no_out(tmp_path, capsys, command):
     whose source_dir does not exist leaves no --out directory behind."""
     data = synth_small(tmp_path)
     cfg = train_config_doc(tmp_path, data)
-    doc = json.loads(open(cfg).read())
+    doc = json.loads(Path(cfg).read_text())
     doc["source_dir"] = str(tmp_path / "no_such_source")
     with open(cfg, "w") as f:
         json.dump(doc, f)
@@ -325,13 +326,13 @@ def test_train_eval_cycle(tmp_path, capsys):
     assert main(["train", "--config", cfg, "--out", run_out]) == EXIT_OK
     assert os.path.exists(os.path.join(run_out, "report.csv"))
     assert os.path.exists(os.path.join(run_out, "config.json"))
-    resolved = json.loads(open(os.path.join(run_out, "config.json")).read())
+    resolved = json.loads(Path(os.path.join(run_out, "config.json")).read_text())
     assert resolved["train"]["main_epochs"] == 2
     eval_out = str(tmp_path / "eval")
     assert main(["eval", "--checkpoint", os.path.join(run_out, "final"),
                  "--data", os.path.join(data, "target", "test"),
                  "--out", eval_out]) == EXIT_OK
-    doc = json.loads(open(os.path.join(eval_out, "eval.json")).read())
+    doc = json.loads(Path(os.path.join(eval_out, "eval.json")).read_text())
     assert 0.0 <= doc["mca"] <= 100.0
     assert "MCA" in capsys.readouterr().out
 
@@ -343,8 +344,8 @@ def test_train_determinism_bitwise(tmp_path):
     out_b = str(tmp_path / "rb")
     assert main(["train", "--config", cfg, "--out", out_a]) == EXIT_OK
     assert main(["train", "--config", cfg, "--out", out_b]) == EXIT_OK
-    a = open(os.path.join(out_a, "report.csv"), "rb").read()
-    b = open(os.path.join(out_b, "report.csv"), "rb").read()
+    a = Path(os.path.join(out_a, "report.csv")).read_bytes()
+    b = Path(os.path.join(out_b, "report.csv")).read_bytes()
     assert a == b
 
 
@@ -369,8 +370,8 @@ def test_train_seed_flag_overrides(tmp_path):
     out_b = str(tmp_path / "s9")
     assert main(["train", "--config", cfg, "--out", out_a, "--seed", "0"]) == EXIT_OK
     assert main(["train", "--config", cfg, "--out", out_b, "--seed", "9"]) == EXIT_OK
-    a = open(os.path.join(out_a, "report.csv")).read()
-    b = open(os.path.join(out_b, "report.csv")).read()
+    a = Path(os.path.join(out_a, "report.csv")).read_text()
+    b = Path(os.path.join(out_b, "report.csv")).read_text()
     assert a != b
 
 
@@ -397,6 +398,7 @@ BAD_WIDTHS = [("frame_shape", [8, 0]), ("enc_hidden", -1), ("enc_out", 0), ("fea
     ({"lr": 0.0}, "lr and lr_drop_factor must be > 0"),
     ({"lr_drop_factor": 0}, "lr and lr_drop_factor must be > 0"),
     ({"weight_decay": -1}, "weight_decay must be >= 0"),
+    ({"weight_decay": float("inf")}, "train: weight_decay must be >= 0 and finite, got inf"),
     ({"aug_domains": ["bogus"]}, "unknown aug_domains"),
     ({"use_bg_aug": False, "aug_probability": 2.0}, "aug_probability must be in [0, 1]"),
     ({"aug_lambda": 1.5}, "aug_lambda must be in [0, 1]"),
@@ -433,7 +435,8 @@ BAD_WIDTHS = [("frame_shape", [8, 0]), ("enc_hidden", -1), ("enc_out", 0), ("fea
     *[(lambda doc, key=key: {**doc, key: ""}, f'config.json: {key}: expected a path, got ""')
       for key in ("source_dir", "target_dir", "test_dir", "out_dir")],
 ], ids=["unknown_view", "negative_epochs", "no_report_row", "negative_lr", "zero_lr",
-        "zero_lr_drop_factor", "negative_weight_decay", "unknown_aug_domain",
+        "zero_lr_drop_factor", "negative_weight_decay", "weight_decay_inf",
+        "unknown_aug_domain",
         "aug_checked_when_off", "aug_lambda", "aug_lambda_mode", "global_views",
         "local_views", "grl_nan", "grl_1e400",
         "zero_stride", "negative_stride", "zero_frames", "domain_hidden_length",
@@ -507,7 +510,7 @@ def test_train_test_split_missing_a_class_exit_2(tmp_path, capsys):
     split = str(tmp_path / "test")
     write_dataset(DomainSpec(n_classes=4, n_videos=3, length_range=(8, 10),
                              background_mode="fixed_checkerboard", domain="target"), split)
-    cfg = json.loads(open(train_config_doc(tmp_path, data)).read())
+    cfg = json.loads(Path(train_config_doc(tmp_path, data)).read_text())
     cfg["test_dir"] = split
     (tmp_path / "config.json").write_text(json.dumps(cfg))
     out = tmp_path / "run"
@@ -535,7 +538,7 @@ def test_train_invalid_json_exit_1(tmp_path, capsys):
 def test_config_keeps_unknown_top_level_keys(tmp_path):
     data = synth_small(tmp_path)
     cfg = train_config_doc(tmp_path, data)
-    doc = json.loads(open(cfg).read())
+    doc = json.loads(Path(cfg).read_text())
     doc["notes"] = ["any", {"value": 1}]
     with open(cfg, "w") as f:
         json.dump(doc, f)
@@ -575,12 +578,12 @@ def test_ablate_writes_table(tmp_path, capsys):
                            use_tol=False)
     out = str(tmp_path / "abl")
     assert main(["ablate", "--config", cfg, "--out", out, "--seeds", "0"]) == EXIT_OK
-    table = json.loads(open(os.path.join(out, "ablation.json")).read())
+    table = json.loads(Path(os.path.join(out, "ablation.json")).read_text())
     assert set(table) == {"source_only", "gla_only", "debias_only", "full_glad",
                           "supervised_target", "dann"}
     for row in table.values():
         assert len(row["values"]) == 1
-    text = open(os.path.join(out, "ablation.txt")).read()
+    text = Path(os.path.join(out, "ablation.txt")).read_text()
     assert "full_glad" in text
     # the paper's accuracy gap of the two baselines ends the table
     name, value = text.splitlines()[-1].split()
@@ -622,10 +625,10 @@ def test_non_finite_gradient_exit_3(tmp_path, capsys, monkeypatch, command):
     SGD step's own check."""
     real_ce_loss = glad_model.ce_loss
 
-    def nan_gradient(*args):
-        loss, head_grads, dfeat = real_ce_loss(*args)
-        head_grads[0][0, 0] = np.nan
-        return loss, head_grads, dfeat
+    def nan_gradient(mdl, *args):
+        loss, dfeat = real_ce_loss(mdl, *args)
+        mdl.grads["act"][0][0, 0] = np.nan
+        return loss, dfeat
     monkeypatch.setattr(glad_model, "ce_loss", nan_gradient)
     data = synth_small(tmp_path)
     cfg = train_config_doc(tmp_path, data)

@@ -147,21 +147,20 @@ def test_policy_skips_other_domains():
 
 
 def test_policy_probability_one_mixes_all_source():
-    policy = TrainConfig(aug_probability=1.0, aug_lambda=0.75)
+    policy = TrainConfig(aug_probability=1.0)
     mixes = draw_mixes(["source", "target", "source"], 1, policy, np.random.default_rng(0))
-    assert mixes == [(0, 0, 0.75), (2, 0, 0.75)]
+    assert mixes == [(0, 0), (2, 0)]
 
 
 def test_policy_draws_in_slot_order():
-    """Video by video: the hit draw, then the background; lambda is
-    aug_lambda and takes no draw."""
-    policy = TrainConfig(aug_probability=0.5, aug_lambda=0.3)
+    """Video by video: the hit draw, then the background, and no other draw."""
+    policy = TrainConfig(aug_probability=0.5)
     rng, oracle = np.random.default_rng(5), np.random.default_rng(5)
     mixes = draw_mixes(["source", "target"] * 20, 3, policy, rng)
     expected = []
     for slot, domain in enumerate(["source", "target"] * 20):
         if domain == "source" and oracle.uniform() < 0.5:
-            expected.append((slot, int(oracle.integers(0, 3)), 0.3))
+            expected.append((slot, int(oracle.integers(0, 3))))
     assert mixes == expected and mixes
     assert rng.bit_generator.state == oracle.bit_generator.state
 

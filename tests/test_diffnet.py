@@ -47,7 +47,8 @@ def test_linear_layer_analytic_gradient():
     x = rng.normal(size=(1, 3))
     g = rng.normal(size=(1, 2))
     _, cache = mlp_forward(params, x)
-    grads, dx = mlp_backward(params, cache, g)
+    grads = [np.empty_like(p) for p in params]
+    dx = mlp_backward(params, cache, g, grads)
     assert np.allclose(grads[0], np.outer(x, g))
     assert np.allclose(grads[1], g[0])
     assert np.allclose(dx, g @ params[0].T)
@@ -57,7 +58,8 @@ def test_zero_upstream_gives_zero_gradients():
     rng = np.random.default_rng(2)
     params = init_mlp((3, 5, 2), rng)
     _, cache = mlp_forward(params, rng.normal(size=(4, 3)))
-    grads, dx = mlp_backward(params, cache, np.zeros((4, 2)))
+    grads = [np.full_like(p, np.nan) for p in params]
+    dx = mlp_backward(params, cache, np.zeros((4, 2)), grads)
     assert all(np.all(g == 0) for g in grads)
     assert np.all(dx == 0)
 
@@ -72,7 +74,8 @@ def test_mlp_gradients_match_finite_differences():
         return float(np.sum(mlp_forward(p, x)[0] * w))
 
     _, cache = mlp_forward(params, x)
-    grads, _ = mlp_backward(params, cache, w)
+    grads = [np.empty_like(p) for p in params]
+    mlp_backward(params, cache, w, grads)
     assert finite_difference_check(loss_fn, params, grads) < 1e-6
 
 
@@ -140,7 +143,7 @@ def fused_step(p, g, lr, momentum, weight_decay, v=0.0, groups=("act",)):
     are scalars or whole flat vectors."""
     mdl = init_glad_model(MICRO)
     mdl.params.flat[:] = p
-    grads = mdl.zero_grads()
+    grads = mdl.zeros()
     grads.flat[:] = g
     velocity = mdl.zeros()
     velocity.flat[:] = v
@@ -185,7 +188,7 @@ def test_sgd_weight_decay_skips_biases():
 
 def test_sgd_aborts_on_non_finite_gradient():
     mdl = init_glad_model(MICRO)
-    grads = mdl.zero_grads()
+    grads = mdl.zeros()
     grads["act"][1][0] = np.nan
     with pytest.raises(NumericError, match="act.1"):
         apply_grads(mdl, grads, mdl.zeros(), ["act"], 0.1,
@@ -206,7 +209,7 @@ def test_sgd_non_finite_gradient_moves_nothing(bad):
     cfg = TrainConfig(momentum=0.9, weight_decay=0.1, model=MICRO)
     for group in groups:
         for i in range(len(mdl.params[group])):
-            grads = mdl.zero_grads()
+            grads = mdl.zeros()
             grads.flat[:] = rng.normal(size=grads.flat.size)
             grads[group][i].flat[-1] = bad
             with pytest.raises(NumericError, match=f"tensor {group}.{i}$"):

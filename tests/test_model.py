@@ -75,10 +75,9 @@ def test_encode_backward_matches_finite_differences():
     rows, clips = rng.uniform(size=(7, 6)), shared_clips(3)
     w = rng.normal(size=(3, 4))
     feats, cache = encode_clip_batch(m, clips, rows)
-    grads = m.zero_grads()
-    encode_clip_backward(m, cache, w, grads)
+    encode_clip_backward(m, cache, w)
     flat_params = m.params["enc"] + m.params["proj"]
-    flat_grads = grads["enc"] + grads["proj"]
+    flat_grads = m.grads["enc"] + m.grads["proj"]
 
     def loss_fn(p):
         m.params["enc"] = p[:len(m.params["enc"])]
@@ -114,10 +113,10 @@ def test_encoder_grads_match_repeat_oracle():
     rows, clips = rng.uniform(size=(40, 64)), shared_clips(7, n_rows=40, n_clips=12, n_f=8)
     dfeats = rng.normal(size=(12, m.config.feat_dim))
     _, cache = encode_clip_batch(m, clips, rows)
-    grads = m.zero_grads()
-    encode_clip_backward(m, cache, dfeats, grads)
-    dpooled = diffnet.mlp_backward(m.params["proj"], cache["proj"], dfeats)[1]
-    for g, want in zip(grads["enc"], encoder_grads_by_repeat(m, clips, rows, dpooled)):
+    encode_clip_backward(m, cache, dfeats)
+    dpooled = diffnet.mlp_backward(m.params["proj"], cache["proj"], dfeats,
+                                   [np.empty_like(p) for p in m.params["proj"]])
+    for g, want in zip(m.grads["enc"], encoder_grads_by_repeat(m, clips, rows, dpooled)):
         assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -138,12 +137,20 @@ def classifier(m, c=0):
     return [p[c] for p in m.params["dom"]]
 
 
+def adv_loss(params, psi, grl_coeff):
+    """domain_adv_loss as (loss, classifier gradients, dpsi, z), the
+    gradients in new arrays."""
+    grads = [np.empty_like(p) for p in params]
+    loss, dpsi, z = domain_adv_loss(params, psi, grl_coeff, grads)
+    return loss, grads, dpsi, z
+
+
 def test_domain_adv_loss_symmetric_start():
     """With a zeroed classifier the output is 0.5 so the loss is ln 2."""
     m = init_glad_model(TINY, seed=0)
     params = [np.zeros_like(p) for p in classifier(m)]
     psi = np.random.default_rng(0).normal(size=(6, 4))
-    loss, _, dpsi, z = domain_adv_loss(params, psi, 1.0)
+    loss, _, dpsi, z = adv_loss(params, psi, 1.0)
     assert loss == pytest.approx(np.log(2), abs=1e-12)
     assert dpsi.shape == psi.shape
     assert np.all(z == 0.0)
@@ -152,16 +159,16 @@ def test_domain_adv_loss_symmetric_start():
 def test_domain_adv_grl_zero_blocks_feature_gradient():
     m = init_glad_model(TINY, seed=1)
     psi = np.random.default_rng(1).normal(size=(4, 4))
-    _, _, dpsi, _ = domain_adv_loss(classifier(m), psi, 0.0)
+    _, _, dpsi, _ = adv_loss(classifier(m), psi, 0.0)
     assert np.all(dpsi == 0.0)
 
 
 def test_domain_adv_classifier_grads_descend_loss():
     m = init_glad_model(TINY, seed=2)
     psi = np.random.default_rng(2).normal(size=(8, 4))
-    loss, grads, _, _ = domain_adv_loss(classifier(m), psi, 1.0)
+    loss, grads, _, _ = adv_loss(classifier(m), psi, 1.0)
     stepped = [p - 1e-3 * g for p, g in zip(classifier(m), grads)]
-    loss2, _, _, _ = domain_adv_loss(stepped, psi, 1.0)
+    loss2, _, _, _ = adv_loss(stepped, psi, 1.0)
     assert loss2 < loss
 
 
@@ -170,10 +177,10 @@ def test_domain_adv_classifier_grads_match_finite_differences():
     psi = np.random.default_rng(3).normal(size=(4, 4))
 
     def loss_fn(p):
-        l, _, _, _ = domain_adv_loss(p, psi, 1.0)
+        l, _, _, _ = adv_loss(p, psi, 1.0)
         return l
 
-    _, grads, _, _ = domain_adv_loss(classifier(m), psi, 1.0)
+    _, grads, _, _ = adv_loss(classifier(m), psi, 1.0)
     assert finite_difference_check(loss_fn, classifier(m), grads) < 1e-5
 
 
@@ -181,20 +188,18 @@ def test_gla_loss_view_subsets():
     m = init_glad_model(TINY, seed=4)
     rng = np.random.default_rng(4)
     psi_g, psi_l = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
-    total_all, clf_all, dpsi_all, logits_all = gla_loss(m, psi_g, psi_l, grl_coeff=1.0)
-    assert [g.shape for g in clf_all] == [p.shape for p in m.params["dom"]]
+    total_all, dpsi_all, logits_all = gla_loss(m, psi_g, psi_l, grl_coeff=1.0)
     assert {k: d.shape for k, d in dpsi_all.items()} == {"g": (6, 4), "l": (6, 4)}
     # one row of 2B logits per sub-batch; the cross view has two
     assert {v: z.shape for v, z in logits_all.items()} == {
         "gg": (1, 6), "ll": (1, 6), "cross": (2, 6)}
-    total_gg, clf_gg, dpsi_gg, logits_gg = gla_loss(m, psi_g, psi_l, grl_coeff=1.0,
-                                                    views=("gg",))
+    total_gg, dpsi_gg, logits_gg = gla_loss(m, psi_g, psi_l, grl_coeff=1.0, views=("gg",))
     assert set(logits_gg) == {"gg"}
     assert total_gg < total_all
     # the gg view reads no local stream: its gradient is zero, as are those
     # of the classifiers the other views use
     assert np.any(dpsi_gg["g"] != 0.0) and not np.any(dpsi_gg["l"])
-    for g in clf_gg:
+    for g in m.grads["dom"]:
         assert np.any(g[GLA_VIEWS["gg"][0]] != 0.0)
         assert not np.any(g[[GLA_VIEWS["ll"][0], GLA_VIEWS["cross"][0]]])
 
@@ -211,21 +216,22 @@ def test_stacked_gla_loss_bit_equal_to_per_subbatch_oracle(cfg, views):
     rng = np.random.default_rng(9)
     used = {s for v in views for pair in GLA_VIEWS[v][1] for s in pair}
     psi = {s: rng.normal(size=(16, cfg.feat_dim)) for s in "gl"}
+    m.grads.flat[:] = np.nan  # the step writes every "dom" entry
     got = gla_loss(m, psi["g"], psi["l"], 0.5, views)
     want = gla_loss_per_subbatch(m, psi["g"], psi["l"], 0.5, views)
     assert got[0] == want[0]
-    for i, (a, b) in enumerate(zip(got[1], want[1], strict=True)):
+    for i, (a, b) in enumerate(zip(m.grads["dom"], want[1], strict=True)):
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), f"dom.{i}"
-    for got_d, want_d in zip(got[2:], want[2:]):
+    for got_d, want_d in zip(got[1:], want[2:]):
         assert list(got_d) == list(want_d)
         for k in want_d:
             assert got_d[k].shape == want_d[k].shape
             assert got_d[k].tobytes() == want_d[k].tobytes(), k
     for s in "gl":
-        assert np.any(got[2][s] != 0.0) == (s in used), s
+        assert np.any(got[1][s] != 0.0) == (s in used), s
     classifiers = {GLA_VIEWS[v][0] for v in views}
     for c in range(len(GLA_VIEWS)):
-        assert any(np.any(g[c] != 0.0) for g in got[1]) == (c in classifiers), c
+        assert any(np.any(g[c] != 0.0) for g in m.grads["dom"]) == (c in classifiers), c
 
 
 def test_gla_loss_feature_gradients_match_finite_differences():
@@ -235,10 +241,10 @@ def test_gla_loss_feature_gradients_match_finite_differences():
 
     # with coeff -1 the reversal layer is a pass-through of +1 gradients,
     # so dpsi should match d(total)/d(stream) directly
-    _, _, dpsi, _ = gla_loss(m, *streams, grl_coeff=-1.0)
+    _, dpsi, _ = gla_loss(m, *streams, grl_coeff=-1.0)
 
     def loss_fn(ps):
-        total, _, _, _ = gla_loss(m, *ps, grl_coeff=1.0)
+        total, _, _ = gla_loss(m, *ps, grl_coeff=1.0)
         return total
 
     err = finite_difference_check(loss_fn, streams, [dpsi["g"], dpsi["l"]])
@@ -251,7 +257,7 @@ def test_tol_loss_uniform_predictions_value():
     m.params["tol"] = [np.zeros_like(p) for p in m.params["tol"]]
     x = np.random.default_rng(6).normal(size=(4, 12))
     labels = np.array([0, 1, 2, 3])
-    loss, _, dinput, logits = tol_loss(m, x, labels)
+    loss, dinput, logits = tol_loss(m, x, labels)
     assert loss == pytest.approx(np.log(6) / 6, abs=1e-9)
     assert dinput.shape == x.shape
     assert logits.shape == (4, 6) and np.all(logits == 0.0)
@@ -265,11 +271,12 @@ def test_tol_loss_gradients_match_finite_differences():
     def loss_fn(p):
         saved = m.params["tol"]
         m.params["tol"] = p
-        l, _, _, _ = tol_loss(m, x, labels)
+        l, _, _ = tol_loss(m, x, labels)
         m.params["tol"] = saved
         return l
 
-    _, grads, _, _ = tol_loss(m, x, labels)
+    tol_loss(m, x, labels)
+    grads = [g.copy() for g in m.grads["tol"]]  # each probe writes m.grads
     assert finite_difference_check(loss_fn, m.params["tol"], grads) < 1e-5
 
 
@@ -278,7 +285,7 @@ def test_ce_loss_uniform_value_and_gradient():
     m.params["act"] = [np.zeros_like(p) for p in m.params["act"]]
     feats = np.random.default_rng(10).normal(size=(5, 4))
     labels = np.array([0, 1, 2, 0, 1])
-    loss, _, dfeat = ce_loss(m, feats, labels)
+    loss, dfeat = ce_loss(m, feats, labels)
     assert loss == pytest.approx(np.log(3), abs=1e-12)
     assert np.all(dfeat == 0.0)  # zero weights pass no gradient to features
 
@@ -291,11 +298,12 @@ def test_ce_loss_head_gradients_match_finite_differences():
     def loss_fn(p):
         saved = m.params["act"]
         m.params["act"] = p
-        l, _, _ = ce_loss(m, feats, labels)
+        l, _ = ce_loss(m, feats, labels)
         m.params["act"] = saved
         return l
 
-    _, grads, _ = ce_loss(m, feats, labels)
+    ce_loss(m, feats, labels)
+    grads = [g.copy() for g in m.grads["act"]]  # each probe writes m.grads
     assert finite_difference_check(loss_fn, m.params["act"], grads) < 1e-5
 
 

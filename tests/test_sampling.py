@@ -177,9 +177,9 @@ def tol_step(monkeypatch, phase, tol_loss=None, b=8):
         seen["concat"], seen["targets"] = concat, targets
         return tol_loss(m, concat, targets)
 
-    def spy_backward(m, cache, dfeats, grads):
+    def spy_backward(m, cache, dfeats):
         seen["dfeats"] = dfeats.copy()
-        return real_backward(m, cache, dfeats, grads)
+        return real_backward(m, cache, dfeats)
 
     monkeypatch.setattr(glad_model, "encode_clip_batch", spy_encode)
     monkeypatch.setattr(glad_model, "tol_loss", spy_tol)
@@ -206,8 +206,7 @@ def test_shuffle_clips_roundtrip(monkeypatch):
     with an order loss whose input gradient is its input, a warm-up step
     (TOL clips only) hands the encoder back its own features."""
     def echo(m, concat, targets):
-        head = [np.zeros_like(p) for p in m.params["tol"]]
-        return 0.0, head, concat.copy(), np.zeros((len(targets), 6))
+        return 0.0, concat.copy(), np.zeros((len(targets), 6))
 
     seen = tol_step(monkeypatch, "warmup", tol_loss=echo)
     assert np.array_equal(seen["dfeats"], seen["feats"])

@@ -103,14 +103,14 @@ def test_report_epochs_follow_the_schedule(use_tol):
 
 
 def test_step_groups_by_phase():
-    """A step returns, in layout order, the groups it accumulated into: each
-    holds a non-zero gradient and every other group's gradient is zero."""
+    """A step returns, in layout order, the groups it writes: on a new model
+    each holds a non-zero gradient and every other group's is still zero."""
     src, tgt = tiny_data()
-    mdl = init_glad_model(TINY_MODEL, seed=0)
     for row, phase, want in [("full_glad", "warmup", ["enc", "proj", "tol"]),
                              ("full_glad", "main", ["enc", "proj", "act", "tol", "dom"]),
                              ("source_only", "main", ["enc", "proj", "act"]),
                              ("dann", "main", ["enc", "proj", "act", "dom"])]:
+        mdl = init_glad_model(TINY_MODEL, seed=0)
         _, grads, groups = step_on_splits(mdl, subset(src, range(4)),
                                           unlabeled(subset(tgt, range(4))),
                                           tiny_config(**ablation_rows()[row]),
@@ -118,6 +118,24 @@ def test_step_groups_by_phase():
         assert groups == want, (row, phase)
         for g in mdl.params:
             assert any(np.any(t != 0) for t in grads[g]) == (g in groups), (row, phase, g)
+
+
+def test_step_gradients_do_not_depend_on_the_step_before():
+    """A step writes every entry of the groups it returns: a gg-only main
+    step after a full_glad one gives the bits of the same step on a new
+    model, its unused classifiers' "dom" slots zero included."""
+    src, tgt = tiny_data()
+    batch = (subset(src, range(4)), unlabeled(subset(tgt, range(4))))
+    used = init_glad_model(TINY_MODEL, seed=0)
+    step_on_splits(used, *batch, tiny_config(), np.random.default_rng(0), "main")
+    gg = tiny_config(gla_views=("gg",))
+    *_, groups = step_on_splits(used, *batch, gg, np.random.default_rng(1), "main")
+    fresh = init_glad_model(TINY_MODEL, seed=0)
+    step_on_splits(fresh, *batch, gg, np.random.default_rng(1), "main")
+    assert groups == list(used.layout)  # the whole vector
+    assert used.grads.flat.tobytes() == fresh.grads.flat.tobytes()
+    assert not any(np.any(t[[GLA_VIEWS["ll"][0], GLA_VIEWS["cross"][0]]])
+                   for t in used.grads["dom"])
 
 
 @pytest.mark.parametrize("phase", ["warmup", "main"])
@@ -132,7 +150,7 @@ def test_fused_update_bit_equal_to_per_tensor_oracle(row, phase):
                                 np.random.default_rng(0), phase)
     rng = np.random.default_rng(7)
     mdl = init_glad_model(TINY_MODEL, seed=0)
-    grads, velocity = mdl.zero_grads(), mdl.zeros()
+    grads, velocity = mdl.zeros(), mdl.zeros()
     for state in (mdl.params, grads, velocity):
         state.flat[:] = rng.normal(size=state.flat.size)
     # a bias must get exactly g: -0.0 + 0.0 * p would be +0.0
@@ -415,6 +433,20 @@ def test_ablation_matrix_equals_direct_runs_on_any_core_count():
         for name, values in direct.items():
             assert table[name] == {"mean": statistics.fmean(values),
                                    "std": statistics.pstdev(values), "values": values}
+
+
+@pytest.mark.parametrize("name", ["full_glad", "supervised_target"])
+def test_ablation_job_scores_the_last_epoch_of_train(monkeypatch, name):
+    """An ablation job, which scores its model once after training, gives
+    the target_mca of train's last epoch for the same row and seed."""
+    src, tgt = tiny_data(n=8)
+    _, tgt_test = tiny_data(seed=5, n=8)
+    base = tiny_config(warmup_epochs=1, main_epochs=2)
+    monkeypatch.setattr(trainer, "_job_inputs", (base, src, tgt, tgt_test))
+    labeled = tgt if name == "supervised_target" else src
+    _, report = train(dataclasses.replace(base, **ablation_rows()[name], seed=1),
+                      labeled, tgt, tgt_test)
+    assert trainer._run_job(name, ablation_rows()[name], 1) == report.epochs[-1]["target_mca"]
 
 
 def test_config_dict_roundtrip():
