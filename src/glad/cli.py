@@ -17,7 +17,7 @@ import numpy as np
 from . import model as glad_model
 from .debias import build_background_bank
 from .gapmetrics import mean_class_accuracy, scene_distance, temporal_distance
-from .schema import from_json, read_json
+from .schema import from_json, read_json, write_json
 from .synthdata import (DatasetError, DomainSpec, read_dataset, spec_from_dict,
                         write_dataset)
 from .trainer import (EVAL_BLOCK, NumericError, TrainConfig, _one_blas_thread, evaluate,
@@ -134,13 +134,10 @@ def cmd_gap(args) -> int:
               "notes": {"scene_feature": "normalized temporal-median background"}}
     print(f"{'Delta_bg':>10} {'Delta_temp':>12}\n"
           f"{report['delta_bg']:>10.3f} {report['delta_temp']:>12.3f}")
-    payload = json.dumps(report, indent=1)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "gap.json"), "w") as f:
-            f.write(payload)
+        write_json(os.path.join(args.out, "gap.json"), report)
     else:
-        print(payload)
+        print(json.dumps(report, indent=1))
     return EXIT_OK
 
 
@@ -219,11 +216,7 @@ def _load_splits(doc, tc):
 
 
 def _write_resolved_config(doc, tc, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    resolved = dict(doc)
-    resolved["train"] = asdict(tc)
-    with open(os.path.join(out_dir, "config.json"), "w") as f:
-        json.dump(resolved, f, indent=1)
+    write_json(os.path.join(out_dir, "config.json"), {**doc, "train": asdict(tc)})
 
 
 def cmd_train(args) -> int:
@@ -250,9 +243,7 @@ def cmd_eval(args) -> int:
     mca = mean_class_accuracy(cm)
     print(f"MCA: {mca:.2f}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "eval.json"), "w") as f:
-            json.dump({"mca": mca, "confusion": cm.tolist()}, f, indent=1)
+        write_json(os.path.join(args.out, "eval.json"), {"mca": mca, "confusion": cm.tolist()})
     return EXIT_OK
 
 
@@ -266,8 +257,7 @@ def cmd_ablate(args) -> int:
     table = run_ablation_matrix(tc, src_train, tgt_train, tgt_test, args.seeds)
     text = format_ablation_table(table)
     print(text)
-    with open(os.path.join(out, "ablation.json"), "w") as f:
-        json.dump(table, f, indent=1)
+    write_json(os.path.join(out, "ablation.json"), table)
     with open(os.path.join(out, "ablation.txt"), "w") as f:
         f.write(text + "\n")
     return EXIT_OK

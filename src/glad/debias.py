@@ -7,6 +7,11 @@ import numpy as np
 
 from .synthdata import Packed
 
+# A source video of a training batch is mixed with this probability, as
+# (1 - MIX_LAMBDA) * frame + MIX_LAMBDA * background.
+MIX_PROBABILITY = 0.25
+MIX_LAMBDA = 0.75
+
 
 def build_background_bank(split: Packed) -> np.ndarray:
     """(n, D) array of the split's temporal-median backgrounds, values in
@@ -37,15 +42,15 @@ def mix_background(frames: np.ndarray, background: np.ndarray, lam: float) -> np
     return ((1.0 - lam) * frames + lam * background).astype(frames.dtype)
 
 
-def draw_mixes(sides, n_backgrounds: int, config,
+def draw_mixes(n_source: int, n_backgrounds: int,
                rng: np.random.Generator) -> list[tuple[int, int]]:
-    """(slot, background) of each video to mix, in slot order, by the aug_*
-    fields of a TrainConfig: a video whose side ("source" or "target") is in
-    aug_domains is mixed with probability aug_probability with a uniformly
-    chosen bank background."""
+    """(slot, background) of each video to mix, in slot order: each of the
+    batch's n_source source videos, its first slots, is mixed with
+    probability MIX_PROBABILITY with a uniformly chosen bank background.
+    Target videos are never mixed and draw nothing."""
     mixes = []
-    for slot, side in enumerate(sides):
+    for slot in range(n_source):
         # random() is uniform() on [0, 1), the same draw at a third of the call cost
-        if side in config.aug_domains and rng.random() < config.aug_probability:
+        if rng.random() < MIX_PROBABILITY:
             mixes.append((slot, int(rng.integers(0, n_backgrounds))))
     return mixes

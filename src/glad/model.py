@@ -11,7 +11,6 @@ reads.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
@@ -19,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import diffnet
-from .schema import from_json, read_json
+from .schema import from_json, read_json, write_json
 
 # The N! orders of N clips in lexicographic order, for each allowed N. The
 # TOL head has one output per row, and the label of an order is its row.
@@ -416,11 +415,8 @@ def save_model(model: GladModel, directory: str) -> None:
     """model.json (the config), params.json (the names and shapes of the
     tensors in the order of the flat vector) and params.bin (the flat
     vector, little-endian float32)."""
-    os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "model.json"), "w") as f:
-        json.dump(asdict(model.config), f, indent=1)
-    with open(os.path.join(directory, "params.json"), "w") as f:
-        json.dump(_params_meta(model), f, indent=1)
+    write_json(os.path.join(directory, "model.json"), asdict(model.config))
+    write_json(os.path.join(directory, "params.json"), _params_meta(model))
     model.params.flat.astype("<f4").tofile(os.path.join(directory, "params.bin"))
 
 

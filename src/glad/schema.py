@@ -1,18 +1,28 @@
-"""The one reader of JSON files, and of JSON objects into configs and
-dataset specs."""
+"""The one reader and writer of JSON files, and the reader of JSON objects
+into configs and dataset specs."""
 
 import dataclasses
 import json
+import os
 import typing
 
 
 def read_json(path: str, error: type, name: str | None = None):
-    """The JSON document of a file; invalid JSON raises error naming name or the path."""
+    """The JSON document of a file; invalid JSON, or text that is not UTF-8,
+    raises error naming name or the path."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             return json.load(f)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError or a UnicodeDecodeError
         raise error(f"{name or path}: invalid JSON ({e})") from e
+
+
+def write_json(path: str, doc) -> None:
+    """doc as JSON indented by one space, in a file at path whose directory
+    is made if it does not exist."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w") as f:
+        f.write(json.dumps(doc, indent=1))  # one write: json.dump writes each token
 
 
 def _fits(hint, value) -> bool:

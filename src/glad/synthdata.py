@@ -10,7 +10,6 @@ fixed checkerboard background for every video.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import os
@@ -18,7 +17,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .schema import from_json
+from .schema import from_json, read_json, write_json
 
 GOLDEN = 0.6180339887498949
 
@@ -255,9 +254,8 @@ def write_dataset(spec: DomainSpec, directory: str) -> None:
         for block_entries, frames in _blocks(spec):
             frames.tofile(f)
             entries += block_entries
-    with open(os.path.join(directory, "manifest.json"), "w") as f:
-        f.write(json.dumps({"format": MAGIC, "spec": asdict(spec), "entries": entries},
-                           indent=1))
+    write_json(os.path.join(directory, "manifest.json"),
+               {"format": MAGIC, "spec": asdict(spec), "entries": entries})
 
 
 def read_dataset(directory: str, block: int | None = None):
@@ -269,11 +267,7 @@ def read_dataset(directory: str, block: int | None = None):
     entries tile frames.bin in order and the payload size before it returns;
     that a block's frame values are in [0, 1] (NaN is not) as it is read."""
     path = os.path.join(directory, "manifest.json")
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        raise DatasetError(f"unreadable manifest: {e}") from e
+    doc = read_json(path, DatasetError)
     if not isinstance(doc, dict) or doc.get("format") != MAGIC:
         raise DatasetError(f"bad or missing format header in {path}")
     if "spec" not in doc or "entries" not in doc:

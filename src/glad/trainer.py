@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import csv
 import ctypes
-import json
 import math
 import os
 import statistics
@@ -15,10 +14,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import model as glad_model
-from .debias import build_background_bank, draw_mixes, mix_background
+from .debias import MIX_LAMBDA, build_background_bank, draw_mixes, mix_background
 from .gapmetrics import accuracy_gap, confusion_matrix, mean_class_accuracy
 from .model import GLA_VIEWS, GladModel, ModelConfig, init_glad_model
 from .sampling import clip_indices
+from .schema import write_json
 from .synthdata import Packed
 
 
@@ -36,6 +36,12 @@ REPORT_COLUMNS = ("phase", "epoch", "lr", *STEP_STATS, "target_mca")
 # (global, local) views of every video in a main-phase step, and the clips
 # whose mean evaluate scores
 VIEW_LAYOUT = (1, 2)
+# Heavy-ball SGD: the velocity's decay, and the weight decay of weight
+# matrices (a bias gets none)
+MOMENTUM = 0.9
+WEIGHT_DECAY = 1e-4
+# the main phase's lr is divided by this at each of lr_drop_epochs
+LR_DROP_FACTOR = 10.0
 
 
 @dataclass
@@ -44,14 +50,8 @@ class TrainConfig:
     main_epochs: int = 30          # paper-scale reference: 50
     batch_size: int = 16           # per domain
     lr: float = 2e-3
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
     lr_drop_epochs: tuple[int, ...] = (20, 26)  # paper-scale reference: (5, 10)
-    lr_drop_factor: float = 10.0
     grl_coeff: float = 0.5
-    aug_probability: float = 0.25
-    aug_lambda: float = 0.75
-    aug_domains: tuple[str, ...] = ("source",)
     use_bg_aug: bool = True
     use_tol: bool = True
     gla_views: tuple[str, ...] = ("gg", "ll", "cross")
@@ -61,14 +61,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not (self.lr > 0.0 and self.lr_drop_factor > 0.0):
-            raise ValueError("lr and lr_drop_factor must be > 0")
-        if not 0.0 <= self.weight_decay < math.inf:
-            raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if not math.isfinite(self.grl_coeff):
             raise ValueError("grl_coeff must be finite")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if any(epoch < 0 for epoch in self.lr_drop_epochs):
@@ -78,23 +72,17 @@ class TrainConfig:
             raise ValueError("warmup_epochs and main_epochs must be >= 0")
         try:
             epochs = schedule(self)
-        except (OverflowError, ZeroDivisionError):  # its power over the drops is inf or 0
-            flows = "overflows" if self.lr_drop_factor > 1.0 else "underflows"
-            raise ValueError(f"lr_drop_factor {self.lr_drop_factor} {flows} when raised "
-                             f"to the number of lr drops") from None
+        except OverflowError:  # LR_DROP_FACTOR ** drops is past the largest float
+            raise ValueError(f"lr_drop_epochs: {LR_DROP_FACTOR} raised to the number of "
+                             f"lr drops overflows") from None
         if not all(0.0 < lr < math.inf for _, _, lr in epochs):
-            raise ValueError(f"lr must be finite and stay > 0 over the lr drops, got lr "
-                             f"{self.lr} and lr_drop_factor {self.lr_drop_factor}")
+            raise ValueError(f"lr must be finite and stay > 0 over the lr drops, "
+                             f"got lr {self.lr}")
         if not epochs:
             raise ValueError("config trains no epoch: main_epochs is 0 and there is no warm-up")
-        for key, known in (("gla_views", list(GLA_VIEWS)), ("aug_domains", ["source", "target"])):
-            unknown = [v for v in getattr(self, key) if v not in known]
-            if unknown:
-                raise ValueError(f"unknown {key} {unknown}; known: {known}")
-        # the augmentation keys are checked even when use_bg_aug is off
-        for key in ("aug_probability", "aug_lambda"):
-            if not 0.0 <= getattr(self, key) <= 1.0:
-                raise ValueError(f"{key} must be in [0, 1]")
+        unknown = [v for v in self.gla_views if v not in GLA_VIEWS]
+        if unknown:
+            raise ValueError(f"unknown gla_views {unknown}; known: {list(GLA_VIEWS)}")
 
 
 @dataclass
@@ -109,23 +97,21 @@ class TrainReport:
                    for c in REPORT_COLUMNS]
 
     def write(self, out_dir: str) -> None:
-        os.makedirs(out_dir, exist_ok=True)
+        write_json(os.path.join(out_dir, "report.json"),
+                   {"epochs": self.epochs, "checkpoint_dir": self.checkpoint_dir})
         with open(os.path.join(out_dir, "report.csv"), "w", newline="") as f:
             csv.writer(f).writerows(self.csv_rows())
-        with open(os.path.join(out_dir, "report.json"), "w") as f:
-            json.dump({"epochs": self.epochs, "checkpoint_dir": self.checkpoint_dir},
-                      f, indent=1)
 
 
 def schedule(config: TrainConfig) -> list[tuple[str, int, float]]:
     """(phase, epoch, lr) of every epoch in training order: the clip-order
     warm-up at config.lr when TOL is on, then the main phase, whose lr is
-    divided by lr_drop_factor at each of lr_drop_epochs."""
+    divided by LR_DROP_FACTOR at each of lr_drop_epochs."""
     epochs = [("warmup", epoch, config.lr)
               for epoch in range(config.warmup_epochs if config.use_tol else 0)]
     for epoch in range(config.main_epochs):
         drops = sum(1 for d in config.lr_drop_epochs if epoch >= d)
-        epochs.append(("main", epoch, config.lr / (config.lr_drop_factor ** drops)))
+        epochs.append(("main", epoch, config.lr / (LR_DROP_FACTOR ** drops)))
     return epochs
 
 
@@ -159,20 +145,20 @@ def step_losses(mdl: GladModel, src: Packed, tgt: Packed, batch, config: TrainCo
 
     batch is the (source, target) pair of video index arrays. Source labels
     are read here; target labels must already be stripped. With a bank, a
-    video is mixed by its side of the batch. Returns (stats, grads, groups):
-    grads is mdl.grads, which realizes the saddle objective (the domain
+    source-side video may be mixed. Returns (stats, groups): the gradients
+    are in mdl.grads, which realizes the saddle objective (the domain
     classifiers descend their adversarial losses, the extractor receives the
     reversal-scaled alignment gradient), and groups names the groups the
     step writes, in layout order; the other groups keep what an earlier step
-    wrote. The frame encoder runs in dtype; the heads, the losses and grads
-    are float64.
+    wrote. The frame encoder runs in dtype; the heads, the losses and the
+    gradients are float64.
     """
     cfg = mdl.config
     src_idx, tgt_idx = (np.asarray(i, dtype=np.int64) for i in batch)
     b = len(src_idx)
     mixes = []
     if bank is not None:
-        mixes = draw_mixes(["source"] * b + ["target"] * b, len(bank), config, rng)
+        mixes = draw_mixes(b, len(bank), rng)
 
     # Every video gets the same K = mg + nl + n_tol clips, in this order:
     # mg global views and nl local views (VIEW_LAYOUT in the main phase, none
@@ -188,7 +174,7 @@ def step_losses(mdl: GladModel, src: Packed, tgt: Packed, batch, config: TrainCo
     frames, clips, bounds = _clip_rows([(src, src_idx), (tgt, tgt_idx)], idx)
     for slot, bg in mixes:
         a, z = bounds[slot], bounds[slot + 1]
-        frames[a:z] = mix_background(frames[a:z], bank[bg], config.aug_lambda)
+        frames[a:z] = mix_background(frames[a:z], bank[bg], MIX_LAMBDA)
     feats, cache = glad_model.encode_clip_batch(mdl, clips, frames, dtype)
     dfeats = np.zeros_like(feats)
     f3 = feats.reshape(2 * b, n_views + n_tol, -1)
@@ -229,34 +215,33 @@ def step_losses(mdl: GladModel, src: Packed, tgt: Packed, batch, config: TrainCo
     stats["loss_total"] = stats["loss_ce"] + stats["loss_tol"] - stats["loss_gla"]
     if not np.isfinite(stats["loss_total"]):
         raise NumericError(f"non-finite loss: {stats}")
-    return stats, mdl.grads, ["enc", "proj", *heads]
+    return stats, ["enc", "proj", *heads]
 
 
-def apply_grads(mdl: GladModel, grads: dict, velocity: dict, groups, lr: float,
-                config: TrainConfig) -> None:
-    """One heavy-ball SGD step on the given groups, in place: per element
-    v = mu*v + (g + wd*p) and p -= lr*v, with weight decay on weight
-    matrices only (a bias gets exactly g).
+def apply_grads(mdl: GladModel, velocity: dict, groups, lr: float) -> None:
+    """One heavy-ball SGD step of mdl.grads on the given groups, in place:
+    per element v = MOMENTUM*v + (g + WEIGHT_DECAY*p) and p -= lr*v, with
+    weight decay on weight matrices only (a bias gets exactly g).
 
-    mdl.params, grads (mdl.grads after a step) and velocity (from
-    mdl.zeros(), the optimizer's only state) share the model's flat layout,
+    mdl.params, mdl.grads and velocity (from mdl.zeros(), the optimizer's
+    only state) share the model's flat layout,
     and the update runs over the few ranges of it that the groups fill.
     Every active gradient is checked first: a non-finite one raises
     NumericError, naming its tensor, before anything moves.
     Other groups are not touched.
     """
-    p, g, v = mdl.params.flat, grads.flat, velocity.flat
+    p, g, v = mdl.params.flat, mdl.grads.flat, velocity.flat
     spans = mdl.flat_spans(tuple(groups))
     for a, z, _ in spans:
         if not (np.isfinite(g[a:z].min()) and np.isfinite(g[a:z].max())):
             bad = next(f"{group}.{i}" for group in groups
-                       for i, t in enumerate(grads[group]) if not np.isfinite(t).all())
+                       for i, t in enumerate(mdl.grads[group]) if not np.isfinite(t).all())
             raise NumericError(f"non-finite gradient in tensor {bad}")
     for a, z, is_weight in spans:
         vs, tmp = v[a:z], mdl.scratch("sgd", (z - a,))
-        vs *= config.momentum
+        vs *= MOMENTUM
         if is_weight:
-            np.multiply(p[a:z], config.weight_decay, out=tmp)
+            np.multiply(p[a:z], WEIGHT_DECAY, out=tmp)
             tmp += g[a:z]
             vs += tmp
         else:
@@ -316,8 +301,8 @@ def train(config: TrainConfig, src: Packed, tgt_train: Packed,
     for phase, epoch, lr in schedule(config):
         sums, counts = dict.fromkeys(STEP_STATS, 0.0), dict.fromkeys(STEP_STATS, 0)
         for batch in _epoch_batches(len(src.lengths), len(tgt.lengths), config.batch_size, rng):
-            stats, grads, groups = step_losses(mdl, src, tgt, batch, config, rng, phase, bank)
-            apply_grads(mdl, grads, velocity, groups, lr, config)
+            stats, groups = step_losses(mdl, src, tgt, batch, config, rng, phase, bank)
+            apply_grads(mdl, velocity, groups, lr)
             for k, v in stats.items():
                 if not math.isnan(v):
                     sums[k] += v

@@ -163,14 +163,14 @@ def check_composed_step(mdl, cfg_model, seed, coord_rng):
             return step_on_splits(mdl, src, tgt, tc,
                                   np.random.default_rng((seed, attempt, 99)), "main")
 
-        stats, grads, _ = run()
-        largest = max(np.abs(g).max() for gs in grads.values() for g in gs)
+        run()
+        largest = max(np.abs(g).max() for gs in mdl.grads.values() for g in gs)
         if largest < 1e3:
             break
     else:
         pytest.fail(f"no regular draw found for instance {seed}")
     # a copy: every probe's step overwrites the gradient vector the model keeps
-    grads = {group: [g.copy() for g in gs] for group, gs in grads.items()}
+    grads = {group: [g.copy() for g in gs] for group, gs in mdl.grads.items()}
 
     partitions = {
         ("enc", "proj"): lambda s: s["loss_ce"] + s["loss_tol"] - coeff * s["loss_gla"],
@@ -332,7 +332,7 @@ def test_criterion_06_permutation_machinery():
 
 def test_criterion_07_paper_arithmetic():
     assert accuracy_gap(76.7, 11.7) == pytest.approx(65.0, abs=1e-12)
-    cfg = TrainConfig(lr=2e-3, lr_drop_epochs=(5, 10), lr_drop_factor=10.0, main_epochs=11)
+    cfg = TrainConfig(lr=2e-3, lr_drop_epochs=(5, 10), main_epochs=11)
     lrs = [lr for phase, _, lr in trainer.schedule(cfg) if phase == "main"]
     assert lrs[0] == pytest.approx(2e-3)
     assert lrs[5] == pytest.approx(2e-4)

@@ -293,7 +293,7 @@ def test_mixing_follows_the_side_of_the_batch_not_the_domain_name(tmp_path):
             side, split = key.split("_")
             write_dataset(dataclasses.replace(spec, domain=names[side == "target"]),
                           str(data / side / split))
-        cfg = train_config_doc(tmp_path, str(data), use_bg_aug=use_bg_aug, aug_probability=1.0)
+        cfg = train_config_doc(tmp_path, str(data), use_bg_aug=use_bg_aug)
         out = tmp_path / f"{names[0]}_{use_bg_aug}"
         assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_OK
         reports[names[0], use_bg_aug] = (out / "report.csv").read_bytes()
@@ -394,14 +394,17 @@ BAD_WIDTHS = [("frame_shape", [8, 0]), ("enc_hidden", -1), ("enc_out", 0), ("fea
     ({"gla_views": ["gg", "bogus"]}, "unknown gla_views"),
     ({"warmup_epochs": -1}, "must be >= 0"),
     ({"main_epochs": 0, "use_tol": False}, "trains no epoch"),
-    ({"lr": -1.0}, "lr and lr_drop_factor must be > 0"),
-    ({"lr": 0.0}, "lr and lr_drop_factor must be > 0"),
-    ({"lr_drop_factor": 0}, "lr and lr_drop_factor must be > 0"),
-    ({"weight_decay": -1}, "weight_decay must be >= 0"),
-    ({"weight_decay": float("inf")}, "train: weight_decay must be >= 0 and finite, got inf"),
-    ({"aug_domains": ["bogus"]}, "unknown aug_domains"),
-    ({"use_bg_aug": False, "aug_probability": 2.0}, "aug_probability must be in [0, 1]"),
-    ({"aug_lambda": 1.5}, "aug_lambda must be in [0, 1]"),
+    ({"lr": -1.0}, "train: lr must be finite and stay > 0 over the lr drops, got lr -1.0"),
+    ({"lr": 0.0}, "train: lr must be finite and stay > 0 over the lr drops, got lr 0.0"),
+    # momentum, weight_decay, lr_drop_factor and the aug_* keys are constants
+    # now, so any value of theirs, in range or not, is an unknown field
+    ({"momentum": 0.9}, "train.momentum: unknown field"),
+    ({"lr_drop_factor": 0}, "train.lr_drop_factor: unknown field"),
+    ({"weight_decay": -1}, "train.weight_decay: unknown field"),
+    ({"weight_decay": float("inf")}, "train.weight_decay: unknown field"),
+    ({"aug_domains": ["bogus"]}, "train.aug_domains: unknown field"),
+    ({"use_bg_aug": False, "aug_probability": 2.0}, "train.aug_probability: unknown field"),
+    ({"aug_lambda": 1.5}, "train.aug_lambda: unknown field"),
     ({"aug_lambda_mode": "fixed"}, "train.aug_lambda_mode: unknown field"),
     ({"global_views": 1}, "train.global_views: unknown field"),
     ({"local_views": 2}, "train.local_views: unknown field"),
@@ -421,11 +424,12 @@ BAD_WIDTHS = [("frame_shape", [8, 0]), ("enc_hidden", -1), ("enc_out", 0), ("fea
     ({"model": {"domain_hidden": [64, 64, -2]}}, "domain_hidden widths must be >= 1"),
     ({"seed": -1}, "train: seed must be >= 0, got -1"),
     ({"lr_drop_epochs": [3, -1]}, "train: lr_drop_epochs must be epochs >= 0, got [3, -1]"),
-    ({"lr_drop_factor": 1e200, "lr_drop_epochs": [0, 0]},
-     "train: lr_drop_factor 1e+200 overflows when raised to the number of lr drops"),
-    # 1e-200 ** 2 is 0.0, and the lr would be divided by it
+    ({"lr_drop_factor": 1e200, "lr_drop_epochs": [0, 0]}, "train.lr_drop_factor: unknown field"),
     ({"lr_drop_factor": 1e-200, "lr_drop_epochs": [0, 0]},
-     "train: lr_drop_factor 1e-200 underflows when raised to the number of lr drops"),
+     "train.lr_drop_factor: unknown field"),
+    # 10.0 ** 309 is past the largest float
+    ({"lr_drop_epochs": [0] * 309},
+     "train: lr_drop_epochs: 10.0 raised to the number of lr drops overflows"),
     ({"lr": float("inf")}, "train: lr must be finite and stay > 0 over the lr drops, got lr inf"),
     # a function of the whole document edits its top level
     (lambda doc: 3, "config.json: expected an object, got 3"),
@@ -435,7 +439,7 @@ BAD_WIDTHS = [("frame_shape", [8, 0]), ("enc_hidden", -1), ("enc_out", 0), ("fea
     *[(lambda doc, key=key: {**doc, key: ""}, f'config.json: {key}: expected a path, got ""')
       for key in ("source_dir", "target_dir", "test_dir", "out_dir")],
 ], ids=["unknown_view", "negative_epochs", "no_report_row", "negative_lr", "zero_lr",
-        "zero_lr_drop_factor", "negative_weight_decay", "weight_decay_inf",
+        "momentum", "zero_lr_drop_factor", "negative_weight_decay", "weight_decay_inf",
         "unknown_aug_domain",
         "aug_checked_when_off", "aug_lambda", "aug_lambda_mode", "global_views",
         "local_views", "grl_nan", "grl_1e400",
@@ -443,7 +447,7 @@ BAD_WIDTHS = [("frame_shape", [8, 0]), ("enc_hidden", -1), ("enc_out", 0), ("fea
         "bool_as_string", "views_as_string", "float_count", "input_gain_nan",
         *[f"width_{key}" for key, _ in BAD_WIDTHS], "width_domain_hidden_first",
         "width_domain_hidden_last", "negative_seed", "negative_lr_drop_epoch",
-        "lr_drop_overflow", "lr_drop_underflow", "lr_inf",
+        "lr_drop_overflow", "lr_drop_underflow", "lr_drop_epochs_overflow", "lr_inf",
         "top_level_int", "top_level_list", "int_source_dir", "int_target_dir",
         "int_test_dir", "int_out_dir", "empty_source_dir", "empty_target_dir",
         "empty_test_dir", "empty_out_dir"])
@@ -1044,15 +1048,9 @@ OPTIONAL_MODEL_KEYS = {
     "proj_init_scale": (st.floats(0.0, 2.0), ANY_FLOAT)}
 OPTIONAL_TRAIN_KEYS = {
     "lr": (st.floats(1e-4, 0.1), ANY_FLOAT),
-    "momentum": (st.floats(0.0, 0.99), ANY_FLOAT),
-    "weight_decay": (st.floats(0.0, 0.01), ANY_FLOAT),
     "lr_drop_epochs": (st.lists(st.integers(0, 3), max_size=3),
                        st.lists(st.integers(-2, 2**70), max_size=3)),
-    "lr_drop_factor": (st.floats(1e-250, 100.0), ANY_FLOAT),
     "grl_coeff": (st.floats(-2.0, 2.0), ANY_FLOAT),
-    **{key: (st.floats(0.0, 1.0), ANY_FLOAT) for key in ("aug_probability", "aug_lambda")},
-    "aug_domains": (st.lists(st.sampled_from(["source", "target"]), max_size=2),
-                    st.just(["bogus"])),
     **{key: (st.booleans(), st.just("no")) for key in ("use_bg_aug", "use_tol")},
     "gla_views": (st.lists(st.sampled_from(["gg", "ll", "cross"]), max_size=3),
                   st.just(["bogus"])),

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glad.debias import build_background_bank, draw_mixes, mix_background
+from glad.debias import MIX_PROBABILITY, build_background_bank, draw_mixes, mix_background
 from glad.synthdata import (DomainSpec, checkerboard, class_motion,
                             generate_domain, render_block)
-from glad.trainer import TrainConfig
 from oracles import extract_background_tmf, packed, videos_of
 
 
@@ -124,48 +123,19 @@ def test_mix_gathered_rows_equals_mix_then_gather():
             assert whole[rows].tobytes() == mix_background(v[rows], bank[2], lam).tobytes()
 
 
-def test_policy_validation():
-    """A bad value names the train config key it came from."""
-    for kwargs in ({"aug_probability": 1.2}, {"aug_lambda": -0.1},
-                   {"aug_domains": ("bogus",)}):
-        with pytest.raises(ValueError, match=next(iter(kwargs))):
-            TrainConfig(**kwargs)
-
-
-def test_policy_probability_zero_never_mixes():
-    mixes = draw_mixes(["source"] * 5, 2, TrainConfig(aug_probability=0.0),
-                       np.random.default_rng(0))
-    assert mixes == []
-
-
-def test_policy_skips_other_domains():
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
-    policy = TrainConfig(aug_probability=1.0, aug_domains=("source",))
-    assert draw_mixes(["target"] * 4, 1, policy, rng) == []
-    assert rng.bit_generator.state == state  # no draw for an ineligible video
-
-
-def test_policy_probability_one_mixes_all_source():
-    policy = TrainConfig(aug_probability=1.0)
-    mixes = draw_mixes(["source", "target", "source"], 1, policy, np.random.default_rng(0))
-    assert mixes == [(0, 0), (2, 0)]
-
-
 def test_policy_draws_in_slot_order():
-    """Video by video: the hit draw, then the background, and no other draw."""
-    policy = TrainConfig(aug_probability=0.5)
+    """Source video by source video: the hit draw, then the background, and
+    no other draw."""
     rng, oracle = np.random.default_rng(5), np.random.default_rng(5)
-    mixes = draw_mixes(["source", "target"] * 20, 3, policy, rng)
+    mixes = draw_mixes(40, 3, rng)
     expected = []
-    for slot, domain in enumerate(["source", "target"] * 20):
-        if domain == "source" and oracle.uniform() < 0.5:
+    for slot in range(40):
+        if oracle.uniform() < MIX_PROBABILITY:
             expected.append((slot, int(oracle.integers(0, 3))))
     assert mixes == expected and mixes
     assert rng.bit_generator.state == oracle.bit_generator.state
 
 
 def test_policy_hit_rate_near_probability():
-    policy = TrainConfig(aug_probability=0.25)
-    mixes = draw_mixes(["source"] * 2000, 1, policy, np.random.default_rng(3))
+    mixes = draw_mixes(2000, 1, np.random.default_rng(3))
     assert 0.18 < len(mixes) / 2000 < 0.32

@@ -7,8 +7,9 @@ from hypothesis import given, strategies as st
 from glad.diffnet import (grl_backward, init_mlp, mlp_backward, mlp_forward,
                           softmax_cross_entropy_batch)
 from glad.model import ModelConfig, init_glad_model, load_model, save_model
-from glad.trainer import NumericError, TrainConfig, apply_grads
+from glad.trainer import MOMENTUM, WEIGHT_DECAY, NumericError, apply_grads
 from gradcheck import finite_difference_check
+from oracles import sgd_step
 
 
 def softmax_cross_entropy(logits, target):
@@ -133,66 +134,83 @@ def test_grl_is_exactly_linear(vec, a, b, coeff):
 
 
 # The fused SGD update, trainer.apply_grads, on a micro model whose every
-# parameter, gradient and velocity entry starts from a given value.
+# parameter, gradient and velocity entry starts from a given value. It runs
+# with the trainer's MOMENTUM and WEIGHT_DECAY; weight decay skips biases, so
+# a bias alone shows the momentum term.
 MICRO = ModelConfig(frame_shape=(1, 3), enc_hidden=2, enc_out=2, feat_dim=2, n_classes=2,
                     n_frames=2, tol_clips=2, tol_hidden=2, domain_hidden=(2, 2, 2))
 
 
-def fused_step(p, g, lr, momentum, weight_decay, v=0.0, groups=("act",)):
+def fused_step(p, g, lr, v=0.0, groups=("act",)):
     """(model, velocity) after one apply_grads step on groups; p, g and v
     are scalars or whole flat vectors."""
     mdl = init_glad_model(MICRO)
     mdl.params.flat[:] = p
-    grads = mdl.zeros()
-    grads.flat[:] = g
+    mdl.grads.flat[:] = g
     velocity = mdl.zeros()
     velocity.flat[:] = v
-    apply_grads(mdl, grads, velocity, list(groups), lr,
-                TrainConfig(momentum=momentum, weight_decay=weight_decay, model=MICRO))
+    apply_grads(mdl, velocity, list(groups), lr)
     return mdl, velocity
 
 
+def assert_act_matches_oracle(p, g, lr, v=0.0):
+    """The act group's ([W, b], [vW, vb]) after a fused step from the scalar
+    entries p, g and v, checked bit for bit against oracles.sgd_step with
+    the trainer's constants."""
+    mdl, velocity = fused_step(p, g, lr, v)
+    want_v = [np.full(t.shape, v) for t in velocity["act"]]
+    want_p = sgd_step([np.full(t.shape, p) for t in want_v],
+                      [np.full(t.shape, g) for t in want_v], want_v, lr, MOMENTUM, WEIGHT_DECAY)
+    for got, want in zip(mdl.params["act"] + velocity["act"], want_p + want_v):
+        assert got.tobytes() == want.tobytes()
+    return mdl.params["act"], velocity["act"]
+
+
 def test_sgd_plain_step():
-    mdl, _ = fused_step(1.0, 0.5, lr=0.1, momentum=0.0, weight_decay=0.0)
-    for p in mdl.params["act"]:
-        assert np.all(p == pytest.approx(0.95))
+    """From zero velocity a weight moves by lr * (g + WEIGHT_DECAY * p) and
+    a bias by lr * g."""
+    (w, b), _ = assert_act_matches_oracle(1.0, 0.5, lr=0.1)
+    assert np.all(w == pytest.approx(1.0 - 0.1 * (0.5 + WEIGHT_DECAY)))
+    assert np.all(b == pytest.approx(0.95))
 
 
 def test_sgd_momentum_first_step():
-    mdl, velocity = fused_step(1.0, 0.5, lr=0.1, momentum=0.9, weight_decay=0.0)
-    for p, v in zip(mdl.params["act"], velocity["act"]):
-        assert np.all(v == pytest.approx(0.5))
-        assert np.all(p == pytest.approx(0.95))
+    """The velocity a first step leaves is the bias gradient itself; from
+    velocity 1.0 a bias's velocity becomes MOMENTUM * 1.0 + g."""
+    (_, b), (_, vb) = assert_act_matches_oracle(1.0, 0.5, lr=0.1)
+    assert np.all(vb == 0.5) and np.all(b == pytest.approx(0.95))
+    (_, b), (_, vb) = assert_act_matches_oracle(1.0, 0.5, lr=0.1, v=1.0)
+    assert np.all(vb == pytest.approx(MOMENTUM + 0.5))
+    assert np.all(b == pytest.approx(1.0 - 0.1 * (MOMENTUM + 0.5)))
 
 
 def test_sgd_zero_grad_no_decay_keeps_params():
-    mdl, _ = fused_step(2.0, 0.0, lr=0.1, momentum=0.9, weight_decay=0.0)
-    assert np.all(mdl.params.flat == 2.0)
+    """With no gradient and no velocity a bias, which gets no weight decay,
+    keeps its value, and a weight only decays."""
+    (w, b), _ = assert_act_matches_oracle(2.0, 0.0, lr=0.1)
+    assert np.all(b == 2.0)
+    assert np.all(w == pytest.approx(2.0 * (1.0 - 0.1 * WEIGHT_DECAY)))
 
 
 def test_sgd_lr_zero_is_identity():
     rng = np.random.default_rng(4)
     p = rng.normal(size=init_glad_model(MICRO).params.flat.size)
     g = rng.normal(size=p.size)
-    mdl, _ = fused_step(p, g, lr=0.0, momentum=0.5, weight_decay=0.1,
-                        groups=("enc", "proj", "act", "tol", "dom"))
+    mdl, _ = fused_step(p, g, lr=0.0, groups=("enc", "proj", "act", "tol", "dom"))
     assert np.array_equal(mdl.params.flat, p)
 
 
 def test_sgd_weight_decay_skips_biases():
-    mdl, _ = fused_step(1.0, 0.0, lr=1.0, momentum=0.0, weight_decay=0.1)
-    w, b = mdl.params["act"]
-    assert np.all(w == pytest.approx(0.9))
+    (w, b), _ = assert_act_matches_oracle(1.0, 0.0, lr=1.0)
+    assert np.all(w == pytest.approx(1.0 - WEIGHT_DECAY))
     assert np.all(b == 1.0)
 
 
 def test_sgd_aborts_on_non_finite_gradient():
     mdl = init_glad_model(MICRO)
-    grads = mdl.zeros()
-    grads["act"][1][0] = np.nan
+    mdl.grads["act"][1][0] = np.nan
     with pytest.raises(NumericError, match="act.1"):
-        apply_grads(mdl, grads, mdl.zeros(), ["act"], 0.1,
-                    TrainConfig(momentum=0.9, weight_decay=0.0, model=MICRO))
+        apply_grads(mdl, mdl.zeros(), ["act"], 0.1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -206,14 +224,12 @@ def test_sgd_non_finite_gradient_moves_nothing(bad):
     velocity = mdl.zeros()
     velocity.flat[:] = rng.normal(size=velocity.flat.size)
     before = (mdl.params.flat.tobytes(), velocity.flat.tobytes())
-    cfg = TrainConfig(momentum=0.9, weight_decay=0.1, model=MICRO)
     for group in groups:
         for i in range(len(mdl.params[group])):
-            grads = mdl.zeros()
-            grads.flat[:] = rng.normal(size=grads.flat.size)
-            grads[group][i].flat[-1] = bad
+            mdl.grads.flat[:] = rng.normal(size=mdl.grads.flat.size)
+            mdl.grads[group][i].flat[-1] = bad
             with pytest.raises(NumericError, match=f"tensor {group}.{i}$"):
-                apply_grads(mdl, grads, velocity, groups, 0.1, cfg)
+                apply_grads(mdl, velocity, groups, 0.1)
             assert (mdl.params.flat.tobytes(), velocity.flat.tobytes()) == before
 
 

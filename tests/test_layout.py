@@ -2,8 +2,8 @@
 benchmark uses, methods and dataclass fields included, every glad option
 is read by its command, src/glad/ and tests/ import only names they use,
 every name the benchmark imports from glad exists, tests/oracles.py only
-references that some test uses, and every exception type src/glad/
-defines has an exit code."""
+references that some test uses, every exception type src/glad/ defines
+has an exit code, and every train setting is set by some run."""
 
 import argparse
 import ast
@@ -129,6 +129,32 @@ def test_every_dataclass_field_is_read_in_src():
                     unread.append(f"{path.name}:{cls.name}.{f.name}")
     assert fields > 3
     assert unread == []
+
+
+# TrainConfig fields that no run sets, each with the reason it stays a
+# setting rather than a constant.
+UNSET_TRAIN_SETTINGS = {
+    "grl_coeff": "the GLA study in ROADMAP.md sweeps the gradient reversal weight",
+    "model": "its frame_shape and n_classes must match the data's shape and classes",
+}
+
+
+def test_every_train_setting_is_set_by_a_run():
+    """Each TrainConfig field is a key of some ablation_rows() row or of the
+    FULL, ABLATE or CKPT train dict of perfbench/run.py (read from its syntax
+    tree), or is listed in UNSET_TRAIN_SETTINGS with its reason; a setting
+    that no run sets is a knob, and belongs in a module constant."""
+    from glad.trainer import TrainConfig, ablation_rows
+    runs = {node.targets[0].id: {key.value for key in node.value.keys}
+            for node in parse(BENCH / "run.py").body
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+            and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id in ("FULL", "ABLATE", "CKPT")}
+    assert sorted(runs) == ["ABLATE", "CKPT", "FULL"]
+    set_by_a_run = set().union(*runs.values(), *ablation_rows().values())
+    fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    assert sorted(set(UNSET_TRAIN_SETTINGS) - (fields - set_by_a_run)) == []
+    assert sorted(fields - set_by_a_run - set(UNSET_TRAIN_SETTINGS)) == []
 
 
 def test_every_cli_option_is_read_by_its_command():

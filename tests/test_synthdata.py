@@ -313,9 +313,11 @@ def test_read_rejects_bad_magic(tmp_path):
 
 def test_read_rejects_unparseable_manifest(tmp_path):
     write_dataset(SMALL, str(tmp_path))
-    (tmp_path / "manifest.json").write_text("{not json")
-    with pytest.raises(DatasetError, match="unreadable manifest"):
-        read_dataset(str(tmp_path))
+    # a manifest that is not UTF-8 is a data fault too, not a usage error
+    for text in (b"{not json", b"\xff\xfe{"):
+        (tmp_path / "manifest.json").write_bytes(text)
+        with pytest.raises(DatasetError, match="manifest.json: invalid JSON"):
+            read_dataset(str(tmp_path))
 
 
 def test_read_rejects_truncated_frames(tmp_path):
