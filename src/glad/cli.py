@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage/config error or out of memory, 2 I/O or data erro
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -20,8 +21,8 @@ from .gapmetrics import mean_class_accuracy, scene_distance, temporal_distance
 from .schema import from_json, read_json, write_json
 from .synthdata import (DatasetError, DomainSpec, read_dataset, spec_from_dict,
                         write_dataset)
-from .trainer import (EVAL_BLOCK, NumericError, TrainConfig, _one_blas_thread, evaluate,
-                      format_ablation_table, run_ablation_matrix, train)
+from .trainer import (EVAL_BLOCK, REPORT_COLUMNS, NumericError, TrainConfig, _one_blas_thread,
+                      evaluate, format_ablation_table, run_ablation_matrix, train)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -219,6 +220,18 @@ def _write_resolved_config(doc, tc, out_dir):
     write_json(os.path.join(out_dir, "config.json"), {**doc, "train": asdict(tc)})
 
 
+def write_report(out_dir: str, epochs: list, checkpoint_dir: str) -> None:
+    """report.json (the epochs and the checkpoint's directory) and report.csv
+    (one row per epoch, in REPORT_COLUMNS, each float as its repr)."""
+    write_json(os.path.join(out_dir, "report.json"),
+               {"epochs": epochs, "checkpoint_dir": checkpoint_dir})
+    with open(os.path.join(out_dir, "report.csv"), "w", newline="") as f:
+        rows = csv.writer(f)
+        rows.writerow(REPORT_COLUMNS)
+        rows.writerows([repr(e[c]) if isinstance(e[c], float) else str(e[c])
+                        for c in REPORT_COLUMNS] for e in epochs)
+
+
 def cmd_train(args) -> int:
     doc, tc = load_experiment(args.config)
     if args.seed is not None:
@@ -226,8 +239,11 @@ def cmd_train(args) -> int:
     out = args.out or doc.get("out_dir") or "train_out"
     src_train, tgt_train, tgt_test = _load_splits(doc, tc)
     _write_resolved_config(doc, tc, out)
-    _, report = train(tc, src_train, tgt_train, tgt_test, out_dir=out)
-    last = report.epochs[-1]
+    mdl, epochs = train(tc, src_train, tgt_train, tgt_test)
+    final = os.path.join(out, "final")
+    glad_model.save_model(mdl, final)
+    write_report(out, epochs, final)
+    last = epochs[-1]
     print(f"final: loss_total={last['loss_total']:.4f} "
           f"target_mca={last['target_mca']:.2f}")
     return EXIT_OK
@@ -270,7 +286,10 @@ def _seed_arg(text: str) -> int:
 
 
 def _seed_list_arg(text: str) -> list[int]:
-    return [_seed_arg(s) for s in text.split(",")]
+    seeds = [_seed_arg(s) for s in text.split(",")]
+    if len(set(seeds)) < len(seeds):
+        raise argparse.ArgumentTypeError(f"seeds must be distinct, got {text!r}")
+    return seeds
 
 
 def build_parser() -> CliParser:

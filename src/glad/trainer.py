@@ -4,7 +4,6 @@ ablation matrix."""
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import math
 import os
@@ -18,7 +17,6 @@ from .debias import MIX_LAMBDA, build_background_bank, draw_mixes, mix_backgroun
 from .gapmetrics import accuracy_gap, confusion_matrix, mean_class_accuracy
 from .model import GLA_VIEWS, GladModel, ModelConfig, init_glad_model
 from .sampling import clip_indices
-from .schema import write_json
 from .synthdata import Packed
 
 
@@ -83,24 +81,6 @@ class TrainConfig:
         unknown = [v for v in self.gla_views if v not in GLA_VIEWS]
         if unknown:
             raise ValueError(f"unknown gla_views {unknown}; known: {list(GLA_VIEWS)}")
-
-
-@dataclass
-class TrainReport:
-    epochs: list = field(default_factory=list)
-    checkpoint_dir: str | None = None
-
-    def csv_rows(self):
-        yield list(REPORT_COLUMNS)
-        for e in self.epochs:
-            yield [repr(e[c]) if isinstance(e[c], float) else str(e[c])
-                   for c in REPORT_COLUMNS]
-
-    def write(self, out_dir: str) -> None:
-        write_json(os.path.join(out_dir, "report.json"),
-                   {"epochs": self.epochs, "checkpoint_dir": self.checkpoint_dir})
-        with open(os.path.join(out_dir, "report.csv"), "w", newline="") as f:
-            csv.writer(f).writerows(self.csv_rows())
 
 
 def schedule(config: TrainConfig) -> list[tuple[str, int, float]]:
@@ -287,47 +267,41 @@ def evaluate(mdl: GladModel, videos: Packed, n_classes: int) -> np.ndarray:
 # numpy warnings.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(config: TrainConfig, src: Packed, tgt_train: Packed,
-          tgt_test: Packed | None = None, out_dir: str | None = None) -> tuple:
-    """The epochs of schedule(config), each reported as its steps' mean
-    statistics and the target-test MCA after it. Target training labels are
-    set to -1 before any step sees them."""
+          tgt_test: Packed | None = None) -> tuple:
+    """The trained model and the epochs of schedule(config), each a row of
+    REPORT_COLUMNS: its steps' mean statistics and the target-test MCA after
+    it. Target training labels are set to -1 before any step sees them."""
     mdl = init_glad_model(config.model, seed=config.seed)
     rng = np.random.default_rng((config.seed, 0x7A))
     tgt = replace(tgt_train, labels=np.full_like(tgt_train.labels, -1))
     bank = (np.concatenate([build_background_bank(src), build_background_bank(tgt)])
             if config.use_bg_aug else None)
     velocity = mdl.zeros()
-    report = TrainReport()
+    epochs = []
     for phase, epoch, lr in schedule(config):
-        sums, counts = dict.fromkeys(STEP_STATS, 0.0), dict.fromkeys(STEP_STATS, 0)
+        steps = []
         for batch in _epoch_batches(len(src.lengths), len(tgt.lengths), config.batch_size, rng):
             stats, groups = step_losses(mdl, src, tgt, batch, config, rng, phase, bank)
             apply_grads(mdl, velocity, groups, lr)
-            for k, v in stats.items():
-                if not math.isnan(v):
-                    sums[k] += v
-                    counts[k] += 1
+            steps.append(stats)
         mca = (float("nan") if tgt_test is None
                else mean_class_accuracy(evaluate(mdl, tgt_test, config.model.n_classes)))
-        report.epochs.append({"phase": phase, "epoch": epoch, "lr": lr, **STEP_STATS,
-                              **{k: sums[k] / counts[k] for k in sums if counts[k]},
-                              "target_mca": mca})
-
-    if out_dir:
-        final = os.path.join(out_dir, "final")
-        glad_model.save_model(mdl, final)
-        report.checkpoint_dir = final
-        report.write(out_dir)
-    return mdl, report
+        # the phase and the config fix which heads run, so a statistic is NaN
+        # in every step of an epoch or in none
+        epochs.append({"phase": phase, "epoch": epoch, "lr": lr,
+                       **{k: sum(s[k] for s in steps) / len(steps) for k in STEP_STATS},
+                       "target_mca": mca})
+    return mdl, epochs
 
 
 def ablation_rows() -> dict:
-    """Toggle sets for the standard ablation matrix."""
+    """Toggle sets for the standard ablation matrix. Every row sets use_bg_aug,
+    use_tol and gla_views, so the base config reaches no toggle of a run."""
     return {
         "source_only": {"use_bg_aug": False, "use_tol": False, "gla_views": ()},
-        "gla_only": {"use_bg_aug": False, "use_tol": False},
+        "gla_only": {"use_bg_aug": False, "use_tol": False, "gla_views": tuple(GLA_VIEWS)},
         "debias_only": {"use_bg_aug": True, "use_tol": True, "gla_views": ()},
-        "full_glad": {"use_bg_aug": True, "use_tol": True},
+        "full_glad": {"use_bg_aug": True, "use_tol": True, "gla_views": tuple(GLA_VIEWS)},
         "supervised_target": {"use_bg_aug": False, "use_tol": False, "gla_views": ()},
         "dann": {"use_bg_aug": False, "use_tol": False, "gla_views": ("gg",)},
     }

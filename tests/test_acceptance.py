@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from glad import model as glad_model, trainer
-from glad.cli import EXIT_IO, EXIT_OK, default_benchmark_specs, main
+from glad.cli import EXIT_IO, EXIT_OK, default_benchmark_specs, main, write_report
 from glad.diffnet import grl_backward
 from glad.gapmetrics import accuracy_gap, scene_distance, temporal_distance
 from glad.model import TOL_ORDERS, ModelConfig, init_glad_model, tol_labels
@@ -367,10 +367,11 @@ def test_criterion_10_determinism(tmp_path):
                       model=ModelConfig(enc_hidden=8, enc_out=6, feat_dim=6,
                                         n_classes=4, n_frames=4, tol_hidden=8,
                                         domain_hidden=(8, 6, 4)))
-    trainer.train(copy.deepcopy(cfg), src, tgt, tgt_test=src,
-                  out_dir=str(tmp_path / "a"))
-    trainer.train(copy.deepcopy(cfg), src, tgt, tgt_test=src,
-                  out_dir=str(tmp_path / "b"))
+    for name in ("a", "b"):
+        mdl, epochs = trainer.train(copy.deepcopy(cfg), src, tgt, tgt_test=src)
+        final = str(tmp_path / name / "final")
+        glad_model.save_model(mdl, final)
+        write_report(str(tmp_path / name), epochs, final)
     a = (tmp_path / "a" / "report.csv").read_bytes()
     b = (tmp_path / "b" / "report.csv").read_bytes()
     assert a == b

@@ -1215,10 +1215,11 @@ def test_eval_and_gap_memory_is_bounded_by_a_block(tmp_path, capsys, command):
     (["train", "--seed", "-1"], "argument --seed: a seed must be an integer >= 0, got '-1'"),
     (["ablate", "--seeds", "0,-1"], "argument --seeds: a seed must be an integer >= 0, got '-1'"),
     (["ablate", "--seeds", ""], "argument --seeds: a seed must be an integer >= 0, got ''"),
+    (["ablate", "--seeds", "0,0"], "argument --seeds: seeds must be distinct, got '0,0'"),
     (["ablate", "--seeds", "0,x"], "argument --seeds: a seed must be an integer >= 0, got 'x'"),
     (["synth", "--seed", "-1"], "argument --seed: a seed must be an integer >= 0, got '-1'"),
     (["synth", "--spec", "SPEC", "--seed", "3"], "--seed does not apply with --spec"),
-], ids=["train_negative", "ablate_negative", "ablate_empty", "ablate_not_int",
+], ids=["train_negative", "ablate_negative", "ablate_empty", "ablate_repeated", "ablate_not_int",
         "synth_negative", "synth_spec_and_seed"])
 def test_bad_seed_argument_exit_1_writes_nothing(tmp_path, capsys, argv, message):
     """A seed argument that would be ignored, or that numpy would refuse

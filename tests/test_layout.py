@@ -3,7 +3,8 @@ benchmark uses, methods and dataclass fields included, every glad option
 is read by its command, src/glad/ and tests/ import only names they use,
 every name the benchmark imports from glad exists, tests/oracles.py only
 references that some test uses, every exception type src/glad/ defines
-has an exit code, and every train setting is set by some run."""
+has an exit code, every train setting is set by some run, and trainer.py
+writes no file."""
 
 import argparse
 import ast
@@ -231,3 +232,18 @@ def test_every_exception_type_has_an_exit_code():
                if cls.__module__ == f"glad.{path.stem}" and issubclass(cls, BaseException)]
     assert {"UsageError", "DatasetError", "NumericError"} <= {cls.__name__ for cls in defined}
     assert [cls.__qualname__ for cls in defined if not issubclass(cls, tuple(caught))] == []
+
+
+def test_trainer_writes_no_file():
+    """trainer.py calls none of the file writers and opens files only to
+    read (as _one_blas_thread reads the process's memory maps): train
+    returns the model and its epochs, and cli.py writes them."""
+    calls = [node for node in ast.walk(parse(SRC / "trainer.py")) if isinstance(node, ast.Call)]
+    called = [ast.unparse(node.func) for node in calls]
+    writers = ("write_json", "save_model", "write_dataset", "tofile")
+    assert [f for f in called if f.split(".")[-1] in writers or f == "csv.writer"] == []
+    opens = [node for node in calls if ast.unparse(node.func) == "open"]
+    assert opens
+    for node in opens:  # a mode must be a literal that only reads
+        mode = node.args[1:2] or [k.value for k in node.keywords if k.arg == "mode"]
+        assert not mode or set(ast.literal_eval(mode[0])) <= set("rbt"), ast.unparse(node)

@@ -12,12 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from glad import model as glad_model, trainer
 from glad.diffnet import mlp_forward
-from glad.model import GLA_VIEWS, ModelConfig, init_glad_model
+from glad.model import GLA_VIEWS, ModelConfig, init_glad_model, save_model
 from glad.debias import MIX_LAMBDA, MIX_PROBABILITY, build_background_bank, mix_background
 from glad.gapmetrics import mean_class_accuracy
 from glad.schema import from_json
 from glad.synthdata import DomainSpec, Packed, generate_domain
-from glad.trainer import (TrainConfig, TrainReport, ablation_rows, apply_grads, evaluate,
+from glad.cli import write_report
+from glad.trainer import (STEP_STATS, TrainConfig, ablation_rows, apply_grads, evaluate,
                           format_ablation_table, run_ablation_matrix, schedule, train)
 from oracles import (encode_clip_stack, evaluate_per_clip, sample_global_clip,
                      sample_local_clip, sgd_step, step_on_splits, subset, videos_of)
@@ -43,6 +44,13 @@ def tiny_data(seed=0, n=16, n_classes=4):
     _, (src,) = generate_domain(src_spec)
     _, (tgt,) = generate_domain(tgt_spec)
     return src, tgt
+
+
+def write_run(out_dir, mdl, epochs):
+    """The checkpoint and the report of a trained run, as glad train writes them."""
+    final = os.path.join(out_dir, "final")
+    save_model(mdl, final)
+    write_report(out_dir, epochs, final)
 
 
 def unlabeled(split):
@@ -95,10 +103,45 @@ def test_report_epochs_follow_the_schedule(use_tol):
     TOL on, then the main phase with its lr drops."""
     src, tgt = tiny_data(n=8)
     cfg = tiny_config(use_tol=use_tol)
-    _, report = train(cfg, src, tgt)
+    _, epochs = train(cfg, src, tgt)
     warmup = [("warmup", 0, 2e-3)] if use_tol else []
-    assert [(e["phase"], e["epoch"], e["lr"]) for e in report.epochs] == schedule(cfg) \
+    assert [(e["phase"], e["epoch"], e["lr"]) for e in epochs] == schedule(cfg) \
         == warmup + [("main", 0, 2e-3), ("main", 1, 2e-3 / 10.0)]
+
+
+@pytest.mark.parametrize("name", ["full_glad", "dann"])
+def test_epoch_row_is_the_mean_of_its_steps(monkeypatch, name):
+    """Each epoch's STEP_STATS are the means of its steps' values; an
+    accuracy is NaN exactly in the epochs that score nothing for it, and a
+    loss an epoch does not compute reads 0.0."""
+    src, tgt = tiny_data(n=8)
+    cfg = tiny_config(**ablation_rows()[name])
+    steps, step_losses = [], trainer.step_losses
+
+    def spy(*args, **kwargs):
+        stats, groups = step_losses(*args, **kwargs)
+        steps.append(dict(stats))
+        return stats, groups
+
+    monkeypatch.setattr(trainer, "step_losses", spy)
+    _, epochs = train(cfg, src, tgt)
+    per_epoch = math.ceil(8 / cfg.batch_size)
+    assert len(steps) == per_epoch * len(epochs) == per_epoch * len(schedule(cfg))
+    for i, row in enumerate(epochs):
+        main = row["phase"] == "main"
+        runs_tol = cfg.use_tol or not main
+        views = cfg.gla_views if main else ()
+        for k in STEP_STATS:
+            values = [step[k] for step in steps[i * per_epoch:(i + 1) * per_epoch]]
+            if k.startswith("dom_acc_"):
+                assert math.isnan(row[k]) == (k[len("dom_acc_"):] not in views), (i, k)
+            if k == "tol_acc":
+                assert math.isnan(row[k]) != runs_tol, i
+            if not math.isnan(row[k]):
+                assert row[k] == pytest.approx(statistics.fmean(values), rel=1e-12), (i, k)
+        assert (row["loss_ce"] == 0.0) == (not main)
+        assert (row["loss_tol"] == 0.0) == (not runs_tol)
+        assert (row["loss_gla"] == 0.0) == (not views)
 
 
 def test_step_groups_by_phase():
@@ -260,25 +303,26 @@ def test_epoch_batches_cover_smaller_domain():
 def test_train_writes_report_and_checkpoint(tmp_path):
     src, tgt = tiny_data()
     cfg = tiny_config()
-    mdl, report = train(cfg, src, tgt, tgt_test=tgt, out_dir=str(tmp_path))
+    mdl, epochs = train(cfg, src, tgt, tgt_test=tgt)
+    write_run(str(tmp_path), mdl, epochs)
     assert (tmp_path / "report.csv").exists()
     assert (tmp_path / "report.json").exists()
     assert (tmp_path / "final" / "params.bin").exists()
-    assert len(report.epochs) == cfg.warmup_epochs + cfg.main_epochs
+    assert len(epochs) == cfg.warmup_epochs + cfg.main_epochs
     with open(tmp_path / "report.csv") as f:
         rows = list(csv.reader(f))
     assert rows[0] == ["phase", "epoch", "lr", "loss_ce", "loss_tol",
                        "loss_gla", "loss_total", "dom_acc_gg", "dom_acc_ll",
                        "dom_acc_cross", "tol_acc", "target_mca"]
-    assert len(rows) == 1 + len(report.epochs)
-    assert report.epochs[-1]["target_mca"] == mean_class_accuracy(evaluate(mdl, tgt, 4))
+    assert len(rows) == 1 + len(epochs)
+    assert epochs[-1]["target_mca"] == mean_class_accuracy(evaluate(mdl, tgt, 4))
 
 
 def test_train_skips_warmup_without_tol():
     src, tgt = tiny_data()
     cfg = tiny_config(use_tol=False)
-    _, report = train(cfg, src, tgt)
-    assert all(e["phase"] == "main" for e in report.epochs)
+    _, epochs = train(cfg, src, tgt)
+    assert all(e["phase"] == "main" for e in epochs)
 
 
 def test_train_deterministic_same_seed(tmp_path):
@@ -286,8 +330,8 @@ def test_train_deterministic_same_seed(tmp_path):
     write the same report and checkpoint bytes."""
     src, tgt = tiny_data()
     cfg = tiny_config()
-    train(cfg, src, tgt, tgt_test=tgt, out_dir=str(tmp_path / "a"))
-    train(cfg, src, tgt, tgt_test=tgt, out_dir=str(tmp_path / "b"))
+    for name in ("a", "b"):
+        write_run(str(tmp_path / name), *train(cfg, src, tgt, tgt_test=tgt))
     for name in ("report.csv", "final/params.bin"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -298,16 +342,16 @@ def test_target_labels_cannot_reach_training(tmp_path):
     src, tgt = tiny_data()
     rolled = dataclasses.replace(tgt, labels=(tgt.labels + 1) % 4)
     for name, tgt_train in (("a", tgt), ("b", rolled)):
-        train(tiny_config(), src, tgt_train, tgt_test=tgt, out_dir=str(tmp_path / name))
+        write_run(str(tmp_path / name), *train(tiny_config(), src, tgt_train, tgt_test=tgt))
     for name in ("final/params.bin", "report.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_train_seed_changes_results():
     src, tgt = tiny_data()
-    _, r0 = train(tiny_config(seed=0), src, tgt)
-    _, r1 = train(tiny_config(seed=1), src, tgt)
-    assert r0.epochs[-1]["loss_total"] != r1.epochs[-1]["loss_total"]
+    _, e0 = train(tiny_config(seed=0), src, tgt)
+    _, e1 = train(tiny_config(seed=1), src, tgt)
+    assert e0[-1]["loss_total"] != e1[-1]["loss_total"]
 
 
 def test_disabled_paths_match_source_only_bitwise():
@@ -391,6 +435,18 @@ def test_ablation_rows_cover_standard_matrix():
     assert rows["dann"]["use_bg_aug"] is False
 
 
+def test_every_ablation_row_sets_every_toggle():
+    """A row's run does not depend on the base config's use_bg_aug, use_tol
+    or gla_views: each row sets all three."""
+    bases = [tiny_config(gla_views=views, use_bg_aug=aug, use_tol=tol)
+             for views in ((), ("gg",), tuple(GLA_VIEWS))
+             for aug in (False, True) for tol in (False, True)]
+    for name, row in ablation_rows().items():
+        toggles = {(c.use_bg_aug, c.use_tol, c.gla_views)
+                   for c in (dataclasses.replace(base, **row) for base in bases)}
+        assert len(toggles) == 1, (name, toggles)
+
+
 def test_ablation_matrix_and_table():
     src, tgt = tiny_data(n=8)
     base = tiny_config(warmup_epochs=1, main_epochs=1)
@@ -417,8 +473,8 @@ def test_ablation_matrix_equals_direct_runs_on_any_core_count():
 
     def direct_mca(name, seed):
         labeled = tgt if name == "supervised_target" else src
-        _, report = train(dataclasses.replace(base, **rows[name], seed=seed), labeled, tgt, tgt)
-        return report.epochs[-1]["target_mca"]
+        _, epochs = train(dataclasses.replace(base, **rows[name], seed=seed), labeled, tgt, tgt)
+        return epochs[-1]["target_mca"]
 
     direct = {name: [direct_mca(name, seed) for seed in seeds] for name in rows}
     cores = os.sched_getaffinity(0)
@@ -444,9 +500,9 @@ def test_ablation_job_scores_the_last_epoch_of_train(monkeypatch, name):
     base = tiny_config(warmup_epochs=1, main_epochs=2)
     monkeypatch.setattr(trainer, "_job_inputs", (base, src, tgt, tgt_test))
     labeled = tgt if name == "supervised_target" else src
-    _, report = train(dataclasses.replace(base, **ablation_rows()[name], seed=1),
+    _, epochs = train(dataclasses.replace(base, **ablation_rows()[name], seed=1),
                       labeled, tgt, tgt_test)
-    assert trainer._run_job(name, ablation_rows()[name], 1) == report.epochs[-1]["target_mca"]
+    assert trainer._run_job(name, ablation_rows()[name], 1) == epochs[-1]["target_mca"]
 
 
 def test_config_dict_roundtrip():
@@ -456,15 +512,16 @@ def test_config_dict_roundtrip():
     assert isinstance(back.model, ModelConfig)
 
 
-def test_report_csv_floats_roundtrip():
-    report = TrainReport()
-    report.epochs.append({"phase": "main", "epoch": 0, "lr": 2e-3,
-                          "loss_ce": 1.2345678901234567, "loss_tol": 0.1,
-                          "loss_gla": 0.2, "loss_total": 1.1345678901234567,
-                          "dom_acc_gg": 0.5, "dom_acc_ll": float("nan"),
-                          "dom_acc_cross": 0.25, "tol_acc": 0.5,
-                          "target_mca": 10.0})
-    rows = list(report.csv_rows())
+def test_report_csv_floats_roundtrip(tmp_path):
+    epochs = [{"phase": "main", "epoch": 0, "lr": 2e-3,
+               "loss_ce": 1.2345678901234567, "loss_tol": 0.1,
+               "loss_gla": 0.2, "loss_total": 1.1345678901234567,
+               "dom_acc_gg": 0.5, "dom_acc_ll": float("nan"),
+               "dom_acc_cross": 0.25, "tol_acc": 0.5,
+               "target_mca": 10.0}]
+    write_report(str(tmp_path), epochs, str(tmp_path / "final"))
+    with open(tmp_path / "report.csv", newline="") as f:
+        rows = list(csv.reader(f))
     # repr round-trips the exact float
     assert float(rows[1][3]) == 1.2345678901234567
 
